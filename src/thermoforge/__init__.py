@@ -14,6 +14,7 @@ from .compiler import (
     GateSequence,
     GateStep,
     GeneratorCombination,
+    apply_gates,
     compile_bch,
     compile_exact,
     compile_nested,

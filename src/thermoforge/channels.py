@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compiler import GateSequence
+from .compiler import GateSequence, apply_gates
 from .errors import DomainError, ShapeError
 from .linalg import as_operator, kron, partial_trace, trace_distance
 from .thermal import (
@@ -139,14 +139,8 @@ def run_gc_eto(rho_s, catalyst: Spectrum, seq: GateSequence,
         raise ShapeError(
             f"sequence dims {seq.dims} != (system {ds}, catalyst {catalyst.dim})"
         )
-    for step in seq.steps:
-        if len(step.indices) > 2:
-            raise DomainError("non-elementary gate: more than two joint indices")
     tau_c = gibbs_state(catalyst, ctx).to_dense()
-    joint = kron(rho_s, tau_c)
-    for step in seq.steps:
-        u = step.matrix(seq.dims)
-        joint = u @ joint @ u.conj().T
+    joint = apply_gates(seq, kron(rho_s, tau_c), conjugate=True)
     dims = (ds, catalyst.dim)
     pre = classify_catalysis(joint, tau_c, dims, epsilon)
     sigma_s = partial_trace(joint, dims, keep=0)

@@ -9,18 +9,25 @@ Back-ends:
 
 A GateSequence applies steps[0] first, i.e. reconstruct() multiplies
 steps right-to-left.
+
+Cost model: every step reduces to a 1x1 or 2x2 block on flat joint
+indices (GateStep.local), and apply_gates updates only the rows (and, when
+conjugating, the columns) those indices name.  One gate on an n-row
+operand therefore costs O(n); reconstruct costs O(n^2) for the identity
+plus O(gates * n), and evolving a density matrix costs O(gates * n).
 """
 from __future__ import annotations
 
+import cmath
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .generators import ElementaryGenerator
-from .linalg import expm_skew
+from .generators import KINDS, ElementaryGenerator
 from .thermal import EnergyBlocks, is_energy_preserving, max_cross_block_entry
 
 _ELIM_TOL = 1e-13
@@ -46,6 +53,8 @@ class GateStep:
             u2.flags.writeable = False
             object.__setattr__(self, "u2", u2)
         else:
+            if self.kind not in KINDS:
+                raise DomainError(f"unknown gate kind {self.kind!r}")
             if self.param is None:
                 raise DomainError("generator step needs a parameter")
             want = 1 if self.kind == "p" else 2
@@ -56,26 +65,41 @@ class GateStep:
     def from_generator(cls, gen: ElementaryGenerator, param: float) -> "GateStep":
         return cls(gen.kind, gen.support(), param=param)
 
-    def matrix(self, dims: tuple[int, int]) -> np.ndarray:
-        n = dims[0] * dims[1]
-        flats = [s * dims[1] + c for s, c in self.indices]
-        for f in flats:
-            if f >= n:
-                raise ShapeError(f"step index {f} out of range for joint dim {n}")
-        u = np.eye(n, dtype=complex)
+    def local(self, dims: tuple[int, int]) -> tuple[list[int], np.ndarray]:
+        """Flat joint indices and the 1x1 or 2x2 block acting on them.
+
+        Each joint index (s, c) must satisfy 0 <= s < dims[0] and
+        0 <= c < dims[1]; otherwise it would alias another flat level.
+        """
+        if len(self.indices) > 2:
+            raise DomainError("non-elementary gate: more than two joint indices")
+        flats = []
+        for pair in self.indices:
+            try:
+                s, c = (operator.index(i) for i in pair)
+            except (TypeError, ValueError):
+                raise ShapeError(f"joint index {pair!r} is not an integer pair") from None
+            if not (0 <= s < dims[0] and 0 <= c < dims[1]):
+                raise ShapeError(f"joint index ({s}, {c}) out of range for dims {dims}")
+            flats.append(s * dims[1] + c)
+        if len(flats) == 2 and flats[0] == flats[1]:
+            raise DomainError(f"two-level gate acts twice on flat level {flats[0]}")
         if self.kind == "givens":
-            u[np.ix_(flats, flats)] = self.u2
-        elif self.kind == "p":
-            u[flats[0], flats[0]] = np.exp(-1j * self.param)
-        else:
-            a, b = flats
-            if self.kind == "h":
-                k2 = np.array([[0, -1j], [-1j, 0]])
-            elif self.kind == "m":
-                k2 = np.array([[0, 1], [-1, 0]], dtype=complex)
-            else:  # g_diag
-                k2 = np.array([[1j, 0], [0, 1j]])
-            u[np.ix_([a, b], [a, b])] = expm_skew(self.param * k2)
+            return flats, self.u2
+        if self.kind == "p":
+            return flats, np.array([[cmath.exp(-1j * self.param)]])
+        c, s = math.cos(self.param), math.sin(self.param)
+        if self.kind == "h":
+            return flats, np.array([[c, -1j * s], [-1j * s, c]])
+        if self.kind == "m":
+            return flats, np.array([[c, s], [-s, c]], dtype=complex)
+        return flats, cmath.exp(1j * self.param) * np.eye(2)  # g_diag
+
+    def matrix(self, dims: tuple[int, int]) -> np.ndarray:
+        """Dense n x n unitary: the local block embedded into the identity."""
+        flats, block = self.local(dims)
+        u = np.eye(dims[0] * dims[1], dtype=complex)
+        u[np.ix_(flats, flats)] = block
         return u
 
     def to_json(self) -> dict:
@@ -135,15 +159,31 @@ class GateSequence:
         )
 
 
+def apply_gates(seq: GateSequence, x: np.ndarray, conjugate: bool = False) -> np.ndarray:
+    """Apply every step to x in place, steps[0] first, and return x.
+
+    x <- U x updates the two rows of each gate; with conjugate=True the
+    two columns follow, giving x <- U x U†.  Every step is resolved (and
+    its indices checked) before x is touched.
+    """
+    n = seq.dims[0] * seq.dims[1]
+    if x.shape[0] != n or (conjugate and x.shape != (n, n)):
+        raise ShapeError(f"operand shape {x.shape} does not match sequence dims {seq.dims}")
+    if x.dtype != complex:
+        raise TypeError(f"gates update a complex array in place, got {x.dtype}")
+    for flats, block in [step.local(seq.dims) for step in seq.steps]:
+        x[flats] = block @ x[flats]
+        if conjugate:
+            x[:, flats] = x[:, flats] @ block.conj().T
+    return x
+
+
 def reconstruct(seq: GateSequence, joint_dim: int | None = None) -> np.ndarray:
-    """Ordered product of the materialized steps, steps[0] acting first."""
+    """Ordered product of the steps, steps[0] acting first."""
     n = seq.dims[0] * seq.dims[1]
     if joint_dim is not None and joint_dim != n:
         raise ShapeError(f"sequence dims {seq.dims} do not match joint dim {joint_dim}")
-    u = np.eye(n, dtype=complex)
-    for step in seq.steps:
-        u = step.matrix(seq.dims) @ u
-    return u
+    return apply_gates(seq, np.eye(n, dtype=complex))
 
 
 def compile_exact(u, blocks: EnergyBlocks, tol: float = 1e-9) -> GateSequence:

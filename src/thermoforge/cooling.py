@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compiler import GateSequence, GateStep, reconstruct
+from .compiler import GateSequence, GateStep, apply_gates
 from .errors import CapacityError, DomainError
 from .linalg import kron, partial_trace
 from .thermal import DiagonalState, Spectrum, ThermalContext, gibbs_state
@@ -110,15 +110,14 @@ def run_cooling(d: int, p: DiagonalState | None = None,
 
 def run_cooling_dense(d: int, p: DiagonalState | None = None,
                       ctx: ThermalContext = ThermalContext()) -> DiagonalState:
-    """Dense cross-check: build the full unitary product and trace the
-    catalyst out.  Only for small d."""
+    """Dense cross-check: conjugate the full joint density matrix
+    p ⊗ tau_C gate by gate and trace the catalyst out."""
     if d > MAX_D_DENSE:
         raise CapacityError(f"dense path limited to d <= {MAX_D_DENSE}")
     if p is None:
         p = DEFAULT_INPUT
     inst = build_cooling_instance(d)
-    u = reconstruct(inst.gates)
     tau = gibbs_state(inst.catalyst, ctx).to_dense()
-    joint = u @ kron(p.to_dense(), tau) @ u.conj().T
+    joint = apply_gates(inst.gates, kron(p.to_dense(), tau), conjugate=True)
     sigma = partial_trace(joint, inst.gates.dims, keep=0)
     return DiagonalState(np.real(np.diag(sigma)))

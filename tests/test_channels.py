@@ -280,6 +280,15 @@ class TestRunGcEto:
         with pytest.raises(ShapeError):
             run_gc_eto(np.diag([0.0, 0.5, 0.5]), cat, seq)
 
+    @pytest.mark.parametrize("bad", [(0, -1), (0, 2)])
+    def test_rejects_out_of_range_joint_index(self, bad):
+        cat = Spectrum.from_energies([0.0, 0.0])
+        swap = np.array([[0, 1], [1, 0]])
+        step = GateStep("givens", (bad, (0, 0)), u2=swap)
+        seq = GateSequence(steps=(step,), method="handcrafted", dims=(3, 2))
+        with pytest.raises(ShapeError, match="out of range"):
+            run_gc_eto(np.diag([0.2, 0.3, 0.5]), cat, seq)
+
     def test_rejects_non_elementary_gate(self):
         cat = build_cooling_catalyst(2)
         step = GateStep(kind="givens", indices=((0, 0), (0, 1)), u2=np.eye(2))

@@ -243,6 +243,22 @@ class TestSimulate:
         assert report["outputs"]["post_verdict"]["strict"]
         assert not report["outputs"]["pre_verdict"]["correlated"]
 
+    @pytest.mark.parametrize("bad", [[0, -1], [0, 2], [0.5, 0]])
+    def test_bad_joint_index_exits_3(self, tmp_path, capsys, bad):
+        sf = write_json(tmp_path / "p.json", {"populations": [0.2, 0.3, 0.5]})
+        cf = write_json(tmp_path / "cat.json",
+                        Spectrum.from_energies([0.0, 0.0]).to_json())
+        gf = write_json(tmp_path / "gates.json", {
+            "method": "handcrafted", "dims": [3, 2], "error_bound": 0.0,
+            "steps": [{"kind": "givens", "indices": [bad, [0, 0]],
+                       "u2": [[0, 0], [1, 0], [1, 0], [0, 0]]}],
+        })
+        code, _, err = run_cli(capsys, [
+            "simulate", "--state", sf, "--catalyst", cf, "--gates", gf,
+        ])
+        assert code == 3
+        assert "joint index" in err
+
     def test_no_rethermalize_omits_post(self, tmp_path, capsys):
         cat = build_cooling_catalyst(2)
         seq = build_cooling_sequence(2)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermoforge import (
     ElementaryGenerator,
@@ -9,6 +11,7 @@ from thermoforge import (
     GateStep,
     GeneratorCombination,
     Spectrum,
+    apply_gates,
     compile_bch,
     compile_exact,
     compile_nested,
@@ -19,7 +22,7 @@ from thermoforge import (
     random_energy_preserving_unitary,
     reconstruct,
 )
-from thermoforge.errors import DomainError
+from thermoforge.errors import DomainError, ShapeError
 from util import random_resonant_spectra
 
 
@@ -54,6 +57,86 @@ class TestReconstruct:
         expected = s2.matrix(blocks.dims) @ s1.matrix(blocks.dims)
         assert np.allclose(reconstruct(seq), expected)
 
+    # With dims (3, 2), (0, -1) would alias flat level 5 and (0, 2) flat
+    # level 2 = (1, 0) if indices were only checked against the joint dim.
+    @pytest.mark.parametrize("bad", [(0, -1), (0, 2), (-1, 0), (3, 0)])
+    def test_rejects_out_of_range_joint_index(self, bad):
+        swap = np.array([[0, 1], [1, 0]])
+        step = GateStep("givens", (bad, (0, 0)), u2=swap)
+        seq = GateSequence(steps=[step], method="handcrafted", dims=(3, 2))
+        with pytest.raises(ShapeError, match="out of range"):
+            reconstruct(seq)
+
+
+@st.composite
+def gate_cases(draw):
+    """(dims, step, dense reference U) for every gate kind.
+
+    Generator kinds are checked against expm_skew of the generator matrix,
+    givens against its 2x2 block written into the identity entry by entry;
+    neither reference goes through GateStep.local or GateStep.matrix.
+    """
+    dims = (draw(st.integers(1, 4)), draw(st.integers(2, 5)))
+    n = dims[0] * dims[1]
+    a, b = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    first, second = divmod(a, dims[1]), divmod(b, dims[1])
+    kind = draw(st.sampled_from(("h", "m", "g_diag", "p", "givens")))
+    angle = st.floats(-2 * math.pi, 2 * math.pi)
+    if kind == "givens":
+        al, be, ga, de = (draw(angle) for _ in range(4))
+        u2 = np.exp(1j * al) * np.array([
+            [np.exp(1j * be) * math.cos(ga), np.exp(1j * de) * math.sin(ga)],
+            [-np.exp(-1j * de) * math.sin(ga), np.exp(-1j * be) * math.cos(ga)],
+        ])
+        u = np.eye(n, dtype=complex)
+        u[a, a], u[a, b], u[b, a], u[b, b] = u2[0, 0], u2[0, 1], u2[1, 0], u2[1, 1]
+        return dims, GateStep("givens", (first, second), u2=u2), u
+    if kind == "p":
+        second = first
+    gen = ElementaryGenerator(kind, 0.0, first, second)
+    theta = draw(angle)
+    return dims, GateStep.from_generator(gen, theta), expm_skew(theta * gen.matrix(dims))
+
+
+class TestGateKernel:
+    @given(gate_cases(), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_left_product_matches_dense(self, case, seed):
+        dims, step, u = case
+        n = dims[0] * dims[1]
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        seq = GateSequence(steps=[step], method="handcrafted", dims=dims)
+        got = apply_gates(seq, x.copy())
+        assert np.max(np.abs(got - u @ x)) < 1e-12
+
+    @given(gate_cases(), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_conjugation_matches_dense(self, case, seed):
+        dims, step, u = case
+        n = dims[0] * dims[1]
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        rho = (z + z.conj().T) / 2
+        seq = GateSequence(steps=[step], method="handcrafted", dims=dims)
+        got = apply_gates(seq, rho.copy(), conjugate=True)
+        assert np.max(np.abs(got - u @ rho @ u.conj().T)) < 1e-12
+
+    def test_rejects_bad_operand(self):
+        seq = GateSequence(steps=[], method="handcrafted", dims=(2, 2))
+        with pytest.raises(ShapeError):
+            apply_gates(seq, np.eye(3, dtype=complex))
+        with pytest.raises(ShapeError):
+            apply_gates(seq, np.ones((4, 2), dtype=complex), conjugate=True)
+        with pytest.raises(TypeError):
+            apply_gates(seq, np.eye(4))  # a real array would drop imaginary parts
+
+    def test_rejects_coincident_levels(self):
+        step = GateStep("givens", ((0, 1), (0, 1)), u2=np.eye(2))
+        seq = GateSequence(steps=[step], method="handcrafted", dims=(2, 2))
+        with pytest.raises(DomainError, match="twice"):
+            reconstruct(seq)
+
 
 class TestGateStep:
     def test_elementary_support(self):
@@ -74,6 +157,10 @@ class TestGateStep:
         u = random_energy_preserving_unitary(blocks, seed=1)
         for step in compile_exact(u, blocks).steps:
             assert is_energy_preserving(step.matrix(blocks.dims), blocks, 1e-10)
+
+    def test_rejects_unknown_kind(self):
+        with pytest.raises(DomainError, match="unknown gate kind"):
+            GateStep("x", ((0, 0), (0, 1)), param=0.1)
 
     def test_givens_requires_unitary_block(self):
         with pytest.raises(DomainError):

@@ -18,7 +18,13 @@ from thermoforge import (
     run_cooling_dense,
 )
 from thermoforge.compiler import GateSequence, reconstruct
-from thermoforge.cooling import DEFAULT_INPUT, E_UNIT, SYSTEM_SPECTRUM, _cat_index
+from thermoforge.cooling import (
+    DEFAULT_INPUT,
+    E_UNIT,
+    MAX_D_DENSE,
+    SYSTEM_SPECTRUM,
+    _cat_index,
+)
 from thermoforge.errors import CapacityError, DomainError
 from thermoforge.thermal import is_energy_preserving
 
@@ -111,10 +117,12 @@ class TestRun:
             assert abs(inv - 2.0 ** (-d) / d) < 1e-12
 
     def test_dense_cross_check(self):
-        for d in (2, 3, 4):
+        # up to MAX_D_DENSE = 10, joint dim 3069
+        for d in range(2, MAX_D_DENSE + 1):
             fast, _ = run_cooling(d)
             dense = run_cooling_dense(d)
             assert np.max(np.abs(fast.populations - dense.populations)) < 1e-10
+            assert abs(dense.populations[0] - (1 - 1 / d)) < 1e-12
 
     def test_dense_capacity_guard(self):
         with pytest.raises(CapacityError):

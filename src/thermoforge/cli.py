@@ -10,9 +10,9 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -236,8 +236,8 @@ def cmd_compile(args) -> int:
 
 def _cool_row(d: int) -> dict:
     final, inv = cooling.run_cooling(d)
-    inst = cooling.build_cooling_instance(d)
-    oracle = max_ground_population_TO(cooling.DEFAULT_INPUT, inst.system, inst.catalyst)
+    oracle = max_ground_population_TO(cooling.DEFAULT_INPUT, cooling.SYSTEM_SPECTRUM,
+                                      cooling.build_cooling_catalyst(d))
     g, e1, e2 = (float(x) for x in final.populations)
     return {
         "D": d,
@@ -252,21 +252,30 @@ def _cool_row(d: int) -> dict:
     }
 
 
+def _parse_sweep(text: str) -> list[int]:
+    """`lo..hi` with lo <= hi, as the inclusive list of catalyst sizes."""
+    match = re.fullmatch(r"(\d+)\.\.(\d+)", text)
+    if match is None:
+        raise DomainError(f"--sweep must be lo..hi with integers lo <= hi, got {text!r}")
+    lo, hi = int(match[1]), int(match[2])
+    if lo > hi:
+        raise DomainError(f"--sweep bounds are reversed in {text!r}")
+    if hi > cooling.MAX_D_DIAGONAL:
+        raise CapacityError(
+            f"--sweep {text!r} exceeds the diagonal-path cap D <= {cooling.MAX_D_DIAGONAL}"
+        )
+    return list(range(lo, hi + 1))
+
+
 def cmd_cool(args) -> int:
     t0 = time.perf_counter()
     if args.sweep:
-        lo, hi = (int(x) for x in args.sweep.split(".."))
-        ds = list(range(lo, hi + 1))
+        ds = _parse_sweep(args.sweep)
     else:
         if args.D is None:
             raise DomainError("either --D or --sweep is required")
         ds = [args.D]
-    jobs = args.jobs or os.cpu_count() or 1
-    if jobs > 1 and len(ds) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_cool_row, ds))
-    else:
-        rows = [_cool_row(d) for d in ds]
+    rows = [_cool_row(d) for d in ds]
     report = RunReport(command="cool", inputs={"D": ds, "csv": args.csv})
     for row in rows:
         report.add_check(f"q_prime_closed_form_D{row['D']}",
@@ -290,6 +299,8 @@ def cmd_cool(args) -> int:
 
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
+    if args.trials < 0:
+        raise DomainError(f"--trials must be nonnegative, got {args.trials}")
     seed = _seed_from_env(args.seed)
     report = RunReport(
         command="verify",
@@ -383,14 +394,12 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--D", type=int, default=None)
     c.add_argument("--sweep", default=None, help="range lo..hi")
     c.add_argument("--csv", default=None)
-    c.add_argument("--jobs", type=int, default=None)
     c.set_defaults(func=cmd_cool)
 
     c = sub.add_parser("verify", help="run the randomized invariant suites")
     c.add_argument("--suite", choices=("all",) + SUITES, default="all")
     c.add_argument("--seed", type=int, default=DEFAULT_SEED)
     c.add_argument("--trials", type=int, default=100)
-    c.add_argument("--jobs", type=int, default=None)
     c.add_argument("--inject-failure", action="store_true",
                    help="add a deliberately failing check (self-test)")
     c.set_defaults(func=cmd_verify)

@@ -7,6 +7,12 @@ Catalyst for parameter D: levels n*E with degeneracy 2^n, n = 0..D-1,
 total dimension 2^D - 1.  The closed form for the default input
 p = (0, 1/2, 1/2) is (1 - 1/D, 1/(2D), 1/(2D)); the untouched top-energy
 joint levels each carry population 2^(-D)/D.
+
+The swap gates have disjoint supports: every gate moves one level with
+system state 0 and one with system state 1 or 2, and no level twice.
+Together they form a single permutation of the joint population vector,
+which `run_cooling` applies in one indexed assignment; the gate sequence
+is built only for the dense path and for `verify`.
 """
 from __future__ import annotations
 
@@ -40,10 +46,23 @@ def build_cooling_catalyst(d: int) -> Spectrum:
         raise DomainError(f"catalyst parameter must be >= 1, got {d}")
     if d > MAX_D_DIAGONAL:
         raise CapacityError(f"catalyst parameter {d} exceeds the diagonal-path cap")
-    energies = []
-    for n in range(d):
-        energies.extend([n * E_UNIT] * (1 << n))
-    return Spectrum.from_energies(energies)
+    return Spectrum(tuple((n * E_UNIT, g) for n in range(d) for g in range(1 << n)))
+
+
+def _swap_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat joint indices a[i], b[i] of swap i, in build_cooling_sequence order.
+
+    Level |n-1, k>_C (0-based k) is catalyst index c = 2^(n-1) - 1 + k, so
+    the b side runs over c = 0 .. 2^(d-1) - 2 and a = (0, c + x*2^(n-1)).
+    """
+    c = np.arange((1 << (d - 1)) - 1)
+    shells = 1 << np.arange(d - 1)
+    half = np.repeat(shells, shells)[:, None]  # 2^(n-1) per c
+    x = np.array([1, 2])
+    dim_c = (1 << d) - 1
+    a = c[:, None] + x * half
+    b = x * dim_c + c[:, None]
+    return a.ravel(), b.ravel()
 
 
 def build_cooling_sequence(d: int) -> GateSequence:
@@ -55,14 +74,11 @@ def build_cooling_sequence(d: int) -> GateSequence:
     if d < 2:
         raise DomainError(f"cooling sequence needs d >= 2, got {d}")
     dims = (3, (1 << d) - 1)
-    steps = []
-    for n in range(1, d):
-        half = 1 << (n - 1)
-        for k in range(1, half + 1):
-            for x in (1, 2):
-                a = (0, _cat_index(n, k + (x - 1) * half))
-                b = (x, _cat_index(n - 1, k))
-                steps.append(GateStep("givens", (a, b), u2=SWAP2))
+    a, b = _swap_pairs(d)
+    steps = [
+        GateStep("givens", (divmod(i, dims[1]), divmod(j, dims[1])), u2=SWAP2)
+        for i, j in zip(a.tolist(), b.tolist())
+    ]
     return GateSequence(steps=steps, method="handcrafted", dims=dims)
 
 
@@ -85,8 +101,8 @@ def build_cooling_instance(d: int) -> CoolingInstance:
 
 def run_cooling(d: int, p: DiagonalState | None = None,
                 ctx: ThermalContext = ThermalContext()) -> tuple[DiagonalState, float]:
-    """Diagonal fast path: evolve p ⊗ tau_C through the swap sequence on
-    population vectors only.
+    """Diagonal fast path: apply the swap permutation to the population
+    vector of p ⊗ tau_C.
 
     Returns the final system marginal and the mean population of the
     untouched top-energy joint levels (all equal for the default input).
@@ -95,13 +111,14 @@ def run_cooling(d: int, p: DiagonalState | None = None,
         p = DEFAULT_INPUT
     if p.dim != 3:
         raise DomainError("cooling input must be a qutrit population vector")
+    if d < 2:
+        raise DomainError(f"cooling needs d >= 2, got {d}")
     catalyst = build_cooling_catalyst(d)
-    seq = build_cooling_sequence(d)
     gamma = gibbs_state(catalyst, ctx).populations
     q = np.outer(p.populations, gamma)  # q[s, c]
-    for step in seq.steps:
-        (sa, ca), (sb, cb) = step.indices
-        q[sa, ca], q[sb, cb] = q[sb, cb], q[sa, ca]
+    a, b = _swap_pairs(d)
+    flat = q.reshape(-1)  # a view: q is C-contiguous
+    flat[a], flat[b] = flat[b], flat[a]  # fancy indexing copies both sides first
     final = DiagonalState(q.sum(axis=1))
     top = slice(_cat_index(d - 1, 1), _cat_index(d - 1, 1 << (d - 1)) + 1)
     invariant = float(np.mean(q[1:, top]))

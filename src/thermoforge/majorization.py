@@ -84,9 +84,10 @@ def max_ground_population_TO(p: DiagonalState, spec_s: Spectrum, spec_c: Spectru
     blocks = energy_blocks(spec_s, spec_c)
     total = 0.0
     for _, idx in blocks.blocks:
-        pops = sorted((p.populations[s] * gamma[c] for s, c in idx), reverse=True)
-        slots = sum(1 for s, _ in idx if s == 0)
-        total += sum(pops[:slots])
+        flat_pairs = np.fromiter(itertools.chain.from_iterable(idx), int, 2 * len(idx))
+        s, c = flat_pairs.reshape(-1, 2).T
+        pops = np.sort(p.populations[s] * gamma[c])[::-1]
+        total += pops[:np.count_nonzero(s == 0)].sum()
     return float(total)
 
 

@@ -3,11 +3,18 @@
 All Hamiltonians are diagonal in the declared level basis.  Energies are
 supplied pre-multiplied by beta (beta = 1 convention); only beta*E products
 matter anywhere downstream.
+
+Energies that agree within ENERGY_TOL form one group, by one rule shared
+by spectrum labels and joint energy blocks: sort the energies; a group's
+representative is its smallest member, and the next group starts at the
+first energy >= representative + ENERGY_TOL.  A run of small steps is
+therefore split every ENERGY_TOL rather than chained into one group.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -15,6 +22,38 @@ from .errors import DomainError, ShapeError
 from .linalg import as_operator, is_unitary
 
 ENERGY_TOL = 1e-9
+
+
+def _energy_groups(energies) -> tuple[np.ndarray, np.ndarray]:
+    """Tolerance groups of an energy array, by the rule in the module docstring.
+
+    Returns the group id of every entry (groups numbered by ascending
+    representative) and each group's representative energy.
+    """
+    e = np.asarray(energies, dtype=float)
+    order = np.argsort(e, kind="stable")
+    s = e[order]
+    # nextafter keeps equal energies together where ENERGY_TOL is below an ulp.
+    thresholds = np.maximum(s + ENERGY_TOL, np.nextafter(s, np.inf))
+    starts = []
+    i = 0
+    while i < len(s):
+        starts.append(i)
+        i = max(i + 1, int(np.searchsorted(s, thresholds[i])))
+    sorted_gid = np.zeros(len(s), dtype=int)
+    sorted_gid[starts[1:]] = 1
+    gid = np.empty(len(s), dtype=int)
+    gid[order] = np.cumsum(sorted_gid)
+    return gid, s[starts]
+
+
+def _ranks_within(sorted_gid: np.ndarray) -> np.ndarray:
+    """0, 1, 2, ... restarting at every new id of a grouped id array."""
+    n = len(sorted_gid)
+    new = np.ones(n, dtype=bool)
+    new[1:] = sorted_gid[1:] != sorted_gid[:-1]
+    starts = np.flatnonzero(new)
+    return np.arange(n) - np.repeat(starts, np.diff(np.append(starts, n)))
 
 
 @dataclass(frozen=True)
@@ -36,44 +75,34 @@ class Spectrum:
     levels: tuple[tuple[float, int], ...]
 
     def __post_init__(self):
-        for e, g in self.levels:
-            if not np.isfinite(e):
-                raise DomainError("spectrum energies must be finite")
-            if g < 0:
-                raise DomainError("degeneracy labels must be nonnegative")
-        # Within one energy value the labels must be 0..delta-1 with no gaps.
-        groups: dict[int, list[int]] = {}
-        reps: list[float] = []
-        for e, g in self.levels:
-            for idx, r in enumerate(reps):
-                if abs(e - r) < ENERGY_TOL:
-                    groups[idx].append(g)
-                    break
-            else:
-                reps.append(e)
-                groups[len(reps) - 1] = [g]
-        for idx, labels in groups.items():
-            if sorted(labels) != list(range(len(labels))):
-                raise DomainError(
-                    f"degeneracy labels at energy {reps[idx]} are not 0..{len(labels) - 1}"
-                )
+        e = self.energies
+        g = np.array([g for _, g in self.levels])
+        if not np.all(np.isfinite(e)):
+            raise DomainError("spectrum energies must be finite")
+        if np.any(g < 0):
+            raise DomainError("degeneracy labels must be nonnegative")
+        # Within one energy group the labels must be 0..delta-1 with no gaps.
+        gid, reps = _energy_groups(e)
+        order = np.lexsort((g, gid))
+        bad = np.flatnonzero(g[order] != _ranks_within(gid[order]))
+        if len(bad):
+            k = gid[order[bad[0]]]
+            size = np.count_nonzero(gid == k)
+            raise DomainError(
+                f"degeneracy labels at energy {reps[k]} are not 0..{size - 1}"
+            )
 
     @classmethod
     def from_energies(cls, energies) -> "Spectrum":
         """Auto-assign degeneracy labels in listed order."""
-        counts: list[tuple[float, int]] = []
-        levels = []
-        for e in energies:
-            e = float(e)
-            for i, (r, c) in enumerate(counts):
-                if abs(e - r) < ENERGY_TOL:
-                    levels.append((e, c))
-                    counts[i] = (r, c + 1)
-                    break
-            else:
-                levels.append((e, 0))
-                counts.append((e, 1))
-        return cls(tuple(levels))
+        e = np.array(energies, dtype=float)
+        if e.ndim != 1:
+            raise ShapeError(f"energies must be a flat list, got shape {e.shape}")
+        gid, _ = _energy_groups(e)
+        order = np.argsort(gid, kind="stable")
+        labels = np.empty(len(e), dtype=int)
+        labels[order] = _ranks_within(gid[order])
+        return cls(tuple(zip(e.tolist(), labels.tolist())))
 
     @classmethod
     def from_json(cls, obj) -> "Spectrum":
@@ -93,9 +122,12 @@ class Spectrum:
     def dim(self) -> int:
         return len(self.levels)
 
-    @property
+    @cached_property
     def energies(self) -> np.ndarray:
-        return np.array([e for e, _ in self.levels])
+        """Level energies in basis order (read-only)."""
+        e = np.array([e for e, _ in self.levels], dtype=float)
+        e.flags.writeable = False
+        return e
 
     def index_of(self, energy: float, deg: int) -> int:
         for i, (e, g) in enumerate(self.levels):
@@ -162,22 +194,18 @@ def gibbs_state(spec: Spectrum, ctx: ThermalContext = ThermalContext()) -> Diago
 
 
 def energy_blocks(spec_s: Spectrum, spec_c: Spectrum) -> EnergyBlocks:
-    """Group joint indices (i, j) by total energy E_i + E_j (tol 1e-9)."""
-    es, ec = spec_s.energies, spec_c.energies
-    pairs = [
-        (float(es[i] + ec[j]), (i, j))
-        for i in range(spec_s.dim)
-        for j in range(spec_c.dim)
-    ]
-    pairs.sort(key=lambda t: (t[0], t[1]))
-    blocks: list[tuple[float, list[tuple[int, int]]]] = []
-    for e, idx in pairs:
-        if blocks and abs(e - blocks[-1][0]) < ENERGY_TOL:
-            blocks[-1][1].append(idx)
-        else:
-            blocks.append((e, [idx]))
+    """Group joint indices (i, j) by total energy E_i + E_j (ENERGY_TOL).
+
+    Blocks are ordered by representative energy, pairs within a block by
+    (i, j).
+    """
+    gid, reps = _energy_groups(np.add.outer(spec_s.energies, spec_c.energies).ravel())
+    order = np.argsort(gid, kind="stable")
+    s, c = np.divmod(order, spec_c.dim)
+    pairs = list(zip(s.tolist(), c.tolist()))
+    ends = np.cumsum(np.bincount(gid, minlength=len(reps))).tolist()
     return EnergyBlocks(
-        tuple((e, tuple(sorted(idx))) for e, idx in blocks),
+        tuple((e, tuple(pairs[a:b])) for e, a, b in zip(reps.tolist(), [0] + ends, ends)),
         dims=(spec_s.dim, spec_c.dim),
     )
 

@@ -134,7 +134,7 @@ class TestCool:
     def test_sweep_csv(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         code, report, _ = run_cli(capsys, [
-            "cool", "--sweep", "2..6", "--csv", str(out), "--jobs", "2",
+            "cool", "--sweep", "2..6", "--csv", str(out),
         ])
         assert code == 0
         with open(out) as f:
@@ -151,6 +151,29 @@ class TestCool:
         code, _, _ = run_cli(capsys, ["cool", "--D", "40"])
         assert code == 4
 
+    @pytest.mark.parametrize("sweep", ["abc", "5..2", "2..", "..6", "2..6..8", "2-6", " 2..6"])
+    def test_malformed_sweep_exits_3(self, capsys, sweep):
+        code, report, err = run_cli(capsys, ["cool", "--sweep", sweep])
+        assert code == 3
+        assert report is None
+        assert repr(sweep) in err
+
+    def test_reversed_sweep_writes_no_csv(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code, _, _ = run_cli(capsys, ["cool", "--sweep", "5..2", "--csv", str(out)])
+        assert code == 3
+        assert not out.exists()
+
+    def test_sweep_below_two_exits_3(self, capsys):
+        code, _, _ = run_cli(capsys, ["cool", "--sweep", "1..3"])
+        assert code == 3
+
+    def test_sweep_above_cap_exits_4_before_work(self, capsys):
+        # rejected before any row runs, however large the upper bound
+        code, report, _ = run_cli(capsys, ["cool", "--sweep", "2..1000000000000"])
+        assert code == 4
+        assert report is None
+
 
 class TestVerify:
     def test_all_suites_pass(self, capsys):
@@ -164,6 +187,12 @@ class TestVerify:
         code, report, _ = run_cli(capsys, ["verify", "--trials", "0"])
         assert code == 0
         assert "vacuous" in report["outputs"]["note"]
+
+    def test_negative_trials_exits_3(self, capsys):
+        code, report, err = run_cli(capsys, ["verify", "--trials", "-3"])
+        assert code == 3
+        assert report is None
+        assert "-3" in err
 
     def test_injected_failure_fails(self, capsys):
         code, report, _ = run_cli(capsys, [

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermoforge import (
     DiagonalState,
@@ -27,6 +29,7 @@ from thermoforge.cooling import (
 )
 from thermoforge.errors import CapacityError, DomainError
 from thermoforge.thermal import is_energy_preserving
+from util import reference_cooling_populations
 
 
 class TestCatalyst:
@@ -154,6 +157,17 @@ class TestRun:
     def test_rejects_wrong_input_dim(self):
         with pytest.raises(DomainError):
             run_cooling(3, DiagonalState([0.5, 0.5]))
+
+    @given(st.integers(2, 12),
+           st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3).filter(lambda v: sum(v) > 1e-3))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_gate_by_gate_swaps(self, d, weights):
+        p = DiagonalState(np.array(weights) / sum(weights))
+        final, inv = run_cooling(d, p)
+        q = reference_cooling_populations(d, p.populations)
+        top = slice(_cat_index(d - 1, 1), None)
+        assert final.populations.tobytes() == DiagonalState(q.sum(axis=1)).populations.tobytes()
+        assert inv == float(np.mean(q[1:, top]))
 
     def test_ground_population_increases_with_d(self):
         grounds = [run_cooling(d)[0].populations[0] for d in range(2, 10)]

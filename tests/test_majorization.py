@@ -26,7 +26,7 @@ from thermoforge.cooling import build_cooling_catalyst
 from thermoforge.errors import CapacityError, DomainError
 from thermoforge.majorization import ThermoCurve
 
-from util import random_populations, random_resonant_spectra
+from util import random_populations, random_resonant_spectra, reference_max_ground_population
 
 LN2 = math.log(2.0)
 
@@ -175,6 +175,15 @@ class TestGroundPopulationOracle:
             got = max_ground_population_TO(p, sys, cat)
             assert got >= p.populations[0] - 1e-12
             assert got <= 1.0 + 1e-12
+
+    def test_matches_sorted_list_reference(self):
+        # numpy sums each block in another order than Python's sum()
+        rng = np.random.default_rng(19)
+        for _ in range(30):
+            sys, cat = random_resonant_spectra(rng)
+            p = random_populations(rng, sys.dim)
+            got = max_ground_population_TO(DiagonalState(p), sys, cat)
+            assert abs(got - reference_max_ground_population(p, sys, cat)) < 1e-14
 
     def test_dim_mismatch(self):
         with pytest.raises(DomainError):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermoforge import (
     DiagonalState,
@@ -14,7 +16,8 @@ from thermoforge import (
     random_energy_preserving_unitary,
 )
 from thermoforge.errors import DomainError, ShapeError
-from util import random_resonant_spectra
+from thermoforge.thermal import ENERGY_TOL
+from util import random_resonant_spectra, reference_energy_blocks
 
 LN2 = math.log(2.0)
 
@@ -36,6 +39,59 @@ class TestSpectrum:
                                              {"energy": 1.0, "deg": 0},
                                              {"energy": 1.0, "deg": 1}]}))
         assert Spectrum.from_json(str(f1)) == Spectrum.from_json(str(f2))
+
+
+    def test_energies_cached_and_read_only(self):
+        s = Spectrum.from_energies([0.0, 1.0])
+        assert s.energies is s.energies
+        with pytest.raises(ValueError):
+            s.energies[0] = 5.0
+
+    def test_tolerance_group_starts_at_representative_plus_tol(self):
+        # 6e-10 and 0 lie within ENERGY_TOL of the smallest member 0; 1.2e-9
+        # does not, although it is within ENERGY_TOL of 6e-10.
+        s = Spectrum.from_energies([6e-10, 0.0, 1.2e-9])
+        assert tuple(g for _, g in s.levels) == (0, 1, 0)
+        one_level = Spectrum.from_energies([0.0])
+        assert energy_blocks(s, one_level).block_sizes() == [2, 1]
+
+    def test_equal_energies_grouped_where_tolerance_is_below_an_ulp(self):
+        # at 1e8 the float spacing exceeds ENERGY_TOL, so e + ENERGY_TOL == e
+        s = Spectrum.from_energies([1e8, 1e8, 1e8 + 1.0])
+        assert tuple(g for _, g in s.levels) == (0, 1, 0)
+
+
+def energy_lists(max_size):
+    """Energy lists whose tolerance groups are unambiguous: small integers
+    with jitter well below ENERGY_TOL / 4, or multiples of 0.3 * ENERGY_TOL
+    (runs of sub-tolerance steps that chain past ENERGY_TOL)."""
+    jitter = st.floats(-0.2 * ENERGY_TOL, 0.2 * ENERGY_TOL)
+    near_integer = st.builds(lambda k, j: k + j, st.integers(0, 3), jitter)
+    small_steps = st.integers(0, 6).map(lambda k: k * 0.3 * ENERGY_TOL)
+    return st.one_of(
+        st.lists(near_integer, min_size=1, max_size=max_size),
+        st.lists(small_steps, min_size=1, max_size=max_size),
+    )
+
+
+class TestToleranceGroups:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_energy_blocks_match_double_loop(self, data):
+        energies = data.draw(energy_lists(9))
+        es = energies[: data.draw(st.integers(1, len(energies)))]
+        ec = data.draw(st.sampled_from([energies, energies[::-1], [0.0]]))
+        s, c = Spectrum.from_energies(es), Spectrum.from_energies(ec)
+        assert energy_blocks(s, c).blocks == reference_energy_blocks(es, ec)
+
+    @given(energy_lists(12))
+    @settings(max_examples=200, deadline=None)
+    def test_labels_follow_blocks_in_listed_order(self, energies):
+        s = Spectrum.from_energies(energies)
+        blocks = energy_blocks(s, Spectrum.from_energies([0.0]))
+        assert sum(blocks.block_sizes()) == s.dim
+        for _, idx in blocks.blocks:
+            assert [s.levels[i][1] for i, _ in idx] == list(range(len(idx)))
 
 
 class TestGibbs:

@@ -1,7 +1,14 @@
 """Shared random-instance helpers for the test suite."""
 import numpy as np
 
-from thermoforge import Spectrum
+from thermoforge import (
+    Spectrum,
+    build_cooling_catalyst,
+    build_cooling_sequence,
+    energy_blocks,
+    gibbs_state,
+)
+from thermoforge.thermal import ENERGY_TOL
 
 
 def random_hermitian(rng, d):
@@ -32,3 +39,44 @@ def random_resonant_spectra(rng, max_s=4, max_c=5, max_energy=3):
     es = rng.integers(0, max_energy, size=ds).astype(float)
     ec = rng.integers(0, max_energy, size=dc).astype(float)
     return Spectrum.from_energies(es), Spectrum.from_energies(ec)
+
+
+def reference_energy_blocks(es, ec):
+    """Double-loop joint energy blocks: sort (E_i + E_j, (i, j)) and open a
+    new block at the first energy ENERGY_TOL or more above the current
+    block's first (smallest) energy."""
+    pairs = [
+        (float(es[i] + ec[j]), (i, j))
+        for i in range(len(es))
+        for j in range(len(ec))
+    ]
+    pairs.sort(key=lambda t: (t[0], t[1]))
+    blocks = []
+    for e, idx in pairs:
+        if blocks and abs(e - blocks[-1][0]) < ENERGY_TOL:
+            blocks[-1][1].append(idx)
+        else:
+            blocks.append((e, [idx]))
+    return tuple((e, tuple(sorted(idx))) for e, idx in blocks)
+
+
+def reference_cooling_populations(d, p):
+    """Joint populations q[s, c] of p ⊗ tau_C after swapping entries gate by
+    gate over build_cooling_sequence(d)."""
+    seq = build_cooling_sequence(d)
+    q = np.outer(p, gibbs_state(build_cooling_catalyst(d)).populations)
+    for step in seq.steps:
+        (sa, ca), (sb, cb) = step.indices
+        q[sa, ca], q[sb, cb] = q[sb, cb], q[sa, ca]
+    return q
+
+
+def reference_max_ground_population(p, spec_s, spec_c):
+    """Per joint energy block, the sum of its largest weights p_s * gamma_c,
+    one per ground-system (s = 0) slot, with Python lists."""
+    gamma = gibbs_state(spec_c).populations
+    total = 0.0
+    for _, idx in energy_blocks(spec_s, spec_c).blocks:
+        pops = sorted((p[s] * gamma[c] for s, c in idx), reverse=True)
+        total += sum(pops[:sum(1 for s, _ in idx if s == 0)])
+    return total

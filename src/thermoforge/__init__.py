@@ -15,6 +15,7 @@ from .compiler import (
     GateStep,
     GeneratorCombination,
     apply_gates,
+    compile_approximate,
     compile_bch,
     compile_exact,
     compile_nested,

@@ -98,11 +98,12 @@ def thermalize(rho, specs: tuple[Spectrum, Spectrum], which: int,
     return kron(tau, marg)
 
 
-def classify_catalysis(sigma_sc, mu_c, dims: tuple[int, int], epsilon: float = 0.0,
+def classify_catalysis(sigma_sc, mu_c, dims: tuple[int, int],
                        strict_tol: float = STRICT_TOL) -> CatalysisVerdict:
     """Classify a post-process joint state against the catalyst it started
     from: strict (product with exact marginal), correlated (exact marginal,
-    correlations allowed), approximate (marginal within epsilon)."""
+    correlations allowed); CatalysisVerdict.approximate(epsilon) tests
+    the marginal distance against a caller's epsilon."""
     sigma_sc = as_operator(sigma_sc)
     mu_c = as_operator(mu_c)
     if sigma_sc.shape[0] != dims[0] * dims[1] or mu_c.shape[0] != dims[1]:
@@ -125,7 +126,7 @@ def classify_catalysis(sigma_sc, mu_c, dims: tuple[int, int], epsilon: float = 0
 
 def run_gc_eto(rho_s, catalyst: Spectrum, seq: GateSequence,
                ctx: ThermalContext = ThermalContext(),
-               rethermalize: bool = True, epsilon: float = 0.0,
+               rethermalize: bool = True,
                system: Spectrum | None = None,
                ) -> tuple[np.ndarray, CatalysisVerdict, CatalysisVerdict | None]:
     """Evolve rho ⊗ tau(H_C) through an elementary gate sequence.
@@ -142,14 +143,14 @@ def run_gc_eto(rho_s, catalyst: Spectrum, seq: GateSequence,
     tau_c = gibbs_state(catalyst, ctx).to_dense()
     joint = apply_gates(seq, kron(rho_s, tau_c), conjugate=True)
     dims = (ds, catalyst.dim)
-    pre = classify_catalysis(joint, tau_c, dims, epsilon)
+    pre = classify_catalysis(joint, tau_c, dims)
     sigma_s = partial_trace(joint, dims, keep=0)
     post = None
     if rethermalize:
         if system is None:
             system = Spectrum.from_energies([0.0] * ds)  # energies unused for keep=catalyst
         final = thermalize(joint, (system, catalyst), which=1, ctx=ctx)
-        post = classify_catalysis(final, tau_c, dims, epsilon)
+        post = classify_catalysis(final, tau_c, dims)
     return sigma_s, pre, post
 
 

@@ -15,6 +15,11 @@ indices (GateStep.local), and apply_gates updates only the rows (and, when
 conjugating, the columns) those indices name.  One gate on an n-row
 operand therefore costs O(n); reconstruct costs O(n^2) for the identity
 plus O(gates * n), and evolving a density matrix costs O(gates * n).
+trotter, bch and nested list one slice of L step objects m = trotter_m
+times, and reconstruct squares up the slice product instead: O(L*n +
+n^3 log m) for a sequence of one slice repeated m times.
+compile_approximate, which doubles m until the accuracy is met, pays
+that once per doubling.
 """
 from __future__ import annotations
 
@@ -22,15 +27,17 @@ import cmath
 import json
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .generators import KINDS, ElementaryGenerator
+from .generators import KINDS, ElementaryGenerator, enumerate_basis
+from .linalg import frobenius_distance
 from .thermal import EnergyBlocks, is_energy_preserving, max_cross_block_entry
 
 _ELIM_TOL = 1e-13
+M_CAP = 1 << 14  # largest slice count compile_approximate tries
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,20 +137,41 @@ class GateSequence:
     def __len__(self) -> int:
         return len(self.steps)
 
-    def to_json(self) -> dict:
+    def _json_fields(self, steps: list) -> dict:
         d = {
             "method": self.method,
             "dims": list(self.dims),
             "error_bound": self.error_bound,
-            "steps": [s.to_json() for s in self.steps],
+            "steps": steps,
         }
         if self.trotter_m is not None:
             d["trotter_m"] = self.trotter_m
         return d
 
+    def to_json(self) -> dict:
+        return self._json_fields([s.to_json() for s in self.steps])
+
     def save(self, path: str) -> None:
+        """Write the bytes of json.dump(self.to_json(), f, indent=1).
+
+        Each distinct step object is encoded once; where objects repeat
+        (one slice listed trotter_m times), their text is spliced in.
+        """
+        distinct = {id(step): step for step in self.steps}
+        fields = self._json_fields([s.to_json() for s in distinct.values()])
         with open(path, "w") as f:
-            json.dump(self.to_json(), f, indent=1)
+            if len(distinct) == len(self.steps):
+                json.dump(fields, f, indent=1)  # streamed: no step repeats
+                return
+            # JSON strings escape newlines and each level indents one more
+            # space, so these markers match only the top-level steps list
+            # and the starts of its items.
+            head, rest = json.dumps(fields, indent=1).split('\n "steps": [\n  ', 1)
+            body, tail = rest.split('\n ]', 1)
+            first, *others = body.split(',\n  {')
+            encoded = dict(zip(distinct, [first, *('{' + item for item in others)]))
+            items = ',\n  '.join(map(encoded.__getitem__, map(id, self.steps)))
+            f.write(f'{head}\n "steps": [\n  {items}\n ]{tail}')
 
     @classmethod
     def from_json(cls, obj) -> "GateSequence":
@@ -178,23 +206,45 @@ def apply_gates(seq: GateSequence, x: np.ndarray, conjugate: bool = False) -> np
     return x
 
 
+def _slice_length(seq: GateSequence) -> int | None:
+    """L when seq.steps is one list of L step objects repeated trotter_m
+    times (the same objects, not equal copies), else None."""
+    steps, m = seq.steps, seq.trotter_m
+    if not (isinstance(m, int) and m > 1 and steps and len(steps) % m == 0):
+        return None
+    p = len(steps) // m
+    return p if all(map(operator.is_, steps[p:], steps[:-p])) else None
+
+
 def reconstruct(seq: GateSequence, joint_dim: int | None = None) -> np.ndarray:
-    """Ordered product of the steps, steps[0] acting first."""
+    """Ordered product of the steps, steps[0] acting first.
+
+    A sequence of one slice repeated m times is reconstructed as
+    slice^m by repeated squaring; any other sequence (including one
+    loaded from JSON, whose steps are distinct objects) gate by gate.
+    """
     n = seq.dims[0] * seq.dims[1]
     if joint_dim is not None and joint_dim != n:
         raise ShapeError(f"sequence dims {seq.dims} do not match joint dim {joint_dim}")
-    return apply_gates(seq, np.eye(n, dtype=complex))
+    p = _slice_length(seq)
+    if p is None:
+        return apply_gates(seq, np.eye(n, dtype=complex))
+    one = GateSequence(steps=seq.steps[:p], method=seq.method, dims=seq.dims)
+    return np.linalg.matrix_power(apply_gates(one, np.eye(n, dtype=complex)), seq.trotter_m)
+
+
+def _require_energy_preserving(u: np.ndarray, blocks: EnergyBlocks, tol: float) -> None:
+    if not is_energy_preserving(u, blocks, tol):
+        i, j, mag = max_cross_block_entry(u, blocks)
+        raise DomainError(
+            f"unitary entry ({i},{j}) of magnitude {mag:.3e} couples energy blocks"
+        )
 
 
 def compile_exact(u, blocks: EnergyBlocks, tol: float = 1e-9) -> GateSequence:
     """Two-level elimination of each energy block's sub-unitary."""
     u = np.asarray(u, dtype=complex)
-    if not is_energy_preserving(u, blocks, tol):
-        i, j, mag = max_cross_block_entry(u, blocks)
-        raise DomainError(
-            f"unitary is not energy-preserving: entry ({i},{j}) couples "
-            f"blocks with magnitude {mag:.3e}"
-        )
+    _require_energy_preserving(u, blocks, tol)
     givens: list[GateStep] = []
     phases: list[GateStep] = []
     for energy, idx in blocks.blocks:
@@ -331,3 +381,103 @@ def compile_nested(combo: GeneratorCombination, t: float, m: int,
         slice_steps.extend(_bch_group(a, b, math.sqrt(tc)))
     return GateSequence(steps=slice_steps * m, method="nested", dims=dims,
                         trotter_m=m)
+
+
+def _log_unitary(u: np.ndarray) -> np.ndarray:
+    """Anti-Hermitian K with e^K = u (principal branch), via Schur form."""
+    from scipy.linalg import schur
+
+    t, z = schur(u, output="complex")
+    phases = np.log(np.diag(t))
+    k = z @ np.diag(phases) @ z.conj().T
+    return (k - k.conj().T) / 2
+
+
+def _expand_in_basis(k: np.ndarray, blocks: EnergyBlocks) -> dict[ElementaryGenerator, float]:
+    """Coefficients of K over the orthogonal h/m/p basis."""
+    coeffs = {}
+    for gen in enumerate_basis(blocks, include_rank1=True):
+        gm = gen.matrix(blocks.dims)
+        norm2 = np.real(np.trace(gm.conj().T @ gm))
+        r = float(np.real(np.trace(gm.conj().T @ k)) / norm2)
+        if abs(r) > 1e-14:
+            coeffs[gen] = r
+    return coeffs
+
+
+def _rank2_combination(k: np.ndarray, blocks: EnergyBlocks) -> GeneratorCombination:
+    """Depth-1 rank-2-only description of K: h/m linear terms plus
+    f-type commutators and one g_diag per block for the diagonal part."""
+    linear: list[tuple[ElementaryGenerator, float]] = []
+    comms: list[tuple[ElementaryGenerator, ElementaryGenerator, float]] = []
+    for energy, idx in blocks.blocks:
+        idx = sorted(idx)
+        d = len(idx)
+        flats = [blocks.flat(p) for p in idx]
+        diag = np.array([np.imag(k[f, f]) for f in flats])
+        if d == 1:
+            if abs(diag[0]) > 1e-12:
+                raise DomainError(
+                    f"singleton block at energy {energy} carries a phase; "
+                    "tensor a two-level zero-energy catalyst to double it"
+                )
+            continue
+        for i in range(d):
+            for j in range(i + 1, d):
+                gh = ElementaryGenerator("h", energy, idx[i], idx[j])
+                gm = ElementaryGenerator("m", energy, idx[i], idx[j])
+                for g in (gh, gm):
+                    m = g.matrix(blocks.dims)
+                    r = float(np.real(np.trace(m.conj().T @ k)) / 2.0)
+                    if abs(r) > 1e-14:
+                        linear.append((g, r))
+        # diag = sum c_i * f_(i,i+1) + c_g * g_(0,1) in the +/-1 patterns.
+        cols = np.zeros((d, d))
+        for i in range(d - 1):
+            cols[i, i], cols[i + 1, i] = 1.0, -1.0
+        cols[0, d - 1] = cols[1, d - 1] = 1.0
+        sol = np.linalg.solve(cols, diag)
+        for i in range(d - 1):
+            if abs(sol[i]) > 1e-14:
+                gh = ElementaryGenerator("h", energy, idx[i], idx[i + 1])
+                gm = ElementaryGenerator("m", energy, idx[i], idx[i + 1])
+                comms.append((gh, gm, float(sol[i]) / 2.0))
+        if abs(sol[d - 1]) > 1e-14:
+            linear.append((ElementaryGenerator("g_diag", energy, idx[0], idx[1]), float(sol[d - 1])))
+    return GeneratorCombination(linear=tuple(linear), commutators=tuple(comms))
+
+
+def compile_approximate(u, blocks: EnergyBlocks, method: str,
+                        accuracy: float) -> tuple[GateSequence, float]:
+    """Approximate u = e^K with the trotter or bch back-end.
+
+    trotter expands K over the h/m/p basis; bch over rank-2 h/m terms
+    plus commutators (compile_nested).  The slice count m doubles from 1
+    until the Frobenius error is below `accuracy`, up to M_CAP.  Returns
+    the sequence and its error; if M_CAP is not enough, the M_CAP
+    sequence and an error at or above `accuracy`.
+    """
+    u = np.asarray(u, dtype=complex)
+    _require_energy_preserving(u, blocks, 1e-9)
+    k = _log_unitary(u)
+    if method == "trotter":
+        coeffs = _expand_in_basis(k, blocks)
+        resid = frobenius_distance(
+            sum((r * g.matrix(blocks.dims) for g, r in coeffs.items()), np.zeros_like(k)),
+            k,
+        )
+        if resid > 1e-8:
+            raise DomainError(f"generator expansion residual {resid:.3e}")
+        build = lambda m: compile_trotter(coeffs, 1.0, m, blocks.dims)
+    elif method == "bch":
+        combo = _rank2_combination(k, blocks)
+        build = lambda m: compile_nested(combo, 1.0, m, blocks.dims)
+    else:
+        raise DomainError(f"unknown approximate method {method!r}")
+    m = 1
+    while True:
+        seq = build(m)
+        err = frobenius_distance(reconstruct(seq), u)
+        if err < accuracy or 2 * m > M_CAP:
+            return seq, err
+        m *= 2

@@ -124,6 +124,17 @@ class TestCool:
         assert abs(row["ground"] - 0.75) < 1e-12
         assert row["to_limit_check"]
 
+    def test_to_limit_check_reports_oracle_deviation(self, capsys):
+        code, report, _ = run_cli(capsys, ["cool", "--sweep", "2..5"])
+        assert code == 0
+        checks = {c["name"]: c for c in report["checks"]}
+        for row in report["outputs"]["rows"]:
+            check = checks[f"to_limit_check_D{row['D']}"]
+            assert 0.0 <= row["to_limit_dev"] < 1e-12
+            assert check["measured"] == row["to_limit_dev"]
+            assert check["tolerance"] == 1e-12
+            assert check["pass"] is row["to_limit_check"] is True
+
     def test_d2_values(self, capsys):
         code, report, _ = run_cli(capsys, ["cool", "--D", "2"])
         assert code == 0
@@ -141,6 +152,10 @@ class TestCool:
             rows = list(csv.DictReader(f))
         assert len(rows) == 5
         assert [int(r["D"]) for r in rows] == [2, 3, 4, 5, 6]
+        assert list(rows[0]) == [
+            "D", "ground", "excited1", "excited2", "invariant_level_population",
+            "closed_form_dev", "invariant_dev", "to_limit_dev", "to_limit_check",
+        ]
         assert abs(float(rows[-1]["ground"]) - (1 - 1 / 6)) < 1e-12
 
     def test_requires_d_or_sweep(self, capsys):
@@ -200,6 +215,18 @@ class TestVerify:
         ])
         assert code == 1
         assert any(not c["pass"] for c in report["checks"])
+
+    @pytest.mark.parametrize("argv", [
+        ["--suite", "numerics", "--trials", "3"],
+        ["--suite", "cooling", "--trials", "1"],
+        ["--trials", "0"],
+        ["--suite", "compiler", "--trials", "0"],
+    ])
+    def test_injected_failure_fails_for_any_suite_and_trials(self, capsys, argv):
+        code, report, _ = run_cli(capsys, ["verify", *argv, "--inject-failure"])
+        assert code == 1
+        failed = [c["name"] for c in report["checks"] if not c["pass"]]
+        assert failed == ["injected_curve_violation"]
 
     def test_seed_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("THERMOFORGE_SEED", "123")

@@ -1,10 +1,14 @@
+import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from thermoforge import compiler
 from thermoforge import (
     ElementaryGenerator,
     GateSequence,
@@ -12,6 +16,7 @@ from thermoforge import (
     GeneratorCombination,
     Spectrum,
     apply_gates,
+    compile_approximate,
     compile_bch,
     compile_exact,
     compile_nested,
@@ -77,6 +82,12 @@ def gate_cases(draw):
     neither reference goes through GateStep.local or GateStep.matrix.
     """
     dims = (draw(st.integers(1, 4)), draw(st.integers(2, 5)))
+    return (dims, *draw(gate_steps(dims)))
+
+
+@st.composite
+def gate_steps(draw, dims):
+    """(step, dense reference U) of any kind on joint dims `dims`."""
     n = dims[0] * dims[1]
     a, b = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
     first, second = divmod(a, dims[1]), divmod(b, dims[1])
@@ -90,12 +101,12 @@ def gate_cases(draw):
         ])
         u = np.eye(n, dtype=complex)
         u[a, a], u[a, b], u[b, a], u[b, b] = u2[0, 0], u2[0, 1], u2[1, 0], u2[1, 1]
-        return dims, GateStep("givens", (first, second), u2=u2), u
+        return GateStep("givens", (first, second), u2=u2), u
     if kind == "p":
         second = first
     gen = ElementaryGenerator(kind, 0.0, first, second)
     theta = draw(angle)
-    return dims, GateStep.from_generator(gen, theta), expm_skew(theta * gen.matrix(dims))
+    return GateStep.from_generator(gen, theta), expm_skew(theta * gen.matrix(dims))
 
 
 class TestGateKernel:
@@ -335,6 +346,141 @@ class TestCompileNested:
             GeneratorCombination(commutators=(((gh, gm, 1.0), gm, 0.5),))
 
 
+def periodic_builders():
+    """build(m) for each back-end that lists one slice m times."""
+    s = Spectrum.from_energies([0.0, 1.0])
+    c = Spectrum.from_energies([0.0, 0.0, 1.0])
+    blocks = energy_blocks(s, c)
+    e, idx = blocks.blocks[1]
+    a, b, d = sorted(idx)
+    gh, gm = ElementaryGenerator("h", e, a, b), ElementaryGenerator("m", e, a, b)
+    gh2 = ElementaryGenerator("h", e, b, d)
+    pa = ElementaryGenerator("p", e, a, a)
+    coeffs = {gh: 0.8, gm: -0.5, gh2: 0.3, pa: 1.1}
+    combo = GeneratorCombination(linear=((gh2, 0.4), (pa, -0.7)),
+                                 commutators=((gh, gm, 0.6), (gm, gh2, -0.2)))
+    return {
+        "trotter": lambda m: compile_trotter(coeffs, 0.9, m, blocks.dims),
+        "bch": lambda m: compile_bch(gh, gm, 0.7, m, blocks.dims),
+        "nested": lambda m: compile_nested(combo, 0.8, m, blocks.dims),
+    }
+
+
+def gate_by_gate(seq):
+    return apply_gates(seq, np.eye(seq.dims[0] * seq.dims[1], dtype=complex))
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Step counts of the apply_gates calls made through the compiler module."""
+    calls = []
+
+    def counting(seq, x, conjugate=False):
+        calls.append(len(seq.steps))
+        return apply_gates(seq, x, conjugate)
+
+    monkeypatch.setattr(compiler, "apply_gates", counting)
+    return calls
+
+
+class TestPeriodicReconstruct:
+    @pytest.mark.parametrize("m", [1, 2, 7, 64, 1024])
+    @pytest.mark.parametrize("method", ["trotter", "bch", "nested"])
+    def test_matches_gate_by_gate(self, method, m, kernel_calls):
+        seq = periodic_builders()[method](m)
+        assert seq.method == method and seq.trotter_m == m
+        got = reconstruct(seq)
+        # the slice alone goes through the kernel
+        assert kernel_calls == [len(seq) // m]
+        assert np.linalg.norm(got - gate_by_gate(seq)) < 1e-12 * m
+
+    def test_distinct_copies_take_gate_path(self, kernel_calls):
+        seq = periodic_builders()["trotter"](8)
+        copies = GateSequence(steps=[GateStep.from_json(s.to_json()) for s in seq.steps],
+                              method=seq.method, dims=seq.dims, trotter_m=8)
+        assert np.array_equal(reconstruct(copies), gate_by_gate(copies))
+        assert kernel_calls[0] == len(seq)
+
+    def test_differing_repeat_takes_gate_path(self, kernel_calls):
+        seq = periodic_builders()["trotter"](4)
+        p = len(seq) // 4
+        steps = list(seq.steps)
+        first = steps[2 * p]
+        steps[2 * p] = GateStep(first.kind, first.indices, param=first.param + 0.5)
+        odd = GateSequence(steps=steps, method=seq.method, dims=seq.dims, trotter_m=4)
+        got = reconstruct(odd)
+        assert kernel_calls[0] == len(seq)
+        assert np.array_equal(got, gate_by_gate(odd))
+        assert np.linalg.norm(got - reconstruct(seq)) > 1e-3
+
+    @pytest.mark.parametrize("m", [3, 5, 2.0])
+    def test_length_or_count_mismatch_takes_gate_path(self, m, kernel_calls):
+        seq = periodic_builders()["trotter"](4)
+        odd = GateSequence(steps=seq.steps, method=seq.method, dims=seq.dims, trotter_m=m)
+        assert np.array_equal(reconstruct(odd), gate_by_gate(odd))
+        assert kernel_calls[0] == len(seq)
+
+    def test_json_loaded_sequence_takes_gate_path(self, kernel_calls):
+        seq = periodic_builders()["bch"](16)
+        loaded = GateSequence.from_json(json.loads(json.dumps(seq.to_json())))
+        assert loaded.trotter_m == 16
+        assert np.linalg.norm(reconstruct(loaded) - reconstruct(seq)) < 1e-12 * 16
+        assert kernel_calls == [len(seq), len(seq) // 16]
+
+    def test_slice_indices_are_checked(self):
+        bad = GateStep("h", ((0, 0), (0, 3)), param=0.1)
+        ok = GateStep("m", ((0, 0), (0, 1)), param=0.2)
+        seq = GateSequence(steps=[ok, bad] * 5, method="trotter", dims=(2, 3), trotter_m=5)
+        with pytest.raises(ShapeError, match="out of range"):
+            reconstruct(seq)
+
+
+class TestCompileApproximate:
+    @pytest.fixture
+    def instance(self):
+        s = Spectrum.from_energies([0.0, 1.0])
+        c = Spectrum.from_energies([0.0, 0.0])
+        blocks = energy_blocks(s, c)
+        return blocks, random_energy_preserving_unitary(blocks, seed=3)
+
+    @pytest.mark.parametrize("method,accuracy", [("trotter", 1e-2), ("bch", 1e-1)])
+    def test_smallest_power_of_two_meeting_accuracy(self, instance, method, accuracy,
+                                                    monkeypatch):
+        blocks, u = instance
+        tried = []
+
+        def recording(seq, joint_dim=None):
+            tried.append(seq)
+            return reconstruct(seq, joint_dim)
+
+        monkeypatch.setattr(compiler, "reconstruct", recording)
+        seq, err = compile_approximate(u, blocks, method, accuracy)
+        assert [s.trotter_m for s in tried] == [2 ** k for k in range(len(tried))]
+        assert tried[-1] is seq and len(tried) > 1
+        errs = [np.linalg.norm(gate_by_gate(s) - u) for s in tried]
+        assert all(e >= accuracy for e in errs[:-1])
+        assert err < accuracy
+        assert errs[-1] == pytest.approx(err, abs=1e-12 * seq.trotter_m)
+
+    def test_stops_at_cap(self, instance):
+        blocks, u = instance
+        seq, err = compile_approximate(u, blocks, "trotter", 0.0)
+        assert seq.trotter_m == compiler.M_CAP
+        assert err >= 0.0
+
+    def test_rejects_unknown_method(self, instance):
+        blocks, u = instance
+        with pytest.raises(DomainError, match="unknown approximate method"):
+            compile_approximate(u, blocks, "exact", 1e-3)
+
+    def test_rejects_cross_block_unitary(self, instance):
+        blocks, _ = instance
+        u = np.eye(4, dtype=complex)
+        u[[0, 3]] = u[[3, 0]]
+        with pytest.raises(DomainError, match="couples energy blocks"):
+            compile_approximate(u, blocks, "bch", 1e-3)
+
+
 class TestSerialization:
     def test_json_roundtrip(self, tmp_path):
         s = Spectrum.from_energies([0.0, 1.0, 1.0])
@@ -347,3 +493,65 @@ class TestSerialization:
         loaded = GateSequence.from_json(str(path))
         assert loaded.method == seq.method
         assert np.linalg.norm(reconstruct(loaded) - reconstruct(seq)) < 1e-12
+
+
+@st.composite
+def gate_sequences(draw):
+    """A GateSequence of any kinds over a pool of step objects, each listed
+    any number of times, or one slice listed trotter_m times."""
+    dims = (draw(st.integers(1, 3)), draw(st.integers(2, 3)))
+    pool = [step for step, _ in draw(st.lists(gate_steps(dims), max_size=5))]
+    m = draw(st.none() | st.integers(1, 6))
+    if pool and draw(st.booleans()):
+        steps = pool * (m or 1)
+    elif pool:
+        steps = draw(st.lists(st.sampled_from(pool), max_size=12))
+    else:
+        steps = []
+    return GateSequence(
+        steps=steps,
+        method=draw(st.sampled_from(("exact", "trotter", "bch", "nested", "handcrafted"))),
+        dims=dims,
+        error_bound=draw(st.floats(0.0, 1e3)),
+        trotter_m=m,
+    )
+
+
+class TestSequenceJson:
+    @given(gate_sequences())
+    @settings(max_examples=200, deadline=None)
+    @example(GateSequence(steps=[], method="exact", dims=(1, 2)))
+    @example(GateSequence(steps=[], method="trotter", dims=(2, 2), trotter_m=4))
+    def test_save_writes_json_dump_bytes(self, seq):
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "seq.json")
+            seq.save(path)
+            with open(path) as f:
+                assert f.read() == json.dumps(seq.to_json(), indent=1)
+
+    @given(gate_sequences())
+    @settings(max_examples=200, deadline=None)
+    def test_file_roundtrip(self, seq):
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "seq.json")
+            seq.save(path)
+            loaded = GateSequence.from_json(path)
+        assert (loaded.method, loaded.dims) == (seq.method, seq.dims)
+        assert loaded.error_bound == seq.error_bound
+        assert loaded.trotter_m == seq.trotter_m
+        assert len(loaded) == len(seq)
+        for got, want in zip(loaded.steps, seq.steps):
+            assert (got.kind, got.indices, got.param) == (want.kind, want.indices, want.param)
+            if want.kind == "givens":
+                assert np.array_equal(got.u2, want.u2)
+            else:
+                assert got.u2 is None
+
+    def test_compiled_sequences_save_json_dump_bytes(self, tmp_path):
+        blocks = one_block(3)
+        u = random_energy_preserving_unitary(blocks, seed=11)
+        gh, gm = hm_pair(blocks)
+        for seq in (compile_exact(u, blocks), compile_bch(gh, gm, 0.3, 5, blocks.dims)):
+            path = tmp_path / f"{seq.method}.json"
+            seq.save(str(path))
+            assert path.read_text() == json.dumps(seq.to_json(), indent=1)

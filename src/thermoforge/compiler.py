@@ -55,7 +55,15 @@ class GateStep:
             if self.u2 is None or len(self.indices) != 2:
                 raise DomainError("givens step needs a 2x2 block and two indices")
             u2 = np.asarray(self.u2, dtype=complex)
-            if np.linalg.norm(u2.conj().T @ u2 - np.eye(2)) > 1e-12:
+            if u2.shape != (2, 2):
+                raise DomainError(f"givens step needs a 2x2 block, got shape {u2.shape}")
+            a, b, c, d = u2.ravel().tolist()
+            if not all(map(cmath.isfinite, (a, b, c, d))):
+                raise DomainError("givens block has non-finite entries")
+            # ||U^dagger U - I||_F from the column norms and their inner product.
+            off = abs(a.conjugate() * b + c.conjugate() * d)
+            if math.hypot(abs(a) ** 2 + abs(c) ** 2 - 1, abs(b) ** 2 + abs(d) ** 2 - 1,
+                          off, off) > 1e-12:
                 raise DomainError("givens block is not unitary")
             u2.flags.writeable = False
             object.__setattr__(self, "u2", u2)
@@ -64,6 +72,8 @@ class GateStep:
                 raise DomainError(f"unknown gate kind {self.kind!r}")
             if self.param is None:
                 raise DomainError("generator step needs a parameter")
+            if not math.isfinite(self.param):
+                raise DomainError(f"{self.kind!r} step has non-finite param {self.param}")
             want = 1 if self.kind == "p" else 2
             if len(self.indices) != want:
                 raise DomainError(f"kind {self.kind!r} takes {want} joint indices")
@@ -178,8 +188,14 @@ class GateSequence:
         if isinstance(obj, str):
             with open(obj) as f:
                 obj = json.load(f)
+        steps = []
+        for i, step in enumerate(obj["steps"]):
+            try:
+                steps.append(GateStep.from_json(step))
+            except DomainError as e:
+                raise DomainError(f"step {i}: {e}") from None
         return cls(
-            steps=[GateStep.from_json(s) for s in obj["steps"]],
+            steps=steps,
             method=obj["method"],
             dims=tuple(obj["dims"]),
             error_bound=float(obj.get("error_bound", 0.0)),

@@ -16,6 +16,8 @@ from .channels import beta_swap
 from .errors import CapacityError, DomainError
 from .thermal import DiagonalState, Spectrum, ThermalContext, energy_blocks, gibbs_state
 
+REACH_NODE_CAP = 10**6  # most search-tree nodes eto_reach_search will visit
+
 
 @dataclass(frozen=True)
 class ThermoCurve:
@@ -98,13 +100,23 @@ def eto_reach_search(p: DiagonalState, spec: Spectrum,
 
     Returns the best ground population found and the lexicographically
     smallest witnessing sequence.  A sanity lower bound on the ETO
-    reachable set, not its full characterization.
+    reachable set, not its full characterization.  Raises CapacityError,
+    before visiting anything, when the search tree (sum of pairs^k over
+    k <= depth) has more than REACH_NODE_CAP nodes.
     """
     if depth < 0:
         raise DomainError("depth must be nonnegative")
-    if depth > 8 and spec.dim > 4:
-        raise CapacityError(f"depth {depth} on dim {spec.dim} exceeds the search guard")
     pairs = list(itertools.combinations(range(spec.dim), 2))
+    nodes = level = 1  # sum of len(pairs)**k for k <= depth, stopped past the cap
+    for _ in range(depth):
+        level *= len(pairs)
+        nodes += level
+        if nodes > REACH_NODE_CAP or not level:
+            break
+    if nodes > REACH_NODE_CAP:
+        raise CapacityError(
+            f"depth {depth} on dim {spec.dim} visits more than {REACH_NODE_CAP} nodes"
+        )
     best = [float(p.populations[0]), []]
 
     def visit(state: DiagonalState, seq: list[tuple[int, int]]) -> None:

@@ -125,7 +125,8 @@ def suite_generators(seed: int, trials: int) -> list[CheckResult]:
         for km in mats:
             worst_comm = max(worst_comm, np.linalg.norm(km @ h0 - h0 @ km))
             worst_anti = max(worst_anti, np.linalg.norm(km + km.conj().T))
-        gram = np.array([[np.real(np.trace(a.conj().T @ b)) for b in mats] for a in mats])
+        flat = np.reshape(mats, (len(mats), -1))
+        gram = np.real(flat.conj() @ flat.T)  # Re tr(A^dagger B) for every pair
         gram_min = min(gram_min, np.linalg.eigvalsh(gram).min())
     # Closure equality on a doubled structure (all blocks size >= 2).
     spec_s = Spectrum.from_energies([0.0, 1.0])

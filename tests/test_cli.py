@@ -315,6 +315,26 @@ class TestSimulate:
         assert code == 3
         assert "joint index" in err
 
+    @pytest.mark.parametrize("step", [
+        {"kind": "h", "indices": [[0, 0], [0, 1]], "param": math.inf},
+        {"kind": "p", "indices": [[1, 0]], "param": math.nan},
+        {"kind": "givens", "indices": [[0, 0], [0, 1]],
+         "u2": [[math.nan, 0], [0, 0], [0, 0], [1, 0]]},
+    ])
+    def test_non_finite_step_exits_3(self, tmp_path, capsys, step):
+        sf = write_json(tmp_path / "p.json", {"populations": [0.2, 0.3, 0.5]})
+        cf = write_json(tmp_path / "cat.json",
+                        Spectrum.from_energies([0.0, 0.0]).to_json())
+        gf = write_json(tmp_path / "gates.json", {
+            "method": "handcrafted", "dims": [3, 2], "error_bound": 0.0,
+            "steps": [{"kind": "m", "indices": [[2, 0], [2, 1]], "param": 0.3}, step],
+        })
+        code, report, err = run_cli(capsys, [
+            "simulate", "--state", sf, "--catalyst", cf, "--gates", gf,
+        ])
+        assert code == 3 and report is None
+        assert "step 1" in err
+
     def test_no_rethermalize_omits_post(self, tmp_path, capsys):
         cat = build_cooling_catalyst(2)
         seq = build_cooling_sequence(2)

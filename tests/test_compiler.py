@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 import os
@@ -5,7 +6,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from thermoforge import compiler
@@ -176,6 +177,51 @@ class TestGateStep:
     def test_givens_requires_unitary_block(self):
         with pytest.raises(DomainError):
             GateStep("givens", ((0, 0), (0, 1)), u2=np.array([[1, 1], [0, 1]]))
+
+    @pytest.mark.parametrize("u2", [
+        [[math.nan, 0], [0, 1]],
+        [[1, 0], [0, complex(1, math.nan)]],
+        [[1, math.inf], [0, 1]],
+        [[math.inf, 0], [0, 1]],
+    ])
+    def test_givens_rejects_non_finite_block(self, u2):
+        with pytest.raises(DomainError, match="givens block"):
+            GateStep("givens", ((0, 0), (0, 1)), u2=np.array(u2, dtype=complex))
+
+    def test_givens_rejects_non_2x2_block(self):
+        with pytest.raises(DomainError, match="2x2"):
+            GateStep("givens", ((0, 0), (0, 1)), u2=np.eye(3))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0, 2 * math.pi), st.floats(0, 2 * math.pi), st.floats(0, 2 * math.pi),
+           st.integers(0, 3), st.floats(-14, -10), st.booleans())
+    # [[1, eps], [0, 1]] is off by sqrt(2) * eps: rejected at 0.8e-12, kept at 0.65e-12.
+    @example(0.0, 0.0, 0.0, 1, math.log10(0.8e-12), False)
+    @example(0.0, 0.0, 0.0, 1, math.log10(0.65e-12), False)
+    def test_unitarity_bound_matches_frobenius_norm(self, theta, phi, chi, entry, log_eps,
+                                                     imaginary):
+        # A unitary block with one entry moved by eps: accepted exactly when
+        # ||U^dagger U - I||_F <= 1e-12.
+        c, s = math.cos(theta), math.sin(theta)
+        u2 = np.array([[c, -s * cmath.exp(1j * chi)],
+                       [s * cmath.exp(1j * phi), c * cmath.exp(1j * (phi + chi))]])
+        u2.flat[entry] += (1j if imaginary else 1) * 10.0 ** log_eps
+        err = np.linalg.norm(u2.conj().T @ u2 - np.eye(2))
+        assume(abs(err - 1e-12) > 1e-14)
+        if err > 1e-12:
+            with pytest.raises(DomainError, match="not unitary"):
+                GateStep("givens", ((0, 0), (0, 1)), u2=u2)
+        else:
+            GateStep("givens", ((0, 0), (0, 1)), u2=u2)
+
+    @pytest.mark.parametrize("param", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("kind,indices", [
+        ("h", ((0, 0), (0, 1))), ("m", ((0, 0), (0, 1))),
+        ("g_diag", ((0, 0), (0, 1))), ("p", ((0, 0),)),
+    ])
+    def test_rejects_non_finite_param(self, kind, indices, param):
+        with pytest.raises(DomainError, match="param"):
+            GateStep(kind, indices, param=param)
 
 
 class TestCompileExact:

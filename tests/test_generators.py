@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from thermoforge import (
     ElementaryGenerator,
@@ -13,6 +16,7 @@ from thermoforge import (
     rank2_basis,
 )
 from thermoforge.errors import CapacityError, PreconditionError
+from util import random_resonant_spectra, reference_lie_closure
 
 LN2 = math.log(2.0)
 
@@ -93,6 +97,52 @@ class TestRank2Basis:
         assert lie_closure(gens, max_dim=200, dims=blocks.dims) == 4 + 64 + 64
 
 
+def raw_antihermitian(rng, n):
+    """An n x n anti-Hermitian matrix on one or two random levels, with
+    entries re + i im for integers re, im in [-2, 2]."""
+    size = int(rng.integers(1, min(2, n) + 1))
+    levels = rng.choice(n, size=size, replace=False)
+    z = rng.integers(-1, 2, (size, size)) + 1j * rng.integers(-1, 2, (size, size))
+    k = np.zeros((n, n), dtype=complex)
+    k[np.ix_(levels, levels)] = z - z.conj().T
+    return k
+
+
+@st.composite
+def closure_inputs(draw):
+    """(inputs, dims): a random subset of enumerate_basis (with or without
+    rank-1 generators) or rank2_basis on a random resonant structure,
+    sometimes with wrong block_energy labels or with raw anti-Hermitian
+    matrices mixed in; or raw matrices alone.  Joint dims stay small so
+    the reference's Python double loop stays fast.  Raw matrices are
+    small and integer-valued: with random real entries, or blocks of
+    three levels, both algorithms sometimes amplify rounding past
+    rank_tol, each in different places, and count more than u(d) holds."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    source = draw(st.sampled_from(("full", "no_rank1", "rank2", "raw")))
+    if source == "raw":
+        n = int(rng.integers(1, 7))
+        return [raw_antihermitian(rng, n) for _ in range(rng.integers(1, 5))], (1, n)
+    if source == "rank2":
+        spec_s, spec_c = random_resonant_spectra(rng, max_s=3, max_c=2)
+        blocks = energy_blocks(spec_s, doubled(spec_c))
+        gens = rank2_basis(blocks)
+    else:
+        blocks = energy_blocks(*random_resonant_spectra(rng, max_s=3, max_c=3))
+        gens = enumerate_basis(blocks, include_rank1=source == "full")
+    assume(max(blocks.block_sizes()) <= 5)
+    keep = rng.uniform(0.1, 1.0)
+    inputs = [g for g in gens if rng.random() < keep]
+    if draw(st.booleans()):
+        inputs = [dataclasses.replace(g, block_energy=float(rng.integers(0, 3)))
+                  for g in inputs]
+    n = blocks.joint_dim
+    if n <= 6 and draw(st.booleans()):
+        inputs += [raw_antihermitian(rng, n) for _ in range(rng.integers(1, 3))]
+    rng.shuffle(inputs)
+    return inputs, blocks.dims
+
+
 class TestLieClosure:
     def test_empty(self):
         assert lie_closure([], max_dim=10) == 0
@@ -116,6 +166,43 @@ class TestLieClosure:
         blocks = qutrit_cooling_blocks(2)
         with pytest.raises(CapacityError):
             lie_closure(enumerate_basis(blocks, True), max_dim=5, dims=blocks.dims)
+
+    @settings(max_examples=200, deadline=None)
+    @given(closure_inputs())
+    def test_matches_sequential_reference(self, case):
+        inputs, dims = case
+        expected = reference_lie_closure(inputs, max_dim=10_000, dims=dims)
+        assert lie_closure(inputs, max_dim=expected, dims=dims) == expected
+        if expected:
+            with pytest.raises(CapacityError):
+                lie_closure(inputs, max_dim=expected - 1, dims=dims)
+
+    def test_split_follows_support_not_labels(self):
+        # One block of three levels: h on (a, b) and h on (b, c) share level
+        # b, so they do not commute, though their labels name two blocks.
+        blocks = energy_blocks(Spectrum.from_energies([0.0]),
+                               Spectrum.from_energies([0.0, 0.0, 0.0, 5.0]))
+        (e, idx), _ = blocks.blocks
+        a, b, c = sorted(idx)
+        gens = [ElementaryGenerator("h", e, a, b), ElementaryGenerator("h", 1.0, b, c)]
+        expected = reference_lie_closure(gens, dims=blocks.dims)
+        assert expected == 3
+        assert lie_closure(gens, dims=blocks.dims) == expected
+        # A raw matrix coupling the two energy blocks merges them.
+        bridge = np.zeros((4, 4), dtype=complex)
+        bridge[2, 3], bridge[3, 2] = 1.0, -1.0
+        expected = reference_lie_closure(gens + [bridge], dims=blocks.dims)
+        assert lie_closure(gens + [bridge], dims=blocks.dims) == expected == 6
+
+    def test_full_basis_joint_dim_20(self):
+        blocks = energy_blocks(Spectrum.from_energies([0.0, 0.0, 1.0, 2.0]),
+                               Spectrum.from_energies([0.0, 0.0, 1.0, 1.0, 2.0]))
+        assert blocks.block_sizes() == [4, 6, 6, 3, 1]
+        basis = enumerate_basis(blocks, True)
+        assert lie_closure(basis, dims=blocks.dims) == 98
+        assert lie_closure(basis, max_dim=98, dims=blocks.dims) == 98
+        with pytest.raises(CapacityError):
+            lie_closure(basis, max_dim=97, dims=blocks.dims)
 
 
 class TestRank1Decomposition:

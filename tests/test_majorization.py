@@ -22,6 +22,7 @@ from thermoforge import (
     thermo_curve,
     thermo_majorizes,
 )
+from thermoforge import majorization
 from thermoforge.cooling import build_cooling_catalyst
 from thermoforge.errors import CapacityError, DomainError
 from thermoforge.majorization import ThermoCurve
@@ -221,6 +222,27 @@ class TestReachSearch:
         spec = Spectrum.from_energies([0.0, 1.0, 1.0, 2.0, 2.0])
         with pytest.raises(CapacityError):
             eto_reach_search(gibbs_state(spec), spec, depth=9)
+
+    @pytest.mark.parametrize("energies,depth", [
+        ([0.0, 1.0, 1.0], 20),       # 3 pairs: about 5e9 nodes
+        ([0.0, 1.0, 1.0, 2.0], 9),   # 6 pairs: about 1.2e7 nodes
+    ])
+    def test_capacity_guard_before_any_visit(self, monkeypatch, energies, depth):
+        def no_visit(*args, **kwargs):
+            raise AssertionError("search started")
+
+        monkeypatch.setattr(majorization, "beta_swap", no_visit)
+        spec = Spectrum.from_energies(energies)
+        with pytest.raises(CapacityError, match="nodes"):
+            eto_reach_search(gibbs_state(spec), spec, depth=depth)
+
+    def test_capacity_guard_counts_every_depth(self, monkeypatch):
+        # A qutrit has 3 pairs: 1 + 3 + 9 = 13 nodes at depth 2, 40 at depth 3.
+        monkeypatch.setattr(majorization, "REACH_NODE_CAP", 13)
+        p = DiagonalState([0.0, 0.5, 0.5])
+        assert abs(eto_reach_search(p, qutrit(), depth=2)[0] - 0.75) < 1e-12
+        with pytest.raises(CapacityError):
+            eto_reach_search(p, qutrit(), depth=3)
 
     def test_negative_depth(self):
         with pytest.raises(DomainError):

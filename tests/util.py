@@ -8,6 +8,8 @@ from thermoforge import (
     energy_blocks,
     gibbs_state,
 )
+from thermoforge.errors import CapacityError
+from thermoforge.generators import _to_matrix
 from thermoforge.thermal import ENERGY_TOL
 
 
@@ -80,3 +82,59 @@ def reference_max_ground_population(p, spec_s, spec_c):
         pops = sorted((p[s] * gamma[c] for s, c in idx), reverse=True)
         total += sum(pops[:sum(1 for s, _ in idx if s == 0)])
     return total
+
+
+def reference_lie_closure(gens, max_dim: int = 512, dims: tuple[int, int] | None = None,
+                          rank_tol: float = 1e-9) -> int:
+    """Dimension of the smallest real commutator-closed span of the inputs.
+
+    Grows an orthonormal basis (real inner product Re tr(A†B)) by repeated
+    commutators; re-orthonormalizes every candidate against the current basis.
+    """
+    mats = [_to_matrix(g, dims) for g in gens]
+    if not mats:
+        return 0
+    n = mats[0].shape[0]
+
+    basis: list[np.ndarray] = []  # flattened real vectors, orthonormal
+
+    def vec(m: np.ndarray) -> np.ndarray:
+        return np.concatenate([m.real.ravel(), m.imag.ravel()])
+
+    def try_add(m: np.ndarray) -> bool:
+        v = vec(m)
+        norm = np.linalg.norm(v)
+        if norm < rank_tol:
+            return False
+        v = v / norm
+        for _ in range(2):  # twice for numerical stability
+            for b in basis:
+                v = v - (b @ v) * b
+        res = np.linalg.norm(v)
+        if res < rank_tol:
+            return False
+        basis.append(v / res)
+        return True
+
+    def unvec(v: np.ndarray) -> np.ndarray:
+        half = n * n
+        return (v[:half] + 1j * v[half:]).reshape(n, n)
+
+    for m in mats:
+        try_add(m)
+        if len(basis) > max_dim:
+            raise CapacityError(f"closure exceeded max_dim {max_dim}")
+
+    frontier = list(range(len(basis)))
+    while frontier:
+        new_frontier: list[int] = []
+        for i in frontier:
+            a = unvec(basis[i])
+            for j in range(len(basis)):
+                b = unvec(basis[j])
+                if try_add(a @ b - b @ a):
+                    new_frontier.append(len(basis) - 1)
+                    if len(basis) > max_dim:
+                        raise CapacityError(f"closure exceeded max_dim {max_dim}")
+        frontier = new_frontier
+    return len(basis)

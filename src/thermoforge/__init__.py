@@ -11,10 +11,7 @@ from .channels import (
     thermalize,
 )
 from .compiler import (
-    GateSequence,
-    GateStep,
     GeneratorCombination,
-    apply_gates,
     compile_approximate,
     compile_bch,
     compile_exact,
@@ -29,6 +26,7 @@ from .cooling import (
     run_cooling,
     run_cooling_dense,
 )
+from .gates import GateSequence, GateStep, apply_gates
 from .generators import ElementaryGenerator, enumerate_basis, lie_closure, rank2_basis
 from .linalg import distance, expm_skew, kron, partial_trace, trace_distance
 from .majorization import (

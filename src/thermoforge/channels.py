@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compiler import GateSequence, apply_gates
+from .gates import GateSequence, apply_gates
 from .errors import DomainError, ShapeError
 from .linalg import as_operator, kron, partial_trace, trace_distance
 from .thermal import (

@@ -23,6 +23,7 @@ from .errors import (
     CapacityError,
     CoherenceError,
     DomainError,
+    FormatError,
     PreconditionError,
     ShapeError,
 )
@@ -123,6 +124,7 @@ def cmd_compile(args) -> int:
         report.outputs["trotter_m"] = seq.trotter_m
         report.add_check("reconstruction_error", err < args.accuracy, err, args.accuracy)
     report.outputs["gate_count"] = len(seq)
+    report.outputs["layers"] = seq.layers
     report.outputs["method"] = seq.method
     report.outputs["error_bound"] = seq.error_bound
     if args.out:
@@ -328,7 +330,7 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as e:
         print(f"parse error: {e.msg} at line {e.lineno}, column {e.colno}", file=sys.stderr)
         return 2
-    except (KeyError, FileNotFoundError) as e:
+    except (KeyError, FileNotFoundError, FormatError) as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2
     except CoherenceError as e:

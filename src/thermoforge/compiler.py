@@ -7,246 +7,63 @@ Back-ends:
   bch     group-commutator synthesis of exp(t[K_j, K_k])
   nested  outer Trotter over a depth-1 mix of linear and commutator terms
 
-A GateSequence applies steps[0] first, i.e. reconstruct() multiplies
-steps right-to-left.
+A GateSequence (gates.py) applies steps[0] first, i.e. reconstruct()
+multiplies steps right-to-left.  It stores one slice of L steps as
+columns (kind codes, flat level pairs, 2x2 blocks, parameters) plus a
+repeat count: trotter, bch and nested build one slice and repeat it
+m = trotter_m times.  GateStep is the value type at the API edge
+(seq.steps).
 
-Cost model: every step reduces to a 1x1 or 2x2 block on flat joint
-indices (GateStep.local), and apply_gates updates only the rows (and, when
-conjugating, the columns) those indices name.  One gate on an n-row
-operand therefore costs O(n); reconstruct costs O(n^2) for the identity
-plus O(gates * n), and evolving a density matrix costs O(gates * n).
-trotter, bch and nested list one slice of L step objects m = trotter_m
-times, and reconstruct squares up the slice product instead: O(L*n +
-n^3 log m) for a sequence of one slice repeated m times.
+Cost model: apply_gates groups the slice, order unchanged, into ASAP
+layers: each step goes into the earliest layer after every earlier step
+that shares a level with it.  The steps of one layer act on disjoint
+levels, so each row of the operand is changed by at most one of them,
+from its own and its partner's old values; applying the layer's gates
+one by one in any order, or all at once, gives the same numbers.  Under
+x -> x U† the same holds for columns.  A layer of k two-level gates is
+one batched (k,2,2) @ (k,2,n) row update plus one multiply for its
+phases, so L gates in Λ layers cost O(Λ) numpy calls of O(k n) work
+each, O(L n) in all.  Conjugation x -> U x U† adds a column pass of the
+same cost.  compile_exact's triangular order has about 2 max_b d_b
+layers (50 layers for 990 gates at n = 108).  reconstruct costs O(n^2)
+for the identity plus one pass, and a sequence of one slice repeated m
+times is reconstructed as slice^m: O(L n + n^3 log m).
 compile_approximate, which doubles m until the accuracy is met, pays
 that once per doubling.
 """
 from __future__ import annotations
 
-import cmath
-import json
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .generators import KINDS, ElementaryGenerator, enumerate_basis
+# GateStep is re-exported: thermoforge.compiler.GateStep is public API.
+from .gates import KIND_CODE, GateSequence, GateStep, apply_gates  # noqa: F401
+from .generators import ElementaryGenerator, enumerate_basis
 from .linalg import frobenius_distance
 from .thermal import EnergyBlocks, is_energy_preserving, max_cross_block_entry
 
 _ELIM_TOL = 1e-13
 M_CAP = 1 << 14  # largest slice count compile_approximate tries
-
-
-@dataclass(frozen=True, eq=False)
-class GateStep:
-    """One elementary gate: exp(param * K) for a named generator kind,
-    or an explicit 2x2 unitary block on an ordered joint index pair."""
-
-    kind: str  # 'h' | 'm' | 'p' | 'g_diag' | 'givens'
-    indices: tuple[tuple[int, int], ...]
-    param: float | None = None
-    u2: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.kind == "givens":
-            if self.u2 is None or len(self.indices) != 2:
-                raise DomainError("givens step needs a 2x2 block and two indices")
-            u2 = np.asarray(self.u2, dtype=complex)
-            if u2.shape != (2, 2):
-                raise DomainError(f"givens step needs a 2x2 block, got shape {u2.shape}")
-            a, b, c, d = u2.ravel().tolist()
-            if not all(map(cmath.isfinite, (a, b, c, d))):
-                raise DomainError("givens block has non-finite entries")
-            # ||U^dagger U - I||_F from the column norms and their inner product.
-            off = abs(a.conjugate() * b + c.conjugate() * d)
-            if math.hypot(abs(a) ** 2 + abs(c) ** 2 - 1, abs(b) ** 2 + abs(d) ** 2 - 1,
-                          off, off) > 1e-12:
-                raise DomainError("givens block is not unitary")
-            u2.flags.writeable = False
-            object.__setattr__(self, "u2", u2)
-        else:
-            if self.kind not in KINDS:
-                raise DomainError(f"unknown gate kind {self.kind!r}")
-            if self.param is None:
-                raise DomainError("generator step needs a parameter")
-            if not math.isfinite(self.param):
-                raise DomainError(f"{self.kind!r} step has non-finite param {self.param}")
-            want = 1 if self.kind == "p" else 2
-            if len(self.indices) != want:
-                raise DomainError(f"kind {self.kind!r} takes {want} joint indices")
-
-    @classmethod
-    def from_generator(cls, gen: ElementaryGenerator, param: float) -> "GateStep":
-        return cls(gen.kind, gen.support(), param=param)
-
-    def local(self, dims: tuple[int, int]) -> tuple[list[int], np.ndarray]:
-        """Flat joint indices and the 1x1 or 2x2 block acting on them.
-
-        Each joint index (s, c) must satisfy 0 <= s < dims[0] and
-        0 <= c < dims[1]; otherwise it would alias another flat level.
-        """
-        if len(self.indices) > 2:
-            raise DomainError("non-elementary gate: more than two joint indices")
-        flats = []
-        for pair in self.indices:
-            try:
-                s, c = (operator.index(i) for i in pair)
-            except (TypeError, ValueError):
-                raise ShapeError(f"joint index {pair!r} is not an integer pair") from None
-            if not (0 <= s < dims[0] and 0 <= c < dims[1]):
-                raise ShapeError(f"joint index ({s}, {c}) out of range for dims {dims}")
-            flats.append(s * dims[1] + c)
-        if len(flats) == 2 and flats[0] == flats[1]:
-            raise DomainError(f"two-level gate acts twice on flat level {flats[0]}")
-        if self.kind == "givens":
-            return flats, self.u2
-        if self.kind == "p":
-            return flats, np.array([[cmath.exp(-1j * self.param)]])
-        c, s = math.cos(self.param), math.sin(self.param)
-        if self.kind == "h":
-            return flats, np.array([[c, -1j * s], [-1j * s, c]])
-        if self.kind == "m":
-            return flats, np.array([[c, s], [-s, c]], dtype=complex)
-        return flats, cmath.exp(1j * self.param) * np.eye(2)  # g_diag
-
-    def matrix(self, dims: tuple[int, int]) -> np.ndarray:
-        """Dense n x n unitary: the local block embedded into the identity."""
-        flats, block = self.local(dims)
-        u = np.eye(dims[0] * dims[1], dtype=complex)
-        u[np.ix_(flats, flats)] = block
-        return u
-
-    def to_json(self) -> dict:
-        d = {"kind": self.kind, "indices": [list(p) for p in self.indices]}
-        if self.kind == "givens":
-            d["u2"] = [[z.real, z.imag] for z in self.u2.ravel()]
-        else:
-            d["param"] = self.param
-        return d
-
-    @classmethod
-    def from_json(cls, d: dict) -> "GateStep":
-        indices = tuple(tuple(p) for p in d["indices"])
-        if d["kind"] == "givens":
-            flat = [complex(re, im) for re, im in d["u2"]]
-            return cls("givens", indices, u2=np.array(flat).reshape(2, 2))
-        return cls(d["kind"], indices, param=float(d["param"]))
-
-
-@dataclass
-class GateSequence:
-    steps: list[GateStep]
-    method: str  # 'exact' | 'trotter' | 'bch' | 'nested' | 'handcrafted'
-    dims: tuple[int, int]
-    error_bound: float = 0.0
-    trotter_m: int | None = None
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-    def _json_fields(self, steps: list) -> dict:
-        d = {
-            "method": self.method,
-            "dims": list(self.dims),
-            "error_bound": self.error_bound,
-            "steps": steps,
-        }
-        if self.trotter_m is not None:
-            d["trotter_m"] = self.trotter_m
-        return d
-
-    def to_json(self) -> dict:
-        return self._json_fields([s.to_json() for s in self.steps])
-
-    def save(self, path: str) -> None:
-        """Write the bytes of json.dump(self.to_json(), f, indent=1).
-
-        Each distinct step object is encoded once; where objects repeat
-        (one slice listed trotter_m times), their text is spliced in.
-        """
-        distinct = {id(step): step for step in self.steps}
-        fields = self._json_fields([s.to_json() for s in distinct.values()])
-        with open(path, "w") as f:
-            if len(distinct) == len(self.steps):
-                json.dump(fields, f, indent=1)  # streamed: no step repeats
-                return
-            # JSON strings escape newlines and each level indents one more
-            # space, so these markers match only the top-level steps list
-            # and the starts of its items.
-            head, rest = json.dumps(fields, indent=1).split('\n "steps": [\n  ', 1)
-            body, tail = rest.split('\n ]', 1)
-            first, *others = body.split(',\n  {')
-            encoded = dict(zip(distinct, [first, *('{' + item for item in others)]))
-            items = ',\n  '.join(map(encoded.__getitem__, map(id, self.steps)))
-            f.write(f'{head}\n "steps": [\n  {items}\n ]{tail}')
-
-    @classmethod
-    def from_json(cls, obj) -> "GateSequence":
-        if isinstance(obj, str):
-            with open(obj) as f:
-                obj = json.load(f)
-        steps = []
-        for i, step in enumerate(obj["steps"]):
-            try:
-                steps.append(GateStep.from_json(step))
-            except DomainError as e:
-                raise DomainError(f"step {i}: {e}") from None
-        return cls(
-            steps=steps,
-            method=obj["method"],
-            dims=tuple(obj["dims"]),
-            error_bound=float(obj.get("error_bound", 0.0)),
-            trotter_m=obj.get("trotter_m"),
-        )
-
-
-def apply_gates(seq: GateSequence, x: np.ndarray, conjugate: bool = False) -> np.ndarray:
-    """Apply every step to x in place, steps[0] first, and return x.
-
-    x <- U x updates the two rows of each gate; with conjugate=True the
-    two columns follow, giving x <- U x U†.  Every step is resolved (and
-    its indices checked) before x is touched.
-    """
-    n = seq.dims[0] * seq.dims[1]
-    if x.shape[0] != n or (conjugate and x.shape != (n, n)):
-        raise ShapeError(f"operand shape {x.shape} does not match sequence dims {seq.dims}")
-    if x.dtype != complex:
-        raise TypeError(f"gates update a complex array in place, got {x.dtype}")
-    for flats, block in [step.local(seq.dims) for step in seq.steps]:
-        x[flats] = block @ x[flats]
-        if conjugate:
-            x[:, flats] = x[:, flats] @ block.conj().T
-    return x
-
-
-def _slice_length(seq: GateSequence) -> int | None:
-    """L when seq.steps is one list of L step objects repeated trotter_m
-    times (the same objects, not equal copies), else None."""
-    steps, m = seq.steps, seq.trotter_m
-    if not (isinstance(m, int) and m > 1 and steps and len(steps) % m == 0):
-        return None
-    p = len(steps) // m
-    return p if all(map(operator.is_, steps[p:], steps[:-p])) else None
+_P, _GIVENS = KIND_CODE["p"], KIND_CODE["givens"]
 
 
 def reconstruct(seq: GateSequence, joint_dim: int | None = None) -> np.ndarray:
     """Ordered product of the steps, steps[0] acting first.
 
-    A sequence of one slice repeated m times is reconstructed as
-    slice^m by repeated squaring; any other sequence (including one
-    loaded from JSON, whose steps are distinct objects) gate by gate.
+    A sequence of one slice repeated m times (repeat > 1) is
+    reconstructed as slice^m by repeated squaring; any other sequence
+    (including one loaded from JSON) layer by layer.
     """
     n = seq.dims[0] * seq.dims[1]
     if joint_dim is not None and joint_dim != n:
         raise ShapeError(f"sequence dims {seq.dims} do not match joint dim {joint_dim}")
-    p = _slice_length(seq)
-    if p is None:
+    if seq.repeat == 1:
         return apply_gates(seq, np.eye(n, dtype=complex))
-    one = GateSequence(steps=seq.steps[:p], method=seq.method, dims=seq.dims)
-    return np.linalg.matrix_power(apply_gates(one, np.eye(n, dtype=complex)), seq.trotter_m)
+    one = seq.first_slice()
+    return np.linalg.matrix_power(apply_gates(one, np.eye(n, dtype=complex)), seq.repeat)
 
 
 def _require_energy_preserving(u: np.ndarray, blocks: EnergyBlocks, tol: float) -> None:
@@ -261,41 +78,61 @@ def compile_exact(u, blocks: EnergyBlocks, tol: float = 1e-9) -> GateSequence:
     """Two-level elimination of each energy block's sub-unitary."""
     u = np.asarray(u, dtype=complex)
     _require_energy_preserving(u, blocks, tol)
-    givens: list[GateStep] = []
-    phases: list[GateStep] = []
+    phases: list[tuple[int, float]] = []  # (flat level, param)
+    givens: list[tuple[int, int, np.ndarray]] = []  # (flat levels, R with R† emitted)
     for energy, idx in blocks.blocks:
-        idx = sorted(idx)
-        flats = [blocks.flat(p) for p in idx]
-        d = len(idx)
+        flats = [blocks.flat(p) for p in sorted(idx)]
+        d = len(flats)
         a = u[np.ix_(flats, flats)].copy()
-        block_rots: list[GateStep] = []
+        block_rots = []
         for col in range(d - 1):
-            for row in range(col + 1, d):
-                b = a[row, col]
+            # Rotating rows (col, row) leaves a[row', col] of later rows alone.
+            for row, b in enumerate(a[col + 1:, col].tolist(), start=col + 1):
                 if abs(b) < _ELIM_TOL:
                     continue
                 x = a[col, col]
                 r = math.hypot(abs(x), abs(b))
                 # R zeroes a[row, col]; the emitted gate is R†.
-                r2 = np.array([[np.conj(x), np.conj(b)], [-b, x]]) / r
-                a[[col, row], :] = r2 @ a[[col, row], :]
-                block_rots.append(
-                    GateStep("givens", (idx[col], idx[row]), u2=r2.conj().T)
-                )
+                r2 = np.array([[x.conjugate(), b.conjugate()], [-b, x]]) / r
+                pair = a[col:row + 1:row - col]  # a view of rows col and row
+                pair[...] = r2 @ pair
+                block_rots.append((flats[col], flats[row], r2))
         # a is now diagonal with unit-modulus phases.
-        for k in range(d):
-            theta = float(np.angle(a[k, k]))
-            if abs(a[k, k] - 1.0) > 1e-12:
-                phases.append(GateStep("p", (idx[k],), param=-theta))
+        diag = np.diag(a)
+        for k in np.flatnonzero(np.abs(diag - 1.0) > 1e-12).tolist():
+            phases.append((flats[k], -float(np.angle(diag[k]))))
         givens.extend(reversed(block_rots))
     # Phases act first; eliminations are undone outermost-last.
-    return GateSequence(steps=phases + givens, method="exact", dims=blocks.dims)
+    rots = np.array([r2 for _, _, r2 in givens]).reshape(-1, 2, 2)
+    blocks_out = np.zeros((len(phases) + len(givens), 2, 2), dtype=complex)
+    blocks_out[len(phases):] = rots.conj().transpose(0, 2, 1)
+    return GateSequence.from_arrays(
+        kinds=[_P] * len(phases) + [_GIVENS] * len(givens),
+        flats=[(f, f) for f, _ in phases] + [(i, j) for i, j, _ in givens],
+        blocks=blocks_out,
+        params=[p for _, p in phases] + [math.nan] * len(givens),
+        method="exact", dims=blocks.dims,
+    )
 
 
 def _sorted_coeffs(coeffs) -> list[tuple[ElementaryGenerator, float]]:
     items = list(coeffs.items()) if isinstance(coeffs, dict) else list(coeffs)
     items.sort(key=lambda t: t[0])
     return items
+
+
+def _generator_columns(terms, dims: tuple[int, int]):
+    """Columns of one slice of steps exp(param * K_g) for (generator,
+    param) terms, in order; a joint index outside dims raises ShapeError."""
+    ds, dc = dims
+    flats = []
+    for g, _ in terms:
+        for s, c in (g.first, g.second):
+            if not (0 <= s < ds and 0 <= c < dc):
+                raise ShapeError(f"joint index ({s}, {c}) out of range for dims {dims}")
+        flats.append((g.first[0] * dc + g.first[1], g.second[0] * dc + g.second[1]))
+    kinds = [KIND_CODE[g.kind] for g, _ in terms]
+    return kinds, flats, np.zeros((len(terms), 2, 2)), [p for _, p in terms]
 
 
 def compile_trotter(coeffs, t: float, m: int, dims: tuple[int, int]) -> GateSequence:
@@ -310,23 +147,17 @@ def compile_trotter(coeffs, t: float, m: int, dims: tuple[int, int]) -> GateSequ
     items = [(g, r) for g, r in _sorted_coeffs(coeffs) if r != 0.0]
     if not items or t == 0.0:
         return GateSequence(steps=[], method="trotter", dims=dims, trotter_m=m)
-    slice_steps = [GateStep.from_generator(g, t * r / m) for g, r in items]
+    terms = [(g, t * r / m) for g, r in items]
     total = sum(abs(r) for _, r in items)  # every kind has unit spectral norm
     bound = (t * total) ** 2 / m
-    return GateSequence(
-        steps=slice_steps * m, method="trotter", dims=dims,
-        error_bound=bound, trotter_m=m,
-    )
+    return GateSequence.from_arrays(*_generator_columns(terms, dims), method="trotter",
+                                    dims=dims, error_bound=bound, trotter_m=m, repeat=m)
 
 
-def _bch_group(j: ElementaryGenerator, k: ElementaryGenerator, s: float) -> list[GateStep]:
-    # Product e^{-sJ} e^{-sK} e^{sJ} e^{sK}; steps listed first-acting first.
-    return [
-        GateStep.from_generator(k, s),
-        GateStep.from_generator(j, s),
-        GateStep.from_generator(k, -s),
-        GateStep.from_generator(j, -s),
-    ]
+def _bch_group(j: ElementaryGenerator, k: ElementaryGenerator,
+               s: float) -> list[tuple[ElementaryGenerator, float]]:
+    # Product e^{-sJ} e^{-sK} e^{sJ} e^{sK}; terms listed first-acting first.
+    return [(k, s), (j, s), (k, -s), (j, -s)]
 
 
 def compile_bch(j: ElementaryGenerator, k: ElementaryGenerator, t: float, m: int,
@@ -343,10 +174,10 @@ def compile_bch(j: ElementaryGenerator, k: ElementaryGenerator, t: float, m: int
     if t == 0.0:
         return GateSequence(steps=[], method="bch", dims=dims, trotter_m=m)
     s = math.sqrt(t / m)
-    steps = _bch_group(j, k, s) * m
     bound = t ** 1.5 / math.sqrt(m)
-    return GateSequence(steps=steps, method="bch", dims=dims,
-                        error_bound=bound, trotter_m=m)
+    return GateSequence.from_arrays(*_generator_columns(_bch_group(j, k, s), dims),
+                                    method="bch", dims=dims, error_bound=bound,
+                                    trotter_m=m, repeat=m)
 
 
 @dataclass(frozen=True)
@@ -383,20 +214,16 @@ def compile_nested(combo: GeneratorCombination, t: float, m: int,
     if not combo.linear and len(combo.commutators) == 1:
         a, b, c = combo.commutators[0]
         return compile_bch(a, b, t * c, m, dims)
-    slice_steps: list[GateStep] = [
-        GateStep.from_generator(g, t * c / m)
-        for g, c in sorted(combo.linear, key=lambda p: p[0])
-        if c != 0.0
-    ]
+    terms = [(g, t * c / m) for g, c in sorted(combo.linear, key=lambda p: p[0]) if c != 0.0]
     for a, b, c in combo.commutators:
         tc = t * c / m
         if tc == 0.0:
             continue
         if tc < 0:
             a, b, tc = b, a, -tc
-        slice_steps.extend(_bch_group(a, b, math.sqrt(tc)))
-    return GateSequence(steps=slice_steps * m, method="nested", dims=dims,
-                        trotter_m=m)
+        terms.extend(_bch_group(a, b, math.sqrt(tc)))
+    return GateSequence.from_arrays(*_generator_columns(terms, dims), method="nested",
+                                    dims=dims, trotter_m=m, repeat=m)
 
 
 def _log_unitary(u: np.ndarray) -> np.ndarray:

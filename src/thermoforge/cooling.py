@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compiler import GateSequence, GateStep, apply_gates
+from .gates import KIND_CODE, GateSequence, apply_gates
 from .errors import CapacityError, DomainError
 from .linalg import kron, partial_trace
 from .thermal import DiagonalState, Spectrum, ThermalContext, gibbs_state
@@ -75,11 +75,11 @@ def build_cooling_sequence(d: int) -> GateSequence:
         raise DomainError(f"cooling sequence needs d >= 2, got {d}")
     dims = (3, (1 << d) - 1)
     a, b = _swap_pairs(d)
-    steps = [
-        GateStep("givens", (divmod(i, dims[1]), divmod(j, dims[1])), u2=SWAP2)
-        for i, j in zip(a.tolist(), b.tolist())
-    ]
-    return GateSequence(steps=steps, method="handcrafted", dims=dims)
+    return GateSequence.from_arrays(
+        kinds=np.full(a.size, KIND_CODE["givens"]), flats=np.stack([a, b], axis=1),
+        blocks=np.broadcast_to(SWAP2, (a.size, 2, 2)), params=np.full(a.size, np.nan),
+        method="handcrafted", dims=dims,
+    )
 
 
 @dataclass(frozen=True)

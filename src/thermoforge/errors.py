@@ -1,8 +1,13 @@
 """Exception taxonomy shared across the package.
 
-The CLI maps these onto stable exit codes: parse failures -> 2,
-DomainError/PreconditionError -> 3, CapacityError -> 4, CoherenceError -> 5.
+The CLI maps these onto stable exit codes: parse failures (FormatError
+among them) -> 2, DomainError/PreconditionError/ShapeError -> 3,
+CapacityError -> 4, CoherenceError -> 5.
 """
+
+
+class FormatError(ValueError):
+    """An input file is structurally malformed (wrong nesting or count)."""
 
 
 class ShapeError(ValueError):

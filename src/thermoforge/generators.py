@@ -161,11 +161,15 @@ def _component_closure(mats: np.ndarray, cap: int, rank_tol: float) -> int:
 
     The orthonormal basis lives in one complex (rows, d, d) array whose
     float view is the (rows, 2 d^2) real stack of Re/Im vectors, so real
-    inner products Re tr(A^dagger B) are plain dot products of rows.  Real
-    combinations of d x d complex matrices span at most 2 d^2 dimensions.
+    inner products Re tr(A^dagger B) are plain dot products of rows.  The
+    inputs are anti-Hermitian and so is the anti-Hermitian part of every
+    commutator batch, which is all that is kept: the span stays in u(d),
+    of real dimension d^2.  (Rounding leaves commutators of anti-Hermitian
+    matrices with Hermitian noise; kept, that noise could fill up to
+    2 d^2 dimensions of complex matrices.)
     """
     d = mats.shape[1]
-    basis = np.empty((min(cap, 2 * d * d), d, d), dtype=complex)
+    basis = np.empty((min(cap, d * d), d, d), dtype=complex)
     flat = basis.reshape(len(basis), d * d).view(float)
     count = 0
 
@@ -196,7 +200,8 @@ def _component_closure(mats: np.ndarray, cap: int, rank_tol: float) -> int:
     i = 0
     while i < count:  # each basis element, in the order it was added
         a, known = basis[i], basis[:count]
-        extend(a @ known - known @ a)
+        c = a @ known - known @ a
+        extend((c - c.conj().transpose(0, 2, 1)) / 2)
         i += 1
     return count
 
@@ -214,12 +219,18 @@ def lie_closure(gens, max_dim: int = 512, dims: tuple[int, int] | None = None,
     Gram-Schmidt applied twice.  A candidate joins the basis when, after
     normalisation, its residual is at least rank_tol.
 
-    Raises CapacityError as soon as the running total over components
-    exceeds max_dim.
+    Raises DomainError if an input is not anti-Hermitian (to 1e-12 of its
+    largest entry), and CapacityError as soon as the running total over
+    components exceeds max_dim.
     """
     mats = np.array([_to_matrix(g, dims) for g in gens])
     if not len(mats):
         return 0
+    defect = np.abs(mats + mats.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    bad = defect > 1e-12 * np.maximum(np.abs(mats).max(axis=(1, 2)), 1.0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DomainError(f"input {i} is not anti-Hermitian (|K + K†| up to {defect[i]:.3e})")
     total = 0
     for comp in _components(mats):
         try:

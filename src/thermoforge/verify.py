@@ -165,7 +165,7 @@ def suite_compiler(seed: int, trials: int) -> list[CheckResult]:
         u = random_energy_preserving_unitary(blocks, seed=int(rng.integers(1 << 31)))
         seq = compile_exact(u, blocks)
         worst_rt = max(worst_rt, frobenius_distance(reconstruct(seq), u))
-        two_level = sum(1 for s in seq.steps if s.kind == "givens")
+        two_level = seq.count("givens")
         bound = sum(d * (d - 1) // 2 for d in blocks.block_sizes())
         count_ok &= two_level <= bound
     # Commuting pair is exact at m=1; non-commuting pair halves its error.

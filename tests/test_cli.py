@@ -115,6 +115,30 @@ class TestCompile:
         assert report["checks"][0]["measured"] < 1e-3
         assert report["outputs"]["trotter_m"] >= 1
 
+    @pytest.mark.parametrize("method", ["exact", "trotter"])
+    def test_report_counts_asap_layers(self, tmp_path, capsys, method):
+        es, ec = [0.0, 1.0, 1.0, 2.0], [0.0, 0.0, 1.0, 1.0, 2.0]
+        blocks = energy_blocks(Spectrum.from_energies(es), Spectrum.from_energies(ec))
+        u = random_energy_preserving_unitary(blocks, seed=4)
+        out = tmp_path / "seq.json"
+        argv = ["compile", "--system", write_json(tmp_path / "s.json", {"energies": es}),
+                "--catalyst", write_json(tmp_path / "c.json", {"energies": ec}),
+                "--unitary", write_matrix(tmp_path / "u.json", u), "--method", method,
+                "--accuracy", "1e-1", "--out", str(out)]
+        code, report, _ = run_cli(capsys, argv)
+        assert code == 0
+        # Each step one layer after the latest step sharing a level with it.
+        saved = json.loads(out.read_text())
+        dc, last, depth = saved["dims"][1], {}, []
+        for step in saved["steps"][:len(saved["steps"]) // saved.get("trotter_m", 1)]:
+            levels = {s * dc + c for s, c in step["indices"]}
+            depth.append(1 + max((last.get(f, 0) for f in levels)))
+            last.update(dict.fromkeys(levels, depth[-1]))
+        assert report["outputs"]["layers"] == max(depth) * saved.get("trotter_m", 1)
+        assert report["outputs"]["layers"] < report["outputs"]["gate_count"]
+        rerun = run_cli(capsys, argv)[1]
+        assert {**rerun, "wall_time": 0} == {**report, "wall_time": 0}
+
 
 class TestCool:
     def test_single_d(self, capsys):
@@ -334,6 +358,61 @@ class TestSimulate:
         ])
         assert code == 3 and report is None
         assert "step 1" in err
+
+    @pytest.mark.parametrize("step,code", [
+        # structural faults (wrong nesting, pair count, missing key): exit 2
+        ({"kind": "givens", "indices": [[0, 0], [0, 1]],
+          "u2": [[0, 0], [1, 0], [1, 0]]}, 2),
+        ({"kind": "givens", "indices": [[0, 0], [0, 1]], "u2": [0, 1, 1, 0]}, 2),
+        ({"kind": "h", "indices": [0, 1], "param": 0.3}, 2),
+        ({"kind": "h", "indices": [[0, 0, 0], [0, 1]], "param": 0.3}, 2),
+        ({"kind": "h", "indices": 5, "param": 0.3}, 2),
+        ([["kind", "h"]], 2),
+        ({"kind": "h", "param": 0.3}, 2),
+        ({"kind": "givens", "indices": [[0, 0], [0, 1]]}, 2),
+        # bad values: exit 3
+        ({"kind": "h", "indices": [[0, 0], [0, 1]], "param": "abc"}, 3),
+        ({"kind": "p", "indices": [[1, 0]], "param": None}, 3),
+        ({"kind": "m", "indices": [[0, 0], [0, 1]], "param": [0.3]}, 3),
+        ({"kind": "m", "indices": [[0, 0], [0, 1]], "param": 10 ** 400}, 3),
+        ({"kind": "m", "indices": [[0, 0], [0, 10 ** 400]], "param": 0.3}, 3),
+        ({"kind": "givens", "indices": [[0, 0], [0, 1]],
+          "u2": [["a", 0], [1, 0], [1, 0], [0, 0]]}, 3),
+        ({"kind": "h", "indices": [[0, 0]], "param": 0.3}, 3),
+        ({"kind": "x", "indices": [[0, 0], [0, 1]], "param": 0.3}, 3),
+        ({"kind": "h", "indices": [[0, 0], [0, 0]], "param": 0.3}, 3),
+    ])
+    def test_malformed_step_exit_code(self, tmp_path, capsys, step, code):
+        sf = write_json(tmp_path / "p.json", {"populations": [0.2, 0.3, 0.5]})
+        cf = write_json(tmp_path / "cat.json",
+                        Spectrum.from_energies([0.0, 0.0]).to_json())
+        gf = write_json(tmp_path / "gates.json", {
+            "method": "handcrafted", "dims": [3, 2], "error_bound": 0.0,
+            "steps": [{"kind": "m", "indices": [[2, 0], [2, 1]], "param": 0.3}, step],
+        })
+        got, report, err = run_cli(capsys, [
+            "simulate", "--state", sf, "--catalyst", cf, "--gates", gf,
+        ])
+        assert (got, report) == (code, None)
+        assert "step 1:" in err
+
+    @pytest.mark.parametrize("fields,code", [
+        ({"steps": {}}, 2),
+        ({"steps": "abc"}, 2),
+        ({"dims": [3]}, 2),
+        ({"dims": [3, "2"]}, 2),
+        ({"error_bound": "abc"}, 3),
+    ])
+    def test_malformed_sequence_exit_code(self, tmp_path, capsys, fields, code):
+        sf = write_json(tmp_path / "p.json", {"populations": [0.2, 0.3, 0.5]})
+        cf = write_json(tmp_path / "cat.json",
+                        Spectrum.from_energies([0.0, 0.0]).to_json())
+        seq = {"method": "handcrafted", "dims": [3, 2], "error_bound": 0.0, "steps": []}
+        gf = write_json(tmp_path / "gates.json", {**seq, **fields})
+        got, report, _ = run_cli(capsys, [
+            "simulate", "--state", sf, "--catalyst", cf, "--gates", gf,
+        ])
+        assert (got, report) == (code, None)
 
     def test_no_rethermalize_omits_post(self, tmp_path, capsys):
         cat = build_cooling_catalyst(2)

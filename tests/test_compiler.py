@@ -29,7 +29,7 @@ from thermoforge import (
     reconstruct,
 )
 from thermoforge.errors import DomainError, ShapeError
-from util import random_resonant_spectra
+from util import random_resonant_spectra, reference_apply_gates
 
 
 def one_block(size):
@@ -150,6 +150,113 @@ class TestGateKernel:
             reconstruct(seq)
 
 
+@st.composite
+def layered_sequences(draw):
+    """A GateSequence of any kinds on at most 12 levels, so that many steps
+    share levels: a slice of up to 24 steps, listed trotter_m times."""
+    dims = (draw(st.integers(1, 3)), draw(st.integers(2, 4)))
+    one = [step for step, _ in draw(st.lists(gate_steps(dims), min_size=1, max_size=24))]
+    m = draw(st.integers(1, 4))
+    return GateSequence(steps=one * m, method="trotter", dims=dims, trotter_m=m)
+
+
+class TestLayeredKernel:
+    @given(layered_sequences(), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_gate_by_gate(self, seq, seed):
+        n = seq.dims[0] * seq.dims[1]
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        assert seq.repeat == seq.trotter_m
+        assert seq.layers <= len(seq)
+        got = apply_gates(seq, x.copy())
+        assert np.max(np.abs(got - reference_apply_gates(seq, x.copy()))) < 1e-12
+        rho = (x + x.conj().T) / 2
+        got = apply_gates(seq, rho.copy(), conjugate=True)
+        want = reference_apply_gates(seq, rho.copy(), conjugate=True)
+        assert np.max(np.abs(got - want)) < 1e-12
+        v = x[:, 0].copy()
+        assert np.max(np.abs(apply_gates(seq, v.copy()) - reference_apply_gates(seq, v))) < 1e-12
+
+    @pytest.mark.parametrize("conjugate", [False, True])
+    @pytest.mark.parametrize("bad,error", [
+        (((0, 2), (1, -1)), ShapeError), (((0, 2), (2, 0)), ShapeError),
+        (((0, 2), (0.5, 1)), ShapeError), (((1, 1), (1, 1)), DomainError),
+        (((0, 2), (1, 0), (1, 1)), DomainError),
+    ])
+    def test_errors_before_x_is_touched(self, bad, error, conjugate):
+        ok = [GateStep("h", ((0, 0), (0, 1)), param=0.4), GateStep("p", ((1, 2),), param=0.3)]
+        step = GateStep("givens", ((0, 2), (1, 0)), u2=np.array([[0, 1], [1, 0]]))
+        object.__setattr__(step, "indices", bad)
+        seq = GateSequence(steps=ok + [step] + ok, method="handcrafted", dims=(2, 3))
+        x = np.arange(36, dtype=complex).reshape(6, 6)
+        with pytest.raises(error):
+            apply_gates(seq, x, conjugate=conjugate)
+        assert np.array_equal(x, np.arange(36).reshape(6, 6))
+        with pytest.raises(error):
+            reconstruct(seq)
+
+    def test_disjoint_gates_share_a_layer(self):
+        # Gates on levels (0,1), (2,3), then (1,2): two layers; a phase on
+        # level 0 after them joins the second layer.
+        steps = [GateStep("h", ((0, 0), (0, 1)), param=0.1),
+                 GateStep("m", ((0, 2), (0, 3)), param=0.2),
+                 GateStep("g_diag", ((0, 1), (0, 2)), param=0.3),
+                 GateStep("p", ((0, 0),), param=0.4)]
+        seq = GateSequence(steps=steps, method="handcrafted", dims=(1, 4))
+        assert seq.layers == 2
+        assert GateSequence(steps=steps * 3, method="trotter", dims=(1, 4),
+                            trotter_m=3).layers == 6
+
+
+@st.composite
+def step_json(draw):
+    """One JSON step, valid or not, on dims (2, 3): any kind or an unknown
+    one, 0-3 index pairs with entries in -1..3 or 0.5, a float param
+    (NaN and infinities included) or a u2 block moved off a unitary."""
+    kind = draw(st.sampled_from(("h", "m", "p", "g_diag", "givens", "x")))
+    entry = st.sampled_from([-1, 0, 1, 2, 3, 0.5])
+    pairs = draw(st.lists(st.lists(entry, min_size=2, max_size=2), max_size=3))
+    step = {"kind": kind, "indices": pairs}
+    if kind == "givens":
+        theta, phi = draw(st.floats(0, 2 * math.pi)), draw(st.floats(0, 2 * math.pi))
+        u2 = np.array([[math.cos(theta), -math.sin(theta) * cmath.exp(1j * phi)],
+                       [math.sin(theta), math.cos(theta) * cmath.exp(1j * phi)]])
+        u2.flat[draw(st.integers(0, 3))] += draw(st.sampled_from(
+            [0.0, 1e-13, 1e-12, 1e-11, 0.1, math.nan, math.inf]))
+        step["u2"] = [[z.real, z.imag] for z in u2.ravel().tolist()]
+    else:
+        step["param"] = draw(st.floats(allow_nan=True, allow_infinity=True))
+    return step
+
+
+class TestSequenceLoader:
+    @given(st.lists(step_json(), min_size=1, max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_checks_match_gatestep(self, items):
+        # The array checks of GateSequence.from_json reject the first step
+        # that GateStep.from_json or GateStep.local rejects, with its message.
+        dims = (2, 3)
+        expected = None
+        for i, item in enumerate(items):
+            try:
+                GateStep.from_json(item).local(dims)
+            except (DomainError, ShapeError) as e:
+                expected = (type(e), f"step {i}: {e}")
+                break
+        obj = {"method": "handcrafted", "dims": list(dims), "error_bound": 0.0,
+               "steps": items}
+        if expected is None:
+            seq = GateSequence.from_json(obj)
+            want = [GateStep.from_json(item).matrix(dims) for item in items]
+            got = [step.matrix(dims) for step in seq.steps]
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        else:
+            with pytest.raises(expected[0]) as info:
+                GateSequence.from_json(obj)
+            assert str(info.value) == expected[1]
+
+
 class TestGateStep:
     def test_elementary_support(self):
         blocks = one_block(3)
@@ -249,6 +356,30 @@ class TestCompileExact:
             phases = sum(1 for s in seq.steps if s.kind == "p")
             assert two_level <= sum(d * (d - 1) // 2 for d in blocks.block_sizes())
             assert phases <= sum(blocks.block_sizes())
+
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["haar", "permutation"]))
+    @settings(max_examples=100, deadline=None)
+    def test_random_structures_roundtrip_budget_and_bytes(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        blocks = energy_blocks(*random_resonant_spectra(rng, max_s=4, max_c=5, max_energy=3))
+        if kind == "haar":
+            u = random_energy_preserving_unitary(blocks, seed=int(rng.integers(1 << 31)))
+        else:  # a permutation inside each block: exact phases and swaps
+            u = np.zeros((blocks.joint_dim,) * 2, dtype=complex)
+            for _, idx in blocks.blocks:
+                flats = [blocks.flat(p) for p in idx]
+                u[flats, rng.permutation(flats)] = 1.0
+        seq = compile_exact(u, blocks)
+        assert np.linalg.norm(reconstruct(seq) - u) < 1e-9
+        sizes = blocks.block_sizes()
+        assert seq.count("givens") <= sum(d * (d - 1) // 2 for d in sizes)
+        assert seq.count("p") <= sum(sizes)
+        assert seq.count("givens") + seq.count("p") == len(seq)
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "seq.json")
+            seq.save(path)
+            with open(path) as f:
+                assert f.read() == json.dumps(seq.to_json(), indent=1)
 
     def test_rejects_block_coupling(self):
         s = Spectrum.from_energies([0.0, 1.0])
@@ -601,3 +732,30 @@ class TestSequenceJson:
             path = tmp_path / f"{seq.method}.json"
             seq.save(str(path))
             assert path.read_text() == json.dumps(seq.to_json(), indent=1)
+
+    @given(st.sampled_from(["trotter", "bch", "nested"]), st.integers(1, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_repeated_slices_save_json_dump_bytes(self, method, m):
+        seq = periodic_builders()[method](m)
+        assert seq.repeat == m and len(seq) == m * len(seq.steps[:len(seq) // m])
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "seq.json")
+            seq.save(path)
+            with open(path) as f:
+                text = f.read()
+            loaded = GateSequence.from_json(path)
+        assert text == json.dumps(seq.to_json(), indent=1)
+        assert (loaded.repeat, len(loaded), loaded.trotter_m) == (1, len(seq), m)
+        for got, want in zip(loaded.steps, seq.steps):
+            assert (got.kind, got.indices, got.param) == (want.kind, want.indices, want.param)
+        assert np.linalg.norm(reconstruct(loaded) - reconstruct(seq)) < 1e-12 * m
+
+    def test_repeated_handcrafted_slice(self, tmp_path):
+        swap = GateStep("givens", ((0, 0), (1, 1)), u2=np.array([[0, 1j], [1j, 0]]))
+        phase = GateStep("p", ((0, 1),), param=-0.25)
+        seq = GateSequence(steps=[swap, phase] * 3, method="handcrafted", dims=(2, 2),
+                           trotter_m=3)
+        assert seq.repeat == 3
+        path = tmp_path / "seq.json"
+        seq.save(str(path))
+        assert path.read_text() == json.dumps(seq.to_json(), indent=1)

@@ -15,8 +15,8 @@ from thermoforge import (
     lie_closure,
     rank2_basis,
 )
-from thermoforge.errors import CapacityError, PreconditionError
-from util import random_resonant_spectra, reference_lie_closure
+from thermoforge.errors import CapacityError, DomainError, PreconditionError
+from util import random_antihermitian, random_resonant_spectra, reference_lie_closure
 
 LN2 = math.log(2.0)
 
@@ -143,7 +143,49 @@ def closure_inputs(draw):
     return inputs, blocks.dims
 
 
+@st.composite
+def gaussian_inputs(draw):
+    """(inputs, supports): 1-4 Gaussian anti-Hermitian matrices, each on a
+    random set of 2 or 3 levels out of n <= 6."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 6))
+    inputs, supports = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        levels = rng.choice(n, size=int(rng.integers(2, min(3, n) + 1)), replace=False)
+        k = np.zeros((n, n), dtype=complex)
+        k[np.ix_(levels, levels)] = random_antihermitian(rng, len(levels))
+        inputs.append(k)
+        supports.append(set(levels.tolist()))
+    return inputs, supports
+
+
+def component_sizes(supports):
+    """Level counts d_c of the connected components of the supports."""
+    comps = []
+    for levels in supports:
+        joined = [c for c in comps if c & levels]
+        comps = [c for c in comps if not c & levels] + [set(levels).union(*joined)]
+    return [len(c) for c in comps]
+
+
 class TestLieClosure:
+    @settings(max_examples=300, deadline=None)
+    @given(gaussian_inputs())
+    def test_gaussian_inputs_stay_within_block_algebra(self, case):
+        # The closure lies in the direct sum of u(d_c) over the support
+        # components, of real dimension sum d_c^2.
+        inputs, supports = case
+        bound = sum(d * d for d in component_sizes(supports))
+        assert lie_closure(inputs, max_dim=10_000) <= bound
+
+    def test_rejects_non_antihermitian_input(self):
+        k = np.zeros((3, 3), dtype=complex)
+        k[0, 1] = k[1, 0] = 1.0  # Hermitian
+        with pytest.raises(DomainError, match="anti-Hermitian"):
+            lie_closure([k])
+        with pytest.raises(DomainError, match="anti-Hermitian"):
+            lie_closure([np.diag([1.0, 0.0, 0.0])])
+
     def test_empty(self):
         assert lie_closure([], max_dim=10) == 0
 

@@ -8,7 +8,7 @@ from thermoforge import (
     energy_blocks,
     gibbs_state,
 )
-from thermoforge.errors import CapacityError
+from thermoforge.errors import CapacityError, ShapeError
 from thermoforge.generators import _to_matrix
 from thermoforge.thermal import ENERGY_TOL
 
@@ -71,6 +71,22 @@ def reference_cooling_populations(d, p):
         (sa, ca), (sb, cb) = step.indices
         q[sa, ca], q[sb, cb] = q[sb, cb], q[sa, ca]
     return q
+
+
+def reference_apply_gates(seq, x, conjugate=False):
+    """Gate-by-gate kernel: every step is resolved (and its indices checked)
+    before x is touched, then its two rows (and, when conjugating, its two
+    columns) are updated in place, steps[0] first."""
+    n = seq.dims[0] * seq.dims[1]
+    if x.shape[0] != n or (conjugate and x.shape != (n, n)):
+        raise ShapeError(f"operand shape {x.shape} does not match sequence dims {seq.dims}")
+    if x.dtype != complex:
+        raise TypeError(f"gates update a complex array in place, got {x.dtype}")
+    for flats, block in [step.local(seq.dims) for step in seq.steps]:
+        x[flats] = block @ x[flats]
+        if conjugate:
+            x[:, flats] = x[:, flats] @ block.conj().T
+    return x
 
 
 def reference_max_ground_population(p, spec_s, spec_c):

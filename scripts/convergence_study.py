@@ -33,8 +33,8 @@ def main() -> int:
     s = Spectrum.from_energies([0.0])
     c = Spectrum.from_energies([0.0, 0.0])
     blocks = energy_blocks(s, c)
-    e, idx = blocks.blocks[0]
-    a, b = sorted(idx)
+    e = float(blocks.reps[0])
+    a, b = blocks.pairs(blocks.members(0))
     gh = ElementaryGenerator("h", e, a, b)
     gm = ElementaryGenerator("m", e, a, b)
     jm, km = gh.matrix(blocks.dims), gm.matrix(blocks.dims)

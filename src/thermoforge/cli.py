@@ -30,7 +30,7 @@ from .errors import (
 from .linalg import frobenius_distance
 from .majorization import max_ground_population_TO, thermo_curve, thermo_majorizes
 from .channels import run_gc_eto
-from .thermal import DiagonalState, Spectrum, energy_blocks
+from .thermal import DiagonalState, Spectrum, energy_blocks, gibbs_state
 from .verify import SUITES, run_suites
 
 DEFAULT_SEED = 7
@@ -137,9 +137,11 @@ def cmd_compile(args) -> int:
 # ---------------------------------------------------------------- cool
 
 def _cool_row(d: int) -> dict:
-    final, inv = cooling.run_cooling(d)
+    catalyst = cooling.build_cooling_catalyst(d)
+    tau_c = gibbs_state(catalyst)
+    final, inv = cooling.run_cooling(d, tau_c=tau_c)
     oracle = max_ground_population_TO(cooling.DEFAULT_INPUT, cooling.SYSTEM_SPECTRUM,
-                                      cooling.build_cooling_catalyst(d))
+                                      catalyst, tau_c=tau_c)
     g, e1, e2 = (float(x) for x in final.populations)
     to_limit_dev = abs(oracle - g)
     return {

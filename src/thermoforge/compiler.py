@@ -80,8 +80,8 @@ def compile_exact(u, blocks: EnergyBlocks, tol: float = 1e-9) -> GateSequence:
     _require_energy_preserving(u, blocks, tol)
     phases: list[tuple[int, float]] = []  # (flat level, param)
     givens: list[tuple[int, int, np.ndarray]] = []  # (flat levels, R with R† emitted)
-    for energy, idx in blocks.blocks:
-        flats = [blocks.flat(p) for p in sorted(idx)]
+    for _, members in blocks.items():
+        flats = members.tolist()
         d = len(flats)
         a = u[np.ix_(flats, flats)].copy()
         block_rots = []
@@ -253,10 +253,10 @@ def _rank2_combination(k: np.ndarray, blocks: EnergyBlocks) -> GeneratorCombinat
     f-type commutators and one g_diag per block for the diagonal part."""
     linear: list[tuple[ElementaryGenerator, float]] = []
     comms: list[tuple[ElementaryGenerator, ElementaryGenerator, float]] = []
-    for energy, idx in blocks.blocks:
-        idx = sorted(idx)
+    for energy, members in blocks.items():
+        idx = blocks.pairs(members)
         d = len(idx)
-        flats = [blocks.flat(p) for p in idx]
+        flats = members.tolist()
         diag = np.array([np.imag(k[f, f]) for f in flats])
         if d == 1:
             if abs(diag[0]) > 1e-12:

@@ -46,7 +46,9 @@ def build_cooling_catalyst(d: int) -> Spectrum:
         raise DomainError(f"catalyst parameter must be >= 1, got {d}")
     if d > MAX_D_DIAGONAL:
         raise CapacityError(f"catalyst parameter {d} exceeds the diagonal-path cap")
-    return Spectrum(tuple((n * E_UNIT, g) for n in range(d) for g in range(1 << n)))
+    shells = 1 << np.arange(d)  # 2^n levels at energy n*E, from index 2^n - 1
+    return Spectrum.from_arrays(np.repeat(np.arange(d) * E_UNIT, shells),
+                                np.arange((1 << d) - 1) - np.repeat(shells - 1, shells))
 
 
 def _swap_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -100,10 +102,13 @@ def build_cooling_instance(d: int) -> CoolingInstance:
 
 
 def run_cooling(d: int, p: DiagonalState | None = None,
-                ctx: ThermalContext = ThermalContext()) -> tuple[DiagonalState, float]:
+                ctx: ThermalContext = ThermalContext(),
+                tau_c: DiagonalState | None = None) -> tuple[DiagonalState, float]:
     """Diagonal fast path: apply the swap permutation to the population
     vector of p ⊗ tau_C.
 
+    tau_c is the catalyst's Gibbs state, for a caller that already has it;
+    by default it is built from build_cooling_catalyst(d) and ctx.
     Returns the final system marginal and the mean population of the
     untouched top-energy joint levels (all equal for the default input).
     """
@@ -113,8 +118,11 @@ def run_cooling(d: int, p: DiagonalState | None = None,
         raise DomainError("cooling input must be a qutrit population vector")
     if d < 2:
         raise DomainError(f"cooling needs d >= 2, got {d}")
-    catalyst = build_cooling_catalyst(d)
-    gamma = gibbs_state(catalyst, ctx).populations
+    if tau_c is None:
+        tau_c = gibbs_state(build_cooling_catalyst(d), ctx)
+    if tau_c.dim != (1 << d) - 1:
+        raise DomainError(f"catalyst state dim {tau_c.dim} != {(1 << d) - 1} for d = {d}")
+    gamma = tau_c.populations
     q = np.outer(p.populations, gamma)  # q[s, c]
     a, b = _swap_pairs(d)
     flat = q.reshape(-1)  # a view: q is C-contiguous

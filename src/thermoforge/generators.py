@@ -80,8 +80,8 @@ def enumerate_basis(blocks: EnergyBlocks, include_rank1: bool = True) -> list[El
     the off-diagonal h/m pairs remain: sum of d(d-1).
     """
     out: list[ElementaryGenerator] = []
-    for energy, idx in blocks.blocks:
-        idx = sorted(idx)
+    for energy, members in blocks.items():
+        idx = blocks.pairs(members)
         for i in range(len(idx)):
             for j in range(i + 1, len(idx)):
                 out.append(ElementaryGenerator("h", energy, idx[i], idx[j]))
@@ -98,15 +98,15 @@ def rank2_basis(blocks: EnergyBlocks) -> list[ElementaryGenerator]:
     Requires every block to have size >= 2; tensor a two-dimensional
     zero-Hamiltonian catalyst first if the structure has singletons.
     """
-    for energy, idx in blocks.blocks:
-        if len(idx) < 2:
+    for energy, size in zip(blocks.reps.tolist(), blocks.block_sizes()):
+        if size < 2:
             raise PreconditionError(
                 f"block at energy {energy} is a singleton; append a "
                 "two-level zero-energy catalyst to double it first"
             )
     out: list[ElementaryGenerator] = []
-    for energy, idx in blocks.blocks:
-        idx = sorted(idx)
+    for energy, members in blocks.items():
+        idx = blocks.pairs(members)
         for i in range(len(idx)):
             for j in range(i + 1, len(idx)):
                 out.append(ElementaryGenerator("h", energy, idx[i], idx[j]))

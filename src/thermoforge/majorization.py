@@ -51,7 +51,7 @@ def thermo_curve(p: DiagonalState, spec: Spectrum,
         raise DomainError(f"state dim {p.dim} != spectrum dim {spec.dim}")
     gamma = gibbs_state(spec, ctx).populations
     ratios = p.populations / gamma
-    order = sorted(range(spec.dim), key=lambda i: (-ratios[i], i))
+    order = np.argsort(-ratios, kind="stable")
     xs = np.concatenate([[0.0], np.cumsum(gamma[order])])
     ys = np.concatenate([[0.0], np.cumsum(p.populations[order])])
     # Guard the invariants against accumulated rounding at the endpoints.
@@ -71,25 +71,37 @@ def thermo_majorizes(p: DiagonalState, q: DiagonalState, spec: Spectrum,
 
 
 def max_ground_population_TO(p: DiagonalState, spec_s: Spectrum, spec_c: Spectrum,
-                             ctx: ThermalContext = ThermalContext()) -> float:
+                             ctx: ThermalContext = ThermalContext(),
+                             tau_c: DiagonalState | None = None) -> float:
     """Highest system ground population achievable with any energy-preserving
     unitary on system ⊗ bath(spec_c).
 
     Within each degenerate joint block any permutation is allowed, and a
     coordinate-subset sum over doubly stochastic images is maximized at a
     permutation: greedily assign each block's largest populations to its
-    ground-system slots.
+    ground-system slots.  One segmented sort orders every block's joint
+    weights p_s * gamma_c largest first; each block then sums its first k,
+    k its number of s = 0 members.  tau_c is the bath's Gibbs state, for a
+    caller that already has it; by default it is built from spec_c and ctx.
     """
     if p.dim != spec_s.dim:
         raise DomainError(f"state dim {p.dim} != system dim {spec_s.dim}")
-    gamma = gibbs_state(spec_c, ctx).populations
+    if tau_c is None:
+        tau_c = gibbs_state(spec_c, ctx)
+    if tau_c.dim != spec_c.dim:
+        raise DomainError(f"bath state dim {tau_c.dim} != bath dim {spec_c.dim}")
     blocks = energy_blocks(spec_s, spec_c)
+    w = np.outer(p.populations, tau_c.populations).ravel()[blocks.order]
+    sizes = np.diff(blocks.offsets)
+    bid = np.repeat(np.arange(len(sizes)), sizes)
+    w = w[np.lexsort((-w, bid))]
+    ground = np.bincount(bid[blocks.order < spec_c.dim], minlength=len(sizes))  # s = 0
     total = 0.0
-    for _, idx in blocks.blocks:
-        flat_pairs = np.fromiter(itertools.chain.from_iterable(idx), int, 2 * len(idx))
-        s, c = flat_pairs.reshape(-1, 2).T
-        pops = np.sort(p.populations[s] * gamma[c])[::-1]
-        total += pops[:np.count_nonzero(s == 0)].sum()
+    # One slice sum per block, in block order: np.add.reduceat would
+    # round differently from summing each slice on its own.
+    for a, k in zip(blocks.offsets.tolist(), ground.tolist()):
+        if k:
+            total += w[a:a + k].sum()
     return float(total)
 
 

@@ -9,10 +9,25 @@ by spectrum labels and joint energy blocks: sort the energies; a group's
 representative is its smallest member, and the next group starts at the
 first energy >= representative + ENERGY_TOL.  A run of small steps is
 therefore split every ENERGY_TOL rather than chained into one group.
+
+Storage is array-backed.  A Spectrum holds two read-only arrays,
+`energies` (float) and `labels` (int, the degeneracy label of each
+level).  EnergyBlocks holds the joint partition in CSR form:
+
+    order    flat joint indices s * dims[1] + c, sorted by block and
+             ascending within a block
+    offsets  block b is order[offsets[b]:offsets[b + 1]]
+    reps     each block's representative energy, ascending
+
+Only `Spectrum.levels` ((energy, label) pairs) and `EnergyBlocks.blocks`
+((energy, ((s, c), ...)) per block) are tuples; both are views built on
+first use for the JSON and test boundary, and nothing in the library
+reads them.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -24,36 +39,35 @@ from .linalg import as_operator, is_unitary
 ENERGY_TOL = 1e-9
 
 
-def _energy_groups(energies) -> tuple[np.ndarray, np.ndarray]:
-    """Tolerance groups of an energy array, by the rule in the module docstring.
-
-    Returns the group id of every entry (groups numbered by ascending
-    representative) and each group's representative energy.
+def _energy_groups(energies: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tolerance groups of an energy array, by the rule in the module
+    docstring, in CSR form: (order, offsets, reps) with group k holding the
+    entries order[offsets[k]:offsets[k + 1]] in ascending index order.
+    Groups are numbered by ascending representative `reps[k]`.
     """
-    e = np.asarray(energies, dtype=float)
-    order = np.argsort(e, kind="stable")
-    s = e[order]
-    # nextafter keeps equal energies together where ENERGY_TOL is below an ulp.
-    thresholds = np.maximum(s + ENERGY_TOL, np.nextafter(s, np.inf))
+    order = np.argsort(energies, kind="stable")
+    s = energies[order]
     starts = []
     i = 0
     while i < len(s):
         starts.append(i)
-        i = max(i + 1, int(np.searchsorted(s, thresholds[i])))
-    sorted_gid = np.zeros(len(s), dtype=int)
-    sorted_gid[starts[1:]] = 1
-    gid = np.empty(len(s), dtype=int)
-    gid[order] = np.cumsum(sorted_gid)
-    return gid, s[starts]
+        rep = float(s[i])
+        # nextafter keeps equal energies together where ENERGY_TOL is below an ulp.
+        i = max(i + 1, int(np.searchsorted(s, max(rep + ENERGY_TOL, math.nextafter(rep, math.inf)))))
+    offsets = np.array(starts + [len(s)])
+    # The stable energy sort leaves a group in index order unless its
+    # members differ in energy; only then is a second sort needed.
+    opens = np.zeros(len(s), dtype=bool)
+    opens[starts] = True
+    if np.any((np.diff(order) < 0) & ~opens[1:]):
+        gid = np.repeat(np.arange(len(starts)), np.diff(offsets))
+        order = order[np.lexsort((order, gid))]
+    return order, offsets, s[starts]
 
 
-def _ranks_within(sorted_gid: np.ndarray) -> np.ndarray:
-    """0, 1, 2, ... restarting at every new id of a grouped id array."""
-    n = len(sorted_gid)
-    new = np.ones(n, dtype=bool)
-    new[1:] = sorted_gid[1:] != sorted_gid[:-1]
-    starts = np.flatnonzero(new)
-    return np.arange(n) - np.repeat(starts, np.diff(np.append(starts, n)))
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -65,32 +79,29 @@ class ThermalContext:
             raise DomainError(f"beta must be positive, got {self.beta}")
 
 
-@dataclass(frozen=True)
 class Spectrum:
     """An ordered energy list with degeneracy labels.
 
-    The list order defines the basis index used by all matrices.
+    The list order defines the basis index used by all matrices.  Every
+    construction path (levels, energies, arrays, JSON) groups the energies
+    once and checks the same rules: finite energies, nonnegative labels,
+    and labels 0..size-1 within each tolerance group.
     """
 
-    levels: tuple[tuple[float, int], ...]
+    def __init__(self, levels):
+        levels = tuple(levels)
+        self._init(np.array([e for e, _ in levels], dtype=float),
+                   np.array([g for _, g in levels]))
 
-    def __post_init__(self):
-        e = self.energies
-        g = np.array([g for _, g in self.levels])
-        if not np.all(np.isfinite(e)):
-            raise DomainError("spectrum energies must be finite")
-        if np.any(g < 0):
-            raise DomainError("degeneracy labels must be nonnegative")
-        # Within one energy group the labels must be 0..delta-1 with no gaps.
-        gid, reps = _energy_groups(e)
-        order = np.lexsort((g, gid))
-        bad = np.flatnonzero(g[order] != _ranks_within(gid[order]))
-        if len(bad):
-            k = gid[order[bad[0]]]
-            size = np.count_nonzero(gid == k)
-            raise DomainError(
-                f"degeneracy labels at energy {reps[k]} are not 0..{size - 1}"
-            )
+    @classmethod
+    def from_arrays(cls, energies, labels) -> "Spectrum":
+        """A spectrum from an energy array and a label array of one length."""
+        e, g = np.array(energies, dtype=float), np.array(labels)
+        if e.ndim != 1 or g.shape != e.shape:
+            raise ShapeError(f"energies {e.shape} and labels {g.shape} must be flat and of one length")
+        spec = cls.__new__(cls)
+        spec._init(e, g)
+        return spec
 
     @classmethod
     def from_energies(cls, energies) -> "Spectrum":
@@ -98,11 +109,41 @@ class Spectrum:
         e = np.array(energies, dtype=float)
         if e.ndim != 1:
             raise ShapeError(f"energies must be a flat list, got shape {e.shape}")
-        gid, _ = _energy_groups(e)
-        order = np.argsort(gid, kind="stable")
-        labels = np.empty(len(e), dtype=int)
-        labels[order] = _ranks_within(gid[order])
-        return cls(tuple(zip(e.tolist(), labels.tolist())))
+        spec = cls.__new__(cls)
+        spec._init(e, None)
+        return spec
+
+    def _init(self, e: np.ndarray, g: np.ndarray | None) -> None:
+        """Validate and store; g None assigns labels in listed order."""
+        if not np.all(np.isfinite(e)):
+            raise DomainError("spectrum energies must be finite")
+        if g is not None and np.any(g < 0):
+            raise DomainError("degeneracy labels must be nonnegative")
+        order, offsets, reps = _energy_groups(e)
+        sizes = np.diff(offsets)
+        gid = np.repeat(np.arange(len(sizes)), sizes)  # group of each sorted position
+        if g is None:
+            g = np.empty(len(e), dtype=np.int64)
+            g[order] = np.arange(len(e)) - offsets[gid]
+        else:
+            g = _checked_labels(g, order, offsets, reps, gid)
+        object.__setattr__(self, "energies", _read_only(e))
+        object.__setattr__(self, "labels", _read_only(g))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Spectrum is immutable; cannot set {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, Spectrum):
+            return NotImplemented
+        return (np.array_equal(self.energies, other.energies)
+                and np.array_equal(self.labels, other.labels))
+
+    def __hash__(self):
+        return hash(self.levels)
+
+    def __repr__(self):
+        return f"Spectrum({self.levels!r})"
 
     @classmethod
     def from_json(cls, obj) -> "Spectrum":
@@ -116,24 +157,39 @@ class Spectrum:
         raise DomainError("spectrum JSON needs an 'energies' or 'levels' key")
 
     def to_json(self) -> dict:
-        return {"levels": [{"energy": e, "deg": g} for e, g in self.levels]}
+        return {"levels": [{"energy": e, "deg": g}
+                           for e, g in zip(self.energies.tolist(), self.labels.tolist())]}
 
     @property
     def dim(self) -> int:
-        return len(self.levels)
+        return len(self.energies)
 
     @cached_property
-    def energies(self) -> np.ndarray:
-        """Level energies in basis order (read-only)."""
-        e = np.array([e for e, _ in self.levels], dtype=float)
-        e.flags.writeable = False
-        return e
+    def levels(self) -> tuple[tuple[float, int], ...]:
+        """(energy, label) per level, a tuple view built on first use."""
+        return tuple(zip(self.energies.tolist(), self.labels.tolist()))
 
-    def index_of(self, energy: float, deg: int) -> int:
-        for i, (e, g) in enumerate(self.levels):
-            if abs(e - energy) < ENERGY_TOL and g == deg:
-                return i
-        raise ShapeError(f"no level with energy {energy}, deg {deg}")
+
+def _checked_labels(g: np.ndarray, order, offsets, reps, gid) -> np.ndarray:
+    """g as int64 if each group's labels are 0..size-1 in some order.
+
+    Each label that fits its group claims slot offsets[group] + label; the
+    labels are valid iff every slot is claimed exactly once.  Labels known
+    to be nonnegative.
+    """
+    n = len(g)
+    if g.dtype.kind not in "biu":  # a non-integral label fits no slot
+        g = g.astype(float)
+        g = np.where(np.isfinite(g) & (g == np.round(g)), g, n)
+    g = np.minimum(g, n).astype(np.int64)
+    sizes = np.diff(offsets)
+    sorted_g = g[order]
+    slot = np.where(sorted_g < sizes[gid], offsets[gid] + sorted_g, n)
+    bad = np.flatnonzero(np.bincount(slot, minlength=n + 1)[:n] != 1)
+    if len(bad):
+        k = gid[bad[0]]
+        raise DomainError(f"degeneracy labels at energy {reps[k]} are not 0..{sizes[k] - 1}")
+    return g
 
 
 @dataclass(frozen=True)
@@ -160,11 +216,14 @@ class DiagonalState:
         return np.diag(self.populations).astype(complex)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnergyBlocks:
-    """Partition of the joint (system, catalyst) index set by total energy."""
+    """Partition of the joint (system, catalyst) index set by total
+    energy, in the CSR form of the module docstring."""
 
-    blocks: tuple[tuple[float, tuple[tuple[int, int], ...]], ...]
+    order: np.ndarray
+    offsets: np.ndarray
+    reps: np.ndarray
     dims: tuple[int, int]
 
     @property
@@ -175,16 +234,35 @@ class EnergyBlocks:
         s, c = pair
         return s * self.dims[1] + c
 
+    def pairs(self, flats) -> list[tuple[int, int]]:
+        """(system, catalyst) index pair of each flat joint index."""
+        s, c = np.divmod(np.asarray(flats), self.dims[1])
+        return list(zip(s.tolist(), c.tolist()))
+
+    def members(self, b: int) -> np.ndarray:
+        """Flat joint indices of block b, ascending (a view of `order`)."""
+        return self.order[self.offsets[b]:self.offsets[b + 1]]
+
+    def items(self):
+        """(representative energy, members) of each block, in block order."""
+        return zip(self.reps.tolist(), np.split(self.order, self.offsets[1:-1]))
+
     def block_sizes(self) -> list[int]:
-        return [len(idx) for _, idx in self.blocks]
+        return np.diff(self.offsets).tolist()
 
     def block_of_flat(self) -> np.ndarray:
         """Block id per flat joint index."""
         out = np.empty(self.joint_dim, dtype=int)
-        for b, (_, idx) in enumerate(self.blocks):
-            for pair in idx:
-                out[self.flat(pair)] = b
+        out[self.order] = np.repeat(np.arange(len(self.reps)), np.diff(self.offsets))
         return out
+
+    @cached_property
+    def blocks(self) -> tuple[tuple[float, tuple[tuple[int, int], ...]], ...]:
+        """(energy, ((s, c), ...)) per block, a tuple view built on first use."""
+        pairs = self.pairs(self.order)
+        bounds = self.offsets.tolist()
+        return tuple((e, tuple(pairs[a:b]))
+                     for e, a, b in zip(self.reps.tolist(), bounds, bounds[1:]))
 
 
 def gibbs_state(spec: Spectrum, ctx: ThermalContext = ThermalContext()) -> DiagonalState:
@@ -196,18 +274,13 @@ def gibbs_state(spec: Spectrum, ctx: ThermalContext = ThermalContext()) -> Diago
 def energy_blocks(spec_s: Spectrum, spec_c: Spectrum) -> EnergyBlocks:
     """Group joint indices (i, j) by total energy E_i + E_j (ENERGY_TOL).
 
-    Blocks are ordered by representative energy, pairs within a block by
-    (i, j).
+    Blocks are ordered by representative energy, indices within a block
+    ascending, i.e. by (i, j).
     """
-    gid, reps = _energy_groups(np.add.outer(spec_s.energies, spec_c.energies).ravel())
-    order = np.argsort(gid, kind="stable")
-    s, c = np.divmod(order, spec_c.dim)
-    pairs = list(zip(s.tolist(), c.tolist()))
-    ends = np.cumsum(np.bincount(gid, minlength=len(reps))).tolist()
-    return EnergyBlocks(
-        tuple((e, tuple(pairs[a:b])) for e, a, b in zip(reps.tolist(), [0] + ends, ends)),
-        dims=(spec_s.dim, spec_c.dim),
-    )
+    order, offsets, reps = _energy_groups(
+        np.add.outer(spec_s.energies, spec_c.energies).ravel())
+    return EnergyBlocks(_read_only(order), _read_only(offsets), _read_only(reps),
+                        dims=(spec_s.dim, spec_c.dim))
 
 
 def random_energy_preserving_unitary(blocks: EnergyBlocks, seed: int) -> np.ndarray:
@@ -215,12 +288,11 @@ def random_energy_preserving_unitary(blocks: EnergyBlocks, seed: int) -> np.ndar
     rng = np.random.default_rng(seed)
     n = blocks.joint_dim
     u = np.zeros((n, n), dtype=complex)
-    for _, idx in blocks.blocks:
-        d = len(idx)
+    for _, flats in blocks.items():
+        d = len(flats)
         z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         q, r = np.linalg.qr(z)
         q = q * (np.diag(r) / np.abs(np.diag(r)))
-        flats = [blocks.flat(p) for p in idx]
         u[np.ix_(flats, flats)] = q
     return u
 

@@ -136,9 +136,8 @@ def suite_generators(seed: int, trials: int) -> list[CheckResult]:
     closure_ok &= lie_closure(enumerate_basis(blocks), max_dim=4 * expected, dims=blocks.dims) == expected
     closure_ok &= lie_closure(rank2_basis(blocks), max_dim=4 * expected, dims=blocks.dims) == expected
     # p = -1/2 (f + g) on one block pair.
-    _, idx = blocks.blocks[1]
-    a, b = sorted(idx)[:2]
-    e = blocks.blocks[1][0]
+    a, b = blocks.pairs(blocks.members(1)[:2])
+    e = float(blocks.reps[1])
     h = ElementaryGenerator("h", e, a, b).matrix(blocks.dims)
     mm = ElementaryGenerator("m", e, a, b).matrix(blocks.dims)
     g = ElementaryGenerator("g_diag", e, a, b).matrix(blocks.dims)
@@ -172,9 +171,8 @@ def suite_compiler(seed: int, trials: int) -> list[CheckResult]:
     spec_s = Spectrum.from_energies([0.0, 1.0])
     spec_c = Spectrum.from_energies([0.0, 1.0])
     blocks = energy_blocks(spec_s, spec_c)
-    _, idx = blocks.blocks[1]
-    a, b = sorted(idx)[:2]
-    e = blocks.blocks[1][0]
+    a, b = blocks.pairs(blocks.members(1)[:2])
+    e = float(blocks.reps[1])
     gh = ElementaryGenerator("h", e, a, b)
     gm = ElementaryGenerator("m", e, a, b)
     pa = ElementaryGenerator("p", e, a, a)

@@ -159,6 +159,23 @@ class TestCool:
             assert check["tolerance"] == 1e-12
             assert check["pass"] is row["to_limit_check"] is True
 
+    def test_one_catalyst_per_row(self, capsys, monkeypatch):
+        from thermoforge import cooling
+        built = []
+        original = cooling.build_cooling_catalyst
+        monkeypatch.setattr(cooling, "build_cooling_catalyst",
+                            lambda d: built.append(d) or original(d))
+        code, _, _ = run_cli(capsys, ["cool", "--sweep", "3..5"])
+        assert code == 0
+        assert built == [3, 4, 5]
+
+    def test_sweep_up_to_the_cap(self, capsys):
+        code, report, _ = run_cli(capsys, ["cool", "--sweep", "18..20"])
+        assert code == 0
+        checks = {c["name"]: c["pass"] for c in report["checks"]}
+        assert [checks[f"to_limit_check_D{d}"] for d in (18, 19, 20)] == [True] * 3
+        assert all(checks.values())
+
     def test_d2_values(self, capsys):
         code, report, _ = run_cli(capsys, ["cool", "--D", "2"])
         assert code == 0

@@ -134,12 +134,28 @@ class TestRun:
     def test_matches_to_oracle(self):
         # the handcrafted sequence attains the best any thermal operation
         # with this catalyst-as-bath can do
-        for d in range(2, 7):
+        for d in range(2, 21):
             final, _ = run_cooling(d)
             cat = build_cooling_catalyst(d)
             bound = max_ground_population_TO(DEFAULT_INPUT, SYSTEM_SPECTRUM, cat)
             assert abs(final.populations[0] - bound) < 1e-12
             assert final.populations[0] <= bound + 1e-12
+
+    def test_given_catalyst_state(self):
+        tau = gibbs_state(build_cooling_catalyst(7))
+        final, inv = run_cooling(7, tau_c=tau)
+        ref_final, ref_inv = run_cooling(7)
+        assert np.array_equal(final.populations, ref_final.populations)
+        assert inv == ref_inv
+        with pytest.raises(DomainError):
+            run_cooling(6, tau_c=tau)
+
+    def test_catalyst_arrays_match_listed_levels(self):
+        for d in (1, 2, 5, 9):
+            listed = Spectrum(tuple((n * E_UNIT, g) for n in range(d) for g in range(1 << n)))
+            cat = build_cooling_catalyst(d)
+            assert cat == listed
+            assert cat.energies.tobytes() == listed.energies.tobytes()
 
     def test_gibbs_input_is_fixed(self):
         tau = gibbs_state(SYSTEM_SPECTRUM)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from thermoforge import (
@@ -185,6 +185,28 @@ class TestGroundPopulationOracle:
             p = random_populations(rng, sys.dim)
             got = max_ground_population_TO(DiagonalState(p), sys, cat)
             assert abs(got - reference_max_ground_population(p, sys, cat)) < 1e-14
+
+    @given(st.lists(st.integers(0, 3), min_size=1, max_size=4),
+           st.lists(st.integers(0, 3), min_size=1, max_size=7),
+           st.lists(st.integers(0, 20), min_size=4, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_on_resonant_spectra(self, es, ec, weights):
+        assume(sum(weights[:len(es)]) > 0)
+        sys = Spectrum.from_energies([float(e) for e in es])
+        cat = Spectrum.from_energies([float(e) for e in ec])
+        w = np.array(weights[:len(es)], dtype=float)
+        p = w / w.sum()
+        got = max_ground_population_TO(DiagonalState(p), sys, cat)
+        assert abs(got - reference_max_ground_population(p, sys, cat)) < 1e-14
+
+    def test_given_bath_state_matches_default(self):
+        sys, cat = qutrit(), build_cooling_catalyst(6)
+        p = DiagonalState([0.0, 0.5, 0.5])
+        tau = gibbs_state(cat)
+        assert max_ground_population_TO(p, sys, cat, tau_c=tau) == \
+            max_ground_population_TO(p, sys, cat)
+        with pytest.raises(DomainError):
+            max_ground_population_TO(p, sys, cat, tau_c=gibbs_state(qutrit()))
 
     def test_dim_mismatch(self):
         with pytest.raises(DomainError):

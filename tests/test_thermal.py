@@ -17,7 +17,7 @@ from thermoforge import (
 )
 from thermoforge.errors import DomainError, ShapeError
 from thermoforge.thermal import ENERGY_TOL
-from util import random_resonant_spectra, reference_energy_blocks
+from util import random_resonant_spectra, reference_energy_blocks, reference_spectrum_error
 
 LN2 = math.log(2.0)
 
@@ -46,6 +46,30 @@ class TestSpectrum:
         assert s.energies is s.energies
         with pytest.raises(ValueError):
             s.energies[0] = 5.0
+
+    def test_array_backed_and_immutable(self):
+        s = Spectrum.from_arrays([1.0, 0.0, 1.0], [1, 0, 0])
+        assert s.labels.tolist() == [1, 0, 0]
+        assert s.labels.dtype == np.int64
+        with pytest.raises(ValueError):
+            s.labels[0] = 0
+        with pytest.raises(AttributeError):
+            s.energies = np.zeros(3)
+        assert s.levels is s.levels
+        assert s == Spectrum(s.levels)
+        assert hash(s) == hash(Spectrum(s.levels))
+        assert s != Spectrum.from_energies([1.0, 0.0, 1.0])  # labels differ
+
+    def test_from_arrays_shape_errors(self):
+        with pytest.raises(ShapeError):
+            Spectrum.from_arrays([[0.0, 1.0]], [0, 0])
+        with pytest.raises(ShapeError):
+            Spectrum.from_arrays([0.0, 1.0], [0])
+
+    def test_non_integral_labels_rejected(self):
+        with pytest.raises(DomainError, match="not 0..0"):
+            Spectrum(((0.0, 0.5),))
+        assert Spectrum(((0.0, 1.0), (0.0, 0.0))).labels.tolist() == [1, 0]
 
     def test_tolerance_group_starts_at_representative_plus_tol(self):
         # 6e-10 and 0 lie within ENERGY_TOL of the smallest member 0; 1.2e-9
@@ -92,6 +116,96 @@ class TestToleranceGroups:
         assert sum(blocks.block_sizes()) == s.dim
         for _, idx in blocks.blocks:
             assert [s.levels[i][1] for i, _ in idx] == list(range(len(idx)))
+
+
+class TestCsrBlocks:
+    """The CSR arrays (order, offsets, reps) and block_of_flat against the
+    double-loop reference, on tolerance-chain spectra too."""
+
+    @staticmethod
+    def _expected(es, ec):
+        ref = reference_energy_blocks(es, ec)
+        order = [i * len(ec) + j for _, idx in ref for i, j in idx]
+        offsets = np.cumsum([0] + [len(idx) for _, idx in ref]).tolist()
+        bid = np.empty(len(es) * len(ec), dtype=int)
+        bid[order] = np.repeat(np.arange(len(ref)), np.diff(offsets))
+        return order, offsets, [e for e, _ in ref], bid.tolist()
+
+    def _check(self, es, ec):
+        blocks = energy_blocks(Spectrum.from_energies(es), Spectrum.from_energies(ec))
+        order, offsets, reps, bid = self._expected(es, ec)
+        assert blocks.order.tolist() == order
+        assert blocks.offsets.tolist() == offsets
+        assert blocks.reps.tolist() == reps
+        assert blocks.block_of_flat().tolist() == bid
+        assert blocks.block_sizes() == np.diff(offsets).tolist()
+        for arr in (blocks.order, blocks.offsets, blocks.reps):
+            assert not arr.flags.writeable
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_tolerance_spectra(self, data):
+        energies = data.draw(energy_lists(9))
+        es = energies[: data.draw(st.integers(1, len(energies)))]
+        ec = data.draw(st.sampled_from([energies, energies[::-1], [0.0]]))
+        self._check(es, ec)
+
+    @given(st.lists(st.integers(0, 3), min_size=1, max_size=5),
+           st.lists(st.integers(0, 3), min_size=1, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_resonant_spectra(self, es, ec):
+        self._check([float(e) for e in es], [float(e) for e in ec])
+
+
+def level_lists(max_size):
+    """(energy, label) lists hitting every rejection: non-finite energies,
+    negative labels, gaps and repeats within a tolerance group."""
+    energy = st.one_of(
+        st.integers(0, 2).map(float),
+        st.integers(0, 6).map(lambda k: k * 0.3 * ENERGY_TOL),
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+    )
+    return st.lists(st.tuples(energy, st.integers(-1, 3)), max_size=max_size)
+
+
+class TestConstructionPaths:
+    @given(level_lists(8))
+    @settings(max_examples=300, deadline=None)
+    def test_levels_path_rejects_what_the_reference_rejects(self, levels):
+        expected = reference_spectrum_error(levels)
+        if expected is None:
+            assert Spectrum(tuple(levels)).dim == len(levels)
+        else:
+            with pytest.raises(DomainError) as err:
+                Spectrum(tuple(levels))
+            assert str(err.value) == expected
+
+    @given(level_lists(8))
+    @settings(max_examples=300, deadline=None)
+    def test_array_path_rejects_exactly_what_levels_path_rejects(self, levels):
+        energies = np.array([e for e, _ in levels], dtype=float)
+        labels = np.array([g for _, g in levels], dtype=int)
+        try:
+            want = Spectrum(tuple(levels))
+        except DomainError as e:
+            with pytest.raises(DomainError) as err:
+                Spectrum.from_arrays(energies, labels)
+            assert str(err.value) == str(e)
+        else:
+            got = Spectrum.from_arrays(energies, labels)
+            assert got == want
+            assert got.levels == want.levels
+
+    @given(st.lists(st.one_of(st.integers(0, 2).map(float),
+                              st.sampled_from([math.nan, math.inf])), max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_from_energies_checks_finiteness(self, energies):
+        if all(map(math.isfinite, energies)):
+            s = Spectrum.from_energies(energies)
+            assert reference_spectrum_error(s.levels) is None
+        else:
+            with pytest.raises(DomainError, match="finite"):
+                Spectrum.from_energies(energies)
 
 
 class TestGibbs:

@@ -5,7 +5,6 @@ from thermoforge import (
     Spectrum,
     build_cooling_catalyst,
     build_cooling_sequence,
-    energy_blocks,
     gibbs_state,
 )
 from thermoforge.errors import CapacityError, ShapeError
@@ -62,6 +61,29 @@ def reference_energy_blocks(es, ec):
     return tuple((e, tuple(sorted(idx))) for e, idx in blocks)
 
 
+def reference_spectrum_error(levels):
+    """The DomainError message Spectrum(levels) must raise, or None.
+
+    Energies must be finite and labels nonnegative; within each tolerance
+    group (grouped as in reference_energy_blocks) the labels must be
+    0..size-1 in some order."""
+    energies = [float(e) for e, _ in levels]
+    if not all(np.isfinite(energies)):
+        return "spectrum energies must be finite"
+    if any(g < 0 for _, g in levels):
+        return "degeneracy labels must be nonnegative"
+    groups = []  # [representative, labels]
+    for e, g in sorted(((float(e), g) for e, g in levels), key=lambda t: t[0]):
+        if groups and abs(e - groups[-1][0]) < ENERGY_TOL:
+            groups[-1][1].append(g)
+        else:
+            groups.append((e, [g]))
+    for rep, labels in groups:
+        if sorted(labels) != list(range(len(labels))):
+            return f"degeneracy labels at energy {rep} are not 0..{len(labels) - 1}"
+    return None
+
+
 def reference_cooling_populations(d, p):
     """Joint populations q[s, c] of p ⊗ tau_C after swapping entries gate by
     gate over build_cooling_sequence(d)."""
@@ -94,7 +116,7 @@ def reference_max_ground_population(p, spec_s, spec_c):
     one per ground-system (s = 0) slot, with Python lists."""
     gamma = gibbs_state(spec_c).populations
     total = 0.0
-    for _, idx in energy_blocks(spec_s, spec_c).blocks:
+    for _, idx in reference_energy_blocks(spec_s.energies, spec_c.energies):
         pops = sorted((p[s] * gamma[c] for s, c in idx), reverse=True)
         total += sum(pops[:sum(1 for s, _ in idx if s == 0)])
     return total

@@ -6,7 +6,6 @@ from .channels import (
     apply_TO,
     beta_swap,
     classify_catalysis,
-    mix_states,
     run_gc_eto,
     thermalize,
 )
@@ -28,7 +27,7 @@ from .cooling import (
 )
 from .gates import GateSequence, GateStep, apply_gates
 from .generators import ElementaryGenerator, enumerate_basis, lie_closure, rank2_basis
-from .linalg import distance, expm_skew, kron, partial_trace, trace_distance
+from .linalg import expm_skew, kron, partial_trace, trace_distance
 from .majorization import (
     ThermoCurve,
     eto_reach_search,
@@ -40,7 +39,6 @@ from .thermal import (
     DiagonalState,
     EnergyBlocks,
     Spectrum,
-    ThermalContext,
     energy_blocks,
     gibbs_state,
     is_energy_preserving,

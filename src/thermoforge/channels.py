@@ -9,16 +9,9 @@ import numpy as np
 from .gates import GateSequence, apply_gates
 from .errors import DomainError, ShapeError
 from .linalg import as_operator, kron, partial_trace, trace_distance
-from .thermal import (
-    DiagonalState,
-    Spectrum,
-    ThermalContext,
-    energy_blocks,
-    gibbs_state,
-    is_energy_preserving,
-)
+from .thermal import DiagonalState, Spectrum, energy_blocks, gibbs_state, is_energy_preserving
 
-STRICT_TOL = 1e-10
+STRICT_TOL = 1e-10  # largest catalyst-marginal and product distance of a strict verdict
 
 
 @dataclass(frozen=True)
@@ -32,7 +25,7 @@ class ChannelSpec:
     def __post_init__(self):
         u = as_operator(self.unitary)
         blocks = energy_blocks(self.system, self.bath)
-        if not is_energy_preserving(u, blocks, tol=1e-9):
+        if not is_energy_preserving(u, blocks):
             raise DomainError("channel unitary is not energy-preserving")
         u.flags.writeable = False
         object.__setattr__(self, "unitary", u)
@@ -42,64 +35,57 @@ class ChannelSpec:
 class CatalysisVerdict:
     strict: bool
     correlated: bool
-    approximate_distance: float
     catalyst_marginal_distance: float
     product_defect: float
 
     def approximate(self, epsilon: float) -> bool:
-        return self.approximate_distance <= epsilon
+        return self.catalyst_marginal_distance <= epsilon
 
 
-def apply_TO(rho, channel: ChannelSpec, ctx: ThermalContext = ThermalContext()) -> np.ndarray:
+def apply_TO(rho, channel: ChannelSpec) -> np.ndarray:
     """Tr_bath[U (rho ⊗ tau_bath) U†]."""
     rho = as_operator(rho)
     ds, db = channel.system.dim, channel.bath.dim
     if rho.shape[0] != ds:
         raise ShapeError(f"state dim {rho.shape[0]} != system dim {ds}")
-    tau = gibbs_state(channel.bath, ctx).to_dense()
+    tau = gibbs_state(channel.bath).to_dense()
     joint = channel.unitary @ kron(rho, tau) @ channel.unitary.conj().T
     return partial_trace(joint, (ds, db), keep=0)
 
 
-def beta_swap(p: DiagonalState, spec: Spectrum, i: int, j: int,
-              ctx: ThermalContext = ThermalContext()) -> DiagonalState:
+def beta_swap(p: DiagonalState, spec: Spectrum, i: int, j: int) -> DiagonalState:
     """Extremal two-level thermal map between levels i and j.
 
-    With w = exp(-beta (E_j - E_i)) and E_i <= E_j:
+    With w = exp(-(E_j - E_i)) and E_i <= E_j:
     p_i' = (1-w) p_i + p_j, p_j' = w p_i.
     """
     if not (0 <= i < spec.dim and 0 <= j < spec.dim) or i == j:
         raise ShapeError(f"invalid level pair ({i}, {j}) for dim {spec.dim}")
     if spec.energies[i] > spec.energies[j]:
         i, j = j, i
-    w = float(np.exp(-ctx.beta * (spec.energies[j] - spec.energies[i])))
+    w = float(np.exp(-(spec.energies[j] - spec.energies[i])))
     q = np.array(p.populations)
     q[i], q[j] = (1 - w) * p.populations[i] + p.populations[j], w * p.populations[i]
     return DiagonalState(q)
 
 
-def thermalize(rho, specs: tuple[Spectrum, Spectrum], which: int,
-               ctx: ThermalContext = ThermalContext()) -> np.ndarray:
-    """Replace the selected subsystem by its Gibbs state, dropping all
+def thermalize(rho, specs: tuple[Spectrum, Spectrum], which: int) -> np.ndarray:
+    """Replace subsystem `which` (0 or 1) by its Gibbs state, dropping all
     correlations to it."""
     rho = as_operator(rho)
-    if which in ("first", "system"):
-        which = 0
-    elif which in ("second", "catalyst", "bath"):
-        which = 1
+    if which not in (0, 1):
+        raise ShapeError(f"which must select one of two subsystems, got {which!r}")
     dims = (specs[0].dim, specs[1].dim)
     if rho.shape[0] != dims[0] * dims[1]:
         raise ShapeError(f"state dim {rho.shape[0]} != joint dim {dims[0] * dims[1]}")
-    keep = 1 - which
-    marg = partial_trace(rho, dims, keep=keep)
-    tau = gibbs_state(specs[which], ctx).to_dense()
+    marg = partial_trace(rho, dims, keep=1 - which)
+    tau = gibbs_state(specs[which]).to_dense()
     if which == 1:
         return kron(marg, tau)
     return kron(tau, marg)
 
 
-def classify_catalysis(sigma_sc, mu_c, dims: tuple[int, int],
-                       strict_tol: float = STRICT_TOL) -> CatalysisVerdict:
+def classify_catalysis(sigma_sc, mu_c, dims: tuple[int, int]) -> CatalysisVerdict:
     """Classify a post-process joint state against the catalyst it started
     from: strict (product with exact marginal), correlated (exact marginal,
     correlations allowed); CatalysisVerdict.approximate(epsilon) tests
@@ -113,19 +99,17 @@ def classify_catalysis(sigma_sc, mu_c, dims: tuple[int, int],
     marginal_dist = trace_distance(sigma_c, mu_c)
     product_dist = trace_distance(sigma_sc, kron(sigma_s, mu_c))
     product_defect = trace_distance(sigma_sc, kron(sigma_s, sigma_c))
-    strict = product_dist < strict_tol and marginal_dist < strict_tol
-    correlated = marginal_dist < strict_tol
+    strict = product_dist < STRICT_TOL and marginal_dist < STRICT_TOL
+    correlated = marginal_dist < STRICT_TOL
     return CatalysisVerdict(
         strict=strict,
         correlated=correlated,
-        approximate_distance=marginal_dist,
         catalyst_marginal_distance=marginal_dist,
         product_defect=product_defect,
     )
 
 
 def run_gc_eto(rho_s, catalyst: Spectrum, seq: GateSequence,
-               ctx: ThermalContext = ThermalContext(),
                rethermalize: bool = True,
                system: Spectrum | None = None,
                ) -> tuple[np.ndarray, CatalysisVerdict, CatalysisVerdict | None]:
@@ -140,7 +124,7 @@ def run_gc_eto(rho_s, catalyst: Spectrum, seq: GateSequence,
         raise ShapeError(
             f"sequence dims {seq.dims} != (system {ds}, catalyst {catalyst.dim})"
         )
-    tau_c = gibbs_state(catalyst, ctx).to_dense()
+    tau_c = gibbs_state(catalyst).to_dense()
     joint = apply_gates(seq, kron(rho_s, tau_c), conjugate=True)
     dims = (ds, catalyst.dim)
     pre = classify_catalysis(joint, tau_c, dims)
@@ -149,19 +133,6 @@ def run_gc_eto(rho_s, catalyst: Spectrum, seq: GateSequence,
     if rethermalize:
         if system is None:
             system = Spectrum.from_energies([0.0] * ds)  # energies unused for keep=catalyst
-        final = thermalize(joint, (system, catalyst), which=1, ctx=ctx)
+        final = thermalize(joint, (system, catalyst), which=1)
         post = classify_catalysis(final, tau_c, dims)
     return sigma_s, pre, post
-
-
-def mix_states(states, weights) -> np.ndarray:
-    """Convex combination of channel outputs (density matrices)."""
-    weights = np.asarray(weights, dtype=float)
-    if len(states) != len(weights) or len(states) == 0:
-        raise ShapeError("need one weight per state")
-    if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
-        raise DomainError("weights must be a probability vector")
-    out = np.zeros_like(as_operator(states[0]))
-    for w, s in zip(weights, states):
-        out = out + w * as_operator(s)
-    return out

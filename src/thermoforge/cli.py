@@ -29,11 +29,13 @@ from .errors import (
 )
 from .linalg import frobenius_distance
 from .majorization import max_ground_population_TO, thermo_curve, thermo_majorizes
-from .channels import run_gc_eto
+from .channels import STRICT_TOL, run_gc_eto
 from .thermal import DiagonalState, Spectrum, energy_blocks, gibbs_state
 from .verify import SUITES, run_suites
 
 DEFAULT_SEED = 7
+COHERENCE_TOL = 1e-10  # largest off-diagonal mass of a state read as diagonal
+COOL_TOL = 1e-12  # closed-form, invariant and TO-limit deviation of a cool row
 
 
 @dataclass
@@ -87,12 +89,12 @@ def _load_state(path: str, coherence_guard: bool = False):
         return p.to_dense(), p
     rho = np.array(obj["re"], dtype=float) + 1j * np.array(obj["im"], dtype=float)
     off = rho - np.diag(np.diag(rho))
-    if coherence_guard and np.abs(off).sum() > 1e-10:
+    if coherence_guard and np.abs(off).sum() > COHERENCE_TOL:
         raise CoherenceError(
             f"state has off-diagonal mass {np.abs(off).sum():.3e}; "
             "dephasing is not silently applied"
         )
-    if np.abs(off).sum() <= 1e-10:
+    if np.abs(off).sum() <= COHERENCE_TOL:
         return rho, DiagonalState(np.clip(np.real(np.diag(rho)), 0, None))
     return rho, None
 
@@ -154,7 +156,7 @@ def _cool_row(d: int) -> dict:
                                abs(e2 - 1 / (2 * d))),
         "invariant_dev": abs(inv - 2.0 ** (-d) / d),
         "to_limit_dev": to_limit_dev,
-        "to_limit_check": bool(to_limit_dev < 1e-12),
+        "to_limit_check": bool(to_limit_dev < COOL_TOL),
     }
 
 
@@ -185,11 +187,11 @@ def cmd_cool(args) -> int:
     report = RunReport(command="cool", inputs={"D": ds, "csv": args.csv})
     for row in rows:
         report.add_check(f"q_prime_closed_form_D{row['D']}",
-                         row["closed_form_dev"] < 1e-12, row["closed_form_dev"], 1e-12)
+                         row["closed_form_dev"] < COOL_TOL, row["closed_form_dev"], COOL_TOL)
         report.add_check(f"invariant_level_population_D{row['D']}",
-                         row["invariant_dev"] < 1e-12, row["invariant_dev"], 1e-12)
+                         row["invariant_dev"] < COOL_TOL, row["invariant_dev"], COOL_TOL)
         report.add_check(f"to_limit_check_D{row['D']}", row["to_limit_check"],
-                         row["to_limit_dev"], 1e-12)
+                         row["to_limit_dev"], COOL_TOL)
     report.outputs["rows"] = rows
     if args.csv:
         with open(args.csv, "w", newline="") as f:
@@ -266,7 +268,6 @@ def cmd_simulate(args) -> int:
             "strict": v.strict,
             "correlated": v.correlated,
             "approximate": v.approximate(args.epsilon),
-            "approximate_distance": v.approximate_distance,
             "catalyst_marginal_distance": v.catalyst_marginal_distance,
             "product_defect": v.product_defect,
         }
@@ -274,7 +275,7 @@ def cmd_simulate(args) -> int:
     if post is not None:
         report.outputs["post_verdict"] = verdict_json(post)
         report.add_check("rethermalized_strict", post.strict,
-                         post.catalyst_marginal_distance, 1e-10)
+                         post.catalyst_marginal_distance, STRICT_TOL)
     report.wall_time = time.perf_counter() - t0
     return report.emit()
 

@@ -46,11 +46,12 @@ from .linalg import frobenius_distance
 from .thermal import EnergyBlocks, is_energy_preserving, max_cross_block_entry
 
 _ELIM_TOL = 1e-13
+_COEFF_TOL = 1e-14  # generator coefficients at or below this are dropped
 M_CAP = 1 << 14  # largest slice count compile_approximate tries
 _P, _GIVENS = KIND_CODE["p"], KIND_CODE["givens"]
 
 
-def reconstruct(seq: GateSequence, joint_dim: int | None = None) -> np.ndarray:
+def reconstruct(seq: GateSequence) -> np.ndarray:
     """Ordered product of the steps, steps[0] acting first.
 
     A sequence of one slice repeated m times (repeat > 1) is
@@ -58,26 +59,24 @@ def reconstruct(seq: GateSequence, joint_dim: int | None = None) -> np.ndarray:
     (including one loaded from JSON) layer by layer.
     """
     n = seq.dims[0] * seq.dims[1]
-    if joint_dim is not None and joint_dim != n:
-        raise ShapeError(f"sequence dims {seq.dims} do not match joint dim {joint_dim}")
     if seq.repeat == 1:
         return apply_gates(seq, np.eye(n, dtype=complex))
     one = seq.first_slice()
     return np.linalg.matrix_power(apply_gates(one, np.eye(n, dtype=complex)), seq.repeat)
 
 
-def _require_energy_preserving(u: np.ndarray, blocks: EnergyBlocks, tol: float) -> None:
-    if not is_energy_preserving(u, blocks, tol):
+def _require_energy_preserving(u: np.ndarray, blocks: EnergyBlocks) -> None:
+    if not is_energy_preserving(u, blocks):
         i, j, mag = max_cross_block_entry(u, blocks)
         raise DomainError(
             f"unitary entry ({i},{j}) of magnitude {mag:.3e} couples energy blocks"
         )
 
 
-def compile_exact(u, blocks: EnergyBlocks, tol: float = 1e-9) -> GateSequence:
+def compile_exact(u, blocks: EnergyBlocks) -> GateSequence:
     """Two-level elimination of each energy block's sub-unitary."""
     u = np.asarray(u, dtype=complex)
-    _require_energy_preserving(u, blocks, tol)
+    _require_energy_preserving(u, blocks)
     phases: list[tuple[int, float]] = []  # (flat level, param)
     givens: list[tuple[int, int, np.ndarray]] = []  # (flat levels, R with R† emitted)
     for _, members in blocks.items():
@@ -243,7 +242,7 @@ def _expand_in_basis(k: np.ndarray, blocks: EnergyBlocks) -> dict[ElementaryGene
         gm = gen.matrix(blocks.dims)
         norm2 = np.real(np.trace(gm.conj().T @ gm))
         r = float(np.real(np.trace(gm.conj().T @ k)) / norm2)
-        if abs(r) > 1e-14:
+        if abs(r) > _COEFF_TOL:
             coeffs[gen] = r
     return coeffs
 
@@ -272,7 +271,7 @@ def _rank2_combination(k: np.ndarray, blocks: EnergyBlocks) -> GeneratorCombinat
                 for g in (gh, gm):
                     m = g.matrix(blocks.dims)
                     r = float(np.real(np.trace(m.conj().T @ k)) / 2.0)
-                    if abs(r) > 1e-14:
+                    if abs(r) > _COEFF_TOL:
                         linear.append((g, r))
         # diag = sum c_i * f_(i,i+1) + c_g * g_(0,1) in the +/-1 patterns.
         cols = np.zeros((d, d))
@@ -281,11 +280,11 @@ def _rank2_combination(k: np.ndarray, blocks: EnergyBlocks) -> GeneratorCombinat
         cols[0, d - 1] = cols[1, d - 1] = 1.0
         sol = np.linalg.solve(cols, diag)
         for i in range(d - 1):
-            if abs(sol[i]) > 1e-14:
+            if abs(sol[i]) > _COEFF_TOL:
                 gh = ElementaryGenerator("h", energy, idx[i], idx[i + 1])
                 gm = ElementaryGenerator("m", energy, idx[i], idx[i + 1])
                 comms.append((gh, gm, float(sol[i]) / 2.0))
-        if abs(sol[d - 1]) > 1e-14:
+        if abs(sol[d - 1]) > _COEFF_TOL:
             linear.append((ElementaryGenerator("g_diag", energy, idx[0], idx[1]), float(sol[d - 1])))
     return GeneratorCombination(linear=tuple(linear), commutators=tuple(comms))
 
@@ -301,7 +300,7 @@ def compile_approximate(u, blocks: EnergyBlocks, method: str,
     sequence and an error at or above `accuracy`.
     """
     u = np.asarray(u, dtype=complex)
-    _require_energy_preserving(u, blocks, 1e-9)
+    _require_energy_preserving(u, blocks)
     k = _log_unitary(u)
     if method == "trotter":
         coeffs = _expand_in_basis(k, blocks)

@@ -24,7 +24,7 @@ import numpy as np
 from .gates import KIND_CODE, GateSequence, apply_gates
 from .errors import CapacityError, DomainError
 from .linalg import kron, partial_trace
-from .thermal import DiagonalState, Spectrum, ThermalContext, gibbs_state
+from .thermal import DiagonalState, Spectrum, gibbs_state
 
 E_UNIT = math.log(2.0)
 MAX_D_DIAGONAL = 20
@@ -102,13 +102,12 @@ def build_cooling_instance(d: int) -> CoolingInstance:
 
 
 def run_cooling(d: int, p: DiagonalState | None = None,
-                ctx: ThermalContext = ThermalContext(),
                 tau_c: DiagonalState | None = None) -> tuple[DiagonalState, float]:
     """Diagonal fast path: apply the swap permutation to the population
     vector of p ⊗ tau_C.
 
     tau_c is the catalyst's Gibbs state, for a caller that already has it;
-    by default it is built from build_cooling_catalyst(d) and ctx.
+    by default it is built from build_cooling_catalyst(d).
     Returns the final system marginal and the mean population of the
     untouched top-energy joint levels (all equal for the default input).
     """
@@ -119,7 +118,7 @@ def run_cooling(d: int, p: DiagonalState | None = None,
     if d < 2:
         raise DomainError(f"cooling needs d >= 2, got {d}")
     if tau_c is None:
-        tau_c = gibbs_state(build_cooling_catalyst(d), ctx)
+        tau_c = gibbs_state(build_cooling_catalyst(d))
     if tau_c.dim != (1 << d) - 1:
         raise DomainError(f"catalyst state dim {tau_c.dim} != {(1 << d) - 1} for d = {d}")
     gamma = tau_c.populations
@@ -133,8 +132,7 @@ def run_cooling(d: int, p: DiagonalState | None = None,
     return final, invariant
 
 
-def run_cooling_dense(d: int, p: DiagonalState | None = None,
-                      ctx: ThermalContext = ThermalContext()) -> DiagonalState:
+def run_cooling_dense(d: int, p: DiagonalState | None = None) -> DiagonalState:
     """Dense cross-check: conjugate the full joint density matrix
     p ⊗ tau_C gate by gate and trace the catalyst out."""
     if d > MAX_D_DENSE:
@@ -142,7 +140,7 @@ def run_cooling_dense(d: int, p: DiagonalState | None = None,
     if p is None:
         p = DEFAULT_INPUT
     inst = build_cooling_instance(d)
-    tau = gibbs_state(inst.catalyst, ctx).to_dense()
+    tau = gibbs_state(inst.catalyst).to_dense()
     joint = apply_gates(inst.gates, kron(p.to_dense(), tau), conjugate=True)
     sigma = partial_trace(joint, inst.gates.dims, keep=0)
     return DiagonalState(np.real(np.diag(sigma)))

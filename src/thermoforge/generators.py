@@ -32,6 +32,7 @@ from .errors import CapacityError, DomainError, PreconditionError
 from .thermal import EnergyBlocks
 
 KINDS = ("h", "m", "p", "g_diag")
+RANK_TOL = 1e-9  # smallest normalised residual of a candidate that joins a closure basis
 
 
 @dataclass(frozen=True, order=True)
@@ -155,7 +156,7 @@ def _components(mats: np.ndarray) -> list[np.ndarray]:
     return out
 
 
-def _component_closure(mats: np.ndarray, cap: int, rank_tol: float) -> int:
+def _component_closure(mats: np.ndarray, cap: int) -> int:
     """Closure dimension of a (k, d, d) stack of inputs on one component;
     CapacityError once it would exceed cap.
 
@@ -174,23 +175,23 @@ def _component_closure(mats: np.ndarray, cap: int, rank_tol: float) -> int:
     count = 0
 
     def extend(cands: np.ndarray) -> None:
-        # Normalise, drop candidates below rank_tol, project out the basis
+        # Normalise, drop candidates below RANK_TOL, project out the basis
         # twice in one product (CGS2), then add the survivors one by one,
         # each projected twice against the rows added in this batch.  The
         # residual is measured relative to the normalised candidate.
         nonlocal count
         v = np.ascontiguousarray(cands).reshape(len(cands), d * d).view(float)
         norms = np.linalg.norm(v, axis=1)
-        keep = norms >= rank_tol
+        keep = norms >= RANK_TOL
         v = v[keep] / norms[keep, None]
         for _ in range(2):
             v -= (v @ flat[:count].T) @ flat[:count]
         start = count
-        for w in v[np.linalg.norm(v, axis=1) >= rank_tol]:
+        for w in v[np.linalg.norm(v, axis=1) >= RANK_TOL]:
             for _ in range(2):
                 w -= (flat[start:count] @ w) @ flat[start:count]
             res = np.linalg.norm(w)
-            if res >= rank_tol:
+            if res >= RANK_TOL:
                 if count == len(flat):
                     raise CapacityError("closure exceeded its cap")
                 flat[count] = w / res
@@ -206,8 +207,7 @@ def _component_closure(mats: np.ndarray, cap: int, rank_tol: float) -> int:
     return count
 
 
-def lie_closure(gens, max_dim: int = 512, dims: tuple[int, int] | None = None,
-                rank_tol: float = 1e-9) -> int:
+def lie_closure(gens, max_dim: int = 512, dims: tuple[int, int] | None = None) -> int:
     """Dimension of the smallest real commutator-closed span of the inputs.
 
     Matrices on disjoint sets of levels multiply to zero both ways, so the
@@ -217,7 +217,7 @@ def lie_closure(gens, max_dim: int = 512, dims: tuple[int, int] | None = None,
     grows by commuting every basis element, in order, with the whole
     current basis; candidates are orthonormalized by classical
     Gram-Schmidt applied twice.  A candidate joins the basis when, after
-    normalisation, its residual is at least rank_tol.
+    normalisation, its residual is at least RANK_TOL.
 
     Raises DomainError if an input is not anti-Hermitian (to 1e-12 of its
     largest entry), and CapacityError as soon as the running total over
@@ -234,7 +234,7 @@ def lie_closure(gens, max_dim: int = 512, dims: tuple[int, int] | None = None,
     total = 0
     for comp in _components(mats):
         try:
-            total += _component_closure(comp, max_dim - total, rank_tol)
+            total += _component_closure(comp, max_dim - total)
         except CapacityError:
             raise CapacityError(f"closure exceeded max_dim {max_dim}") from None
     return total

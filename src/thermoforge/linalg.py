@@ -22,22 +22,18 @@ def as_operator(a) -> np.ndarray:
     return a
 
 
-def is_hermitian(a: np.ndarray, tol: float = 1e-12) -> bool:
-    return np.linalg.norm(a - a.conj().T) < tol
-
-
-def is_unitary(u: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+def is_unitary(u: np.ndarray, tol: float) -> bool:
     d = u.shape[0]
     return np.linalg.norm(u.conj().T @ u - np.eye(d)) < tol
 
 
-def kron(a, b, cap: int = JOINT_DIM_CAP) -> np.ndarray:
+def kron(a, b) -> np.ndarray:
     """Tensor product with the second factor's index varying fastest."""
     a = as_operator(a)
     b = as_operator(b)
     joint = a.shape[0] * b.shape[0]
-    if joint > cap:
-        raise CapacityError(f"joint dimension {joint} exceeds cap {cap}")
+    if joint > JOINT_DIM_CAP:
+        raise CapacityError(f"joint dimension {joint} exceeds cap {JOINT_DIM_CAP}")
     return np.kron(a, b)
 
 
@@ -45,13 +41,8 @@ def partial_trace(rho, dims: tuple[int, int], keep: int) -> np.ndarray:
     """Trace out one tensor factor.
 
     ``keep=0`` keeps the first (slow) factor, ``keep=1`` the second.
-    Accepts the strings "first"/"second" as aliases.
     """
     rho = as_operator(rho)
-    if keep in ("first", "system"):
-        keep = 0
-    elif keep in ("second", "catalyst", "bath"):
-        keep = 1
     if keep not in (0, 1):
         raise ShapeError(f"keep must select one of two subsystems, got {keep!r}")
     da, db = dims
@@ -63,13 +54,13 @@ def partial_trace(rho, dims: tuple[int, int], keep: int) -> np.ndarray:
     return np.einsum("kikj->ij", r)
 
 
-def expm_skew(k, tol: float = DEFAULT_TOL) -> np.ndarray:
+def expm_skew(k) -> np.ndarray:
     """exp(K) for anti-Hermitian K, via eigendecomposition of iK.
 
     Exactly unitary to machine precision; no series truncation.
     """
     k = as_operator(k)
-    if np.linalg.norm(k + k.conj().T) >= tol:
+    if np.linalg.norm(k + k.conj().T) >= DEFAULT_TOL:
         raise DomainError("expm_skew requires an anti-Hermitian input")
     # iK is Hermitian, K = -i(iK), so exp(K) = V diag(e^{-i w}) V†.
     w, v = np.linalg.eigh(1j * k)
@@ -89,15 +80,7 @@ def trace_distance(a, b) -> float:
     if a.shape != b.shape:
         raise ShapeError(f"shape mismatch {a.shape} vs {b.shape}")
     diff = a - b
-    if not is_hermitian(diff, tol=1e-10):
+    if np.linalg.norm(diff - diff.conj().T) >= DEFAULT_TOL:
         raise DomainError("trace distance requires Hermitian inputs")
     eigs = np.linalg.eigvalsh((diff + diff.conj().T) / 2)
     return float(np.sum(np.abs(eigs)) / 2)
-
-
-def distance(a, b, metric: str = "trace") -> float:
-    if metric == "frobenius":
-        return frobenius_distance(a, b)
-    if metric == "trace":
-        return trace_distance(a, b)
-    raise DomainError(f"unknown metric {metric!r}")

@@ -14,7 +14,7 @@ import numpy as np
 
 from .channels import beta_swap
 from .errors import CapacityError, DomainError
-from .thermal import DiagonalState, Spectrum, ThermalContext, energy_blocks, gibbs_state
+from .thermal import DiagonalState, Spectrum, energy_blocks, gibbs_state
 
 REACH_NODE_CAP = 10**6  # most search-tree nodes eto_reach_search will visit
 
@@ -45,11 +45,10 @@ class ThermoCurve:
         return np.asarray(self.vertices)[:, 0]
 
 
-def thermo_curve(p: DiagonalState, spec: Spectrum,
-                 ctx: ThermalContext = ThermalContext()) -> ThermoCurve:
+def thermo_curve(p: DiagonalState, spec: Spectrum) -> ThermoCurve:
     if p.dim != spec.dim:
         raise DomainError(f"state dim {p.dim} != spectrum dim {spec.dim}")
-    gamma = gibbs_state(spec, ctx).populations
+    gamma = gibbs_state(spec).populations
     ratios = p.populations / gamma
     order = np.argsort(-ratios, kind="stable")
     xs = np.concatenate([[0.0], np.cumsum(gamma[order])])
@@ -61,17 +60,15 @@ def thermo_curve(p: DiagonalState, spec: Spectrum,
 
 
 def thermo_majorizes(p: DiagonalState, q: DiagonalState, spec: Spectrum,
-                     ctx: ThermalContext = ThermalContext(),
                      tol: float = 1e-9) -> bool:
     """True iff p's curve lies above q's at every vertex of either curve."""
-    cp = thermo_curve(p, spec, ctx)
-    cq = thermo_curve(q, spec, ctx)
+    cp = thermo_curve(p, spec)
+    cq = thermo_curve(q, spec)
     xs = np.union1d(cp.xs, cq.xs)
     return bool(np.all(cp.evaluate(xs) >= cq.evaluate(xs) - tol))
 
 
 def max_ground_population_TO(p: DiagonalState, spec_s: Spectrum, spec_c: Spectrum,
-                             ctx: ThermalContext = ThermalContext(),
                              tau_c: DiagonalState | None = None) -> float:
     """Highest system ground population achievable with any energy-preserving
     unitary on system ⊗ bath(spec_c).
@@ -82,12 +79,12 @@ def max_ground_population_TO(p: DiagonalState, spec_s: Spectrum, spec_c: Spectru
     ground-system slots.  One segmented sort orders every block's joint
     weights p_s * gamma_c largest first; each block then sums its first k,
     k its number of s = 0 members.  tau_c is the bath's Gibbs state, for a
-    caller that already has it; by default it is built from spec_c and ctx.
+    caller that already has it; by default it is built from spec_c.
     """
     if p.dim != spec_s.dim:
         raise DomainError(f"state dim {p.dim} != system dim {spec_s.dim}")
     if tau_c is None:
-        tau_c = gibbs_state(spec_c, ctx)
+        tau_c = gibbs_state(spec_c)
     if tau_c.dim != spec_c.dim:
         raise DomainError(f"bath state dim {tau_c.dim} != bath dim {spec_c.dim}")
     blocks = energy_blocks(spec_s, spec_c)
@@ -106,7 +103,6 @@ def max_ground_population_TO(p: DiagonalState, spec_s: Spectrum, spec_c: Spectru
 
 
 def eto_reach_search(p: DiagonalState, spec: Spectrum,
-                     ctx: ThermalContext = ThermalContext(),
                      depth: int = 4) -> tuple[float, list[tuple[int, int]]]:
     """Exhaustive search over beta-swap sequences of length <= depth.
 
@@ -139,7 +135,7 @@ def eto_reach_search(p: DiagonalState, spec: Spectrum,
             return
         for pair in pairs:
             seq.append(pair)
-            visit(beta_swap(state, spec, *pair, ctx=ctx), seq)
+            visit(beta_swap(state, spec, *pair), seq)
             seq.pop()
 
     visit(p, [])

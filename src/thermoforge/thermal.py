@@ -1,8 +1,8 @@
 """Hamiltonian spectra, Gibbs states, joint-energy blocks and samplers.
 
-All Hamiltonians are diagonal in the declared level basis.  Energies are
-supplied pre-multiplied by beta (beta = 1 convention); only beta*E products
-matter anywhere downstream.
+All Hamiltonians are diagonal in the declared level basis.  The inverse
+temperature is fixed at beta = 1: energies are supplied pre-multiplied by
+beta, so a Gibbs weight is exp(-E) and no function takes a temperature.
 
 Energies that agree within ENERGY_TOL form one group, by one rule shared
 by spectrum labels and joint energy blocks: sort the energies; a group's
@@ -37,6 +37,7 @@ from .errors import DomainError, ShapeError
 from .linalg import as_operator, is_unitary
 
 ENERGY_TOL = 1e-9
+PRESERVING_TOL = 1e-9  # largest ||U†U - I||_F and cross-block |u_ij| of an energy-preserving unitary
 
 
 def _energy_groups(energies: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -68,15 +69,6 @@ def _energy_groups(energies: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
-
-
-@dataclass(frozen=True)
-class ThermalContext:
-    beta: float = 1.0
-
-    def __post_init__(self):
-        if not (self.beta > 0):
-            raise DomainError(f"beta must be positive, got {self.beta}")
 
 
 class Spectrum:
@@ -265,9 +257,9 @@ class EnergyBlocks:
                      for e, a, b in zip(self.reps.tolist(), bounds, bounds[1:]))
 
 
-def gibbs_state(spec: Spectrum, ctx: ThermalContext = ThermalContext()) -> DiagonalState:
-    """exp(-beta E_i) / Z over the spectrum's levels."""
-    w = np.exp(-ctx.beta * (spec.energies - spec.energies.min()))
+def gibbs_state(spec: Spectrum) -> DiagonalState:
+    """exp(-E_i) / Z over the spectrum's levels."""
+    w = np.exp(-(spec.energies - spec.energies.min()))
     return DiagonalState(w / w.sum())
 
 
@@ -297,7 +289,7 @@ def random_energy_preserving_unitary(blocks: EnergyBlocks, seed: int) -> np.ndar
     return u
 
 
-def is_energy_preserving(u, blocks: EnergyBlocks, tol: float = 1e-9) -> bool:
+def is_energy_preserving(u, blocks: EnergyBlocks, tol: float = PRESERVING_TOL) -> bool:
     """True iff u is unitary and couples no distinct energy blocks."""
     u = as_operator(u)
     if u.shape[0] != blocks.joint_dim:

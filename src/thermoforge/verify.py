@@ -2,7 +2,9 @@
 
 Each suite runs the module-level invariants with seeded randomness and
 returns one CheckResult per named property.  Deterministic per
-(seed, trials).
+(seed, trials).  The random_* helpers draw every instance; the test
+suite imports them too, so their draw order is pinned by seeded tests
+as well as by `verify` stdout.
 """
 from __future__ import annotations
 
@@ -19,12 +21,11 @@ from .channels import (
 )
 from .compiler import compile_bch, compile_exact, compile_trotter, reconstruct
 from .generators import enumerate_basis, lie_closure, rank2_basis, ElementaryGenerator
-from .linalg import distance, expm_skew, frobenius_distance, kron, partial_trace, trace_distance
+from .linalg import expm_skew, frobenius_distance, kron, partial_trace, trace_distance
 from .majorization import max_ground_population_TO, thermo_majorizes
 from .thermal import (
     DiagonalState,
     Spectrum,
-    ThermalContext,
     energy_blocks,
     gibbs_state,
     random_energy_preserving_unitary,
@@ -41,28 +42,28 @@ class CheckResult:
     tolerance: float
 
 
-def _random_hermitian(rng, d):
+def random_hermitian(rng, d):
     z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return (z + z.conj().T) / 2
 
 
-def _random_antihermitian(rng, d):
+def random_antihermitian(rng, d):
     z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return (z - z.conj().T) / 2
 
 
-def _random_density(rng, d):
+def random_density(rng, d):
     z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     rho = z @ z.conj().T
     return rho / np.trace(rho).real
 
 
-def _random_populations(rng, d):
+def random_populations(rng, d):
     p = rng.random(d)
-    return DiagonalState(p / p.sum())
+    return p / p.sum()
 
 
-def _random_resonant_spectra(rng, max_s=4, max_c=5):
+def random_resonant_spectra(rng, max_s=4, max_c=5):
     """Integer-multiple energies so degenerate joint blocks actually occur."""
     ds = int(rng.integers(2, max_s + 1))
     dc = int(rng.integers(2, max_c + 1))
@@ -81,20 +82,19 @@ def suite_numerics(seed: int, trials: int) -> list[CheckResult]:
     results: list[CheckResult] = []
     worst = {"assoc": 0.0, "trace": 0.0, "pt": 0.0, "unit": 0.0, "inv": 0.0, "tri": 0.0}
     for _ in range(trials):
-        a = _random_hermitian(rng, 2)
-        b = _random_hermitian(rng, 3)
-        c = _random_hermitian(rng, 2)
+        a = random_hermitian(rng, 2)
+        b = random_hermitian(rng, 3)
+        c = random_hermitian(rng, 2)
         worst["assoc"] = max(worst["assoc"], frobenius_distance(kron(kron(a, b), c), kron(a, kron(b, c))))
         worst["trace"] = max(worst["trace"], abs(np.trace(kron(a, b)) - np.trace(a) * np.trace(b)))
         worst["pt"] = max(worst["pt"], frobenius_distance(partial_trace(kron(a, b), (2, 3), 0), np.trace(b) * a))
-        k = _random_antihermitian(rng, 4)
+        k = random_antihermitian(rng, 4)
         u = expm_skew(k)
         worst["unit"] = max(worst["unit"], np.linalg.norm(u.conj().T @ u - np.eye(4)))
         worst["inv"] = max(worst["inv"], frobenius_distance(u @ expm_skew(-k), np.eye(4)))
-        x, y, z = (_random_density(rng, 3) for _ in range(3))
+        x, y, z = (random_density(rng, 3) for _ in range(3))
         worst["tri"] = max(
-            worst["tri"],
-            distance(x, z, "trace") - distance(x, y, "trace") - distance(y, z, "trace"),
+            worst["tri"], trace_distance(x, z) - trace_distance(x, y) - trace_distance(y, z)
         )
     _hi(results, "kron_associative", worst["assoc"], 1e-12)
     _hi(results, "kron_trace_product", worst["trace"], 1e-12)
@@ -114,7 +114,7 @@ def suite_generators(seed: int, trials: int) -> list[CheckResult]:
     gram_min = np.inf
     closure_ok = True
     for _ in range(max(1, trials // 10)):
-        spec_s, spec_c = _random_resonant_spectra(rng, max_s=3, max_c=3)
+        spec_s, spec_c = random_resonant_spectra(rng, max_s=3, max_c=3)
         blocks = energy_blocks(spec_s, spec_c)
         h0 = np.diag(
             np.add.outer(spec_s.energies, spec_c.energies).ravel()
@@ -159,7 +159,7 @@ def suite_compiler(seed: int, trials: int) -> list[CheckResult]:
     worst_rt = 0.0
     count_ok = True
     for i in range(max(1, trials // 4)):
-        spec_s, spec_c = _random_resonant_spectra(rng)
+        spec_s, spec_c = random_resonant_spectra(rng)
         blocks = energy_blocks(spec_s, spec_c)
         u = random_energy_preserving_unitary(blocks, seed=int(rng.integers(1 << 31)))
         seq = compile_exact(u, blocks)
@@ -203,18 +203,17 @@ def suite_channels(seed: int, trials: int) -> list[CheckResult]:
     worst_trace = 0.0
     worst_eig = 0.0
     worst_gibbs = 0.0
-    ctx = ThermalContext()
     for _ in range(max(1, trials // 4)):
-        spec_s, spec_c = _random_resonant_spectra(rng)
+        spec_s, spec_c = random_resonant_spectra(rng)
         blocks = energy_blocks(spec_s, spec_c)
         u = random_energy_preserving_unitary(blocks, seed=int(rng.integers(1 << 31)))
         chan = ChannelSpec(spec_s, spec_c, u)
-        rho = _random_density(rng, spec_s.dim)
-        out = apply_TO(rho, chan, ctx)
+        rho = random_density(rng, spec_s.dim)
+        out = apply_TO(rho, chan)
         worst_trace = max(worst_trace, abs(np.trace(out).real - 1.0))
         worst_eig = max(worst_eig, -np.linalg.eigvalsh((out + out.conj().T) / 2).min())
-        tau_s = gibbs_state(spec_s, ctx).to_dense()
-        worst_gibbs = max(worst_gibbs, trace_distance(apply_TO(tau_s, chan, ctx), tau_s))
+        tau_s = gibbs_state(spec_s).to_dense()
+        worst_gibbs = max(worst_gibbs, trace_distance(apply_TO(tau_s, chan), tau_s))
     # GC-ETO rethermalization is always strict; verdict chain holds.
     inst = cooling.build_cooling_instance(3)
     _, pre, post = run_gc_eto(
@@ -223,9 +222,9 @@ def suite_channels(seed: int, trials: int) -> list[CheckResult]:
     chain_ok = (not pre.strict or pre.correlated) and (not post.strict or post.correlated)
     # Gibbs marginal is a fixed point of every beta-swap restriction.
     spec = cooling.SYSTEM_SPECTRUM
-    gamma = gibbs_state(spec, ctx)
+    gamma = gibbs_state(spec)
     swap_dev = max(
-        float(np.abs(beta_swap(gamma, spec, i, j, ctx).populations - gamma.populations).max())
+        float(np.abs(beta_swap(gamma, spec, i, j).populations - gamma.populations).max())
         for i, j in ((0, 1), (0, 2), (1, 2))
     )
     _hi(results, "apply_to_trace_preserving", worst_trace, 1e-12)
@@ -241,33 +240,32 @@ def suite_channels(seed: int, trials: int) -> list[CheckResult]:
 def suite_majorization(seed: int, trials: int) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     results: list[CheckResult] = []
-    ctx = ThermalContext()
     violations = 0
     swap_violations = 0
     transitivity_ok = True
     for _ in range(trials):
-        spec_s, spec_c = _random_resonant_spectra(rng)
+        spec_s, spec_c = random_resonant_spectra(rng)
         blocks = energy_blocks(spec_s, spec_c)
         u = random_energy_preserving_unitary(blocks, seed=int(rng.integers(1 << 31)))
         chan = ChannelSpec(spec_s, spec_c, u)
-        p = _random_populations(rng, spec_s.dim)
-        out = apply_TO(p.to_dense(), chan, ctx)
+        p = DiagonalState(random_populations(rng, spec_s.dim))
+        out = apply_TO(p.to_dense(), chan)
         q = DiagonalState(np.clip(np.real(np.diag(out)), 0, None) / np.trace(out).real)
-        if not thermo_majorizes(p, q, spec_s, ctx, tol=1e-9):
+        if not thermo_majorizes(p, q, spec_s, tol=1e-9):
             violations += 1
         i, j = sorted(rng.choice(spec_s.dim, size=2, replace=False))
-        if not thermo_majorizes(p, beta_swap(p, spec_s, int(i), int(j), ctx), spec_s, ctx, tol=1e-9):
+        if not thermo_majorizes(p, beta_swap(p, spec_s, int(i), int(j)), spec_s, tol=1e-9):
             swap_violations += 1
     spec = cooling.SYSTEM_SPECTRUM
     for _ in range(min(trials, 50)):
-        a, b, c = (_random_populations(rng, 3) for _ in range(3))
+        a, b, c = (DiagonalState(random_populations(rng, 3)) for _ in range(3))
         if thermo_majorizes(a, b, spec) and thermo_majorizes(b, c, spec):
             transitivity_ok &= thermo_majorizes(a, c, spec, tol=1e-8)
     # TO optimality oracle never exceeded by simulated unitaries.
     inst = cooling.build_cooling_instance(2)
     oracle = max_ground_population_TO(cooling.DEFAULT_INPUT, inst.system, inst.catalyst)
     blocks = energy_blocks(inst.system, inst.catalyst)
-    tau_c = gibbs_state(inst.catalyst, ctx).to_dense()
+    tau_c = gibbs_state(inst.catalyst).to_dense()
     over = 0.0
     for _ in range(min(trials, 200)):
         u = random_energy_preserving_unitary(blocks, seed=int(rng.integers(1 << 31)))

@@ -9,13 +9,11 @@ from thermoforge import (
     ChannelSpec,
     DiagonalState,
     Spectrum,
-    ThermalContext,
     apply_TO,
     beta_swap,
     classify_catalysis,
     energy_blocks,
     gibbs_state,
-    mix_states,
     random_energy_preserving_unitary,
     run_gc_eto,
     thermalize,
@@ -143,9 +141,10 @@ class TestBetaSwap:
             beta_swap(p, spec, 0, 5)
 
     def test_beta_dependence(self):
-        spec = Spectrum.from_energies([0.0, 1.0])
+        # beta = 2 on a gap of 1, written as the pre-multiplied gap 2
+        spec = Spectrum.from_energies([0.0, 2.0])
         p = DiagonalState([1.0, 0.0])
-        out = beta_swap(p, spec, 0, 1, ThermalContext(beta=2.0))
+        out = beta_swap(p, spec, 0, 1)
         w = math.exp(-2.0)
         assert np.allclose(out.populations, [1 - w, w], atol=1e-15)
 
@@ -178,7 +177,7 @@ class TestThermalize:
         sys = qutrit()
         cat = Spectrum.from_energies([0.0, LN2])
         rho = random_density(6, seed=6)
-        out = thermalize(rho, (sys, cat), which="catalyst")
+        out = thermalize(rho, (sys, cat), which=1)
         from thermoforge.linalg import partial_trace
 
         a = partial_trace(out, (3, 2), keep=0)
@@ -189,9 +188,16 @@ class TestThermalize:
         sys = Spectrum.from_energies([0.0, LN2])
         cat = Spectrum.from_energies([0.0])
         rho = random_density(2, seed=7)
-        out = thermalize(kron(rho, np.eye(1)), (sys, cat), which="first")
+        out = thermalize(kron(rho, np.eye(1)), (sys, cat), which=0)
         tau = gibbs_state(sys).to_dense()
         assert np.allclose(out, kron(tau, np.eye(1)), atol=1e-12)
+
+    @pytest.mark.parametrize("which", [2, -1, "first", "catalyst"])
+    def test_which_is_zero_or_one(self, which):
+        sys = qutrit()
+        cat = Spectrum.from_energies([0.0, LN2])
+        with pytest.raises(ShapeError, match="which must select"):
+            thermalize(random_density(6, seed=4), (sys, cat), which=which)
 
 
 class TestClassify:
@@ -200,7 +206,7 @@ class TestClassify:
         rho = random_density(3, seed=8)
         v = classify_catalysis(kron(rho, mu), mu, (3, 2))
         assert v.strict and v.correlated
-        assert v.approximate_distance < 1e-12
+        assert v.catalyst_marginal_distance < 1e-12
         assert v.product_defect < 1e-12
 
     def test_classical_correlation_breaks_strict_only(self):
@@ -220,7 +226,7 @@ class TestClassify:
         rho = random_density(2, seed=9)
         v = classify_catalysis(kron(rho, sig_c), mu, (2, 2))
         assert not v.strict and not v.correlated
-        assert abs(v.approximate_distance - 0.01) < 1e-12
+        assert abs(v.catalyst_marginal_distance - 0.01) < 1e-12
         assert v.approximate(0.02)
         assert not v.approximate(0.005)
 
@@ -296,18 +302,3 @@ class TestRunGcEto:
         seq = GateSequence(steps=(step,), method="exact", dims=(3, cat.dim))
         with pytest.raises(DomainError, match="elementary"):
             run_gc_eto(np.diag([0.0, 0.5, 0.5]), cat, seq)
-
-
-class TestMix:
-    def test_convex_combination(self):
-        a = np.diag([1.0, 0.0])
-        b = np.diag([0.0, 1.0])
-        out = mix_states([a, b], [0.25, 0.75])
-        assert np.allclose(out, np.diag([0.25, 0.75]))
-
-    def test_rejects_bad_weights(self):
-        a = np.diag([1.0, 0.0])
-        with pytest.raises(DomainError):
-            mix_states([a, a], [0.5, 0.6])
-        with pytest.raises(ShapeError):
-            mix_states([a], [0.5, 0.5])

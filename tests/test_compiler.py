@@ -361,7 +361,7 @@ class TestCompileExact:
     @settings(max_examples=100, deadline=None)
     def test_random_structures_roundtrip_budget_and_bytes(self, seed, kind):
         rng = np.random.default_rng(seed)
-        blocks = energy_blocks(*random_resonant_spectra(rng, max_s=4, max_c=5, max_energy=3))
+        blocks = energy_blocks(*random_resonant_spectra(rng, max_s=4, max_c=5))
         if kind == "haar":
             u = random_energy_preserving_unitary(blocks, seed=int(rng.integers(1 << 31)))
         else:  # a permutation inside each block: exact phases and swaps
@@ -626,9 +626,9 @@ class TestCompileApproximate:
         blocks, u = instance
         tried = []
 
-        def recording(seq, joint_dim=None):
+        def recording(seq):
             tried.append(seq)
-            return reconstruct(seq, joint_dim)
+            return reconstruct(seq)
 
         monkeypatch.setattr(compiler, "reconstruct", recording)
         seq, err = compile_approximate(u, blocks, method, accuracy)

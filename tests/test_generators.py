@@ -117,7 +117,7 @@ def closure_inputs(draw):
     the reference's Python double loop stays fast.  Raw matrices are
     small and integer-valued: with random real entries, or blocks of
     three levels, both algorithms sometimes amplify rounding past
-    rank_tol, each in different places, and count more than u(d) holds."""
+    RANK_TOL, each in different places, and count more than u(d) holds."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     source = draw(st.sampled_from(("full", "no_rank1", "rank2", "raw")))
     if source == "raw":

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermoforge import distance, expm_skew, kron, partial_trace, trace_distance
+from thermoforge import expm_skew, kron, partial_trace, trace_distance
+from thermoforge.linalg import frobenius_distance
 from thermoforge.errors import CapacityError, DomainError, ShapeError
 from util import random_antihermitian, random_density, random_hermitian
 
@@ -42,7 +43,7 @@ class TestKron:
 
     def test_capacity_cap(self):
         with pytest.raises(CapacityError):
-            kron(np.eye(100), np.eye(100), cap=4096)
+            kron(np.eye(100), np.eye(100))  # joint dim 10^4 > JOINT_DIM_CAP 4096
 
     def test_associative(self):
         rng = np.random.default_rng(1)
@@ -75,6 +76,11 @@ class TestPartialTrace:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             partial_trace(np.eye(6), (2, 2), 0)
+
+    @pytest.mark.parametrize("keep", [2, -1, "first", "catalyst"])
+    def test_keep_is_zero_or_one(self, keep):
+        with pytest.raises(ShapeError, match="keep must select"):
+            partial_trace(np.eye(4) / 4, (2, 2), keep)
 
     def test_kron_then_trace_scales(self):
         rng = np.random.default_rng(4)
@@ -115,8 +121,8 @@ class TestDistance:
     def test_zero_on_equal(self):
         rng = np.random.default_rng(7)
         a = random_density(rng, 3)
-        assert distance(a, a, "trace") == 0
-        assert distance(a, a, "frobenius") == 0
+        assert trace_distance(a, a) == 0
+        assert frobenius_distance(a, a) == 0
 
     def test_orthogonal_pure_states(self):
         a = np.diag([1.0, 0.0]).astype(complex)
@@ -139,7 +145,7 @@ class TestDistance:
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            distance(np.eye(2), np.eye(3), "frobenius")
+            frobenius_distance(np.eye(2), np.eye(3))
 
 
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1))

@@ -11,7 +11,6 @@ from thermoforge import (
     ChannelSpec,
     DiagonalState,
     Spectrum,
-    ThermalContext,
     apply_TO,
     beta_swap,
     energy_blocks,

@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,6 @@ from hypothesis import strategies as st
 from thermoforge import (
     DiagonalState,
     Spectrum,
-    ThermalContext,
     energy_blocks,
     gibbs_state,
     is_energy_preserving,
@@ -40,6 +41,14 @@ class TestSpectrum:
                                              {"energy": 1.0, "deg": 1}]}))
         assert Spectrum.from_json(str(f1)) == Spectrum.from_json(str(f2))
 
+    def test_documented_forms_load_to_one_spectrum(self):
+        doc = (Path(__file__).parents[1] / "docs" / "formats.md").read_text()
+        section = doc.split("## Spectrum\n", 1)[1].split("\n## ", 1)[0]
+        examples = re.findall(r"```json\n(.*?)```", section, re.S)
+        assert len(examples) == 2
+        a, b = (Spectrum.from_json(json.loads(text)) for text in examples)
+        assert a == b
+        assert b.to_json() == json.loads(examples[1])
 
     def test_energies_cached_and_read_only(self):
         s = Spectrum.from_energies([0.0, 1.0])
@@ -222,8 +231,9 @@ class TestGibbs:
         assert np.allclose(gibbs_state(s).populations, 0.2)
 
     def test_beta_scaling(self):
-        s = Spectrum.from_energies([0.0, 1.0])
-        p = gibbs_state(s, ThermalContext(beta=LN2)).populations
+        # beta = ln 2 on a gap of 1, written as the pre-multiplied gap ln 2
+        s = Spectrum.from_energies([0.0, LN2])
+        p = gibbs_state(s).populations
         assert np.allclose(p, [2 / 3, 1 / 3])
 
 

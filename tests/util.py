@@ -1,8 +1,8 @@
-"""Shared random-instance helpers for the test suite."""
+"""Reference implementations shared by the test suite, and the seeded
+random-instance helpers of thermoforge.verify, re-exported."""
 import numpy as np
 
 from thermoforge import (
-    Spectrum,
     build_cooling_catalyst,
     build_cooling_sequence,
     gibbs_state,
@@ -10,36 +10,13 @@ from thermoforge import (
 from thermoforge.errors import CapacityError, ShapeError
 from thermoforge.generators import _to_matrix
 from thermoforge.thermal import ENERGY_TOL
-
-
-def random_hermitian(rng, d):
-    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return (z + z.conj().T) / 2
-
-
-def random_antihermitian(rng, d):
-    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return (z - z.conj().T) / 2
-
-
-def random_density(rng, d):
-    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    rho = z @ z.conj().T
-    return rho / np.trace(rho).real
-
-
-def random_populations(rng, d):
-    p = rng.random(d)
-    return p / p.sum()
-
-
-def random_resonant_spectra(rng, max_s=4, max_c=5, max_energy=3):
-    """Small integer energies so degenerate joint blocks occur often."""
-    ds = int(rng.integers(2, max_s + 1))
-    dc = int(rng.integers(2, max_c + 1))
-    es = rng.integers(0, max_energy, size=ds).astype(float)
-    ec = rng.integers(0, max_energy, size=dc).astype(float)
-    return Spectrum.from_energies(es), Spectrum.from_energies(ec)
+from thermoforge.verify import (  # noqa: F401  (re-exported for the tests)
+    random_antihermitian,
+    random_density,
+    random_hermitian,
+    random_populations,
+    random_resonant_spectra,
+)
 
 
 def reference_energy_blocks(es, ec):

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import re
@@ -64,8 +65,7 @@ class RunReport:
             "checks": self.checks,
             "wall_time": self.wall_time,
         }
-        json.dump(payload, sys.stdout, indent=1, sort_keys=True)
-        sys.stdout.write("\n")
+        sys.stdout.write(json.dumps(payload, indent=1, sort_keys=True) + "\n")
         return 0 if self.all_pass else 1
 
 
@@ -282,7 +282,10 @@ def cmd_simulate(args) -> int:
 
 # ---------------------------------------------------------------- main
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls."""
     p = argparse.ArgumentParser(prog="thermoforge")
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -30,6 +30,14 @@ for the identity plus one pass, and a sequence of one slice repeated m
 times is reconstructed as slice^m: O(L n + n^3 log m).
 compile_approximate, which doubles m until the accuracy is met, pays
 that once per doubling.
+
+The approximate back-ends start from K = log u, which is block-diagonal
+like u, and never form it as an n x n matrix.  _log_unitary works on one
+d_b x d_b block at a time: an eigh of its Hermitian part, plus one small
+eigh per cluster of near-equal eigenvalues, and a few products, O(d_b^3)
+per block and O(sum_b d_b^3) in all.  The h/m/p and rank-2 coefficients
+are then read off the entries of each K_b, O(sum_b d_b^2).  numpy is the
+only dependency.
 """
 from __future__ import annotations
 
@@ -41,7 +49,7 @@ import numpy as np
 from .errors import DomainError, ShapeError
 # GateStep is re-exported: thermoforge.compiler.GateStep is public API.
 from .gates import KIND_CODE, GateSequence, GateStep, apply_gates  # noqa: F401
-from .generators import ElementaryGenerator, enumerate_basis
+from .generators import ElementaryGenerator
 from .linalg import frobenius_distance
 from .thermal import EnergyBlocks, is_energy_preserving, max_cross_block_entry
 
@@ -225,38 +233,101 @@ def compile_nested(combo: GeneratorCombination, t: float, m: int,
                                     dims=dims, trotter_m=m, repeat=m)
 
 
-def _log_unitary(u: np.ndarray) -> np.ndarray:
-    """Anti-Hermitian K with e^K = u (principal branch), via Schur form."""
-    from scipy.linalg import schur
-
-    t, z = schur(u, output="complex")
-    phases = np.log(np.diag(t))
-    k = z @ np.diag(phases) @ z.conj().T
-    return (k - k.conj().T) / 2
+_CLUSTER_TOL = 1e-3  # eigenvalue gap that separates two clusters in _unitary_eigvecs
+_BRANCH_TOL = 1e-12  # a phase this close to -pi is taken as +pi (principal branch)
 
 
-def _expand_in_basis(k: np.ndarray, blocks: EnergyBlocks) -> dict[ElementaryGenerator, float]:
-    """Coefficients of K over the orthogonal h/m/p basis."""
+def _unitary_eigvecs(u: np.ndarray, level: int = 0) -> np.ndarray:
+    """Orthonormal eigenvectors of a unitary u, as the columns of V.
+
+    Level 0 diagonalises the Hermitian part (u + u†)/2, eigenvalues
+    cos(theta).  It commutes with u, so each cluster of eigenvalues
+    closer than _CLUSTER_TOL spans an invariant subspace; u restricted to
+    it goes one level down: level 1 diagonalises (u - u†)/2i, eigenvalues
+    sin(theta), which splits e^{i theta} from e^{-i theta}; later levels
+    use (e^{-i phi} u - e^{i phi} u†)/2i with phi the phase of tr u,
+    eigenvalues sin(theta - phi), which is monotone on the short arc a
+    cluster has left.  A level past 1 that splits nothing is final.
+    """
+    if level == 0:
+        a = (u + u.conj().T) / 2
+    else:
+        z = 1.0 if level == 1 else np.exp(-1j * np.angle(np.trace(u)))
+        a = (z * u - (z * u).conj().T) / 2j
+    w, v = np.linalg.eigh(a)
+    cuts = (np.flatnonzero(np.diff(w) > _CLUSTER_TOL) + 1).tolist()
+    if level > 1 and not cuts:
+        return v
+    for lo, hi in zip([0, *cuts], [*cuts, len(w)]):
+        if hi - lo > 1:
+            vc = v[:, lo:hi]
+            v[:, lo:hi] = vc @ _unitary_eigvecs(vc.conj().T @ u @ vc, level + 1)
+    return v
+
+
+def _log_unitary(u: np.ndarray, blocks: EnergyBlocks) -> list[np.ndarray]:
+    """Anti-Hermitian K_b with e^{K_b} = u_b (principal branch, phases in
+    (-pi, pi]) for each energy block, in block order.
+
+    u_b = V diag(e^{i theta}) V† with V from _unitary_eigvecs and theta
+    the angles of diag(V† u_b V); K_b = V diag(i theta) V†, projected on
+    its anti-Hermitian part.  Entries between blocks are zero: K is the
+    list of its diagonal blocks.
+    """
+    out = []
+    for _, members in blocks.items():
+        ub = u[np.ix_(members, members)]
+        v = _unitary_eigvecs(ub)
+        theta = np.angle(np.einsum("ij,ij->j", v.conj(), ub @ v))
+        theta[theta <= -np.pi + _BRANCH_TOL] += 2 * np.pi
+        kb = (v * (1j * theta)) @ v.conj().T
+        out.append((kb - kb.conj().T) / 2)
+    return out
+
+
+def _expand_in_basis(k: list[np.ndarray], blocks: EnergyBlocks) -> dict[ElementaryGenerator, float]:
+    """Coefficients of K over the orthogonal h/m/p basis, read off the
+    entries of each block K_b: h_ab = -Im K_ab, m_ab = Re K_ab (a < b)
+    and p_a = -Im K_aa.
+
+    The kept coefficients must rebuild every K_b; a residual above 1e-8
+    (K_b not anti-Hermitian, or large dropped terms) raises DomainError.
+    """
     coeffs = {}
-    for gen in enumerate_basis(blocks, include_rank1=True):
-        gm = gen.matrix(blocks.dims)
-        norm2 = np.real(np.trace(gm.conj().T @ gm))
-        r = float(np.real(np.trace(gm.conj().T @ k)) / norm2)
-        if abs(r) > _COEFF_TOL:
-            coeffs[gen] = r
+    resid2 = 0.0
+    for (energy, members), kb in zip(blocks.items(), k):
+        idx = blocks.pairs(members)
+        iu, ju = np.triu_indices(len(idx), 1)
+        h, m, p = (np.where(np.abs(c) > _COEFF_TOL, c, 0.0)
+                   for c in (-kb.imag[iu, ju], kb.real[iu, ju], -kb.imag.diagonal()))
+        for i, j, rh, rm in zip(iu.tolist(), ju.tolist(), h.tolist(), m.tolist()):
+            if rh:
+                coeffs[ElementaryGenerator("h", energy, idx[i], idx[j])] = rh
+            if rm:
+                coeffs[ElementaryGenerator("m", energy, idx[i], idx[j])] = rm
+        for a, rp in zip(idx, p.tolist()):
+            if rp:
+                coeffs[ElementaryGenerator("p", energy, a, a)] = rp
+        rebuilt = np.diag(-1j * p)
+        rebuilt[iu, ju] = m - 1j * h
+        rebuilt[ju, iu] = -m - 1j * h
+        resid2 += np.linalg.norm(rebuilt - kb) ** 2
+    resid = math.sqrt(resid2)
+    if resid > 1e-8:
+        raise DomainError(f"generator expansion residual {resid:.3e}")
     return coeffs
 
 
-def _rank2_combination(k: np.ndarray, blocks: EnergyBlocks) -> GeneratorCombination:
-    """Depth-1 rank-2-only description of K: h/m linear terms plus
-    f-type commutators and one g_diag per block for the diagonal part."""
+def _rank2_combination(k: list[np.ndarray], blocks: EnergyBlocks) -> GeneratorCombination:
+    """Depth-1 rank-2-only description of K: h/m linear terms read off the
+    entries of each block K_b as in _expand_in_basis, plus f-type
+    commutators and one g_diag per block for the diagonal part."""
     linear: list[tuple[ElementaryGenerator, float]] = []
     comms: list[tuple[ElementaryGenerator, ElementaryGenerator, float]] = []
-    for energy, members in blocks.items():
+    for (energy, members), kb in zip(blocks.items(), k):
         idx = blocks.pairs(members)
         d = len(idx)
-        flats = members.tolist()
-        diag = np.array([np.imag(k[f, f]) for f in flats])
+        diag = kb.imag.diagonal()
         if d == 1:
             if abs(diag[0]) > 1e-12:
                 raise DomainError(
@@ -264,15 +335,12 @@ def _rank2_combination(k: np.ndarray, blocks: EnergyBlocks) -> GeneratorCombinat
                     "tensor a two-level zero-energy catalyst to double it"
                 )
             continue
-        for i in range(d):
-            for j in range(i + 1, d):
-                gh = ElementaryGenerator("h", energy, idx[i], idx[j])
-                gm = ElementaryGenerator("m", energy, idx[i], idx[j])
-                for g in (gh, gm):
-                    m = g.matrix(blocks.dims)
-                    r = float(np.real(np.trace(m.conj().T @ k)) / 2.0)
-                    if abs(r) > _COEFF_TOL:
-                        linear.append((g, r))
+        iu, ju = np.triu_indices(d, 1)
+        for i, j, rh, rm in zip(iu.tolist(), ju.tolist(),
+                                (-kb.imag[iu, ju]).tolist(), kb.real[iu, ju].tolist()):
+            for kind, r in (("h", rh), ("m", rm)):
+                if abs(r) > _COEFF_TOL:
+                    linear.append((ElementaryGenerator(kind, energy, idx[i], idx[j]), r))
         # diag = sum c_i * f_(i,i+1) + c_g * g_(0,1) in the +/-1 patterns.
         cols = np.zeros((d, d))
         for i in range(d - 1):
@@ -301,15 +369,9 @@ def compile_approximate(u, blocks: EnergyBlocks, method: str,
     """
     u = np.asarray(u, dtype=complex)
     _require_energy_preserving(u, blocks)
-    k = _log_unitary(u)
+    k = _log_unitary(u, blocks)
     if method == "trotter":
         coeffs = _expand_in_basis(k, blocks)
-        resid = frobenius_distance(
-            sum((r * g.matrix(blocks.dims) for g, r in coeffs.items()), np.zeros_like(k)),
-            k,
-        )
-        if resid > 1e-8:
-            raise DomainError(f"generator expansion residual {resid:.3e}")
         build = lambda m: compile_trotter(coeffs, 1.0, m, blocks.dims)
     elif method == "bch":
         combo = _rank2_combination(k, blocks)

@@ -1,7 +1,13 @@
 """End-to-end CLI tests: exit codes, report JSON, and artifact files."""
+import argparse
 import csv
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,9 +19,11 @@ from thermoforge import (
     energy_blocks,
     random_energy_preserving_unitary,
 )
+from thermoforge import cli
 from thermoforge.cli import main
 
 LN2 = math.log(2.0)
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write_json(path, obj):
@@ -443,3 +451,81 @@ class TestSimulate:
         ])
         assert code == 0
         assert "post_verdict" not in report["outputs"]
+
+
+def every_command(tmp_path):
+    """One argv per command and approximate back-end, in an order that
+    runs: simulate reads the sequence compile --method exact writes."""
+    sf = write_json(tmp_path / "sys.json", {"energies": [0.0, 1.0]})
+    cf = write_json(tmp_path / "cat.json", {"energies": [0.0, 0.0]})
+    blocks = energy_blocks(Spectrum.from_json(sf), Spectrum.from_json(cf))
+    uf = write_matrix(tmp_path / "u.json", random_energy_preserving_unitary(blocks, seed=3))
+    pf = write_json(tmp_path / "p.json", {"populations": [0.25, 0.75]})
+    seq = str(tmp_path / "seq.json")
+    compile_argv = ["compile", "--system", sf, "--catalyst", cf, "--unitary", uf]
+    return [
+        compile_argv + ["--method", "exact", "--out", seq],
+        compile_argv + ["--method", "trotter", "--accuracy", "1e-2"],
+        compile_argv + ["--method", "bch", "--accuracy", "1e-1"],
+        ["simulate", "--state", pf, "--catalyst", cf, "--gates", seq, "--rethermalize"],
+        ["cool", "--D", "3"],
+        ["verify", "--suite", "all", "--trials", "2"],
+        ["curve", "--state", pf, "--spectrum", sf],
+    ]
+
+
+class TestMain:
+    def test_parser_built_once_per_process(self, capsys, monkeypatch):
+        cli.build_parser.cache_clear()
+        built = []  # build_parser calls add_subparsers once per parser it builds
+        original = argparse.ArgumentParser.add_subparsers
+        monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers",
+                            lambda self, **kw: built.append(1) or original(self, **kw))
+        code, report, _ = run_cli(capsys, ["cool", "--D", "3"])
+        assert (code, report["command"]) == (0, "cool")
+        code, report, _ = run_cli(capsys, ["verify", "--suite", "numerics", "--trials", "1"])
+        assert (code, report["command"], report["inputs"]["suite"]) == (0, "verify", "numerics")
+        assert len(built) == 1
+
+    def test_emit_writes_the_bytes_of_json_dump(self, tmp_path, capsys):
+        for argv in every_command(tmp_path):
+            assert main(argv) == 0, argv
+            out = capsys.readouterr().out
+            expected = io.StringIO()
+            json.dump(json.loads(out), expected, indent=1, sort_keys=True)
+            expected.write("\n")
+            assert out == expected.getvalue(), argv[0]
+
+
+NO_SCIPY = """
+import contextlib, json, os, sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"import of {name} refused")
+
+sys.meta_path.insert(0, RefuseScipy())
+try:
+    import scipy.linalg  # noqa: F401
+    refused = False
+except ImportError:
+    refused = True
+from thermoforge.cli import main
+
+codes = []
+with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+    for argv in json.loads(sys.argv[1]):
+        codes.append(main(argv))
+print(json.dumps({"refused": refused, "codes": codes,
+                  "loaded": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    argvs = every_command(tmp_path)
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY, json.dumps(argvs)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"refused": True, "codes": [0] * len(argvs), "loaded": []}

@@ -29,7 +29,12 @@ from thermoforge import (
     reconstruct,
 )
 from thermoforge.errors import DomainError, ShapeError
-from util import random_resonant_spectra, reference_apply_gates
+from util import (
+    random_resonant_spectra,
+    reference_apply_gates,
+    reference_expand_in_basis,
+    reference_rank2_combination,
+)
 
 
 def one_block(size):
@@ -656,6 +661,150 @@ class TestCompileApproximate:
         u[[0, 3]] = u[[3, 0]]
         with pytest.raises(DomainError, match="couples energy blocks"):
             compile_approximate(u, blocks, "bch", 1e-3)
+
+
+def haar_block(rng, d):
+    return random_energy_preserving_unitary(one_block(d), seed=int(rng.integers(2 ** 31)))
+
+
+def phased_permutation(rng, d):
+    """A permutation with fourth-root-of-unity phases that has eigenvalue -1:
+    the phases of the cycle through level 0 multiply to (-1)^length."""
+    perm = rng.permutation(d)
+    s = rng.choice(np.array([1, -1, 1j, -1j]), d)
+    cycle, i = [0], int(perm[0])
+    while i != 0:
+        cycle.append(i)
+        i = int(perm[i])
+    s[0] *= (-1) ** len(cycle) / np.prod(s[cycle])
+    u = np.zeros((d, d), dtype=complex)
+    u[perm, np.arange(d)] = s
+    return u
+
+
+LOG_BLOCK_KINDS = ("haar", "permutation", "identity", "repeated", "close")
+
+
+def log_test_block(kind, d, rng, phase):
+    if kind == "haar":
+        return haar_block(rng, d)
+    if kind == "permutation":
+        return phased_permutation(rng, d)
+    if kind == "identity":
+        return np.eye(d, dtype=complex)
+    if kind == "repeated":
+        return np.exp(1j * phase) * np.eye(d)
+    w = haar_block(rng, d)  # phases 1e-9 apart in a Haar-rotated basis
+    return (w * np.exp(1j * (phase + 1e-9 * np.arange(d)))) @ w.conj().T
+
+
+@st.composite
+def blocked_unitaries(draw):
+    """A random block structure (levels shuffled, so blocks interleave) and
+    a block-diagonal unitary with a block of a drawn kind per energy."""
+    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
+    es = [3.0 * b for b, d in enumerate(sizes) for _ in range(d)]
+    es = [es[i] for i in draw(st.permutations(range(len(es))))]
+    ec = draw(st.sampled_from(([0.0], [0.0, 0.0], [0.0, 1.0])))
+    blocks = energy_blocks(Spectrum.from_energies(es), Spectrum.from_energies(ec))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    u = np.zeros((blocks.joint_dim,) * 2, dtype=complex)
+    for _, members in blocks.items():
+        kind = draw(st.sampled_from(LOG_BLOCK_KINDS))
+        phase = draw(st.sampled_from((0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi))
+                     | st.floats(-math.pi, math.pi))
+        u[np.ix_(members, members)] = log_test_block(kind, len(members), rng, phase)
+    return blocks, u
+
+
+def dense_from_blocks(k_blocks, blocks):
+    n = blocks.joint_dim
+    k = np.zeros((n, n), dtype=complex)
+    for (_, members), kb in zip(blocks.items(), k_blocks):
+        k[np.ix_(members, members)] = kb
+    return k
+
+
+class TestLogUnitary:
+    @given(blocked_unitaries())
+    @settings(max_examples=200, deadline=None)
+    def test_principal_log_per_block(self, case):
+        blocks, u = case
+        k = compiler._log_unitary(u, blocks)
+        # One d_b x d_b block per energy: K has no entry between blocks.
+        assert [kb.shape for kb in k] == [(d, d) for d in blocks.block_sizes()]
+        for kb in k:
+            assert np.array_equal(kb, -kb.conj().T)
+            # -1 itself takes +pi, so rounding cannot push a phase below -pi.
+            phases = np.linalg.eigvalsh(-1j * kb)
+            assert phases.min() > -math.pi and phases.max() <= math.pi + 1e-12
+        n = blocks.joint_dim
+        assert np.linalg.norm(expm_skew(dense_from_blocks(k, blocks)) - u) <= 1e-12 * n
+
+    @pytest.mark.parametrize("u,phases", [
+        (np.array([[0, 1, 0], [1, 0, 0], [0, 0, -1]], dtype=complex), [0.0, math.pi, math.pi]),
+        # e^{-i pi} = -1 - 1.2e-16i, whose angle rounds to -pi
+        (np.exp(-1j * math.pi) * np.eye(3), [math.pi] * 3),
+    ])
+    def test_minus_one_takes_plus_pi(self, u, phases):
+        (kb,) = compiler._log_unitary(u, one_block(3))
+        assert np.allclose(np.linalg.eigvalsh(-1j * kb), phases, atol=1e-12)
+
+    def test_close_phases_near_plus_i_are_resolved(self):
+        # Both Hermitian parts barely tell these eigenvalues apart; the
+        # rotated level has to.
+        rng = np.random.default_rng(5)
+        w = haar_block(rng, 4)
+        u = (w * np.exp(1j * (math.pi / 2 + 1e-7 * np.array([0, 1, 2, 3])))) @ w.conj().T
+        (kb,) = compiler._log_unitary(u, one_block(4))
+        assert np.linalg.norm(expm_skew(kb) - u) <= 1e-12 * 4
+
+
+@st.composite
+def antihermitian_blocks(draw):
+    """A block structure and an anti-Hermitian K_b per block; entries are
+    zeroed at random, so dropped coefficients occur."""
+    blocks, _ = draw(blocked_unitaries())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    k = []
+    for d in blocks.block_sizes():
+        a = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) * (rng.random((d, d)) < 0.7)
+        k.append((a - a.conj().T) / 2)
+    return blocks, k
+
+
+def same_terms(new, ref):
+    assert [t[:-1] for t in new] == [t[:-1] for t in ref]
+    assert all(abs(a[-1] - b[-1]) <= 1e-14 for a, b in zip(new, ref))
+
+
+class TestBlockExpansion:
+    @given(antihermitian_blocks())
+    @settings(max_examples=100, deadline=None)
+    def test_expand_matches_dense_reference(self, case):
+        blocks, k = case
+        same_terms(list(compiler._expand_in_basis(k, blocks).items()),
+                   list(reference_expand_in_basis(dense_from_blocks(k, blocks), blocks).items()))
+
+    @given(antihermitian_blocks())
+    @settings(max_examples=100, deadline=None)
+    def test_rank2_matches_dense_reference(self, case):
+        blocks, k = case
+        dense = dense_from_blocks(k, blocks)
+        try:
+            ref = reference_rank2_combination(dense, blocks)
+        except DomainError as e:
+            with pytest.raises(DomainError, match=str(e)):
+                compiler._rank2_combination(k, blocks)
+            return
+        new = compiler._rank2_combination(k, blocks)
+        same_terms(new.linear, ref.linear)
+        same_terms(new.commutators, ref.commutators)
+
+    def test_residual_guard_rejects_non_antihermitian_block(self):
+        k = [np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)]
+        with pytest.raises(DomainError, match="expansion residual"):
+            compiler._expand_in_basis(k, one_block(2))
 
 
 class TestSerialization:

@@ -7,8 +7,9 @@ from thermoforge import (
     build_cooling_sequence,
     gibbs_state,
 )
-from thermoforge.errors import CapacityError, ShapeError
-from thermoforge.generators import _to_matrix
+from thermoforge.compiler import _COEFF_TOL, GeneratorCombination
+from thermoforge.errors import CapacityError, DomainError, ShapeError
+from thermoforge.generators import ElementaryGenerator, _to_matrix, enumerate_basis
 from thermoforge.thermal import ENERGY_TOL
 from thermoforge.verify import (  # noqa: F401  (re-exported for the tests)
     random_antihermitian,
@@ -153,3 +154,58 @@ def reference_lie_closure(gens, max_dim: int = 512, dims: tuple[int, int] | None
                         raise CapacityError(f"closure exceeded max_dim {max_dim}")
         frontier = new_frontier
     return len(basis)
+
+
+def reference_expand_in_basis(k, blocks):
+    """Coefficients of a dense n x n K over the orthogonal h/m/p basis: one
+    dense generator matrix and one n x n trace per basis element."""
+    coeffs = {}
+    for gen in enumerate_basis(blocks, include_rank1=True):
+        gm = gen.matrix(blocks.dims)
+        norm2 = np.real(np.trace(gm.conj().T @ gm))
+        r = float(np.real(np.trace(gm.conj().T @ k)) / norm2)
+        if abs(r) > _COEFF_TOL:
+            coeffs[gen] = r
+    return coeffs
+
+
+def reference_rank2_combination(k, blocks):
+    """Depth-1 rank-2-only description of a dense n x n K: h/m linear terms
+    plus f-type commutators and one g_diag per block for the diagonal part."""
+    linear: list[tuple[ElementaryGenerator, float]] = []
+    comms: list[tuple[ElementaryGenerator, ElementaryGenerator, float]] = []
+    for energy, members in blocks.items():
+        idx = blocks.pairs(members)
+        d = len(idx)
+        flats = members.tolist()
+        diag = np.array([np.imag(k[f, f]) for f in flats])
+        if d == 1:
+            if abs(diag[0]) > 1e-12:
+                raise DomainError(
+                    f"singleton block at energy {energy} carries a phase; "
+                    "tensor a two-level zero-energy catalyst to double it"
+                )
+            continue
+        for i in range(d):
+            for j in range(i + 1, d):
+                gh = ElementaryGenerator("h", energy, idx[i], idx[j])
+                gm = ElementaryGenerator("m", energy, idx[i], idx[j])
+                for g in (gh, gm):
+                    m = g.matrix(blocks.dims)
+                    r = float(np.real(np.trace(m.conj().T @ k)) / 2.0)
+                    if abs(r) > _COEFF_TOL:
+                        linear.append((g, r))
+        # diag = sum c_i * f_(i,i+1) + c_g * g_(0,1) in the +/-1 patterns.
+        cols = np.zeros((d, d))
+        for i in range(d - 1):
+            cols[i, i], cols[i + 1, i] = 1.0, -1.0
+        cols[0, d - 1] = cols[1, d - 1] = 1.0
+        sol = np.linalg.solve(cols, diag)
+        for i in range(d - 1):
+            if abs(sol[i]) > _COEFF_TOL:
+                gh = ElementaryGenerator("h", energy, idx[i], idx[i + 1])
+                gm = ElementaryGenerator("m", energy, idx[i], idx[i + 1])
+                comms.append((gh, gm, float(sol[i]) / 2.0))
+        if abs(sol[d - 1]) > _COEFF_TOL:
+            linear.append((ElementaryGenerator("g_diag", energy, idx[0], idx[1]), float(sol[d - 1])))
+    return GeneratorCombination(linear=tuple(linear), commutators=tuple(comms))

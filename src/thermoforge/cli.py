@@ -127,6 +127,9 @@ def cmd_compile(args) -> int:
         report.add_check("reconstruction_error", err < args.accuracy, err, args.accuracy)
     report.outputs["gate_count"] = len(seq)
     report.outputs["layers"] = seq.layers
+    report.outputs["sizes"] = {"joint_dim": blocks.joint_dim,
+                               "block_sizes": blocks.block_sizes(),
+                               "slice_gates": len(seq.kinds)}
     report.outputs["method"] = seq.method
     report.outputs["error_bound"] = seq.error_bound
     if args.out:

@@ -28,8 +28,14 @@ same cost.  compile_exact's triangular order has about 2 max_b d_b
 layers (50 layers for 990 gates at n = 108).  reconstruct costs O(n^2)
 for the identity plus one pass, and a sequence of one slice repeated m
 times is reconstructed as slice^m: O(L n + n^3 log m).
-compile_approximate, which doubles m until the accuracy is met, pays
-that once per doubling.
+
+compile_approximate doubles m until the accuracy is met.  It plans the
+slice once, O(L) Python: kind codes, level pairs, each term's base
+coefficient with its m-scaling (_Slice) and the layer order.  Each
+doubling then evaluates the 2x2 blocks, runs one layered pass over
+eye(n) and raises every energy block of the slice to the m-th power,
+stacked by block size: O(Λ n + sum_b d_b^3 log m).  The sequence is
+built once, for the m returned.
 
 The approximate back-ends start from K = log u, which is block-diagonal
 like u, and never form it as an n x n matrix.  _log_unitary works on one
@@ -43,14 +49,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, ShapeError
 # GateStep is re-exported: thermoforge.compiler.GateStep is public API.
-from .gates import KIND_CODE, GateSequence, GateStep, apply_gates  # noqa: F401
+from .gates import (  # noqa: F401
+    KIND_CODE, GateSequence, GateStep, apply_gates, apply_layers, kind_blocks, layer_order,
+    layer_views,
+)
 from .generators import ElementaryGenerator
-from .linalg import frobenius_distance
 from .thermal import EnergyBlocks, is_energy_preserving, max_cross_block_entry
 
 _ELIM_TOL = 1e-13
@@ -128,9 +137,48 @@ def _sorted_coeffs(coeffs) -> list[tuple[ElementaryGenerator, float]]:
     return items
 
 
-def _generator_columns(terms, dims: tuple[int, int]):
-    """Columns of one slice of steps exp(param * K_g) for (generator,
-    param) terms, in order; a joint index outside dims raises ShapeError."""
+class _Slice(NamedTuple):
+    """The slice a product-formula back-end repeats, before the slice
+    count m is chosen: kind codes, flat level pairs and base coefficients
+    of its generator steps, in order.
+
+    At slice count m a linear term (sign 0) gets the parameter base/m and
+    a term of a commutator group sign * sqrt(base/m); the error bound is
+    bound/m for trotter, bound/sqrt(m) for bch and 0 for nested.
+    """
+
+    method: str
+    dims: tuple[int, int]
+    kinds: np.ndarray
+    flats: np.ndarray
+    base: np.ndarray
+    sign: np.ndarray
+    bound: float
+
+    def params(self, m: int) -> np.ndarray:
+        p = self.base / m
+        root = self.sign != 0
+        np.sqrt(p, out=p, where=root)
+        np.multiply(p, self.sign, out=p, where=root)
+        return p
+
+    def sequence(self, m: int) -> GateSequence:
+        """The slice at slice count m, repeated m times."""
+        bound = {"trotter": self.bound / m, "bch": self.bound / math.sqrt(m)}.get(self.method, 0.0)
+        return GateSequence.from_arrays(self.kinds, self.flats, np.zeros((len(self.kinds), 2, 2)),
+                                        self.params(m), method=self.method, dims=self.dims,
+                                        error_bound=bound, trotter_m=m, repeat=m)
+
+
+def _slice(method: str, dims: tuple[int, int], linear=(), groups=(),
+           bound: float = 0.0) -> _Slice:
+    """A _Slice of (generator, base) linear terms, then one group
+    commutator e^{-sJ} e^{-sK} e^{sJ} e^{sK} per (J, K, base) group with
+    base > 0, its four steps listed first-acting first.  A joint index
+    outside dims raises ShapeError."""
+    terms = [*linear]
+    for j, k, c in groups:
+        terms += [(k, c), (j, c), (k, c), (j, c)]
     ds, dc = dims
     flats = []
     for g, _ in terms:
@@ -138,8 +186,20 @@ def _generator_columns(terms, dims: tuple[int, int]):
             if not (0 <= s < ds and 0 <= c < dc):
                 raise ShapeError(f"joint index ({s}, {c}) out of range for dims {dims}")
         flats.append((g.first[0] * dc + g.first[1], g.second[0] * dc + g.second[1]))
-    kinds = [KIND_CODE[g.kind] for g, _ in terms]
-    return kinds, flats, np.zeros((len(terms), 2, 2)), [p for _, p in terms]
+    return _Slice(method, dims,
+                  np.array([KIND_CODE[g.kind] for g, _ in terms], dtype=np.int8),
+                  np.array(flats, dtype=np.intp).reshape(-1, 2),
+                  np.array([c for _, c in terms], dtype=float),
+                  np.array([0.0] * len(linear) + [1.0, 1.0, -1.0, -1.0] * len(groups)),
+                  bound)
+
+
+def _trotter_slice(coeffs, t: float, dims: tuple[int, int]) -> _Slice:
+    items = [(g, r) for g, r in _sorted_coeffs(coeffs) if r != 0.0]
+    if not items or t == 0.0:
+        return _slice("trotter", dims)
+    total = sum(abs(r) for _, r in items)  # every kind has unit spectral norm
+    return _slice("trotter", dims, [(g, t * r) for g, r in items], bound=(t * total) ** 2)
 
 
 def compile_trotter(coeffs, t: float, m: int, dims: tuple[int, int]) -> GateSequence:
@@ -151,20 +211,16 @@ def compile_trotter(coeffs, t: float, m: int, dims: tuple[int, int]) -> GateSequ
     """
     if m <= 0:
         raise DomainError(f"trotter step count must be positive, got {m}")
-    items = [(g, r) for g, r in _sorted_coeffs(coeffs) if r != 0.0]
-    if not items or t == 0.0:
-        return GateSequence(steps=[], method="trotter", dims=dims, trotter_m=m)
-    terms = [(g, t * r / m) for g, r in items]
-    total = sum(abs(r) for _, r in items)  # every kind has unit spectral norm
-    bound = (t * total) ** 2 / m
-    return GateSequence.from_arrays(*_generator_columns(terms, dims), method="trotter",
-                                    dims=dims, error_bound=bound, trotter_m=m, repeat=m)
+    return _trotter_slice(coeffs, t, dims).sequence(m)
 
 
-def _bch_group(j: ElementaryGenerator, k: ElementaryGenerator,
-               s: float) -> list[tuple[ElementaryGenerator, float]]:
-    # Product e^{-sJ} e^{-sK} e^{sJ} e^{sK}; terms listed first-acting first.
-    return [(k, s), (j, s), (k, -s), (j, -s)]
+def _bch_slice(j: ElementaryGenerator, k: ElementaryGenerator, t: float,
+               dims: tuple[int, int]) -> _Slice:
+    if t < 0:
+        j, k, t = k, j, -t
+    if t == 0.0:
+        return _slice("bch", dims)
+    return _slice("bch", dims, groups=[(j, k, t)], bound=t ** 1.5)
 
 
 def compile_bch(j: ElementaryGenerator, k: ElementaryGenerator, t: float, m: int,
@@ -176,15 +232,7 @@ def compile_bch(j: ElementaryGenerator, k: ElementaryGenerator, t: float, m: int
     """
     if m <= 0:
         raise DomainError(f"bch step count must be positive, got {m}")
-    if t < 0:
-        j, k, t = k, j, -t
-    if t == 0.0:
-        return GateSequence(steps=[], method="bch", dims=dims, trotter_m=m)
-    s = math.sqrt(t / m)
-    bound = t ** 1.5 / math.sqrt(m)
-    return GateSequence.from_arrays(*_generator_columns(_bch_group(j, k, s), dims),
-                                    method="bch", dims=dims, error_bound=bound,
-                                    trotter_m=m, repeat=m)
+    return _bch_slice(j, k, t, dims).sequence(m)
 
 
 @dataclass(frozen=True)
@@ -210,27 +258,31 @@ class GeneratorCombination:
         return k
 
 
+def _nested_slice(combo: GeneratorCombination, t: float, dims: tuple[int, int]) -> _Slice:
+    if not combo.commutators:
+        return _trotter_slice(dict(combo.linear), t, dims)
+    if not combo.linear and len(combo.commutators) == 1:
+        a, b, c = combo.commutators[0]
+        return _bch_slice(a, b, t * c, dims)
+    linear = [(g, t * c) for g, c in sorted(combo.linear, key=lambda p: p[0]) if c != 0.0]
+    groups = []
+    for a, b, c in combo.commutators:
+        tc = t * c
+        if tc < 0:
+            a, b, tc = b, a, -tc
+        if tc != 0.0:
+            groups.append((a, b, tc))
+    return _slice("nested", dims, linear, groups)
+
+
 def compile_nested(combo: GeneratorCombination, t: float, m: int,
                    dims: tuple[int, int]) -> GateSequence:
     """Outer Trotter over the combination's summands; each commutator
-    summand is realized by one BCH group per slice."""
+    summand is realized by one BCH group per slice.  Without commutators
+    this is compile_trotter, and one commutator alone is compile_bch."""
     if m <= 0:
         raise DomainError(f"step count must be positive, got {m}")
-    if not combo.commutators:
-        return compile_trotter(dict(combo.linear), t, m, dims)
-    if not combo.linear and len(combo.commutators) == 1:
-        a, b, c = combo.commutators[0]
-        return compile_bch(a, b, t * c, m, dims)
-    terms = [(g, t * c / m) for g, c in sorted(combo.linear, key=lambda p: p[0]) if c != 0.0]
-    for a, b, c in combo.commutators:
-        tc = t * c / m
-        if tc == 0.0:
-            continue
-        if tc < 0:
-            a, b, tc = b, a, -tc
-        terms.extend(_bch_group(a, b, math.sqrt(tc)))
-    return GateSequence.from_arrays(*_generator_columns(terms, dims), method="nested",
-                                    dims=dims, trotter_m=m, repeat=m)
+    return _nested_slice(combo, t, dims).sequence(m)
 
 
 _CLUSTER_TOL = 1e-3  # eigenvalue gap that separates two clusters in _unitary_eigvecs
@@ -357,6 +409,40 @@ def _rank2_combination(k: list[np.ndarray], blocks: EnergyBlocks) -> GeneratorCo
     return GeneratorCombination(linear=tuple(linear), commutators=tuple(comms))
 
 
+def _power_error(sl: _Slice, u: np.ndarray, blocks: EnergyBlocks):
+    """err(m) = ||S^m - u||_F for the slice S of sl at slice count m.
+
+    S is block-diagonal like u, so err^2 is the sum over energy blocks of
+    ||S_b^m - u_b||_F^2 plus ||u off the blocks||_F^2.  The layer order,
+    the block members stacked by block size and the off-block term are
+    computed once; each m costs one evaluation of the 2x2 blocks, one
+    layered pass over eye(n) and one stacked matrix_power per block size.
+    """
+    n = blocks.joint_dim
+    order, cuts = layer_order(sl.flats, sl.kinds, n)
+    kinds, flats = sl.kinds[order], sl.flats[order]
+    sizes = np.diff(blocks.offsets)
+    stacks = []  # (rows, cols, u_b stacked) per distinct block size
+    off = u.copy()
+    for d in np.unique(sizes).tolist():
+        idx = np.stack([blocks.members(b) for b in np.flatnonzero(sizes == d).tolist()])
+        rows, cols = idx[:, :, None], idx[:, None, :]
+        stacks.append((rows, cols, u[rows, cols]))
+        off[rows, cols] = 0.0
+    off2 = np.vdot(off, off).real
+
+    def error(m: int) -> float:
+        s = np.eye(n, dtype=complex)
+        apply_layers(layer_views(flats, kind_blocks(kinds, sl.params(m)[order]), cuts), 1, s)
+        e2 = off2
+        for rows, cols, ub in stacks:
+            r = (np.linalg.matrix_power(s[rows, cols], m) - ub).ravel()
+            e2 += np.vdot(r, r).real
+        return math.sqrt(e2)
+
+    return error
+
+
 def compile_approximate(u, blocks: EnergyBlocks, method: str,
                         accuracy: float) -> tuple[GateSequence, float]:
     """Approximate u = e^K with the trotter or bch back-end.
@@ -365,23 +451,22 @@ def compile_approximate(u, blocks: EnergyBlocks, method: str,
     plus commutators (compile_nested).  The slice count m doubles from 1
     until the Frobenius error is below `accuracy`, up to M_CAP.  Returns
     the sequence and its error; if M_CAP is not enough, the M_CAP
-    sequence and an error at or above `accuracy`.
+    sequence and an error at or above `accuracy`.  The slice is planned
+    once and the sequence built once, for the m returned.
     """
     u = np.asarray(u, dtype=complex)
     _require_energy_preserving(u, blocks)
     k = _log_unitary(u, blocks)
     if method == "trotter":
-        coeffs = _expand_in_basis(k, blocks)
-        build = lambda m: compile_trotter(coeffs, 1.0, m, blocks.dims)
+        sl = _trotter_slice(_expand_in_basis(k, blocks), 1.0, blocks.dims)
     elif method == "bch":
-        combo = _rank2_combination(k, blocks)
-        build = lambda m: compile_nested(combo, 1.0, m, blocks.dims)
+        sl = _nested_slice(_rank2_combination(k, blocks), 1.0, blocks.dims)
     else:
         raise DomainError(f"unknown approximate method {method!r}")
+    error = _power_error(sl, u, blocks)
     m = 1
     while True:
-        seq = build(m)
-        err = frobenius_distance(reconstruct(seq), u)
+        err = error(m)
         if err < accuracy or 2 * m > M_CAP:
-            return seq, err
+            return sl.sequence(m), err
         m *= 2

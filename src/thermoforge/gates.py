@@ -40,7 +40,7 @@ _BLOCK_WEIGHTS = np.array([
 ], dtype=complex)
 
 
-def _kind_blocks(kinds: np.ndarray, params: np.ndarray) -> np.ndarray:
+def kind_blocks(kinds: np.ndarray, params: np.ndarray) -> np.ndarray:
     """(L, 2, 2) blocks exp(param * K) of generator steps; a phase sits in
     [0, 0] and givens rows are not meaningful."""
     values = np.empty((len(params), 5, 1), dtype=complex)
@@ -53,8 +53,8 @@ def _kind_blocks(kinds: np.ndarray, params: np.ndarray) -> np.ndarray:
 
 
 def _with_kind_blocks(kinds: np.ndarray, blocks: np.ndarray, params: np.ndarray) -> np.ndarray:
-    """The givens rows of blocks, every other row from _kind_blocks."""
-    return np.where((kinds == _GIVENS)[:, None, None], blocks, _kind_blocks(kinds, params))
+    """The givens rows of blocks, every other row from kind_blocks."""
+    return np.where((kinds == _GIVENS)[:, None, None], blocks, kind_blocks(kinds, params))
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,7 +123,7 @@ class GateStep:
         flats = self._flats(dims)
         if self.kind == "givens":
             return flats, self.u2
-        block = _kind_blocks(np.array([KIND_CODE[self.kind]]), np.array([float(self.param)]))[0]
+        block = kind_blocks(np.array([KIND_CODE[self.kind]]), np.array([float(self.param)]))[0]
         return flats, block[:len(flats), :len(flats)]
 
     def matrix(self, dims: tuple[int, int]) -> np.ndarray:
@@ -212,6 +212,7 @@ _TEMPLATES = {
     + ('   "u2": [\n' + ",\n".join([_ENTRY] * 4) + "\n   ]\n  }" if code == _GIVENS else _PARAM)
     for kind, code in KIND_CODE.items()
 }
+_SAVE_CHUNK = 1 << 16  # characters per write of a repeated slice
 
 
 class GateSequence:
@@ -313,26 +314,11 @@ class GateSequence:
         return int(np.count_nonzero(self.kinds == KIND_CODE[kind])) * self.repeat
 
     def _plan(self) -> list[tuple]:
-        """The slice's ASAP layers, each (pairs, blocks, phase levels, phases)
-        for its two-level steps and its phase steps."""
+        """The slice's ASAP layers, as layer_views lists them."""
         if self._layers is None:
             self._check()
-            last = [0] * (self.dims[0] * self.dims[1])  # latest layer on each level
-            layer = []
-            for a, b in self.flats.tolist():
-                k = max(last[a], last[b]) + 1
-                last[a] = last[b] = k
-                layer.append(k)
-            count = max(layer, default=0)
-            # Two-level steps of layer k, then its phases, in stored order.
-            key = 2 * np.array(layer, dtype=np.intp) + (self.kinds == _P)
-            order = np.argsort(key, kind="stable")
-            flats, blocks = self.flats[order], self.blocks[order]
-            cuts = np.searchsorted(key[order], np.arange(2, 2 * count + 3)).tolist()
-            self._layers = [
-                (flats[lo:mid], blocks[lo:mid], flats[mid:hi, 0], blocks[mid:hi, 0, 0])
-                for lo, mid, hi in zip(cuts[0::2], cuts[1::2], cuts[2::2])
-            ]
+            order, cuts = layer_order(self.flats, self.kinds, self.dims[0] * self.dims[1])
+            self._layers = layer_views(self.flats[order], self.blocks[order], cuts)
         return self._layers
 
     @property
@@ -383,7 +369,9 @@ class GateSequence:
         """Write the bytes of json.dump(self.to_json(), f, indent=1).
 
         The steps are formatted from the columns with float repr, as the
-        json module does, and streamed; a repeated slice is formatted once.
+        json module does, and streamed; a repeated slice is formatted once
+        and written as chunks of about _SAVE_CHUNK characters, each holding
+        whole copies of it.
         """
         self._check()
         text = json.dumps(self._json_fields([]), indent=1)
@@ -394,7 +382,11 @@ class GateSequence:
             head, tail = text.split('\n "steps": []', 1)
             items = self._step_texts()
             if self.repeat > 1:
-                items = itertools.repeat(",\n".join(items), self.repeat)
+                one = ",\n".join(items)
+                k = min(self.repeat, max(1, _SAVE_CHUNK // (len(one) + 2)))
+                q, r = divmod(self.repeat, k)
+                items = itertools.chain(itertools.repeat(",\n".join([one] * k), q),
+                                        [",\n".join([one] * r)] if r else [])
             f.write(f'{head}\n "steps": [\n{next(items)}')
             for item in items:
                 f.write(",\n")
@@ -543,7 +535,36 @@ def _read_steps(items, dims: tuple[int, int]):
     return kinds, flats, blocks, params
 
 
-def _apply_rows(layers: list[tuple], repeat: int, x: np.ndarray) -> None:
+def layer_order(flats: np.ndarray, kinds: np.ndarray, n: int) -> tuple[np.ndarray, list]:
+    """The ASAP layers of a slice on n levels, from its flat level pairs
+    and kind codes alone.
+
+    Each step goes into the earliest layer after every earlier step that
+    shares a level with it.  `order` lists the steps layer by layer, each
+    layer's two-level steps and then its phases, in stored order; layer k
+    is order[cuts[2k]:cuts[2k+1]] (two-level) plus
+    order[cuts[2k+1]:cuts[2k+2]] (phases).
+    """
+    last = [0] * n  # latest layer on each level
+    layer = []
+    for a, b in flats.tolist():
+        k = max(last[a], last[b]) + 1
+        last[a] = last[b] = k
+        layer.append(k)
+    key = 2 * np.array(layer, dtype=np.intp) + (kinds == _P)
+    order = np.argsort(key, kind="stable")
+    cuts = np.searchsorted(key[order], np.arange(2, 2 * max(layer, default=0) + 3)).tolist()
+    return order, cuts
+
+
+def layer_views(flats: np.ndarray, blocks: np.ndarray, cuts: list) -> list[tuple]:
+    """Each layer as (pairs, blocks, phase levels, phases), from the
+    columns of a slice already listed in layer_order."""
+    return [(flats[lo:mid], blocks[lo:mid], flats[mid:hi, 0], blocks[mid:hi, 0, 0])
+            for lo, mid, hi in zip(cuts[0::2], cuts[1::2], cuts[2::2])]
+
+
+def apply_layers(layers: list[tuple], repeat: int, x: np.ndarray) -> None:
     """x <- U x for the slice U given by its layers, applied `repeat` times."""
     for _ in range(repeat):
         for pairs, blocks, levels, phases in layers:
@@ -567,9 +588,9 @@ def apply_gates(seq: GateSequence, x: np.ndarray, conjugate: bool = False) -> np
     if x.dtype != complex:
         raise TypeError(f"gates update a complex array in place, got {x.dtype}")
     layers = seq._plan()
-    _apply_rows(layers, seq.repeat, x if x.ndim == 2 else x[:, None])
+    apply_layers(layers, seq.repeat, x if x.ndim == 2 else x[:, None])
     if conjugate:
         np.conjugate(x, out=x)
-        _apply_rows(layers, seq.repeat, x.T)
+        apply_layers(layers, seq.repeat, x.T)
         np.conjugate(x, out=x)
     return x

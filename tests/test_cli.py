@@ -147,6 +147,27 @@ class TestCompile:
         rerun = run_cli(capsys, argv)[1]
         assert {**rerun, "wall_time": 0} == {**report, "wall_time": 0}
 
+    @pytest.mark.parametrize("method", ["exact", "trotter", "bch"])
+    def test_report_sizes(self, tmp_path, capsys, method):
+        # joint energies 0 (x2), 1 (x5), 2 (x3), 3 (x2)
+        es, ec = [0.0, 1.0, 1.0], [0.0, 0.0, 1.0, 2.0]
+        blocks = energy_blocks(Spectrum.from_energies(es), Spectrum.from_energies(ec))
+        u = random_energy_preserving_unitary(blocks, seed=5)
+        out = tmp_path / "seq.json"
+        argv = ["compile", "--system", write_json(tmp_path / "s.json", {"energies": es}),
+                "--catalyst", write_json(tmp_path / "c.json", {"energies": ec}),
+                "--unitary", write_matrix(tmp_path / "u.json", u), "--method", method,
+                "--accuracy", "0.5", "--out", str(out)]
+        code, report, _ = run_cli(capsys, argv)
+        assert code == 0
+        saved = json.loads(out.read_text())
+        m = saved.get("trotter_m", 1)
+        sizes = report["outputs"]["sizes"]
+        assert sizes == {"joint_dim": 12, "block_sizes": [2, 5, 3, 2],
+                         "slice_gates": len(saved["steps"]) // m}
+        assert sizes["slice_gates"] * m == report["outputs"]["gate_count"] > 0
+        assert run_cli(capsys, argv)[1]["outputs"] == report["outputs"]
+
 
 class TestCool:
     def test_single_d(self, capsys):

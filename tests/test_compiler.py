@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from thermoforge import compiler
+from thermoforge import compiler, gates
 from thermoforge import (
     ElementaryGenerator,
     GateSequence,
@@ -30,8 +30,10 @@ from thermoforge import (
 )
 from thermoforge.errors import DomainError, ShapeError
 from util import (
+    random_antihermitian,
     random_resonant_spectra,
     reference_apply_gates,
+    reference_compile_approximate,
     reference_expand_in_basis,
     reference_rank2_combination,
 )
@@ -528,6 +530,50 @@ class TestCompileNested:
             GeneratorCombination(commutators=(((gh, gm, 1.0), gm, 0.5),))
 
 
+class TestSliceParams:
+    """Every back-end takes its params from one slice plan; they must be
+    the closed forms t*r/m and +-sqrt(t*c/m) bit for bit."""
+
+    @given(t=st.floats(-3, 3), m=st.integers(1, 1 << 14),
+           r=st.lists(st.floats(-2, 2), min_size=4, max_size=4),
+           c=st.lists(st.floats(-2, 2), min_size=2, max_size=2))
+    @settings(max_examples=200, deadline=None)
+    @example(t=0.7, m=3, r=[0.8, 0.0, -0.5, 1.1], c=[0.6, -0.2])
+    @example(t=-0.9, m=5, r=[0.3, 0.4, 0.5, 0.6], c=[0.0, 0.1])
+    def test_params_are_the_closed_forms(self, t, m, r, c):
+        s = Spectrum.from_energies([0.0, 1.0])
+        blocks = energy_blocks(s, Spectrum.from_energies([0.0, 0.0, 1.0]))
+        e, idx = blocks.blocks[1]
+        a, b, d = sorted(idx)
+        gh, gm = ElementaryGenerator("h", e, a, b), ElementaryGenerator("m", e, a, b)
+        gh2, pa = ElementaryGenerator("h", e, b, d), ElementaryGenerator("p", e, a, a)
+        dims = blocks.dims
+
+        def group(tc):  # tc = t*c/m of one commutator, swapped to tc >= 0
+            x = math.sqrt(abs(tc))
+            return [x, x, -x, -x]
+
+        coeffs = dict(zip((pa, gh2, gm, gh), r))
+        items = sorted((g, x) for g, x in coeffs.items() if x != 0.0)
+        seq = compile_trotter(coeffs, t, m, dims)
+        assert seq.params.tolist() == ([] if t == 0.0 else [t * x / m for _, x in items])
+        if t != 0.0 and items:
+            total = sum(abs(x) for _, x in items)
+            assert seq.error_bound == (t * total) ** 2 / m
+
+        seq = compile_bch(gh, gm, t, m, dims)
+        assert seq.params.tolist() == ([] if t == 0.0 else group(t / m))
+        assert seq.error_bound == (0.0 if t == 0.0 else abs(t) ** 1.5 / math.sqrt(m))
+
+        combo = GeneratorCombination(linear=((gh2, r[0]), (pa, r[1])),
+                                     commutators=((gh, gm, c[0]), (gm, gh2, c[1])))
+        want = [t * x / m for g, x in sorted(combo.linear, key=lambda p: p[0]) if x != 0.0]
+        for _, _, x in combo.commutators:
+            if t * x != 0.0:
+                want += group(t * x / m)
+        assert compile_nested(combo, t, m, dims).params.tolist() == want
+
+
 def periodic_builders():
     """build(m) for each back-end that lists one slice m times."""
     s = Spectrum.from_energies([0.0, 1.0])
@@ -626,19 +672,22 @@ class TestCompileApproximate:
         return blocks, random_energy_preserving_unitary(blocks, seed=3)
 
     @pytest.mark.parametrize("method,accuracy", [("trotter", 1e-2), ("bch", 1e-1)])
-    def test_smallest_power_of_two_meeting_accuracy(self, instance, method, accuracy,
-                                                    monkeypatch):
+    def test_smallest_power_of_two_meeting_accuracy(self, instance, method, accuracy):
         blocks, u = instance
-        tried = []
-
-        def recording(seq):
-            tried.append(seq)
-            return reconstruct(seq)
-
-        monkeypatch.setattr(compiler, "reconstruct", recording)
         seq, err = compile_approximate(u, blocks, method, accuracy)
-        assert [s.trotter_m for s in tried] == [2 ** k for k in range(len(tried))]
-        assert tried[-1] is seq and len(tried) > 1
+        # Every slice count up to the returned one, through the back-end itself.
+        k = compiler._log_unitary(u, blocks)
+        if method == "trotter":
+            coeffs = compiler._expand_in_basis(k, blocks)
+            build = lambda m: compile_trotter(coeffs, 1.0, m, blocks.dims)
+        else:
+            combo = compiler._rank2_combination(k, blocks)
+            build = lambda m: compile_nested(combo, 1.0, m, blocks.dims)
+        tried = [build(2 ** j) for j in range(seq.trotter_m.bit_length())]
+        assert tried[-1].trotter_m == seq.trotter_m and len(tried) > 1
+        for column in ("kinds", "flats", "params", "blocks"):
+            assert np.array_equal(getattr(tried[-1], column), getattr(seq, column))
+        assert (tried[-1].method, tried[-1].repeat) == (seq.method, seq.repeat)
         errs = [np.linalg.norm(gate_by_gate(s) - u) for s in tried]
         assert all(e >= accuracy for e in errs[:-1])
         assert err < accuracy
@@ -661,6 +710,60 @@ class TestCompileApproximate:
         u[[0, 3]] = u[[3, 0]]
         with pytest.raises(DomainError, match="couples energy blocks"):
             compile_approximate(u, blocks, "bch", 1e-3)
+
+    @given(es=st.lists(st.integers(0, 2), min_size=1, max_size=3),
+           ec=st.lists(st.integers(0, 2), min_size=1, max_size=3),
+           kind=st.sampled_from(["haar", "identity"]),
+           method=st.sampled_from(["trotter", "bch"]),
+           accuracy=st.one_of(st.just(0.0), st.floats(-4, -1).map(lambda x: 10.0 ** x)),
+           leak=st.booleans(), seed=st.integers(0, 2 ** 31 - 1))
+    @example(es=[0], ec=[0, 0], kind="identity", method="trotter", accuracy=0.0, leak=False,
+             seed=0)
+    @example(es=[0], ec=[0, 0], kind="identity", method="bch", accuracy=1e-2, leak=False,
+             seed=0)
+    @example(es=[0, 1], ec=[0, 1], kind="identity", method="trotter", accuracy=1e-3,
+             leak=True, seed=4)
+    @example(es=[0, 1], ec=[0, 1], kind="haar", method="bch", accuracy=1e-1, leak=False, seed=1)
+    @example(es=[0, 1, 1], ec=[0], kind="haar", method="trotter", accuracy=1e-4, leak=True,
+             seed=2)
+    @example(es=[0, 2], ec=[0, 1], kind="haar", method="trotter", accuracy=0.0, leak=False,
+             seed=3)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference_loop(self, es, ec, kind, method, accuracy, leak, seed):
+        """Same trotter_m and save bytes as the dense doubling loop, and the
+        same error up to 1e-12 relative plus m*eps for the rounding that m
+        slices accumulate (on all-singleton blocks the error is that noise).
+        A leak couples the blocks by about 1e-10, inside the energy-
+        preservation tolerance, which the error must still count."""
+        assume(len(es) * len(ec) <= 4)  # bounds the files at M_CAP
+        blocks = energy_blocks(Spectrum.from_energies(es), Spectrum.from_energies(ec))
+        if kind == "identity":
+            u = np.eye(blocks.joint_dim, dtype=complex)
+        else:
+            u = random_energy_preserving_unitary(blocks, seed=seed)
+            if method == "bch":  # a phase on a singleton block has no rank-2 form
+                for b in np.flatnonzero(np.diff(blocks.offsets) == 1).tolist():
+                    i = int(blocks.members(b)[0])
+                    u[i, i] = 1.0
+        if leak:
+            a = random_antihermitian(np.random.default_rng(seed), blocks.joint_dim)
+            bid = blocks.block_of_flat()
+            a[bid[:, None] == bid[None, :]] = 0.0
+            u = u @ expm_skew(1e-10 * a)
+        want, want_err = reference_compile_approximate(u, blocks, method, accuracy)
+        seq, err = compile_approximate(u, blocks, method, accuracy)
+        assert seq.trotter_m == want.trotter_m
+        if accuracy == 0.0:
+            assert seq.trotter_m == compiler.M_CAP
+        if kind == "identity":
+            assert len(seq) == 0
+        assert abs(err - want_err) <= 1e-12 * want_err + np.finfo(float).eps * seq.trotter_m
+        with tempfile.TemporaryDirectory() as d:
+            paths = os.path.join(d, "want.json"), os.path.join(d, "got.json")
+            want.save(paths[0])
+            seq.save(paths[1])
+            with open(paths[0], "rb") as a, open(paths[1], "rb") as b:
+                assert a.read() == b.read()
 
 
 def haar_block(rng, d):
@@ -898,6 +1001,17 @@ class TestSequenceJson:
         for got, want in zip(loaded.steps, seq.steps):
             assert (got.kind, got.indices, got.param) == (want.kind, want.indices, want.param)
         assert np.linalg.norm(reconstruct(loaded) - reconstruct(seq)) < 1e-12 * m
+
+    @pytest.mark.parametrize("chunk", [1, 1500, 5000, 1 << 16])
+    @pytest.mark.parametrize("method,m", [("trotter", 7), ("bch", 40), ("nested", 13)])
+    def test_repeated_slice_chunks_save_json_dump_bytes(self, monkeypatch, tmp_path,
+                                                         chunk, method, m):
+        """Chunks of one copy, of several with a remainder, and of all m."""
+        monkeypatch.setattr(gates, "_SAVE_CHUNK", chunk)
+        seq = periodic_builders()[method](m)
+        path = tmp_path / "seq.json"
+        seq.save(str(path))
+        assert path.read_text() == json.dumps(seq.to_json(), indent=1)
 
     def test_repeated_handcrafted_slice(self, tmp_path):
         swap = GateStep("givens", ((0, 0), (1, 1)), u2=np.array([[0, 1j], [1j, 0]]))

@@ -7,9 +7,11 @@ from thermoforge import (
     build_cooling_sequence,
     gibbs_state,
 )
+from thermoforge import compiler
 from thermoforge.compiler import _COEFF_TOL, GeneratorCombination
 from thermoforge.errors import CapacityError, DomainError, ShapeError
 from thermoforge.generators import ElementaryGenerator, _to_matrix, enumerate_basis
+from thermoforge.linalg import frobenius_distance
 from thermoforge.thermal import ENERGY_TOL
 from thermoforge.verify import (  # noqa: F401  (re-exported for the tests)
     random_antihermitian,
@@ -209,3 +211,27 @@ def reference_rank2_combination(k, blocks):
         if abs(sol[d - 1]) > _COEFF_TOL:
             linear.append((ElementaryGenerator("g_diag", energy, idx[0], idx[1]), float(sol[d - 1])))
     return GeneratorCombination(linear=tuple(linear), commutators=tuple(comms))
+
+
+def reference_compile_approximate(u, blocks, method, accuracy):
+    """The doubling loop that rebuilds the sequence and reconstructs the
+    dense n x n slice^m at every slice count m: m doubles from 1 until
+    ||reconstruct(seq) - u||_F is below accuracy, up to compiler.M_CAP."""
+    u = np.asarray(u, dtype=complex)
+    compiler._require_energy_preserving(u, blocks)
+    k = compiler._log_unitary(u, blocks)
+    if method == "trotter":
+        coeffs = compiler._expand_in_basis(k, blocks)
+        build = lambda m: compiler.compile_trotter(coeffs, 1.0, m, blocks.dims)
+    elif method == "bch":
+        combo = compiler._rank2_combination(k, blocks)
+        build = lambda m: compiler.compile_nested(combo, 1.0, m, blocks.dims)
+    else:
+        raise DomainError(f"unknown approximate method {method!r}")
+    m = 1
+    while True:
+        seq = build(m)
+        err = frobenius_distance(compiler.reconstruct(seq), u)
+        if err < accuracy or 2 * m > compiler.M_CAP:
+            return seq, err
+        m *= 2

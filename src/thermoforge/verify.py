@@ -19,7 +19,7 @@ from .channels import (
     beta_swap,
     run_gc_eto,
 )
-from .compiler import compile_bch, compile_exact, compile_trotter, reconstruct
+from .compiler import GateSequence, compile_bch, compile_exact, compile_trotter, reconstruct
 from .generators import enumerate_basis, lie_closure, rank2_basis, ElementaryGenerator
 from .linalg import expm_skew, frobenius_distance, kron, partial_trace, trace_distance
 from .majorization import max_ground_population_TO, thermo_majorizes
@@ -294,11 +294,11 @@ def suite_cooling(seed: int, trials: int) -> list[CheckResult]:
         dense = cooling.run_cooling_dense(d)
         worst_dense = max(worst_dense, float(np.abs(diag.populations - dense.populations).max()))
     # Gate order does not matter (commuting family).
-    inst = cooling.build_cooling_instance(4)
-    shuffled = list(inst.gates.steps)
-    rng.shuffle(shuffled)
-    seq = type(inst.gates)(steps=shuffled, method="handcrafted", dims=inst.gates.dims)
-    order_dev = frobenius_distance(reconstruct(seq), reconstruct(inst.gates))
+    gates = cooling.build_cooling_instance(4).gates
+    perm = rng.permutation(len(gates))
+    seq = GateSequence.from_arrays(gates.kinds[perm], gates.flats[perm], gates.blocks[perm],
+                                   gates.params[perm], method="handcrafted", dims=gates.dims)
+    order_dev = frobenius_distance(reconstruct(seq), reconstruct(gates))
     # TO optimality attained.
     opt_dev = 0.0
     for d in range(2, 9):

@@ -34,6 +34,7 @@ from util import (
     random_resonant_spectra,
     reference_apply_gates,
     reference_compile_approximate,
+    reference_compile_exact,
     reference_expand_in_basis,
     reference_rank2_combination,
 )
@@ -338,7 +339,129 @@ class TestGateStep:
             GateStep(kind, indices, param=param)
 
 
+def haar_block(rng, d):
+    return random_energy_preserving_unitary(one_block(d), seed=int(rng.integers(2 ** 31)))
+
+
+def phased_permutation(rng, d):
+    """A permutation with fourth-root-of-unity phases that has eigenvalue -1:
+    the phases of the cycle through level 0 multiply to (-1)^length."""
+    perm = rng.permutation(d)
+    s = rng.choice(np.array([1, -1, 1j, -1j]), d)
+    cycle, i = [0], int(perm[0])
+    while i != 0:
+        cycle.append(i)
+        i = int(perm[i])
+    s[0] *= (-1) ** len(cycle) / np.prod(s[cycle])
+    u = np.zeros((d, d), dtype=complex)
+    u[perm, np.arange(d)] = s
+    return u
+
+
+LOG_BLOCK_KINDS = ("haar", "permutation", "identity", "repeated", "close")
+
+
+def log_test_block(kind, d, rng, phase):
+    if kind == "haar":
+        return haar_block(rng, d)
+    if kind == "permutation":
+        return phased_permutation(rng, d)
+    if kind == "identity":
+        return np.eye(d, dtype=complex)
+    if kind == "repeated":
+        return np.exp(1j * phase) * np.eye(d)
+    w = haar_block(rng, d)  # phases 1e-9 apart in a Haar-rotated basis
+    return (w * np.exp(1j * (phase + 1e-9 * np.arange(d)))) @ w.conj().T
+
+
+EXACT_BLOCK_KINDS = ("haar", "identity", "permutation", "phases", "leading")
+
+
+def exact_test_block(kind, d, rng):
+    if kind == "phases":  # exact -1 and i among them half the time
+        return np.diag(rng.choice(np.array([1, -1, 1j, -1j]), d) if rng.random() < 0.5
+                       else np.exp(1j * rng.uniform(-math.pi, math.pi, d)))
+    if kind == "leading":  # first column e_0 up to phase
+        u = np.zeros((d, d), dtype=complex)
+        u[0, 0] = np.exp(1j * rng.uniform(-math.pi, math.pi))
+        if d > 1:
+            u[1:, 1:] = haar_block(rng, d - 1)
+        return u
+    # A phased permutation has exact zeros below the diagonal: skipped entries.
+    return log_test_block(kind, d, rng, 0.0)
+
+
+def exact_instance(es, ec, kinds, seed):
+    """Block structure of the system and catalyst energies, and a unitary
+    with one block of each listed kind (cycled) per energy."""
+    blocks = energy_blocks(Spectrum.from_energies(es), Spectrum.from_energies(ec))
+    rng = np.random.default_rng(seed)
+    u = np.zeros((blocks.joint_dim,) * 2, dtype=complex)
+    for b, (_, members) in enumerate(blocks.items()):
+        u[np.ix_(members, members)] = exact_test_block(kinds[b % len(kinds)], len(members), rng)
+    return blocks, u
+
+
+@st.composite
+def exact_cases(draw):
+    """A random block structure and a block-diagonal unitary with a block of
+    a drawn kind per energy.  The structure is resonant (small integer
+    energies on both sides) or drawn by block size with the levels
+    shuffled, so blocks interleave and singletons are common."""
+    if draw(st.booleans()):
+        es = draw(st.lists(st.integers(0, 2), min_size=1, max_size=4))
+        ec = draw(st.lists(st.integers(0, 2), min_size=1, max_size=5))
+    else:
+        sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=5))
+        es = [3.0 * b for b, d in enumerate(sizes) for _ in range(d)]
+        es = [es[i] for i in draw(st.permutations(range(len(es))))]
+        ec = draw(st.sampled_from(([0.0], [0.0, 0.0], [0.0, 1.0])))
+    kinds = draw(st.lists(st.sampled_from(EXACT_BLOCK_KINDS), min_size=1, max_size=8))
+    return exact_instance(es, ec, kinds, draw(st.integers(0, 2 ** 32 - 1)))
+
+
 class TestCompileExact:
+    @given(exact_cases())
+    @settings(max_examples=200, deadline=None)
+    @example(exact_instance([0.0, 1.0, 2.0], [0.0, 10.0], ["phases"], 1))  # singletons only
+    @example(exact_instance([0.0, 0.0, 1.0], [0.0, 1.0, 1.0], ["leading", "identity"], 2))
+    @example(exact_instance([0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 2.0], ["permutation"], 3))
+    def test_matches_reference_elimination(self, case):
+        # Same steps as the row-by-row triangular elimination; only the last
+        # bits of the blocks and phases may differ.
+        blocks, u = case
+        seq, want = compile_exact(u, blocks), reference_compile_exact(u, blocks)
+        assert len(seq) == len(want)
+        assert seq.kinds.tolist() == want.kinds.tolist()
+        assert seq.flats.tolist() == want.flats.tolist()
+        assert seq.layers == want.layers
+        assert np.abs(seq.blocks - want.blocks).max(initial=0.0) <= 1e-13
+        assert np.isnan(seq.params).tolist() == np.isnan(want.params).tolist()
+        assert np.abs(np.nan_to_num(seq.params - want.params)).max(initial=0.0) <= 1e-13
+        assert np.linalg.norm(reconstruct(seq) - u) <= 1e-12
+
+    @given(st.lists(st.integers(1, 40), max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_stacks_bound_padding(self, sizes):
+        # Every block of size >= 2 once, largest first; a stack padded to its
+        # first block holds at most 2 sum_b d_b^2 entries.
+        stacks = compiler._stacks(sizes)
+        listed = [b for stack in stacks for b in stack]
+        assert sorted(listed) == [b for b, d in enumerate(sizes) if d >= 2]
+        assert [sizes[b] for b in listed] == sorted((d for d in sizes if d >= 2), reverse=True)
+        for stack in stacks:
+            assert len(stack) * sizes[stack[0]] ** 2 <= 2 * sum(sizes[b] ** 2 for b in stack)
+
+    def test_column_passes_per_size_class(self):
+        # Joint dims 30..108 with energies 0..3 used equally often on each
+        # side (74 to 983 rotations): one column pass per column of each
+        # stack but its last.
+        passes = []
+        for ds, dc in ((3, 10), (4, 12), (5, 14), (6, 15), (6, 18)):
+            sizes = np.convolve(np.bincount(np.arange(ds) % 4), np.bincount(np.arange(dc) % 4))
+            passes.append(sum(sizes[s[0]] - 1 for s in compiler._stacks(sizes.tolist())))
+        assert passes == [8, 13, 21, 27, 28]
+
     def test_identity_empty(self):
         blocks = one_block(4)
         assert len(compile_exact(np.eye(4), blocks)) == 0
@@ -522,6 +645,15 @@ class TestCompileNested:
             m *= 2
         assert errs[-1] < 1e-3
         assert all(errs[i + 1] <= errs[i] * 1.1 for i in range(len(errs) - 1))
+
+    def test_repeated_linear_terms_add(self):
+        # Two terms on one generator are one term of the summed coefficient.
+        blocks = one_block(2)
+        gh, _ = hm_pair(blocks)
+        combo = GeneratorCombination(linear=((gh, 0.5), (gh, 0.3)))
+        seq = compile_nested(combo, 1.0, 1, blocks.dims)
+        target = expm_skew(combo.target_matrix(blocks.dims))
+        assert np.linalg.norm(reconstruct(seq) - target) <= 1e-12
 
     def test_rejects_deep_nesting(self):
         blocks = one_block(2)
@@ -764,41 +896,6 @@ class TestCompileApproximate:
             seq.save(paths[1])
             with open(paths[0], "rb") as a, open(paths[1], "rb") as b:
                 assert a.read() == b.read()
-
-
-def haar_block(rng, d):
-    return random_energy_preserving_unitary(one_block(d), seed=int(rng.integers(2 ** 31)))
-
-
-def phased_permutation(rng, d):
-    """A permutation with fourth-root-of-unity phases that has eigenvalue -1:
-    the phases of the cycle through level 0 multiply to (-1)^length."""
-    perm = rng.permutation(d)
-    s = rng.choice(np.array([1, -1, 1j, -1j]), d)
-    cycle, i = [0], int(perm[0])
-    while i != 0:
-        cycle.append(i)
-        i = int(perm[i])
-    s[0] *= (-1) ** len(cycle) / np.prod(s[cycle])
-    u = np.zeros((d, d), dtype=complex)
-    u[perm, np.arange(d)] = s
-    return u
-
-
-LOG_BLOCK_KINDS = ("haar", "permutation", "identity", "repeated", "close")
-
-
-def log_test_block(kind, d, rng, phase):
-    if kind == "haar":
-        return haar_block(rng, d)
-    if kind == "permutation":
-        return phased_permutation(rng, d)
-    if kind == "identity":
-        return np.eye(d, dtype=complex)
-    if kind == "repeated":
-        return np.exp(1j * phase) * np.eye(d)
-    w = haar_block(rng, d)  # phases 1e-9 apart in a Haar-rotated basis
-    return (w * np.exp(1j * (phase + 1e-9 * np.arange(d)))) @ w.conj().T
 
 
 @st.composite

@@ -1,5 +1,7 @@
 """Reference implementations shared by the test suite, and the seeded
 random-instance helpers of thermoforge.verify, re-exported."""
+import math
+
 import numpy as np
 
 from thermoforge import (
@@ -8,7 +10,9 @@ from thermoforge import (
     gibbs_state,
 )
 from thermoforge import compiler
-from thermoforge.compiler import _COEFF_TOL, GeneratorCombination
+from thermoforge.compiler import (
+    _COEFF_TOL, _ELIM_TOL, _GIVENS, _P, GateSequence, GeneratorCombination,
+)
 from thermoforge.errors import CapacityError, DomainError, ShapeError
 from thermoforge.generators import ElementaryGenerator, _to_matrix, enumerate_basis
 from thermoforge.linalg import frobenius_distance
@@ -211,6 +215,49 @@ def reference_rank2_combination(k, blocks):
         if abs(sol[d - 1]) > _COEFF_TOL:
             linear.append((ElementaryGenerator("g_diag", energy, idx[0], idx[1]), float(sol[d - 1])))
     return GeneratorCombination(linear=tuple(linear), commutators=tuple(comms))
+
+
+def reference_compile_exact(u, blocks):
+    """Triangular Givens elimination (Reck order), one Python iteration per
+    rotation: for each column of each energy block, rotate rows (col, row)
+    to zero a[row, col], row by row; skip an entry below _ELIM_TOL."""
+    u = np.asarray(u, dtype=complex)
+    compiler._require_energy_preserving(u, blocks)
+    phases: list[tuple[int, float]] = []  # (flat level, param)
+    givens: list[tuple[int, int, np.ndarray]] = []  # (flat levels, R with R† emitted)
+    for _, members in blocks.items():
+        flats = members.tolist()
+        d = len(flats)
+        a = u[np.ix_(flats, flats)].copy()
+        block_rots = []
+        for col in range(d - 1):
+            # Rotating rows (col, row) leaves a[row', col] of later rows alone.
+            for row, b in enumerate(a[col + 1:, col].tolist(), start=col + 1):
+                if abs(b) < _ELIM_TOL:
+                    continue
+                x = a[col, col]
+                r = math.hypot(abs(x), abs(b))
+                # R zeroes a[row, col]; the emitted gate is R†.
+                r2 = np.array([[x.conjugate(), b.conjugate()], [-b, x]]) / r
+                pair = a[col:row + 1:row - col]  # a view of rows col and row
+                pair[...] = r2 @ pair
+                block_rots.append((flats[col], flats[row], r2))
+        # a is now diagonal with unit-modulus phases.
+        diag = np.diag(a)
+        for k in np.flatnonzero(np.abs(diag - 1.0) > 1e-12).tolist():
+            phases.append((flats[k], -float(np.angle(diag[k]))))
+        givens.extend(reversed(block_rots))
+    # Phases act first; eliminations are undone outermost-last.
+    rots = np.array([r2 for _, _, r2 in givens]).reshape(-1, 2, 2)
+    blocks_out = np.zeros((len(phases) + len(givens), 2, 2), dtype=complex)
+    blocks_out[len(phases):] = rots.conj().transpose(0, 2, 1)
+    return GateSequence.from_arrays(
+        kinds=[_P] * len(phases) + [_GIVENS] * len(givens),
+        flats=[(f, f) for f, _ in phases] + [(i, j) for i, j, _ in givens],
+        blocks=blocks_out,
+        params=[p for _, p in phases] + [math.nan] * len(givens),
+        method="exact", dims=blocks.dims,
+    )
 
 
 def reference_compile_approximate(u, blocks, method, accuracy):

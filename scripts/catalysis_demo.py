@@ -29,7 +29,7 @@ def main() -> int:
 
     inst = build_cooling_instance(args.D)
     print(f"catalyst dimension {inst.catalyst.dim}, "
-          f"{len(inst.gates.steps)} two-level gates")
+          f"{len(inst.gates)} two-level gates")
 
     sigma, pre, post = run_gc_eto(
         DEFAULT_INPUT.to_dense(), inst.catalyst, inst.gates, system=inst.system

@@ -11,8 +11,9 @@ A GateSequence (gates.py) applies steps[0] first, i.e. reconstruct()
 multiplies steps right-to-left.  It stores one slice of L steps as
 columns (kind codes, flat level pairs, 2x2 blocks, parameters) plus a
 repeat count: trotter, bch and nested build one slice and repeat it
-m = trotter_m times.  GateStep is the value type at the API edge
-(seq.steps).
+m = trotter_m times.  GateStep is the value type of a JSON step and of
+the loader's error messages, and seq.steps views a sequence as GateStep
+values.
 
 Cost model: apply_gates groups the slice, order unchanged, into ASAP
 layers: each step goes into the earliest layer after every earlier step
@@ -65,8 +66,7 @@ import numpy as np
 from .errors import DomainError, ShapeError
 # GateStep is re-exported: thermoforge.compiler.GateStep is public API.
 from .gates import (  # noqa: F401
-    KIND_CODE, GateSequence, GateStep, apply_gates, apply_layers, kind_blocks, layer_order,
-    layer_views,
+    KIND_CODE, GateSequence, GateStep, apply_layers, kind_blocks, layer_order, layer_views,
 )
 from .generators import ElementaryGenerator
 from .thermal import EnergyBlocks, is_energy_preserving, max_cross_block_entry
@@ -78,17 +78,12 @@ _P, _GIVENS = KIND_CODE["p"], KIND_CODE["givens"]
 
 
 def reconstruct(seq: GateSequence) -> np.ndarray:
-    """Ordered product of the steps, steps[0] acting first.
-
-    A sequence of one slice repeated m times (repeat > 1) is
-    reconstructed as slice^m by repeated squaring; any other sequence
-    (including one loaded from JSON) layer by layer.
-    """
-    n = seq.dims[0] * seq.dims[1]
-    if seq.repeat == 1:
-        return apply_gates(seq, np.eye(n, dtype=complex))
-    one = seq.first_slice()
-    return np.linalg.matrix_power(apply_gates(one, np.eye(n, dtype=complex)), seq.repeat)
+    """Ordered product of the steps, steps[0] acting first: the slice
+    layer by layer over the identity, then slice^repeat by repeated
+    squaring when repeat > 1."""
+    u = np.eye(seq.dims[0] * seq.dims[1], dtype=complex)
+    apply_layers(seq._plan(), 1, u)
+    return u if seq.repeat == 1 else np.linalg.matrix_power(u, seq.repeat)
 
 
 def _require_energy_preserving(u: np.ndarray, blocks: EnergyBlocks) -> None:
@@ -203,7 +198,7 @@ def compile_exact(u, blocks: EnergyBlocks) -> GateSequence:
     phased = np.flatnonzero(np.abs(diag - 1.0) > 1e-12)
     levels = order[phased]
     n_p, n_g = len(phased), len(by_block)
-    return GateSequence.from_arrays(
+    return GateSequence(
         kinds=np.repeat(np.array([_P, _GIVENS]), [n_p, n_g]),
         flats=np.concatenate([np.stack([levels, levels], axis=1),
                               np.stack([first[by_block], second[by_block]], axis=1)]),
@@ -247,9 +242,9 @@ class _Slice(NamedTuple):
     def sequence(self, m: int) -> GateSequence:
         """The slice at slice count m, repeated m times."""
         bound = {"trotter": self.bound / m, "bch": self.bound / math.sqrt(m)}.get(self.method, 0.0)
-        return GateSequence.from_arrays(self.kinds, self.flats, np.zeros((len(self.kinds), 2, 2)),
-                                        self.params(m), method=self.method, dims=self.dims,
-                                        error_bound=bound, trotter_m=m, repeat=m)
+        return GateSequence(self.kinds, self.flats, np.zeros((len(self.kinds), 2, 2)),
+                            self.params(m), method=self.method, dims=self.dims,
+                            error_bound=bound, trotter_m=m, repeat=m)
 
 
 def _slice(method: str, dims: tuple[int, int], linear=(), groups=(),

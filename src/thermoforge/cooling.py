@@ -77,7 +77,7 @@ def build_cooling_sequence(d: int) -> GateSequence:
         raise DomainError(f"cooling sequence needs d >= 2, got {d}")
     dims = (3, (1 << d) - 1)
     a, b = _swap_pairs(d)
-    return GateSequence.from_arrays(
+    return GateSequence(
         kinds=np.full(a.size, KIND_CODE["givens"]), flats=np.stack([a, b], axis=1),
         blocks=np.broadcast_to(SWAP2, (a.size, 2, 2)), params=np.full(a.size, np.nan),
         method="handcrafted", dims=dims,

@@ -1,11 +1,12 @@
 """Elementary gates and gate sequences.
 
-GateStep is one gate as a value: a named generator kind with a parameter,
-or an explicit 2x2 unitary, on one or two joint (system, catalyst)
-indices.  GateSequence holds an ordered list of them as columns of one
+GateSequence holds an ordered list of elementary gates as columns of one
 slice plus a repeat count, reads and writes the JSON sequence format
 (docs/formats.md), and apply_gates applies it layer by layer; the cost
-model is in compiler.py.
+model is in compiler.py.  GateStep is one gate as a value (a named
+generator kind with a parameter, or an explicit 2x2 unitary, on one or
+two joint (system, catalyst) indices): the value type of a JSON step,
+of the loader's error messages and of the read-only seq.steps view.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, FormatError, ShapeError
-from .generators import KINDS, ElementaryGenerator
+from .generators import KINDS
 
 _UNITARY_TOL = 1e-12  # largest ||U†U - I||_F of an accepted givens block
 
@@ -50,11 +51,6 @@ def kind_blocks(kinds: np.ndarray, params: np.ndarray) -> np.ndarray:
     values[:, 4, 0] = np.exp(1j * params)
     values[:, 3, 0] = np.exp(-1j * params)
     return (_BLOCK_WEIGHTS[kinds] @ values).reshape(-1, 2, 2)
-
-
-def _with_kind_blocks(kinds: np.ndarray, blocks: np.ndarray, params: np.ndarray) -> np.ndarray:
-    """The givens rows of blocks, every other row from kind_blocks."""
-    return np.where((kinds == _GIVENS)[:, None, None], blocks, kind_blocks(kinds, params))
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,16 +91,10 @@ class GateStep:
             if len(self.indices) != want:
                 raise DomainError(f"kind {self.kind!r} takes {want} joint indices")
 
-    @classmethod
-    def from_generator(cls, gen: ElementaryGenerator, param: float) -> "GateStep":
-        return cls(gen.kind, gen.support(), param=param)
-
     def _flats(self, dims: tuple[int, int]) -> list[int]:
         """Flat joint indices, each checked: an index (s, c) must satisfy
         0 <= s < dims[0] and 0 <= c < dims[1]; otherwise it would alias
         another flat level."""
-        if len(self.indices) > 2:
-            raise DomainError("non-elementary gate: more than two joint indices")
         flats = []
         for pair in self.indices:
             try:
@@ -148,29 +138,6 @@ class GateStep:
             flat = [complex(re, im) for re, im in d["u2"]]
             return cls("givens", indices, u2=np.array(flat).reshape(2, 2))
         return cls(d["kind"], indices, param=float(d["param"]))
-
-
-def _period(steps: tuple, m) -> int:
-    """m = trotter_m when steps is one tuple of step objects listed m times
-    (the same objects, not equal copies), else 1."""
-    if not (isinstance(m, int) and m > 1 and steps and len(steps) % m == 0):
-        return 1
-    p = len(steps) // m
-    return m if all(map(operator.is_, steps[p:], steps[:-p])) else 1
-
-
-def _step_columns(steps: tuple, dims: tuple[int, int]):
-    """(kinds, flats, blocks, params) of GateStep values; raises the
-    first step's index error."""
-    kinds = np.array([KIND_CODE[s.kind] for s in steps], dtype=np.int8)
-    flats = np.array([2 * s._flats(dims) if s.kind == "p" else s._flats(dims)
-                      for s in steps], dtype=np.intp).reshape(-1, 2)
-    params = np.array([math.nan if s.param is None else float(s.param) for s in steps])
-    blocks = np.zeros((len(steps), 2, 2), dtype=complex)
-    givens = kinds == _GIVENS
-    if givens.any():
-        blocks[givens] = [s.u2 for s in steps if s.kind == "givens"]
-    return kinds, flats, _with_kind_blocks(kinds, blocks, params), params
 
 
 class _StepView(Sequence):
@@ -226,61 +193,30 @@ class GateSequence:
 
     and listed `repeat` times; len() counts L * repeat.
 
-    GateSequence(steps=[...]) takes GateStep values.  repeat is trotter_m
-    when the steps are one list of step objects listed trotter_m times
-    (the same objects, not equal copies), else 1.  A step whose indices
-    cannot act on dims (not an integer pair, out of range, coincident
-    levels, more than two) leaves the sequence holding that error, which
-    apply_gates, reconstruct, to_json and save raise before any work.
+    The caller guarantees valid columns: known kind codes, in-range flat
+    levels (distinct for two-level steps), unitary givens blocks and
+    finite parameters; from_json is the checked entry for outside input.
+    Generator blocks are computed from params; only the givens rows of
+    `blocks` are read.
     """
 
-    def __init__(self, steps, method: str, dims: tuple[int, int],
-                 error_bound: float = 0.0, trotter_m: int | None = None):
-        steps = tuple(steps)
-        dims = tuple(dims)
-        repeat = _period(steps, trotter_m)
-        one = steps[:len(steps) // repeat]
-        fault = None
-        try:
-            columns = _step_columns(one, dims)
-        except (DomainError, ShapeError) as e:
-            columns, fault = _step_columns((), dims), e
-        self._set(*columns, method, dims, error_bound, trotter_m, repeat)
-        self._steps, self._fault, self._length = one, fault, len(steps)
-
-    @classmethod
-    def from_arrays(cls, kinds, flats, blocks, params, method: str,
-                    dims: tuple[int, int], error_bound: float = 0.0,
-                    trotter_m: int | None = None, repeat: int = 1) -> "GateSequence":
-        """A sequence of one slice in columns, listed `repeat` times.
-
-        The caller guarantees valid columns: known kind codes, in-range
-        flat levels (distinct for two-level steps), unitary givens blocks
-        and finite parameters.  Generator blocks are computed from params;
-        only the givens rows of `blocks` are read.
-        """
-        self = cls.__new__(cls)
-        kinds = np.asarray(kinds, dtype=np.int8)
-        params = np.asarray(params, dtype=float)
-        blocks = _with_kind_blocks(kinds, np.asarray(blocks, dtype=complex).reshape(-1, 2, 2),
-                                   params)
-        flats = np.asarray(flats, dtype=np.intp).reshape(-1, 2)
-        self._set(kinds, flats, blocks, params, method, tuple(dims), error_bound, trotter_m,
-                  repeat if len(kinds) else 1)
-        self._steps, self._fault, self._length = None, None, len(kinds) * self.repeat
-        return self
-
-    def _set(self, kinds, flats, blocks, params, method, dims, error_bound, trotter_m,
-             repeat) -> None:
-        for column in (kinds, flats, blocks, params):
+    def __init__(self, kinds, flats, blocks, params, method: str, dims: tuple[int, int],
+                 error_bound: float = 0.0, trotter_m: int | None = None, repeat: int = 1):
+        self.kinds = np.asarray(kinds, dtype=np.int8)
+        self.params = np.asarray(params, dtype=float)
+        self.blocks = np.where((self.kinds == _GIVENS)[:, None, None],
+                               np.asarray(blocks, dtype=complex).reshape(-1, 2, 2),
+                               kind_blocks(self.kinds, self.params))
+        self.flats = np.asarray(flats, dtype=np.intp).reshape(-1, 2)
+        for column in (self.kinds, self.flats, self.blocks, self.params):
             column.flags.writeable = False
-        self.kinds, self.flats, self.blocks, self.params = kinds, flats, blocks, params
-        self.method, self.dims = method, dims
-        self.error_bound, self.trotter_m, self.repeat = error_bound, trotter_m, repeat
-        self._layers = None
+        self.method, self.dims = method, tuple(dims)
+        self.error_bound, self.trotter_m = error_bound, trotter_m
+        self.repeat = repeat if len(self.kinds) else 1
+        self._steps = self._layers = None
 
     def __len__(self) -> int:
-        return self._length
+        return len(self.kinds) * self.repeat
 
     def __repr__(self) -> str:
         return (f"GateSequence(method={self.method!r}, dims={self.dims}, "
@@ -305,10 +241,6 @@ class GateSequence:
             self._steps = tuple(steps)
         return self._steps
 
-    def _check(self) -> None:
-        if self._fault is not None:
-            raise type(self._fault)(*self._fault.args)
-
     def count(self, kind: str) -> int:
         """Number of steps of one kind."""
         return int(np.count_nonzero(self.kinds == KIND_CODE[kind])) * self.repeat
@@ -316,7 +248,6 @@ class GateSequence:
     def _plan(self) -> list[tuple]:
         """The slice's ASAP layers, as layer_views lists them."""
         if self._layers is None:
-            self._check()
             order, cuts = layer_order(self.flats, self.kinds, self.dims[0] * self.dims[1])
             self._layers = layer_views(self.flats[order], self.blocks[order], cuts)
         return self._layers
@@ -326,15 +257,6 @@ class GateSequence:
         """Number of layers apply_gates applies: the slice's ASAP layers
         times repeat."""
         return len(self._plan()) * self.repeat
-
-    def first_slice(self) -> "GateSequence":
-        """The first slice alone (repeat 1), sharing columns and layers."""
-        one = GateSequence.__new__(GateSequence)
-        one._set(self.kinds, self.flats, self.blocks, self.params, self.method, self.dims,
-                 0.0, None, 1)
-        one._steps, one._fault, one._length = self._steps, None, len(self.kinds)
-        one._layers = self._plan()
-        return one
 
     def _json_fields(self, steps: list) -> dict:
         d = {
@@ -348,7 +270,6 @@ class GateSequence:
         return d
 
     def to_json(self) -> dict:
-        self._check()
         return self._json_fields([s.to_json() for s in self._slice_steps()] * self.repeat)
 
     def _step_texts(self):
@@ -373,7 +294,6 @@ class GateSequence:
         and written as chunks of about _SAVE_CHUNK characters, each holding
         whole copies of it.
         """
-        self._check()
         text = json.dumps(self._json_fields([]), indent=1)
         with open(path, "w") as f:
             if not len(self):
@@ -399,7 +319,10 @@ class GateSequence:
 
         Structural faults raise FormatError; values GateStep would reject
         raise its DomainError or ShapeError, prefixed `step <i>:` (see
-        _read_steps).  A loaded sequence has repeat 1.
+        _read_steps).  An `error_bound` that is not a finite non-negative
+        number, or a `trotter_m` that is neither absent, null nor a
+        positive integer, raises DomainError (a bool is neither).  A
+        loaded sequence has repeat 1.
         """
         if isinstance(obj, str):
             with open(obj) as f:
@@ -411,13 +334,18 @@ class GateSequence:
                 and all(type(d) is int and d > 0 for d in dims)):
             raise FormatError(f"'dims' must be two positive integers, got {dims!r}")
         dims = tuple(dims)
+        bound = obj.get("error_bound", 0.0)
         try:
-            error_bound = float(obj.get("error_bound", 0.0))
-        except (TypeError, ValueError):
-            raise DomainError(f"error_bound {obj['error_bound']!r} is not a number") from None
-        return cls.from_arrays(*_read_steps(obj["steps"], dims), method=obj["method"],
-                               dims=dims, error_bound=error_bound,
-                               trotter_m=obj.get("trotter_m"))
+            error_bound = float(bound) if type(bound) in (int, float) else math.nan
+        except OverflowError:  # an integer beyond the float range
+            error_bound = math.inf
+        if not 0.0 <= error_bound < math.inf:
+            raise DomainError(f"'error_bound' {bound!r} is not a finite non-negative number")
+        trotter_m = obj.get("trotter_m")
+        if trotter_m is not None and not (type(trotter_m) is int and trotter_m > 0):
+            raise DomainError(f"'trotter_m' {trotter_m!r} is not a positive integer")
+        return cls(*_read_steps(obj["steps"], dims), method=obj["method"], dims=dims,
+                   error_bound=error_bound, trotter_m=trotter_m)
 
 
 def _unpack_indices(idx) -> tuple:
@@ -580,7 +508,7 @@ def apply_gates(seq: GateSequence, x: np.ndarray, conjugate: bool = False) -> np
     x <- U x updates the rows of each layer at once (x may be a vector or
     an n-row matrix).  With conjugate=True, x <- U x U† = conj(conj(U x) U^T):
     the second pass updates rows of the transposed view, i.e. columns, between
-    two in-place conjugations.  Index errors are raised before x is touched.
+    two in-place conjugations.
     """
     n = seq.dims[0] * seq.dims[1]
     if x.ndim not in (1, 2) or x.shape[0] != n or (conjugate and x.shape != (n, n)):

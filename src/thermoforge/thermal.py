@@ -19,10 +19,11 @@ level).  EnergyBlocks holds the joint partition in CSR form:
     offsets  block b is order[offsets[b]:offsets[b + 1]]
     reps     each block's representative energy, ascending
 
-Only `Spectrum.levels` ((energy, label) pairs) and `EnergyBlocks.blocks`
-((energy, ((s, c), ...)) per block) are tuples; both are views built on
-first use for the JSON and test boundary, and nothing in the library
-reads them.
+`Spectrum.levels`, the (energy, label) pairs, is the one tuple view,
+built on first use: `__hash__` and `__repr__` read it, and the
+`Spectrum(levels)` constructor takes the same form.  EnergyBlocks keeps
+no tuple view: `items()` yields each block's energy and members, and
+`pairs()` turns flat indices into (s, c) pairs.
 """
 from __future__ import annotations
 
@@ -247,14 +248,6 @@ class EnergyBlocks:
         out = np.empty(self.joint_dim, dtype=int)
         out[self.order] = np.repeat(np.arange(len(self.reps)), np.diff(self.offsets))
         return out
-
-    @cached_property
-    def blocks(self) -> tuple[tuple[float, tuple[tuple[int, int], ...]], ...]:
-        """(energy, ((s, c), ...)) per block, a tuple view built on first use."""
-        pairs = self.pairs(self.order)
-        bounds = self.offsets.tolist()
-        return tuple((e, tuple(pairs[a:b]))
-                     for e, a, b in zip(self.reps.tolist(), bounds, bounds[1:]))
 
 
 def gibbs_state(spec: Spectrum) -> DiagonalState:

@@ -296,8 +296,8 @@ def suite_cooling(seed: int, trials: int) -> list[CheckResult]:
     # Gate order does not matter (commuting family).
     gates = cooling.build_cooling_instance(4).gates
     perm = rng.permutation(len(gates))
-    seq = GateSequence.from_arrays(gates.kinds[perm], gates.flats[perm], gates.blocks[perm],
-                                   gates.params[perm], method="handcrafted", dims=gates.dims)
+    seq = GateSequence(gates.kinds[perm], gates.flats[perm], gates.blocks[perm],
+                       gates.params[perm], method="handcrafted", dims=gates.dims)
     order_dev = frobenius_distance(reconstruct(seq), reconstruct(gates))
     # TO optimality attained.
     opt_dev = 0.0

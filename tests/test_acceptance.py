@@ -186,8 +186,8 @@ def test_criterion_06_product_formula_order(verdict):
     s = Spectrum.from_energies([0.0])
     c = Spectrum.from_energies([0.0, 0.0])
     blocks = energy_blocks(s, c)
-    e, idx = blocks.blocks[0]
-    a, b = sorted(idx)
+    e, members = list(blocks.items())[0]
+    a, b = sorted(blocks.pairs(members))
     gh = ElementaryGenerator("h", e, a, b)
     gm = ElementaryGenerator("m", e, a, b)
     coeffs = {gh: 0.8, gm: 0.6}
@@ -229,8 +229,8 @@ def test_criterion_07_group_commutator_order(verdict):
     s = Spectrum.from_energies([0.0])
     c = Spectrum.from_energies([0.0, 0.0])
     blocks = energy_blocks(s, c)
-    e, idx = blocks.blocks[0]
-    a, b = sorted(idx)
+    e, members = list(blocks.items())[0]
+    a, b = sorted(blocks.pairs(members))
     gh = ElementaryGenerator("h", e, a, b)
     gm = ElementaryGenerator("m", e, a, b)
     t = 0.9

@@ -18,7 +18,7 @@ from thermoforge import (
     run_gc_eto,
     thermalize,
 )
-from thermoforge.compiler import GateSequence, GateStep
+from thermoforge.compiler import GateStep
 from thermoforge.cooling import (
     E_UNIT,
     SYSTEM_SPECTRUM,
@@ -29,7 +29,7 @@ from thermoforge.compiler import reconstruct
 from thermoforge.errors import DomainError, ShapeError
 from thermoforge.linalg import kron, trace_distance
 
-from util import random_resonant_spectra
+from util import random_resonant_spectra, sequence
 from util import random_density as _random_density
 
 
@@ -245,7 +245,7 @@ class TestClassify:
 class TestRunGcEto:
     def test_empty_sequence_is_strict(self):
         cat = build_cooling_catalyst(2)
-        seq = GateSequence(steps=(), method="exact", dims=(3, cat.dim))
+        seq = sequence((), "exact", (3, cat.dim))
         rho = np.diag([0.0, 0.5, 0.5])
         sigma, pre, post = run_gc_eto(rho, cat, seq, system=SYSTEM_SPECTRUM)
         assert np.allclose(sigma, rho, atol=1e-14)
@@ -275,30 +275,27 @@ class TestRunGcEto:
     def test_partial_rotation_creates_correlations(self):
         cat = build_cooling_catalyst(2)
         step = GateStep(kind="h", indices=((0, 1), (1, 0)), param=0.6)
-        seq = GateSequence(steps=(step,), method="exact", dims=(3, cat.dim))
+        seq = sequence((step,), "exact", (3, cat.dim))
         rho = np.diag([0.0, 0.5, 0.5])
         _, pre, _ = run_gc_eto(rho, cat, seq, system=SYSTEM_SPECTRUM)
         assert pre.product_defect > 1e-3
 
     def test_rejects_wrong_dims(self):
         cat = build_cooling_catalyst(2)
-        seq = GateSequence(steps=(), method="exact", dims=(2, cat.dim))
+        seq = sequence((), "exact", (2, cat.dim))
         with pytest.raises(ShapeError):
             run_gc_eto(np.diag([0.0, 0.5, 0.5]), cat, seq)
 
     @pytest.mark.parametrize("bad", [(0, -1), (0, 2)])
     def test_rejects_out_of_range_joint_index(self, bad):
-        cat = Spectrum.from_energies([0.0, 0.0])
         swap = np.array([[0, 1], [1, 0]])
         step = GateStep("givens", (bad, (0, 0)), u2=swap)
-        seq = GateSequence(steps=(step,), method="handcrafted", dims=(3, 2))
-        with pytest.raises(ShapeError, match="out of range"):
-            run_gc_eto(np.diag([0.2, 0.3, 0.5]), cat, seq)
+        with pytest.raises(ShapeError, match="^step 0: .*out of range"):
+            sequence((step,), "handcrafted", (3, 2))
 
     def test_rejects_non_elementary_gate(self):
         cat = build_cooling_catalyst(2)
         step = GateStep(kind="givens", indices=((0, 0), (0, 1)), u2=np.eye(2))
         object.__setattr__(step, "indices", ((0, 0), (0, 1), (0, 2)))
-        seq = GateSequence(steps=(step,), method="exact", dims=(3, cat.dim))
-        with pytest.raises(DomainError, match="elementary"):
-            run_gc_eto(np.diag([0.0, 0.5, 0.5]), cat, seq)
+        with pytest.raises(DomainError, match="^step 0: .*two indices"):
+            sequence((step,), "exact", (3, cat.dim))

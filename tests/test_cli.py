@@ -448,6 +448,16 @@ class TestSimulate:
         ({"dims": [3]}, 2),
         ({"dims": [3, "2"]}, 2),
         ({"error_bound": "abc"}, 3),
+        ({"error_bound": math.nan}, 3),
+        ({"error_bound": math.inf}, 3),
+        ({"error_bound": -1.0}, 3),
+        ({"error_bound": True}, 3),
+        ({"error_bound": 10 ** 400}, 3),
+        ({"trotter_m": "abc"}, 3),
+        ({"trotter_m": -3}, 3),
+        ({"trotter_m": 0}, 3),
+        ({"trotter_m": 2.0}, 3),
+        ({"trotter_m": True}, 3),
     ])
     def test_malformed_sequence_exit_code(self, tmp_path, capsys, fields, code):
         sf = write_json(tmp_path / "p.json", {"populations": [0.2, 0.3, 0.5]})
@@ -455,10 +465,11 @@ class TestSimulate:
                         Spectrum.from_energies([0.0, 0.0]).to_json())
         seq = {"method": "handcrafted", "dims": [3, 2], "error_bound": 0.0, "steps": []}
         gf = write_json(tmp_path / "gates.json", {**seq, **fields})
-        got, report, _ = run_cli(capsys, [
+        got, report, err = run_cli(capsys, [
             "simulate", "--state", sf, "--catalyst", cf, "--gates", gf,
         ])
         assert (got, report) == (code, None)
+        assert next(iter(fields)) in err
 
     def test_no_rethermalize_omits_post(self, tmp_path, capsys):
         cat = build_cooling_catalyst(2)

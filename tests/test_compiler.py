@@ -37,6 +37,7 @@ from util import (
     reference_compile_exact,
     reference_expand_in_basis,
     reference_rank2_combination,
+    sequence,
 )
 
 
@@ -47,27 +48,27 @@ def one_block(size):
 
 
 def hm_pair(blocks):
-    e, idx = blocks.blocks[0]
-    a, b = sorted(idx)[:2]
+    e, members = list(blocks.items())[0]
+    a, b = sorted(blocks.pairs(members))[:2]
     return (ElementaryGenerator("h", e, a, b), ElementaryGenerator("m", e, a, b))
 
 
 class TestReconstruct:
     def test_empty_is_identity(self):
-        seq = GateSequence(steps=[], method="handcrafted", dims=(2, 2))
+        seq = sequence([], "handcrafted", (2, 2))
         assert np.allclose(reconstruct(seq), np.eye(4))
 
     def test_single_step(self):
         step = GateStep("p", ((0, 0),), param=0.3)
-        seq = GateSequence(steps=[step], method="handcrafted", dims=(2, 2))
+        seq = sequence([step], "handcrafted", (2, 2))
         assert np.allclose(reconstruct(seq), step.matrix((2, 2)))
 
     def test_order_first_step_rightmost(self):
         blocks = one_block(2)
         gh, gm = hm_pair(blocks)
-        s1 = GateStep.from_generator(gh, 0.4)
-        s2 = GateStep.from_generator(gm, 0.7)
-        seq = GateSequence(steps=[s1, s2], method="handcrafted", dims=blocks.dims)
+        s1 = GateStep(gh.kind, gh.support(), param=0.4)
+        s2 = GateStep(gm.kind, gm.support(), param=0.7)
+        seq = sequence([s1, s2], "handcrafted", blocks.dims)
         expected = s2.matrix(blocks.dims) @ s1.matrix(blocks.dims)
         assert np.allclose(reconstruct(seq), expected)
 
@@ -77,9 +78,8 @@ class TestReconstruct:
     def test_rejects_out_of_range_joint_index(self, bad):
         swap = np.array([[0, 1], [1, 0]])
         step = GateStep("givens", (bad, (0, 0)), u2=swap)
-        seq = GateSequence(steps=[step], method="handcrafted", dims=(3, 2))
-        with pytest.raises(ShapeError, match="out of range"):
-            reconstruct(seq)
+        with pytest.raises(ShapeError, match="^step 0: .*out of range"):
+            sequence([step], "handcrafted", (3, 2))
 
 
 @st.composite
@@ -115,7 +115,7 @@ def gate_steps(draw, dims):
         second = first
     gen = ElementaryGenerator(kind, 0.0, first, second)
     theta = draw(angle)
-    return GateStep.from_generator(gen, theta), expm_skew(theta * gen.matrix(dims))
+    return GateStep(gen.kind, gen.support(), param=theta), expm_skew(theta * gen.matrix(dims))
 
 
 class TestGateKernel:
@@ -126,7 +126,7 @@ class TestGateKernel:
         n = dims[0] * dims[1]
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        seq = GateSequence(steps=[step], method="handcrafted", dims=dims)
+        seq = sequence([step], "handcrafted", dims)
         got = apply_gates(seq, x.copy())
         assert np.max(np.abs(got - u @ x)) < 1e-12
 
@@ -138,12 +138,12 @@ class TestGateKernel:
         rng = np.random.default_rng(seed)
         z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         rho = (z + z.conj().T) / 2
-        seq = GateSequence(steps=[step], method="handcrafted", dims=dims)
+        seq = sequence([step], "handcrafted", dims)
         got = apply_gates(seq, rho.copy(), conjugate=True)
         assert np.max(np.abs(got - u @ rho @ u.conj().T)) < 1e-12
 
     def test_rejects_bad_operand(self):
-        seq = GateSequence(steps=[], method="handcrafted", dims=(2, 2))
+        seq = sequence([], "handcrafted", (2, 2))
         with pytest.raises(ShapeError):
             apply_gates(seq, np.eye(3, dtype=complex))
         with pytest.raises(ShapeError):
@@ -153,9 +153,8 @@ class TestGateKernel:
 
     def test_rejects_coincident_levels(self):
         step = GateStep("givens", ((0, 1), (0, 1)), u2=np.eye(2))
-        seq = GateSequence(steps=[step], method="handcrafted", dims=(2, 2))
-        with pytest.raises(DomainError, match="twice"):
-            reconstruct(seq)
+        with pytest.raises(DomainError, match="^step 0: .*twice"):
+            sequence([step], "handcrafted", (2, 2))
 
 
 @st.composite
@@ -165,7 +164,7 @@ def layered_sequences(draw):
     dims = (draw(st.integers(1, 3)), draw(st.integers(2, 4)))
     one = [step for step, _ in draw(st.lists(gate_steps(dims), min_size=1, max_size=24))]
     m = draw(st.integers(1, 4))
-    return GateSequence(steps=one * m, method="trotter", dims=dims, trotter_m=m)
+    return sequence(one, "trotter", dims, trotter_m=m, repeat=m)
 
 
 class TestLayeredKernel:
@@ -196,13 +195,10 @@ class TestLayeredKernel:
         ok = [GateStep("h", ((0, 0), (0, 1)), param=0.4), GateStep("p", ((1, 2),), param=0.3)]
         step = GateStep("givens", ((0, 2), (1, 0)), u2=np.array([[0, 1], [1, 0]]))
         object.__setattr__(step, "indices", bad)
-        seq = GateSequence(steps=ok + [step] + ok, method="handcrafted", dims=(2, 3))
-        x = np.arange(36, dtype=complex).reshape(6, 6)
-        with pytest.raises(error):
-            apply_gates(seq, x, conjugate=conjugate)
-        assert np.array_equal(x, np.arange(36).reshape(6, 6))
-        with pytest.raises(error):
-            reconstruct(seq)
+        # The loader rejects the step, so no sequence exists to apply to x,
+        # with or without conjugation.
+        with pytest.raises(error, match="^step 2: "):
+            sequence(ok + [step] + ok, "handcrafted", (2, 3))
 
     def test_disjoint_gates_share_a_layer(self):
         # Gates on levels (0,1), (2,3), then (1,2): two layers; a phase on
@@ -211,10 +207,9 @@ class TestLayeredKernel:
                  GateStep("m", ((0, 2), (0, 3)), param=0.2),
                  GateStep("g_diag", ((0, 1), (0, 2)), param=0.3),
                  GateStep("p", ((0, 0),), param=0.4)]
-        seq = GateSequence(steps=steps, method="handcrafted", dims=(1, 4))
+        seq = sequence(steps, "handcrafted", (1, 4))
         assert seq.layers == 2
-        assert GateSequence(steps=steps * 3, method="trotter", dims=(1, 4),
-                            trotter_m=3).layers == 6
+        assert sequence(steps, "trotter", (1, 4), trotter_m=3, repeat=3).layers == 6
 
 
 @st.composite
@@ -269,7 +264,7 @@ class TestGateStep:
     def test_elementary_support(self):
         blocks = one_block(3)
         gh, _ = hm_pair(blocks)
-        u = GateStep.from_generator(gh, 1.2).matrix(blocks.dims)
+        u = GateStep(gh.kind, gh.support(), param=1.2).matrix(blocks.dims)
         # Off-support rows and columns match the identity.
         support = {gh.first[1], gh.second[1]}
         for k in range(3):
@@ -496,8 +491,8 @@ class TestCompileExact:
             u = random_energy_preserving_unitary(blocks, seed=int(rng.integers(1 << 31)))
         else:  # a permutation inside each block: exact phases and swaps
             u = np.zeros((blocks.joint_dim,) * 2, dtype=complex)
-            for _, idx in blocks.blocks:
-                flats = [blocks.flat(p) for p in idx]
+            for _, members in blocks.items():
+                flats = members.tolist()
                 u[flats, rng.permutation(flats)] = 1.0
         seq = compile_exact(u, blocks)
         assert np.linalg.norm(reconstruct(seq) - u) < 1e-9
@@ -523,8 +518,8 @@ class TestCompileExact:
 class TestCompileTrotter:
     def test_commuting_exact_at_m1(self):
         blocks = one_block(4)
-        e, idx = blocks.blocks[0]
-        idx = sorted(idx)
+        e, members = list(blocks.items())[0]
+        idx = sorted(blocks.pairs(members))
         # Disjoint supports commute.
         g1 = ElementaryGenerator("h", e, idx[0], idx[1])
         g2 = ElementaryGenerator("h", e, idx[2], idx[3])
@@ -576,8 +571,8 @@ class TestCompileBch:
 
     def test_commuting_pair_is_identity(self):
         blocks = one_block(4)
-        e, idx = blocks.blocks[0]
-        idx = sorted(idx)
+        e, members = list(blocks.items())[0]
+        idx = sorted(blocks.pairs(members))
         g1 = ElementaryGenerator("h", e, idx[0], idx[1])
         g2 = ElementaryGenerator("m", e, idx[2], idx[3])
         seq = compile_bch(g1, g2, 0.5, 4, blocks.dims)
@@ -675,8 +670,8 @@ class TestSliceParams:
     def test_params_are_the_closed_forms(self, t, m, r, c):
         s = Spectrum.from_energies([0.0, 1.0])
         blocks = energy_blocks(s, Spectrum.from_energies([0.0, 0.0, 1.0]))
-        e, idx = blocks.blocks[1]
-        a, b, d = sorted(idx)
+        e, members = list(blocks.items())[1]
+        a, b, d = sorted(blocks.pairs(members))
         gh, gm = ElementaryGenerator("h", e, a, b), ElementaryGenerator("m", e, a, b)
         gh2, pa = ElementaryGenerator("h", e, b, d), ElementaryGenerator("p", e, a, a)
         dims = blocks.dims
@@ -711,8 +706,8 @@ def periodic_builders():
     s = Spectrum.from_energies([0.0, 1.0])
     c = Spectrum.from_energies([0.0, 0.0, 1.0])
     blocks = energy_blocks(s, c)
-    e, idx = blocks.blocks[1]
-    a, b, d = sorted(idx)
+    e, members = list(blocks.items())[1]
+    a, b, d = sorted(blocks.pairs(members))
     gh, gm = ElementaryGenerator("h", e, a, b), ElementaryGenerator("m", e, a, b)
     gh2 = ElementaryGenerator("h", e, b, d)
     pa = ElementaryGenerator("p", e, a, a)
@@ -732,14 +727,15 @@ def gate_by_gate(seq):
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Step counts of the apply_gates calls made through the compiler module."""
+    """(steps in the layers, repeat) of each apply_layers call made through
+    the compiler module."""
     calls = []
 
-    def counting(seq, x, conjugate=False):
-        calls.append(len(seq.steps))
-        return apply_gates(seq, x, conjugate)
+    def counting(layers, repeat, x):
+        calls.append((sum(len(pairs) + len(levels) for pairs, _, levels, _ in layers), repeat))
+        return gates.apply_layers(layers, repeat, x)
 
-    monkeypatch.setattr(compiler, "apply_gates", counting)
+    monkeypatch.setattr(compiler, "apply_layers", counting)
     return calls
 
 
@@ -750,49 +746,22 @@ class TestPeriodicReconstruct:
         seq = periodic_builders()[method](m)
         assert seq.method == method and seq.trotter_m == m
         got = reconstruct(seq)
-        # the slice alone goes through the kernel
-        assert kernel_calls == [len(seq) // m]
+        # the slice alone goes through the kernel, once
+        assert kernel_calls == [(len(seq) // m, 1)]
         assert np.linalg.norm(got - gate_by_gate(seq)) < 1e-12 * m
-
-    def test_distinct_copies_take_gate_path(self, kernel_calls):
-        seq = periodic_builders()["trotter"](8)
-        copies = GateSequence(steps=[GateStep.from_json(s.to_json()) for s in seq.steps],
-                              method=seq.method, dims=seq.dims, trotter_m=8)
-        assert np.array_equal(reconstruct(copies), gate_by_gate(copies))
-        assert kernel_calls[0] == len(seq)
-
-    def test_differing_repeat_takes_gate_path(self, kernel_calls):
-        seq = periodic_builders()["trotter"](4)
-        p = len(seq) // 4
-        steps = list(seq.steps)
-        first = steps[2 * p]
-        steps[2 * p] = GateStep(first.kind, first.indices, param=first.param + 0.5)
-        odd = GateSequence(steps=steps, method=seq.method, dims=seq.dims, trotter_m=4)
-        got = reconstruct(odd)
-        assert kernel_calls[0] == len(seq)
-        assert np.array_equal(got, gate_by_gate(odd))
-        assert np.linalg.norm(got - reconstruct(seq)) > 1e-3
-
-    @pytest.mark.parametrize("m", [3, 5, 2.0])
-    def test_length_or_count_mismatch_takes_gate_path(self, m, kernel_calls):
-        seq = periodic_builders()["trotter"](4)
-        odd = GateSequence(steps=seq.steps, method=seq.method, dims=seq.dims, trotter_m=m)
-        assert np.array_equal(reconstruct(odd), gate_by_gate(odd))
-        assert kernel_calls[0] == len(seq)
 
     def test_json_loaded_sequence_takes_gate_path(self, kernel_calls):
         seq = periodic_builders()["bch"](16)
         loaded = GateSequence.from_json(json.loads(json.dumps(seq.to_json())))
         assert loaded.trotter_m == 16
         assert np.linalg.norm(reconstruct(loaded) - reconstruct(seq)) < 1e-12 * 16
-        assert kernel_calls == [len(seq), len(seq) // 16]
+        assert kernel_calls == [(len(seq), 1), (len(seq) // 16, 1)]
 
     def test_slice_indices_are_checked(self):
         bad = GateStep("h", ((0, 0), (0, 3)), param=0.1)
         ok = GateStep("m", ((0, 0), (0, 1)), param=0.2)
-        seq = GateSequence(steps=[ok, bad] * 5, method="trotter", dims=(2, 3), trotter_m=5)
-        with pytest.raises(ShapeError, match="out of range"):
-            reconstruct(seq)
+        with pytest.raises(ShapeError, match="^step 1: .*out of range"):
+            sequence([ok, bad], "trotter", (2, 3), trotter_m=5, repeat=5)
 
 
 class TestCompileApproximate:
@@ -1023,31 +992,32 @@ class TestSerialization:
 
 @st.composite
 def gate_sequences(draw):
-    """A GateSequence of any kinds over a pool of step objects, each listed
+    """A GateSequence of any kinds over a pool of steps, each listed
     any number of times, or one slice listed trotter_m times."""
     dims = (draw(st.integers(1, 3)), draw(st.integers(2, 3)))
     pool = [step for step, _ in draw(st.lists(gate_steps(dims), max_size=5))]
     m = draw(st.none() | st.integers(1, 6))
     if pool and draw(st.booleans()):
-        steps = pool * (m or 1)
+        steps, repeat = pool, m or 1
     elif pool:
-        steps = draw(st.lists(st.sampled_from(pool), max_size=12))
+        steps, repeat = draw(st.lists(st.sampled_from(pool), max_size=12)), 1
     else:
-        steps = []
-    return GateSequence(
-        steps=steps,
+        steps, repeat = [], 1
+    return sequence(
+        steps,
         method=draw(st.sampled_from(("exact", "trotter", "bch", "nested", "handcrafted"))),
         dims=dims,
         error_bound=draw(st.floats(0.0, 1e3)),
         trotter_m=m,
+        repeat=repeat,
     )
 
 
 class TestSequenceJson:
     @given(gate_sequences())
     @settings(max_examples=200, deadline=None)
-    @example(GateSequence(steps=[], method="exact", dims=(1, 2)))
-    @example(GateSequence(steps=[], method="trotter", dims=(2, 2), trotter_m=4))
+    @example(sequence([], "exact", (1, 2)))
+    @example(sequence([], "trotter", (2, 2), trotter_m=4))
     def test_save_writes_json_dump_bytes(self, seq):
         with tempfile.TemporaryDirectory() as d:
             path = os.path.join(d, "seq.json")
@@ -1113,8 +1083,7 @@ class TestSequenceJson:
     def test_repeated_handcrafted_slice(self, tmp_path):
         swap = GateStep("givens", ((0, 0), (1, 1)), u2=np.array([[0, 1j], [1j, 0]]))
         phase = GateStep("p", ((0, 1),), param=-0.25)
-        seq = GateSequence(steps=[swap, phase] * 3, method="handcrafted", dims=(2, 2),
-                           trotter_m=3)
+        seq = sequence([swap, phase], "handcrafted", (2, 2), trotter_m=3, repeat=3)
         assert seq.repeat == 3
         path = tmp_path / "seq.json"
         seq.save(str(path))

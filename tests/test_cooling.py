@@ -19,7 +19,7 @@ from thermoforge import (
     run_cooling,
     run_cooling_dense,
 )
-from thermoforge.compiler import GateSequence, reconstruct
+from thermoforge.compiler import reconstruct
 from thermoforge.cooling import (
     DEFAULT_INPUT,
     E_UNIT,
@@ -29,7 +29,7 @@ from thermoforge.cooling import (
 )
 from thermoforge.errors import CapacityError, DomainError
 from thermoforge.thermal import is_energy_preserving
-from util import reference_cooling_populations
+from util import reference_cooling_populations, sequence
 
 
 class TestCatalyst:
@@ -95,7 +95,7 @@ class TestSequence:
         rng = random.Random(3)
         steps = list(seq.steps)
         rng.shuffle(steps)
-        shuffled = GateSequence(steps=tuple(steps), method=seq.method, dims=seq.dims)
+        shuffled = sequence(steps, seq.method, seq.dims)
         assert np.allclose(reconstruct(seq), reconstruct(shuffled), atol=1e-14)
 
     def test_gate_supports_are_disjoint(self):

@@ -193,8 +193,8 @@ class TestLieClosure:
         s = Spectrum.from_energies([0.0])
         c = Spectrum.from_energies([0.0, 0.0])
         blocks = energy_blocks(s, c)
-        e, idx = blocks.blocks[0]
-        a, b = sorted(idx)
+        e, members = list(blocks.items())[0]
+        a, b = sorted(blocks.pairs(members))
         gens = [ElementaryGenerator("h", e, a, b), ElementaryGenerator("m", e, a, b)]
         assert lie_closure(gens, max_dim=16, dims=blocks.dims) == 3
 
@@ -224,8 +224,8 @@ class TestLieClosure:
         # b, so they do not commute, though their labels name two blocks.
         blocks = energy_blocks(Spectrum.from_energies([0.0]),
                                Spectrum.from_energies([0.0, 0.0, 0.0, 5.0]))
-        (e, idx), _ = blocks.blocks
-        a, b, c = sorted(idx)
+        (e, members), _ = blocks.items()
+        a, b, c = sorted(blocks.pairs(members))
         gens = [ElementaryGenerator("h", e, a, b), ElementaryGenerator("h", 1.0, b, c)]
         expected = reference_lie_closure(gens, dims=blocks.dims)
         assert expected == 3
@@ -252,8 +252,8 @@ class TestRank1Decomposition:
         s = Spectrum.from_energies([0.0])
         c = Spectrum.from_energies([0.0, 0.0])
         blocks = energy_blocks(s, c)
-        e, idx = blocks.blocks[0]
-        a, b = sorted(idx)
+        e, members = list(blocks.items())[0]
+        a, b = sorted(blocks.pairs(members))
         dims = blocks.dims
         h = ElementaryGenerator("h", e, a, b).matrix(dims)
         m = ElementaryGenerator("m", e, a, b).matrix(dims)

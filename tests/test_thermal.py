@@ -115,7 +115,9 @@ class TestToleranceGroups:
         es = energies[: data.draw(st.integers(1, len(energies)))]
         ec = data.draw(st.sampled_from([energies, energies[::-1], [0.0]]))
         s, c = Spectrum.from_energies(es), Spectrum.from_energies(ec)
-        assert energy_blocks(s, c).blocks == reference_energy_blocks(es, ec)
+        blocks = energy_blocks(s, c)
+        got = tuple((e, tuple(blocks.pairs(members))) for e, members in blocks.items())
+        assert got == reference_energy_blocks(es, ec)
 
     @given(energy_lists(12))
     @settings(max_examples=200, deadline=None)
@@ -123,7 +125,8 @@ class TestToleranceGroups:
         s = Spectrum.from_energies(energies)
         blocks = energy_blocks(s, Spectrum.from_energies([0.0]))
         assert sum(blocks.block_sizes()) == s.dim
-        for _, idx in blocks.blocks:
+        for _, members in blocks.items():
+            idx = blocks.pairs(members)
             assert [s.levels[i][1] for i, _ in idx] == list(range(len(idx)))
 
 
@@ -278,7 +281,7 @@ class TestEnergyBlocks:
         for _ in range(20):
             a, b = random_resonant_spectra(rng)
             blocks = energy_blocks(a, b)
-            all_pairs = [p for _, idx in blocks.blocks for p in idx]
+            all_pairs = [p for _, members in blocks.items() for p in blocks.pairs(members)]
             assert sorted(all_pairs) == [(i, j) for i in range(a.dim) for j in range(b.dim)]
 
     def test_degenerate_relabeling_invariant(self):

@@ -1,4 +1,5 @@
-"""Reference implementations shared by the test suite, and the seeded
+"""Reference implementations shared by the test suite, the sequence
+builder the tests construct GateSequences with, and the seeded
 random-instance helpers of thermoforge.verify, re-exported."""
 import math
 
@@ -24,6 +25,23 @@ from thermoforge.verify import (  # noqa: F401  (re-exported for the tests)
     random_populations,
     random_resonant_spectra,
 )
+
+
+def sequence(steps, method, dims, error_bound=0.0, trotter_m=None, repeat=1):
+    """The GateSequence of GateStep values `steps`, listed `repeat` times.
+
+    The steps go through the JSON loader, GateSequence.from_json, so its
+    checks run at construction; each step's indices are written as given,
+    which lets a float, negative or extra index pair reach those checks.
+    """
+    items = [dict(step.to_json(), indices=[list(pair) for pair in step.indices])
+             for step in steps]
+    obj = {"method": method, "dims": list(dims), "error_bound": error_bound, "steps": items}
+    if trotter_m is not None:
+        obj["trotter_m"] = trotter_m
+    one = GateSequence.from_json(obj)
+    return GateSequence(one.kinds, one.flats, one.blocks, one.params, one.method, one.dims,
+                        one.error_bound, one.trotter_m, repeat)
 
 
 def reference_energy_blocks(es, ec):
@@ -251,7 +269,7 @@ def reference_compile_exact(u, blocks):
     rots = np.array([r2 for _, _, r2 in givens]).reshape(-1, 2, 2)
     blocks_out = np.zeros((len(phases) + len(givens), 2, 2), dtype=complex)
     blocks_out[len(phases):] = rots.conj().transpose(0, 2, 1)
-    return GateSequence.from_arrays(
+    return GateSequence(
         kinds=[_P] * len(phases) + [_GIVENS] * len(givens),
         flats=[(f, f) for f, _ in phases] + [(i, j) for i, j, _ in givens],
         blocks=blocks_out,

@@ -32,11 +32,11 @@ times is reconstructed as slice^m: O(L n + n^3 log m).
 
 compile_exact stacks the energy blocks of size >= 2, largest first,
 each padded with the identity to its stack's first block D_s; a stack
-holds at most 2 sum_b d_b^2 entries of the blocks in it (_stacks).  It
-makes one closed-form numpy pass per column of each stack but the last,
-sum_s (D_s - 1) passes in all (28 at n = 108, against 983 rotations),
-the pass for column c costing O(k_s (D_s - c)^2) for k_s blocks.  The
-padding bound gives k_s D_s^3 <= 2^{3/2} sum_b d_b^3 over the stack, so
+holds at most 2 sum_b d_b^2 entries of the blocks in it
+(linalg.block_stacks).  It makes one closed-form numpy pass per column
+of each stack but the last, sum_s (D_s - 1) passes in all (28 at
+n = 108, against 983 rotations), the pass for column c costing
+O(k_s (D_s - c)^2) for k_s blocks.  The padding bound gives k_s D_s^3 <= 2^{3/2} sum_b d_b^3 over the stack, so
 the work is O(sum_b d_b^3), with no Python step per rotation.
 
 compile_approximate doubles m until the accuracy is met.  It plans the
@@ -69,6 +69,7 @@ from .gates import (  # noqa: F401
     KIND_CODE, GateSequence, GateStep, apply_layers, kind_blocks, layer_order, layer_views,
 )
 from .generators import ElementaryGenerator
+from .linalg import block_stacks
 from .thermal import EnergyBlocks, is_energy_preserving, max_cross_block_entry
 
 _ELIM_TOL = 1e-13
@@ -92,24 +93,6 @@ def _require_energy_preserving(u: np.ndarray, blocks: EnergyBlocks) -> None:
         raise DomainError(
             f"unitary entry ({i},{j}) of magnitude {mag:.3e} couples energy blocks"
         )
-
-
-def _stacks(sizes: list[int]) -> list[list[int]]:
-    """The blocks of size >= 2, largest first (ties in block order), cut
-    into stacks.  A stack is padded to its first block's size D; the next
-    block joins it unless the stack would then hold more than
-    2 sum_b d_b^2 entries, summed over the blocks it holds."""
-    stacks: list[list[int]] = []
-    held = 0  # sum of d_b^2 over the last stack
-    for b in sorted((b for b, d in enumerate(sizes) if d >= 2), key=lambda b: -sizes[b]):
-        d2 = sizes[b] ** 2
-        if stacks and (len(stacks[-1]) + 1) * sizes[stacks[-1][0]] ** 2 <= 2 * (held + d2):
-            stacks[-1].append(b)
-            held += d2
-        else:
-            stacks.append([b])
-            held = d2
-    return stacks
 
 
 def _eliminate(a: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -169,7 +152,7 @@ def _eliminate(a: np.ndarray) -> tuple[np.ndarray, ...]:
 def compile_exact(u, blocks: EnergyBlocks) -> GateSequence:
     """Two-level elimination of each energy block's sub-unitary.
 
-    The blocks are eliminated together, stacked by _stacks and padded
+    The blocks are eliminated together, stacked by block_stacks and padded
     with the identity, one closed-form pass per column (_eliminate).
     The gates are those of the triangular order: every phase (block
     order, then level order) acts first, then each block's rotations
@@ -182,7 +165,7 @@ def compile_exact(u, blocks: EnergyBlocks) -> GateSequence:
     # (block, flat pair, emitted gate) per rotation, each stack's listed in
     # reverse (block, col, row) order; a stable sort by block keeps that.
     parts = [(np.zeros(0, dtype=np.intp),) * 3 + (np.zeros((0, 2, 2), dtype=complex),)]
-    for stack in _stacks(sizes.tolist()):
+    for stack in block_stacks(sizes.tolist()):
         d = sizes[stack[0]]
         pos = offsets[stack][:, None] + np.arange(d)
         real = np.arange(d) < sizes[stack][:, None]

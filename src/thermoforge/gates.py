@@ -3,7 +3,9 @@
 GateSequence holds an ordered list of elementary gates as columns of one
 slice plus a repeat count, reads and writes the JSON sequence format
 (docs/formats.md), and apply_gates applies it layer by layer; the cost
-model is in compiler.py.  GateStep is one gate as a value (a named
+model is in compiler.py.  save writes each slice with two string
+formats over flat field tuples, and the loader reads each step field
+for all steps at once.  GateStep is one gate as a value (a named
 generator kind with a parameter, or an explicit 2x2 unitary, on one or
 two joint (system, catalyst) indices): the value type of a JSON step,
 of the loader's error messages and of the read-only seq.steps view.
@@ -26,6 +28,7 @@ from .generators import KINDS
 _UNITARY_TOL = 1e-12  # largest ||U†U - I||_F of an accepted givens block
 
 STEP_KINDS = KINDS + ("givens",)
+METHODS = ("exact", "trotter", "bch", "nested", "handcrafted")  # a sequence file's `method`
 KIND_CODE = {kind: code for code, kind in enumerate(STEP_KINDS)}  # code: position in STEP_KINDS
 _P, _GIVENS = KIND_CODE["p"], KIND_CODE["givens"]
 
@@ -168,18 +171,40 @@ class _StepView(Sequence):
 
 
 # save() text of one step at the nesting depth of json.dump(..., indent=1).
+# Index fields are formatted first; each float field stays as %s (written
+# %%s) for a second pass over the texts of _float_texts.
 _PAIR = "    [\n     %d,\n     %d\n    ]"
-_ENTRY = "    [\n     %r,\n     %r\n    ]"
+_ENTRY = "    [\n     %%s,\n     %%s\n    ]"
 _KIND_LINE = '  {\n   "kind": "%s",\n   "indices": [\n'
 _TWO_PAIRS = _PAIR + ",\n" + _PAIR + "\n   ],\n"
-_PARAM = '   "param": %r\n  }'
-_TEMPLATES = {
-    code: _KIND_LINE % kind
+_PARAM = '   "param": %%s\n  }'
+_TEMPLATES = [
+    _KIND_LINE % kind
     + (_PAIR + "\n   ],\n" if code == _P else _TWO_PAIRS)
     + ('   "u2": [\n' + ",\n".join([_ENTRY] * 4) + "\n   ]\n  }" if code == _GIVENS else _PARAM)
     for kind, code in KIND_CODE.items()
-}
+]
+# Which of (s0, c0, s1, c1) and of 8 floats (re, im of each u2 entry, or
+# the param first) each kind's template takes.
+_INT_FIELDS = np.ones((len(STEP_KINDS), 4), dtype=bool)
+_INT_FIELDS[_P, 2:] = False
+_FLOAT_FIELDS = np.zeros((len(STEP_KINDS), 8), dtype=bool)
+_FLOAT_FIELDS[:, 0] = _FLOAT_FIELDS[_GIVENS] = True
+_SHARED_REPR_MIN = 128  # floats below which repr runs on each (np.unique costs more)
 _SAVE_CHUNK = 1 << 16  # characters per write of a repeated slice
+
+
+def _float_texts(x: np.ndarray) -> list[str]:
+    """repr of each float of x, as json.dumps writes it.  From
+    _SHARED_REPR_MIN floats on, repr runs once per distinct magnitude and
+    the sign is a "-" prefix: exact, since repr(-v) == "-" + repr(v) for
+    every finite v, -0.0 included."""
+    if len(x) < _SHARED_REPR_MIN:
+        return list(map(repr, x.tolist()))
+    mags, inverse = np.unique(np.abs(x), return_inverse=True)
+    texts = list(map(repr, mags.tolist()))
+    texts += ["-" + text for text in texts]
+    return list(map(texts.__getitem__, (inverse + len(mags) * np.signbit(x)).tolist()))
 
 
 class GateSequence:
@@ -272,27 +297,27 @@ class GateSequence:
     def to_json(self) -> dict:
         return self._json_fields([s.to_json() for s in self._slice_steps()] * self.repeat)
 
-    def _step_texts(self):
-        """The slice's steps as save() writes them, one by one."""
-        s, c = np.divmod(self.flats, self.dims[1])
-        pairs = np.stack([s[:, 0], c[:, 0], s[:, 1], c[:, 1]], axis=1).tolist()
-        u2 = self.blocks.reshape(-1, 4).view(float).tolist()  # re, im of each entry
-        for code, pair, param, entries in zip(self.kinds.tolist(), pairs,
-                                              self.params.tolist(), u2):
-            if code == _GIVENS:
-                yield _TEMPLATES[code] % (*pair, *entries)
-            elif code == _P:
-                yield _TEMPLATES[code] % (pair[0], pair[1], param)
-            else:
-                yield _TEMPLATES[code] % (*pair, param)
+    def _slice_text(self) -> str:
+        """The slice's steps as save() writes them, joined by ",\n": the
+        steps' templates in one string, formatted with one flat tuple of
+        index fields and then one of float texts."""
+        pairs = np.stack(np.divmod(self.flats, self.dims[1]), axis=2).reshape(-1, 4)
+        ints = pairs[_INT_FIELDS[self.kinds]]
+        floats = np.where((self.kinds == _GIVENS)[:, None],
+                          self.blocks.reshape(-1, 4).view(float), self.params[:, None])
+        template = ",\n".join([_TEMPLATES[code] for code in self.kinds.tolist()])
+        return (template % tuple(ints.tolist())
+                % tuple(_float_texts(floats[_FLOAT_FIELDS[self.kinds]])))
 
     def save(self, path: str) -> None:
         """Write the bytes of json.dump(self.to_json(), f, indent=1).
 
-        The steps are formatted from the columns with float repr, as the
-        json module does, and streamed; a repeated slice is formatted once
-        and written as chunks of about _SAVE_CHUNK characters, each holding
-        whole copies of it.
+        The slice is formatted once (_slice_text): its steps' templates
+        are joined into one string and filled from the columns by one %
+        with every index field, then one % with every float's repr, taken
+        once per distinct magnitude (_float_texts), as the json module
+        writes floats.  A repeated slice is written as chunks of about
+        _SAVE_CHUNK characters, each holding whole copies of it.
         """
         text = json.dumps(self._json_fields([]), indent=1)
         with open(path, "w") as f:
@@ -300,13 +325,11 @@ class GateSequence:
                 f.write(text)
                 return
             head, tail = text.split('\n "steps": []', 1)
-            items = self._step_texts()
-            if self.repeat > 1:
-                one = ",\n".join(items)
-                k = min(self.repeat, max(1, _SAVE_CHUNK // (len(one) + 2)))
-                q, r = divmod(self.repeat, k)
-                items = itertools.chain(itertools.repeat(",\n".join([one] * k), q),
-                                        [",\n".join([one] * r)] if r else [])
+            one = self._slice_text()
+            k = min(self.repeat, max(1, _SAVE_CHUNK // (len(one) + 2)))
+            q, r = divmod(self.repeat, k)
+            items = itertools.chain(itertools.repeat(",\n".join([one] * k), q),
+                                    [",\n".join([one] * r)] if r else [])
             f.write(f'{head}\n "steps": [\n{next(items)}')
             for item in items:
                 f.write(",\n")
@@ -320,9 +343,9 @@ class GateSequence:
         Structural faults raise FormatError; values GateStep would reject
         raise its DomainError or ShapeError, prefixed `step <i>:` (see
         _read_steps).  An `error_bound` that is not a finite non-negative
-        number, or a `trotter_m` that is neither absent, null nor a
-        positive integer, raises DomainError (a bool is neither).  A
-        loaded sequence has repeat 1.
+        number, a `trotter_m` that is neither absent, null nor a positive
+        integer (a bool is neither), or a `method` not in METHODS raises
+        DomainError.  A loaded sequence has repeat 1.
         """
         if isinstance(obj, str):
             with open(obj) as f:
@@ -344,37 +367,24 @@ class GateSequence:
         trotter_m = obj.get("trotter_m")
         if trotter_m is not None and not (type(trotter_m) is int and trotter_m > 0):
             raise DomainError(f"'trotter_m' {trotter_m!r} is not a positive integer")
-        return cls(*_read_steps(obj["steps"], dims), method=obj["method"], dims=dims,
+        method = obj["method"]
+        if method not in METHODS:
+            raise DomainError(f"'method' {method!r} is not one of {', '.join(METHODS)}")
+        return cls(*_read_steps(obj["steps"], dims), method=method, dims=dims,
                    error_bound=error_bound, trotter_m=trotter_m)
 
 
-def _unpack_indices(idx) -> tuple:
-    """The two (s, c) pairs of a list of [s, c] pairs, the one pair of a
-    phase listed twice; two (0, 0) for another pair count.  TypeError or
-    ValueError if idx is not a list of pairs."""
-    if not isinstance(idx, (list, tuple)):
-        raise TypeError
-    if len(idx) == 2:
-        (s0, c0), (s1, c1) = idx
-        return (s0, c0), (s1, c1)
-    if len(idx) == 1:
-        (s0, c0), = idx
-        return (s0, c0), (s0, c0)
-    if not all(isinstance(p, (list, tuple)) and len(p) == 2 for p in idx):
-        raise ValueError
-    return (0, 0), (0, 0)
-
-
-def _numbers(rows: list, width: int, integer: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(len(rows), width) array of rows of JSON numbers (int64 if integer,
-    else float) and the mask of rows holding anything else, zeroed in the
-    array.  Integers too large for int64 become -1, out of any range;
-    too large for a float, they are not numbers."""
+def _numbers(values: list, integer: bool) -> tuple[np.ndarray, np.ndarray]:
+    """1-D array of a flat list of JSON numbers (int64 if integer, else
+    float; a bool counts as its integer) and the mask of entries holding
+    anything else, zeroed in the array.  Integers too large for int64
+    become -1, out of any range; too large for a float, they are not
+    numbers."""
     try:
-        arr = np.array(rows) if rows else np.zeros((0, width), dtype=np.int64)
-        if arr.shape == (len(rows), width) and arr.dtype.kind in ("i" if integer else "iuf"):
-            return (arr if integer else arr.astype(float)), np.zeros(len(rows), dtype=bool)
-    except (TypeError, ValueError):  # ragged rows
+        arr = np.array(values)
+        if arr.ndim == 1 and arr.dtype.kind in ("bi" if integer else "biuf"):
+            return arr.astype(np.int64 if integer else float), np.zeros(len(values), dtype=bool)
+    except (TypeError, ValueError, OverflowError):  # nested or mixed entries
         pass
 
     def number(v):
@@ -387,28 +397,23 @@ def _numbers(rows: list, width: int, integer: bool) -> tuple[np.ndarray, np.ndar
         except OverflowError:
             return None
 
-    values = [[number(v) for v in row] for row in rows]
-    bad = np.array([None in row for row in values], dtype=bool)
-    return np.array([[0] * width if b else row for row, b in zip(values, bad)],
+    got = [number(v) for v in values]
+    bad = np.array([v is None for v in got], dtype=bool)
+    return np.array([0 if v is None else v for v in got],
                     dtype=np.int64 if integer else float), bad
 
 
-def _read_steps(items, dims: tuple[int, int]):
-    """(kinds, flats, blocks, params) of a JSON step list.
+def _has_len(value, n: int) -> bool:
+    """Whether a JSON value unpacks into n items (a list, string or
+    object of length n)."""
+    try:
+        return len(value) == n
+    except TypeError:
+        return False
 
-    Structural faults raise FormatError at the first step that has one:
-    a step that is not an object or lacks a key, `indices` that are not
-    a list of [s, c] pairs, a givens `u2` that is not four [re, im]
-    pairs.  GateStep's checks (known kind, index count, finite param or
-    u2 entries, ||U†U - I||_F <= 1e-12, integer in-range indices,
-    distinct levels) then run over all steps at once as array masks,
-    with one more for a param or u2 entry that is not a number; the
-    first step they flag raises GateStep's own error, prefixed
-    `step <i>:`.
-    """
-    if not isinstance(items, list):
-        raise FormatError("'steps' must be a list")
-    codes, counts, pairs, params, u2s = [], [], [], [], []
+
+def _raise_structural_fault(items: list) -> None:
+    """Raise the FormatError of the first step with a structural fault."""
     for i, step in enumerate(items):
         try:
             kind, idx = step["kind"], step["indices"]
@@ -417,38 +422,77 @@ def _read_steps(items, dims: tuple[int, int]):
             raise FormatError(f"step {i}: missing key {e}") from None
         except TypeError:
             raise FormatError(f"step {i}: not a JSON object") from None
-        try:
-            pairs.extend(_unpack_indices(idx))
-        except (TypeError, ValueError):
-            raise FormatError(f"step {i}: 'indices' must be a list of [s, c] pairs") from None
-        codes.append(KIND_CODE.get(kind, -1) if isinstance(kind, str) else -1)
-        counts.append(len(idx))
-        if kind == "givens":
-            try:
-                (a, b), (c, d), (e, f), (g, h) = value
-            except (TypeError, ValueError):
-                raise FormatError(f"step {i}: 'u2' must be four [re, im] pairs") from None
-            u2s.append((a, b, c, d, e, f, g, h))
-            params.append(0.0)
-        else:
-            params.append(value)
+        if not (isinstance(idx, (list, tuple)) and all(
+                _has_len(p, 2) if len(idx) in (1, 2) else isinstance(p, (list, tuple)) and len(p) == 2
+                for p in idx)):
+            raise FormatError(f"step {i}: 'indices' must be a list of [s, c] pairs")
+        if kind == "givens" and not (_has_len(value, 4) and all(_has_len(e, 2) for e in value)):
+            raise FormatError(f"step {i}: 'u2' must be four [re, im] pairs")
+
+
+def _read_steps(items, dims: tuple[int, int]):
+    """(kinds, flats, blocks, params) of a JSON step list.
+
+    Each field is read for all steps by one comprehension, `indices` and
+    `u2` are flattened to flat lists, and each flat list becomes one
+    array.  Structural faults raise FormatError at the first step that
+    has one (found by one scan, _raise_structural_fault): a step that is
+    not an object or lacks a key, `indices` that are not a list of [s, c]
+    pairs, a givens `u2` that is not four [re, im] pairs.  GateStep's
+    checks (known kind, index count, finite param or u2 entries,
+    ||U†U - I||_F <= 1e-12, integer in-range indices, distinct levels)
+    then run over all steps at once as array masks, with one more for a
+    param or u2 entry that is not a number; the first step they flag
+    raises GateStep's own error, prefixed `step <i>:`.
+    """
+    if not isinstance(items, list):
+        raise FormatError("'steps' must be a list")
+    chain = itertools.chain.from_iterable
+    try:
+        names = [step["kind"] for step in items]
+        indices = [step["indices"] for step in items]
+        codes = [KIND_CODE.get(name, -1) if isinstance(name, str) else -1 for name in names]
+        params = [0.0 if code == _GIVENS else step["param"] for step, code in zip(items, codes)]
+        u2s = [step["u2"] for step, code in zip(items, codes) if code == _GIVENS]
+        counts = list(map(len, indices))
+        pairs, entries = list(chain(indices)), list(chain(u2s))
+        well_formed = (all(map(isinstance, indices, itertools.repeat((list, tuple))))
+                       and set(map(len, pairs)) <= {2}
+                       and set(map(len, u2s)) <= {4} and set(map(len, entries)) <= {2}
+                       and (max(counts, default=0) <= 2 or all(
+                           isinstance(p, (list, tuple)) for idx in indices if len(idx) > 2
+                           for p in idx)))
+    except (KeyError, TypeError):
+        well_formed = False
+    if not well_formed:
+        _raise_structural_fault(items)
 
     kinds = np.array(codes, dtype=np.int8)
     givens, phase = kinds == _GIVENS, kinds == _P
-    params, non_number = _numbers([(v,) for v in params], 1, integer=False)
-    params = np.where(givens, math.nan, params[:, 0])
-    entries, bad_u2 = _numbers(u2s, 8, integer=False)
-    non_number[givens] = bad_u2
+    params, non_number = _numbers(params, integer=False)
+    params = np.where(givens, math.nan, params)
+    u2, bad_u2 = _numbers(list(chain(entries)), integer=False)
+    non_number[givens] = bad_u2.reshape(-1, 8).any(axis=1)
     blocks = np.zeros((len(items), 2, 2), dtype=complex)
-    blocks[givens] = entries.view(complex).reshape(-1, 2, 2)
-    joint, nonint = _numbers(pairs, 2, integer=True)
-    s, c = joint[:, 0].reshape(-1, 2), joint[:, 1].reshape(-1, 2)
-    outside = nonint.reshape(-1, 2) | ~((0 <= s) & (s < dims[0]) & (0 <= c) & (c < dims[1]))
+    blocks[givens] = u2.view(complex).reshape(-1, 2, 2)
+    # Each step's first and last index pair, so a phase's one pair twice.
+    # A step with 0 or 3+ pairs (its count flags it) reads a neighbour's
+    # or the spare pair (0, 0) at the end.
+    joint, nonint = _numbers(list(chain(pairs)) + [0, 0], integer=True)
+    joint, nonint = joint.reshape(-1, 2), nonint.reshape(-1, 2).any(axis=1)
+    counts = np.array(counts, dtype=np.intp)
+    last = np.cumsum(counts) - 1
+    ends = np.stack([last + 1 - counts, last], axis=1)
+    s, c = joint[ends, 0], joint[ends, 1]
+    outside = nonint[ends] | ~((0 <= s) & (s < dims[0]) & (0 <= c) & (c < dims[1]))
     flats = np.where(outside, 0, s * dims[1] + c)
     with np.errstate(invalid="ignore", over="ignore"):
-        g = blocks[givens]
-        defect = np.linalg.norm(np.swapaxes(g, 1, 2).conj() @ g - np.eye(2), axis=(1, 2))
-    bad = ((kinds < 0) | (np.array(counts) != np.where(phase, 1, 2)) | non_number
+        # ||U†U - I||_F from the column norms and their inner product, as in GateStep.
+        u00, u01, u10, u11 = blocks[givens].reshape(-1, 4).T
+        off = np.abs(u00.conj() * u01 + u10.conj() * u11)
+        defect = np.sqrt((np.abs(u00) ** 2 + np.abs(u10) ** 2 - 1) ** 2
+                         + (np.abs(u01) ** 2 + np.abs(u11) ** 2 - 1) ** 2 + 2 * off ** 2)
+    bad = ((kinds < 0) | (counts != np.where(phase, 1, 2)) | non_number
            | ~np.isfinite(np.where(givens, 0.0, params)) | outside.any(axis=1)
            | (~phase & (flats[:, 0] == flats[:, 1])))
     bad[givens] |= ~(defect <= _UNITARY_TOL)

@@ -458,6 +458,10 @@ class TestSimulate:
         ({"trotter_m": 0}, 3),
         ({"trotter_m": 2.0}, 3),
         ({"trotter_m": True}, 3),
+        ({"method": 5}, 3),
+        ({"method": "EXACT"}, 3),
+        ({"method": None}, 3),
+        ({"method": ["exact"]}, 3),
     ])
     def test_malformed_sequence_exit_code(self, tmp_path, capsys, fields, code):
         sf = write_json(tmp_path / "p.json", {"populations": [0.2, 0.3, 0.5]})

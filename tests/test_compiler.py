@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from thermoforge import compiler, gates
+from thermoforge import compiler, gates, linalg
 from thermoforge import (
     ElementaryGenerator,
     GateSequence,
@@ -101,13 +101,25 @@ def gate_steps(draw, dims):
     a, b = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
     first, second = divmod(a, dims[1]), divmod(b, dims[1])
     kind = draw(st.sampled_from(("h", "m", "g_diag", "p", "givens")))
-    angle = st.floats(-2 * math.pi, 2 * math.pi)
+    angle = st.floats(-2 * math.pi, 2 * math.pi) | st.sampled_from([0.0, -0.0])
     if kind == "givens":
         al, be, ga, de = (draw(angle) for _ in range(4))
-        u2 = np.exp(1j * al) * np.array([
-            [np.exp(1j * be) * math.cos(ga), np.exp(1j * de) * math.sin(ga)],
-            [-np.exp(-1j * de) * math.sin(ga), np.exp(-1j * be) * math.cos(ga)],
-        ])
+        form = draw(st.sampled_from(("phased", "su2", "x=0", "y=0")))
+        if form == "phased":
+            u2 = np.exp(1j * al) * np.array([
+                [np.exp(1j * be) * math.cos(ga), np.exp(1j * de) * math.sin(ga)],
+                [-np.exp(-1j * de) * math.sin(ga), np.exp(-1j * be) * math.cos(ga)],
+            ])
+        else:
+            # [[x, -conj(y)], [y, conj(x)]], as compile_exact emits: each float
+            # repeats with either sign, and a zero x or y has signed zeros.
+            zero = st.sampled_from([0.0, -0.0])
+            x, y = cmath.rect(1.0, be) * math.cos(ga), cmath.rect(1.0, de) * math.sin(ga)
+            if form == "x=0":
+                x, y = complex(draw(zero), draw(zero)), cmath.rect(1.0, de)
+            elif form == "y=0":
+                x, y = cmath.rect(1.0, be), complex(draw(zero), draw(zero))
+            u2 = np.array([[x, -y.conjugate()], [y, x.conjugate()]])
         u = np.eye(n, dtype=complex)
         u[a, a], u[a, b], u[b, a], u[b, b] = u2[0, 0], u2[0, 1], u2[1, 0], u2[1, 1]
         return GateStep("givens", (first, second), u2=u2), u
@@ -440,7 +452,7 @@ class TestCompileExact:
     def test_stacks_bound_padding(self, sizes):
         # Every block of size >= 2 once, largest first; a stack padded to its
         # first block holds at most 2 sum_b d_b^2 entries.
-        stacks = compiler._stacks(sizes)
+        stacks = linalg.block_stacks(sizes)
         listed = [b for stack in stacks for b in stack]
         assert sorted(listed) == [b for b, d in enumerate(sizes) if d >= 2]
         assert [sizes[b] for b in listed] == sorted((d for d in sizes if d >= 2), reverse=True)
@@ -454,7 +466,7 @@ class TestCompileExact:
         passes = []
         for ds, dc in ((3, 10), (4, 12), (5, 14), (6, 15), (6, 18)):
             sizes = np.convolve(np.bincount(np.arange(ds) % 4), np.bincount(np.arange(dc) % 4))
-            passes.append(sum(sizes[s[0]] - 1 for s in compiler._stacks(sizes.tolist())))
+            passes.append(sum(sizes[s[0]] - 1 for s in linalg.block_stacks(sizes.tolist())))
         assert passes == [8, 13, 21, 27, 28]
 
     def test_identity_empty(self):
@@ -1013,11 +1025,70 @@ def gate_sequences(draw):
     )
 
 
+# Steps whose floats repeat with either sign, signed zeros included.
+SIGNED_STEPS = [
+    GateStep("givens", ((0, 0), (1, 1)),
+             u2=np.array([[complex(-0.0, 0.6), complex(-0.8, -0.0)],
+                          [complex(0.8, -0.0), complex(-0.0, -0.6)]])),
+    GateStep("h", ((0, 1), (1, 0)), param=-0.0),
+    GateStep("p", ((1, 1),), param=0.6),
+    GateStep("m", ((0, 0), (0, 1)), param=-0.6),
+]
+COMPILE_RUN_DIMS = ((3, 10), (4, 12), (5, 14), (6, 15), (6, 18))  # joint dims 30..108
+
+
+def assert_same_columns(loaded, seq):
+    """`loaded` (repeat 1) lists the slice of `seq` seq.repeat times, with
+    the same bits in every column."""
+    assert (loaded.method, loaded.dims, loaded.trotter_m) == (seq.method, seq.dims, seq.trotter_m)
+    assert loaded.repeat == 1 and len(loaded) == len(seq)
+    for name in ("kinds", "flats", "params", "blocks"):
+        want = np.concatenate([getattr(seq, name)] * seq.repeat)
+        assert getattr(loaded, name).tobytes() == want.tobytes(), name
+
+
 class TestSequenceJson:
+    @given(st.sampled_from(COMPILE_RUN_DIMS), st.sampled_from(["haar", "permutation"]),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_exact_files_at_benchmark_dims(self, dims, kind, seed):
+        # Energies 0..3 used equally often on each side, as the compile_run
+        # benchmark draws them; a Haar or phased-permutation block per energy.
+        rng = np.random.default_rng(seed)
+        es, ec = (rng.permutation(np.arange(d) % 4).astype(float) for d in dims)
+        blocks, u = exact_instance(es, ec, [kind], seed)
+        seq = compile_exact(u, blocks)
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "seq.json")
+            seq.save(path)
+            with open(path) as f:
+                assert f.read() == json.dumps(seq.to_json(), indent=1)
+            loaded = GateSequence.from_json(path)
+        assert_same_columns(loaded, seq)
+
+    def test_shared_float_texts_are_reprs(self):
+        # From _SHARED_REPR_MIN floats on, repr runs once per magnitude.
+        rng = np.random.default_rng(6)
+        x = rng.choice(np.array([0.0, -0.0, 0.1, -0.1, 1.0, -1.0, 1e-300, -2.5e17]), 400)
+        x = np.concatenate([x, rng.standard_normal(100), -x[:50]])
+        assert len(x) >= gates._SHARED_REPR_MIN
+        assert gates._float_texts(x) == [repr(v) for v in x.tolist()]
+
+    @given(st.sampled_from(["trotter", "bch", "nested"]), st.integers(1, 40))
+    @settings(max_examples=40, deadline=None)
+    def test_approximate_files_load_to_compiled_columns(self, method, m):
+        seq = periodic_builders()[method](m)
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "seq.json")
+            seq.save(path)
+            loaded = GateSequence.from_json(path)
+        assert_same_columns(loaded, seq)
+
     @given(gate_sequences())
     @settings(max_examples=200, deadline=None)
     @example(sequence([], "exact", (1, 2)))
     @example(sequence([], "trotter", (2, 2), trotter_m=4))
+    @example(sequence(SIGNED_STEPS, "trotter", (2, 2), error_bound=0.05, trotter_m=5, repeat=5))
     def test_save_writes_json_dump_bytes(self, seq):
         with tempfile.TemporaryDirectory() as d:
             path = os.path.join(d, "seq.json")

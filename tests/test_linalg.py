@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermoforge import expm_skew, kron, partial_trace, trace_distance
+from thermoforge import linalg
 from thermoforge.linalg import frobenius_distance
 from thermoforge.errors import CapacityError, DomainError, ShapeError
 from util import random_antihermitian, random_density, random_hermitian
@@ -154,3 +155,86 @@ def test_trace_distance_symmetric(seed):
     rng = np.random.default_rng(seed)
     a, b = random_density(rng, 3), random_density(rng, 3)
     assert abs(trace_distance(a, b) - trace_distance(b, a)) < 1e-12
+
+
+def dense_trace_distance(a, b):
+    """Reference: one eigvalsh of the whole Hermitian part of a - b."""
+    diff = np.asarray(a, dtype=complex) - np.asarray(b, dtype=complex)
+    return float(np.sum(np.abs(np.linalg.eigvalsh((diff + diff.conj().T) / 2))) / 2)
+
+
+BLOCK_SHAPES = ("dense", "holes", "chain", "single")
+
+
+@st.composite
+def block_differences(draw):
+    """A Hermitian h that is block-diagonal up to a random permutation of
+    its levels, with all-zero rows.  A block is dense, has zero entries
+    inside ("holes"), is tridiagonal ("chain": its rows' first nonzero
+    columns differ, so the labels cross), or is 1x1."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    blocks = []
+    for shape in draw(st.lists(st.sampled_from(BLOCK_SHAPES), min_size=1, max_size=10)):
+        d = 1 if shape == "single" else draw(st.integers(1, 12))
+        blk = random_hermitian(rng, d)
+        if shape == "holes":
+            keep = np.triu(rng.random((d, d)) < 0.6)
+            blk = np.where(keep | keep.T, blk, 0)
+        elif shape == "chain":
+            blk = np.where(np.abs(np.subtract.outer(range(d), range(d))) <= 1, blk, 0)
+        blocks.append(blk)
+    blocks += [np.zeros((1, 1))] * draw(st.integers(0, 4))
+    n = sum(len(blk) for blk in blocks)
+    h = np.zeros((n, n), dtype=complex)
+    at = 0
+    for blk in blocks:
+        h[at:at + len(blk), at:at + len(blk)] = blk
+        at += len(blk)
+    perm = rng.permutation(n)
+    return h[np.ix_(perm, perm)]
+
+
+class TestBlockTraceDistance:
+    @given(block_differences())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_one_eigvalsh(self, h):
+        # The block rule at every dimension, against one dense eigvalsh.
+        want = dense_trace_distance(h, np.zeros_like(h))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "_BLOCK_MIN_DIM", 1)
+            got = trace_distance(h, np.zeros_like(h))
+        assert abs(got - want) <= 1e-13 * want
+
+    @pytest.mark.parametrize("n", [8, 80])
+    def test_fully_nonzero_input_keeps_one_eigvalsh(self, n):
+        rng = np.random.default_rng(n)
+        a, b = random_density(rng, n), random_density(rng, n)
+        assert np.all(a - b != 0)
+        assert trace_distance(a, b) == dense_trace_distance(a, b)
+
+    def test_block_diagonal_input_solves_blocks_only(self, monkeypatch):
+        # Joint dim 108 in energy blocks of 4..26 levels, interleaved: no
+        # eigvalsh sees more than the largest block.
+        rng = np.random.default_rng(3)
+        sizes = [10, 20, 23, 26, 17, 8, 4]
+        label = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+        h = np.where(np.equal.outer(label, label), random_hermitian(rng, len(label)), 0)
+        seen = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda x: seen.append(x.shape) or eigvalsh(x))
+        got = trace_distance(h, np.zeros_like(h))
+        assert max(shape[-1] for shape in seen) == max(sizes)
+        monkeypatch.undo()
+        assert abs(got - dense_trace_distance(h, np.zeros_like(h))) <= 1e-13 * got
+
+    def test_one_class_takes_one_eigvalsh(self):
+        # A tridiagonal h is one block whose labels settle only after many
+        # passes; a dense h with holes is one class at once.
+        rng = np.random.default_rng(4)
+        n = 100
+        chain = np.where(np.abs(np.subtract.outer(range(n), range(n))) <= 1,
+                         random_hermitian(rng, n), 0)
+        holes = random_hermitian(rng, n)
+        holes[3, 5] = holes[5, 3] = 0
+        for h in (chain, holes):
+            assert trace_distance(h, np.zeros_like(h)) == dense_trace_distance(h, np.zeros_like(h))

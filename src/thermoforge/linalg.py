@@ -39,7 +39,8 @@ def kron(a, b) -> np.ndarray:
     joint = a.shape[0] * b.shape[0]
     if joint > JOINT_DIM_CAP:
         raise CapacityError(f"joint dimension {joint} exceeds cap {JOINT_DIM_CAP}")
-    return np.kron(a, b)
+    # Each entry is the one product a[i, j] * b[k, l], as in np.kron.
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(joint, joint)
 
 
 def partial_trace(rho, dims: tuple[int, int], keep: int) -> np.ndarray:
@@ -153,7 +154,8 @@ def trace_distance(a, b) -> float:
     if a.shape != b.shape:
         raise ShapeError(f"shape mismatch {a.shape} vs {b.shape}")
     diff = a - b
-    if np.linalg.norm(diff - diff.conj().T) >= DEFAULT_TOL:
+    dh = diff.conj().T
+    if np.linalg.norm(diff - dh) >= DEFAULT_TOL:
         raise DomainError("trace distance requires Hermitian inputs")
-    eigs = _eigvalsh_by_blocks((diff + diff.conj().T) / 2)
+    eigs = _eigvalsh_by_blocks((diff + dh) / 2)
     return float(np.sum(np.abs(eigs)) / 2)

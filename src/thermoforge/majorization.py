@@ -3,7 +3,9 @@ incoherent states.
 
 Curves are beta-ordered Lorenz curves: levels sorted by p_i / gamma_i
 descending (ties broken by level index), vertices at cumulative
-(Gibbs weight, population) pairs.
+(Gibbs weight, population) pairs.  A Gibbs weight below an ulp of the
+running sum leaves x unchanged, so a run of vertices with equal x is
+merged into its last one, the one with the largest y.
 """
 from __future__ import annotations
 
@@ -19,22 +21,45 @@ from .thermal import DiagonalState, Spectrum, energy_blocks, gibbs_state
 REACH_NODE_CAP = 10**6  # most search-tree nodes eto_reach_search will visit
 
 
+def _check_curve(xs: np.ndarray, ys: np.ndarray) -> None:
+    """Raise DomainError unless the vertices (xs, ys) form a thermo curve."""
+    if xs[0] != 0.0 or ys[0] != 0.0:
+        raise DomainError("curve must start at (0, 0)")
+    dx, dy = xs[1:] - xs[:-1], ys[1:] - ys[:-1]
+    if (dx <= 0).any() or abs(xs[-1] - 1.0) > 1e-12:
+        raise DomainError("x must increase strictly to 1")
+    if (dy < -1e-12).any() or abs(ys[-1] - 1.0) > 1e-12:
+        raise DomainError("y must be nondecreasing to 1")
+    slopes = dy / dx
+    if (slopes[1:] - slopes[:-1] > 1e-9).any():
+        raise DomainError("curve is not concave")
+
+
+def _curve_arrays(p: np.ndarray, gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The checked vertices (xs, ys) of the curve of populations p over
+    Gibbs weights gamma, runs of equal x merged into their last vertex."""
+    order = np.argsort(-(p / gamma), kind="stable")
+    xs, ys = np.zeros(len(p) + 1), np.zeros(len(p) + 1)
+    np.cumsum(gamma[order], out=xs[1:])
+    np.cumsum(p[order], out=ys[1:])
+    # Guard the invariants against accumulated rounding at the endpoints.
+    xs[-1] = 1.0
+    ys[-1] = 1.0
+    merged = xs[1:] == xs[:-1]
+    if merged.any():
+        last = np.append(~merged, True)
+        xs, ys = xs[last], ys[last]
+    _check_curve(xs, ys)
+    return xs, ys
+
+
 @dataclass(frozen=True)
 class ThermoCurve:
     vertices: tuple[tuple[float, float], ...]  # includes the (0, 0) prefix
 
     def __post_init__(self):
         v = np.asarray(self.vertices)
-        x, y = v[:, 0], v[:, 1]
-        if x[0] != 0.0 or y[0] != 0.0:
-            raise DomainError("curve must start at (0, 0)")
-        if np.any(np.diff(x) <= 0) or abs(x[-1] - 1.0) > 1e-12:
-            raise DomainError("x must increase strictly to 1")
-        if np.any(np.diff(y) < -1e-12) or abs(y[-1] - 1.0) > 1e-12:
-            raise DomainError("y must be nondecreasing to 1")
-        slopes = np.diff(y) / np.diff(x)
-        if np.any(np.diff(slopes) > 1e-9):
-            raise DomainError("curve is not concave")
+        _check_curve(v[:, 0], v[:, 1])
 
     def evaluate(self, xs) -> np.ndarray:
         v = np.asarray(self.vertices)
@@ -45,27 +70,27 @@ class ThermoCurve:
         return np.asarray(self.vertices)[:, 0]
 
 
-def thermo_curve(p: DiagonalState, spec: Spectrum) -> ThermoCurve:
+def _check_dim(p: DiagonalState, spec: Spectrum) -> None:
     if p.dim != spec.dim:
         raise DomainError(f"state dim {p.dim} != spectrum dim {spec.dim}")
-    gamma = gibbs_state(spec).populations
-    ratios = p.populations / gamma
-    order = np.argsort(-ratios, kind="stable")
-    xs = np.concatenate([[0.0], np.cumsum(gamma[order])])
-    ys = np.concatenate([[0.0], np.cumsum(p.populations[order])])
-    # Guard the invariants against accumulated rounding at the endpoints.
-    xs[-1] = 1.0
-    ys[-1] = 1.0
-    return ThermoCurve(tuple((float(x), float(y)) for x, y in zip(xs, ys)))
+
+
+def thermo_curve(p: DiagonalState, spec: Spectrum) -> ThermoCurve:
+    _check_dim(p, spec)
+    xs, ys = _curve_arrays(p.populations, gibbs_state(spec).populations)
+    return ThermoCurve(tuple(zip(xs.tolist(), ys.tolist())))
 
 
 def thermo_majorizes(p: DiagonalState, q: DiagonalState, spec: Spectrum,
                      tol: float = 1e-9) -> bool:
     """True iff p's curve lies above q's at every vertex of either curve."""
-    cp = thermo_curve(p, spec)
-    cq = thermo_curve(q, spec)
-    xs = np.union1d(cp.xs, cq.xs)
-    return bool(np.all(cp.evaluate(xs) >= cq.evaluate(xs) - tol))
+    _check_dim(p, spec)
+    gamma = gibbs_state(spec).populations
+    xp, yp = _curve_arrays(p.populations, gamma)
+    _check_dim(q, spec)
+    xq, yq = _curve_arrays(q.populations, gamma)
+    xs = np.concatenate((xp, xq))
+    return bool((np.interp(xs, xp, yp) >= np.interp(xs, xq, yq) - tol).all())
 
 
 def max_ground_population_TO(p: DiagonalState, spec_s: Spectrum, spec_c: Spectrum,

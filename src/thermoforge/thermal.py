@@ -269,16 +269,29 @@ def energy_blocks(spec_s: Spectrum, spec_c: Spectrum) -> EnergyBlocks:
 
 
 def random_energy_preserving_unitary(blocks: EnergyBlocks, seed: int) -> np.ndarray:
-    """Block-diagonal unitary with an independent Haar block per energy."""
+    """Block-diagonal unitary with an independent Haar block per energy.
+
+    One rng.standard_normal call draws sum_b 2 d_b^2 values; block b, in
+    block order, takes the next d_b^2 as the real parts of a d_b x d_b
+    matrix Z (row-major), then the next d_b^2 as its imaginary parts.
+    Each Z is QR-factored (one stacked qr per block size) and Q's columns
+    are multiplied by the phases of R's diagonal.
+    """
     rng = np.random.default_rng(seed)
     n = blocks.joint_dim
+    sizes = np.diff(blocks.offsets)
+    width = 2 * sizes * sizes
+    starts = np.cumsum(width) - width
+    draw = rng.standard_normal(int(width.sum()))
     u = np.zeros((n, n), dtype=complex)
-    for _, flats in blocks.items():
-        d = len(flats)
-        z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        q, r = np.linalg.qr(z)
-        q = q * (np.diag(r) / np.abs(np.diag(r)))
-        u[np.ix_(flats, flats)] = q
+    for d in sorted(set(sizes.tolist())):
+        bs = np.flatnonzero(sizes == d)
+        z = draw[starts[bs][:, None] + np.arange(2 * d * d)].reshape(-1, 2, d, d)
+        q, r = np.linalg.qr(z[:, 0] + 1j * z[:, 1])
+        diag = r.diagonal(axis1=1, axis2=2)
+        q *= (diag / np.abs(diag))[:, None, :]
+        idx = blocks.order[blocks.offsets[bs][:, None] + np.arange(d)]
+        u[idx[:, :, None], idx[:, None, :]] = q
     return u
 
 

@@ -320,6 +320,15 @@ class TestCurve:
         assert rows[0] == ["x", "y"]
         assert len(rows) == len(verts) + 1
 
+    def test_gibbs_weight_below_an_ulp(self, tmp_path, capsys):
+        # exp(-50) is below an ulp of 1, so two vertices share x = 1.0;
+        # they merge into the one with the larger y.
+        spec = write_json(tmp_path / "gap.json", {"energies": [0, 50]})
+        sf = write_json(tmp_path / "p.json", {"populations": [1, 0]})
+        code, report, err = run_cli(capsys, ["curve", "--state", sf, "--spectrum", spec])
+        assert code == 0, err
+        assert report["outputs"]["vertices"] == [[0.0, 0.0], [1.0, 1.0]]
+
     def test_coherent_state_is_guarded(self, tmp_path, capsys, qutrit_file):
         rho = np.full((3, 3), 1 / 3)
         sf = write_matrix(tmp_path / "rho.json", rho)

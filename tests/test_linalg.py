@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from thermoforge import expm_skew, kron, partial_trace, trace_distance
 from thermoforge import linalg
@@ -50,6 +51,14 @@ class TestKron:
         rng = np.random.default_rng(1)
         a, b, c = (random_hermitian(rng, d) for d in (2, 3, 2))
         assert np.linalg.norm(kron(kron(a, b), c) - kron(a, kron(b, c))) < 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 6), st.data())
+    def test_bit_equal_to_np_kron(self, m, n, data):
+        entries = st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False)
+        a = data.draw(hnp.arrays(complex, (m, m), elements=entries))
+        b = data.draw(hnp.arrays(complex, (n, n), elements=entries))
+        assert kron(a, b).tobytes() == np.kron(a, b).tobytes()
 
 
 class TestPartialTrace:

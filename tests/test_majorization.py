@@ -26,7 +26,12 @@ from thermoforge.cooling import build_cooling_catalyst
 from thermoforge.errors import CapacityError, DomainError
 from thermoforge.majorization import ThermoCurve
 
-from util import random_populations, random_resonant_spectra, reference_max_ground_population
+from util import (
+    random_populations,
+    random_resonant_spectra,
+    reference_max_ground_population,
+    reference_thermo_majorizes,
+)
 
 LN2 = math.log(2.0)
 
@@ -71,6 +76,15 @@ class TestCurve:
     def test_dim_mismatch(self):
         with pytest.raises(DomainError):
             thermo_curve(DiagonalState([0.5, 0.5]), qutrit())
+
+    def test_equal_x_vertices_merge_to_the_last(self):
+        # exp(-50) is below an ulp of 1: after level 0 the cumulative Gibbs
+        # weight is already 1.0, so level 1 adds a vertex at the same x.
+        spec = Spectrum.from_energies([0.0, 50.0])
+        c = thermo_curve(DiagonalState([1.0, 0.0]), spec)
+        assert c.vertices == ((0.0, 0.0), (1.0, 1.0))
+        assert thermo_majorizes(DiagonalState([1.0, 0.0]), gibbs_state(spec), spec)
+        assert not thermo_majorizes(gibbs_state(spec), DiagonalState([0.0, 1.0]), spec)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10_000))
@@ -137,6 +151,30 @@ class TestMajorizes:
         assert thermo_majorizes(p, q, spec)
         assert thermo_majorizes(q, r, spec)
         assert thermo_majorizes(p, r, spec)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, 0.0, LN2, LN2, 1.0, 2.0, 50.0]), min_size=1, max_size=6),
+           st.lists(st.integers(0, 4), min_size=7, max_size=7),
+           st.lists(st.integers(0, 4), min_size=7, max_size=7),
+           st.integers(0, 1),
+           st.sampled_from([1e-9, 0.0, 1e-3]))
+    def test_matches_curve_object_reference(self, energies, wp, wq, extra, tol):
+        # Equal weights tie ratios, zero weights empty levels, repeated
+        # energies are degenerate, and the gap of 50 merges vertices; extra
+        # gives q one level more than the spectrum.
+        spec = Spectrum.from_energies(energies)
+        wp, wq = np.array(wp[:len(energies)], float), np.array(wq[:len(energies) + extra], float)
+        assume(wp.sum() > 0 and wq.sum() > 0)
+        p, q = DiagonalState(wp / wp.sum()), DiagonalState(wq / wq.sum())
+
+        def outcome(f):
+            try:
+                return f(p, q, spec, tol)
+            except DomainError as e:
+                return str(e)
+
+        got, want = outcome(thermo_majorizes), outcome(reference_thermo_majorizes)
+        assert got == want and type(got) is type(want)
 
     def test_to_output_is_majorized(self):
         rng = np.random.default_rng(5)

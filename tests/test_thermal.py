@@ -18,7 +18,12 @@ from thermoforge import (
 )
 from thermoforge.errors import DomainError, ShapeError
 from thermoforge.thermal import ENERGY_TOL
-from util import random_resonant_spectra, reference_energy_blocks, reference_spectrum_error
+from util import (
+    random_resonant_spectra,
+    reference_energy_blocks,
+    reference_random_energy_preserving_unitary,
+    reference_spectrum_error,
+)
 
 LN2 = math.log(2.0)
 
@@ -320,6 +325,25 @@ class TestRandomUnitary:
             random_energy_preserving_unitary(blocks, 42),
             random_energy_preserving_unitary(blocks, 42),
         )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(
+        st.lists(st.integers(1, 4), min_size=1, max_size=16),  # repeated sizes, many 1x1
+        st.integers(5, 16).map(lambda d: [d]),  # one large block
+        st.tuples(st.integers(5, 12), st.lists(st.just(1), max_size=12))
+        .map(lambda t: [t[0]] + t[1]),  # one large block among 1x1 blocks
+    ), st.integers(0, 2 ** 16), st.booleans(), st.integers(0, 2 ** 31 - 1))
+    def test_matches_per_block_reference(self, sizes, shuffle, two_system_levels, seed):
+        # Block k of the catalyst holds sizes[k] levels at energy k, placed in
+        # a shuffled order; a second system level at an incommensurate energy
+        # interleaves a second copy of every block in the flat indices.
+        energies = np.repeat(np.arange(len(sizes), dtype=float), sizes)
+        cat = Spectrum.from_energies(np.random.default_rng(shuffle).permutation(energies))
+        system = Spectrum.from_energies([0.0, math.sqrt(2)] if two_system_levels else [0.0])
+        blocks = energy_blocks(system, cat)
+        got = random_energy_preserving_unitary(blocks, seed)
+        want = reference_random_energy_preserving_unitary(blocks, seed)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestIsEnergyPreserving:

@@ -17,6 +17,7 @@ from thermoforge.compiler import (
 from thermoforge.errors import CapacityError, DomainError, ShapeError
 from thermoforge.generators import ElementaryGenerator, _to_matrix, enumerate_basis
 from thermoforge.linalg import frobenius_distance
+from thermoforge.majorization import thermo_curve
 from thermoforge.thermal import ENERGY_TOL
 from thermoforge.verify import (  # noqa: F401  (re-exported for the tests)
     random_antihermitian,
@@ -84,6 +85,30 @@ def reference_spectrum_error(levels):
         if sorted(labels) != list(range(len(labels))):
             return f"degeneracy labels at energy {rep} are not 0..{len(labels) - 1}"
     return None
+
+
+def reference_random_energy_preserving_unitary(blocks, seed):
+    """Block by block, in block order: two standard_normal draws (real,
+    then imaginary parts), one qr, the phase fix, one np.ix_ write."""
+    rng = np.random.default_rng(seed)
+    n = blocks.joint_dim
+    u = np.zeros((n, n), dtype=complex)
+    for _, flats in blocks.items():
+        d = len(flats)
+        z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        q, r = np.linalg.qr(z)
+        q = q * (np.diag(r) / np.abs(np.diag(r)))
+        u[np.ix_(flats, flats)] = q
+    return u
+
+
+def reference_thermo_majorizes(p, q, spec, tol=1e-9):
+    """Build both ThermoCurve objects and compare them at the union of
+    their vertex x values."""
+    cp = thermo_curve(p, spec)
+    cq = thermo_curve(q, spec)
+    xs = np.union1d(cp.xs, cq.xs)
+    return bool(np.all(cp.evaluate(xs) >= cq.evaluate(xs) - tol))
 
 
 def reference_cooling_populations(d, p):

@@ -39,13 +39,17 @@ n = 108, against 983 rotations), the pass for column c costing
 O(k_s (D_s - c)^2) for k_s blocks.  The padding bound gives k_s D_s^3 <= 2^{3/2} sum_b d_b^3 over the stack, so
 the work is O(sum_b d_b^3), with no Python step per rotation.
 
-compile_approximate doubles m until the accuracy is met.  It plans the
-slice once, O(L) Python: kind codes, level pairs, each term's base
-coefficient with its m-scaling (_Slice) and the layer order.  Each
-doubling then evaluates the 2x2 blocks, runs one layered pass over
-eye(n) and raises every energy block of the slice to the m-th power,
-stacked by block size: O(Λ n + sum_b d_b^3 log m).  The sequence is
-built once, for the m returned.
+compile_approximate returns the smallest slice count m = 2^j,
+j = 0 ... log2 M_CAP, whose error is below the accuracy, else M_CAP.  It
+plans the slice once, O(L) Python: kind codes, level pairs, each term's
+base coefficient with its m-scaling (_Slice) and the layer order.
+_power_errors then evaluates all K = log2 M_CAP + 1 candidates at once:
+one kind_blocks call for the (K, L) 2x2 blocks, one layered pass over a
+(K n) x d_max operand that holds each candidate's slice block by block
+(d_max the largest block size), and per block size one squaring cascade
+that squares candidate j j times.  That is O(Λ K n d_max +
+sum_j j sum_b d_b^3) in all, with Λ the number of layers in one slice.
+The sequence is built once, for the m returned.
 
 The approximate back-ends start from K = log u, which is block-diagonal
 like u, and never form it as an n x n matrix.  _log_unitary works on one
@@ -472,38 +476,47 @@ def _rank2_combination(k: list[np.ndarray], blocks: EnergyBlocks) -> GeneratorCo
     return GeneratorCombination(linear=tuple(linear), commutators=tuple(comms))
 
 
-def _power_error(sl: _Slice, u: np.ndarray, blocks: EnergyBlocks):
-    """err(m) = ||S^m - u||_F for the slice S of sl at slice count m.
+def _power_errors(sl: _Slice, u: np.ndarray, blocks: EnergyBlocks) -> np.ndarray:
+    """err_j = ||S_j^m - u||_F at every slice count m = 2^j, j = 0 ...
+    log2 M_CAP, S_j the slice of sl at that m, in one stacked evaluation.
 
-    S is block-diagonal like u, so err^2 is the sum over energy blocks of
-    ||S_b^m - u_b||_F^2 plus ||u off the blocks||_F^2.  The layer order,
-    the block members stacked by block size and the off-block term are
-    computed once; each m costs one evaluation of the 2x2 blocks, one
-    layered pass over eye(n) and one stacked matrix_power per block size.
+    S_j is block-diagonal like u, so err_j^2 is the sum over energy blocks
+    of ||S_j,b^m - u_b||_F^2 plus ||u off the blocks||_F^2.  All K
+    candidates go through one layered pass: the operand holds K copies of
+    the n rows, and row i of copy j keeps only the d_max columns of its
+    own energy block, in block order, starting as the identity's; copy
+    j's gate on levels (a, b) acts on rows j n + a and j n + b.  Each
+    block-size stack of the K slices is then raised to its power by one
+    squaring cascade, the candidate at 2^j squared j times.
     """
     n = blocks.joint_dim
     order, cuts = layer_order(sl.flats, sl.kinds, n)
-    kinds, flats = sl.kinds[order], sl.flats[order]
+    k = M_CAP.bit_length()
+    copies = np.arange(k)
+    steps = len(order) * k  # step i of the layer order, copy j -> row i k + j
+    gates = layer_views(
+        (sl.flats[order][:, None, :] + n * copies[:, None]).reshape(steps, 2),
+        kind_blocks(sl.kinds[order][:, None], sl.params(1 << copies[:, None])[:, order].T)
+        .reshape(steps, 2, 2),
+        [k * c for c in cuts])
     sizes = np.diff(blocks.offsets)
-    stacks = []  # (rows, cols, u_b stacked) per distinct block size
+    pos = np.empty(n, dtype=np.intp)  # each level's place in its block
+    pos[blocks.order] = np.arange(n) - np.repeat(blocks.offsets[:-1], sizes)
+    s = np.zeros((k, n, sizes.max()), dtype=complex)
+    s[:, np.arange(n), pos] = 1.0
+    apply_layers(gates, 1, s.reshape(k * n, -1))
+    e2 = np.zeros(k)
     off = u.copy()
     for d in np.unique(sizes).tolist():
-        idx = np.stack([blocks.members(b) for b in np.flatnonzero(sizes == d).tolist()])
+        idx = blocks.order[blocks.offsets[:-1][sizes == d][:, None] + np.arange(d)]
         rows, cols = idx[:, :, None], idx[:, None, :]
-        stacks.append((rows, cols, u[rows, cols]))
+        a = s[:, idx, :d]
+        for j in range(1, k):
+            a[j:] = a[j:] @ a[j:]
+        r = (a - u[rows, cols]).reshape(k, -1)
+        e2 += np.einsum("ji,ji->j", r.conj(), r).real
         off[rows, cols] = 0.0
-    off2 = np.vdot(off, off).real
-
-    def error(m: int) -> float:
-        s = np.eye(n, dtype=complex)
-        apply_layers(layer_views(flats, kind_blocks(kinds, sl.params(m)[order]), cuts), 1, s)
-        e2 = off2
-        for rows, cols, ub in stacks:
-            r = (np.linalg.matrix_power(s[rows, cols], m) - ub).ravel()
-            e2 += np.vdot(r, r).real
-        return math.sqrt(e2)
-
-    return error
+    return np.sqrt(e2 + np.vdot(off, off).real)
 
 
 def compile_approximate(u, blocks: EnergyBlocks, method: str,
@@ -511,11 +524,13 @@ def compile_approximate(u, blocks: EnergyBlocks, method: str,
     """Approximate u = e^K with the trotter or bch back-end.
 
     trotter expands K over the h/m/p basis; bch over rank-2 h/m terms
-    plus commutators (compile_nested).  The slice count m doubles from 1
-    until the Frobenius error is below `accuracy`, up to M_CAP.  Returns
-    the sequence and its error; if M_CAP is not enough, the M_CAP
-    sequence and an error at or above `accuracy`.  The slice is planned
-    once and the sequence built once, for the m returned.
+    plus commutators (compile_nested).  The slice count m is the first
+    power of two, from 1 up to M_CAP, whose Frobenius error is below
+    `accuracy`; every candidate's error comes from one stacked
+    evaluation (_power_errors).  Returns the sequence and its error; if
+    M_CAP is not enough, the M_CAP sequence and an error at or above
+    `accuracy`.  The slice is planned once and the sequence built once,
+    for the m returned.
     """
     u = np.asarray(u, dtype=complex)
     _require_energy_preserving(u, blocks)
@@ -526,10 +541,7 @@ def compile_approximate(u, blocks: EnergyBlocks, method: str,
         sl = _nested_slice(_rank2_combination(k, blocks), 1.0, blocks.dims)
     else:
         raise DomainError(f"unknown approximate method {method!r}")
-    error = _power_error(sl, u, blocks)
-    m = 1
-    while True:
-        err = error(m)
-        if err < accuracy or 2 * m > M_CAP:
-            return sl.sequence(m), err
-        m *= 2
+    errs = _power_errors(sl, u, blocks)
+    met = np.flatnonzero(errs < accuracy)
+    j = int(met[0]) if len(met) else len(errs) - 1
+    return sl.sequence(1 << j), float(errs[j])

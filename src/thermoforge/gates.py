@@ -45,15 +45,16 @@ _BLOCK_WEIGHTS = np.array([
 
 
 def kind_blocks(kinds: np.ndarray, params: np.ndarray) -> np.ndarray:
-    """(L, 2, 2) blocks exp(param * K) of generator steps; a phase sits in
-    [0, 0] and givens rows are not meaningful."""
-    values = np.empty((len(params), 5, 1), dtype=complex)
-    values[:, 0, 0] = np.cos(params)
-    values[:, 2, 0] = np.sin(params)
-    values[:, 1, 0] = -1j * values[:, 2, 0]
-    values[:, 4, 0] = np.exp(1j * params)
-    values[:, 3, 0] = np.exp(-1j * params)
-    return (_BLOCK_WEIGHTS[kinds] @ values).reshape(-1, 2, 2)
+    """Blocks exp(param * K) of generator steps, shape params.shape + (2, 2),
+    kinds broadcast against params; a phase sits in [0, 0] and givens
+    rows are not meaningful."""
+    values = np.empty(params.shape + (5, 1), dtype=complex)
+    values[..., 0, 0] = np.cos(params)
+    values[..., 2, 0] = np.sin(params)
+    values[..., 1, 0] = -1j * values[..., 2, 0]
+    values[..., 4, 0] = np.exp(1j * params)
+    values[..., 3, 0] = np.exp(-1j * params)
+    return (_BLOCK_WEIGHTS[kinds] @ values).reshape(params.shape + (2, 2))
 
 
 @dataclass(frozen=True, eq=False)

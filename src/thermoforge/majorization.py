@@ -5,7 +5,12 @@ Curves are beta-ordered Lorenz curves: levels sorted by p_i / gamma_i
 descending (ties broken by level index), vertices at cumulative
 (Gibbs weight, population) pairs.  A Gibbs weight below an ulp of the
 running sum leaves x unchanged, so a run of vertices with equal x is
-merged into its last one, the one with the largest y.
+merged into its last one, the one with the largest y.  A Gibbs weight
+that underflows to 0 sorts its level first when it holds population and
+last when it holds none.  The first levels then rise at x = 0: that run
+is merged into one vertex (0, y) after the origin, and this first
+segment is the only vertical one a curve may have.  np.interp reads the
+top of it, y, at x = 0.
 """
 from __future__ import annotations
 
@@ -22,23 +27,31 @@ REACH_NODE_CAP = 10**6  # most search-tree nodes eto_reach_search will visit
 
 
 def _check_curve(xs: np.ndarray, ys: np.ndarray) -> None:
-    """Raise DomainError unless the vertices (xs, ys) form a thermo curve."""
+    """Raise DomainError unless the vertices (xs, ys) form a thermo curve;
+    only the first segment may be vertical, and then it must rise."""
     if xs[0] != 0.0 or ys[0] != 0.0:
         raise DomainError("curve must start at (0, 0)")
     dx, dy = xs[1:] - xs[:-1], ys[1:] - ys[:-1]
-    if (dx <= 0).any() or abs(xs[-1] - 1.0) > 1e-12:
+    # A rising vertical first segment has slope +inf, so it keeps any
+    # curve after it concave; the slopes are checked from the next one.
+    v = int(len(dx) > 0 and dx[0] == 0 and dy[0] > 0)
+    if (dx[v:] <= 0).any() or abs(xs[-1] - 1.0) > 1e-12:
         raise DomainError("x must increase strictly to 1")
     if (dy < -1e-12).any() or abs(ys[-1] - 1.0) > 1e-12:
         raise DomainError("y must be nondecreasing to 1")
-    slopes = dy / dx
+    slopes = dy[v:] / dx[v:]
     if (slopes[1:] - slopes[:-1] > 1e-9).any():
         raise DomainError("curve is not concave")
 
 
 def _curve_arrays(p: np.ndarray, gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The checked vertices (xs, ys) of the curve of populations p over
-    Gibbs weights gamma, runs of equal x merged into their last vertex."""
-    order = np.argsort(-(p / gamma), kind="stable")
+    Gibbs weights gamma, runs of equal x merged into their last vertex
+    (the origin kept)."""
+    # A zero Gibbs weight gives the ratio inf (p > 0), first, or NaN (p = 0),
+    # which argsort puts last.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        order = np.argsort(-(p / gamma), kind="stable")
     xs, ys = np.zeros(len(p) + 1), np.zeros(len(p) + 1)
     np.cumsum(gamma[order], out=xs[1:])
     np.cumsum(p[order], out=ys[1:])
@@ -48,6 +61,7 @@ def _curve_arrays(p: np.ndarray, gamma: np.ndarray) -> tuple[np.ndarray, np.ndar
     merged = xs[1:] == xs[:-1]
     if merged.any():
         last = np.append(~merged, True)
+        last[0] = True
         xs, ys = xs[last], ys[last]
     _check_curve(xs, ys)
     return xs, ys

@@ -28,7 +28,6 @@ no tuple view: `items()` yields each block's energy and members, and
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -47,23 +46,45 @@ def _energy_groups(energies: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     entries order[offsets[k]:offsets[k + 1]] in ascending index order.
     Groups are numbered by ascending representative `reps[k]`.
     """
+    n = len(energies)
     order = np.argsort(energies, kind="stable")
     s = energies[order]
-    starts = []
-    i = 0
-    while i < len(s):
-        starts.append(i)
-        rep = float(s[i])
-        # nextafter keeps equal energies together where ENERGY_TOL is below an ulp.
-        i = max(i + 1, int(np.searchsorted(s, max(rep + ENERGY_TOL, math.nextafter(rep, math.inf)))))
-    offsets = np.array(starts + [len(s)])
+    # The group of representative s[i] ends below reach[i] =
+    # max(s[i] + ENERGY_TOL, nextafter(s[i])): the next float keeps equal
+    # energies together where ENERGY_TOL is below half an ulp, the only
+    # place it exceeds s[i] + ENERGY_TOL.  A step to reach[i - 1] or beyond
+    # opens a group whatever the representative, so the greedy rule is
+    # walked only inside a chain of smaller steps that spans reach of its
+    # first energy.
+    reach = s + ENERGY_TOL
+    flat = reach == s
+    if flat.any():
+        reach[flat] = np.nextafter(s[flat], np.inf)
+    opens = np.empty(n, dtype=bool)
+    opens[:1] = True
+    np.greater_equal(s[1:], reach[:-1], out=opens[1:])
+    starts = np.flatnonzero(opens)
+    offsets = np.empty(len(starts) + 1, dtype=np.intp)
+    offsets[:-1], offsets[-1] = starts, n
+    wide = s[offsets[1:] - 1] >= reach[starts]
+    if wide.any():
+        for i, end in zip(starts[wide].tolist(), offsets[1:][wide].tolist()):
+            while True:
+                i = max(i + 1, int(np.searchsorted(s, reach[i])))
+                if i >= end:
+                    break
+                opens[i] = True
+        starts = np.flatnonzero(opens)
+        offsets = np.append(starts, n)
     # The stable energy sort leaves a group in index order unless its
-    # members differ in energy; only then is a second sort needed.
-    opens = np.zeros(len(s), dtype=bool)
-    opens[starts] = True
-    if np.any((np.diff(order) < 0) & ~opens[1:]):
-        gid = np.repeat(np.arange(len(starts)), np.diff(offsets))
-        order = order[np.lexsort((order, gid))]
+    # members differ in energy; only such groups are sorted again.
+    descents = (order[1:] < order[:-1]) & ~opens[1:]
+    if descents.any():
+        gid = np.cumsum(opens) - 1
+        unsorted = np.zeros(len(starts), dtype=bool)
+        unsorted[gid[1:][descents]] = True
+        redo = np.flatnonzero(unsorted[gid])
+        order[redo] = order[redo[np.lexsort((order[redo], gid[redo]))]]
     return order, offsets, s[starts]
 
 

@@ -329,6 +329,20 @@ class TestCurve:
         assert code == 0, err
         assert report["outputs"]["vertices"] == [[0.0, 0.0], [1.0, 1.0]]
 
+    def test_zero_gibbs_weight_on_a_populated_level(self, tmp_path, capsys, recwarn):
+        # exp(-800) underflows to 0, so level 1's ratio p/gamma is infinite:
+        # it goes first, on a vertical segment at x = 0 above the origin.
+        spec = write_json(tmp_path / "gap.json", {"energies": [0, 800]})
+        sf = write_json(tmp_path / "p.json", {"populations": [0.5, 0.5]})
+        gibbs = write_json(tmp_path / "g.json", {"populations": [1, 0]})
+        code, report, err = run_cli(capsys, ["curve", "--state", sf, "--spectrum", spec,
+                                             "--compare", gibbs])
+        assert code == 0, err
+        assert report["outputs"]["vertices"] == [[0.0, 0.0], [0.0, 0.5], [1.0, 1.0]]
+        assert report["outputs"]["p_majorizes_q"] is True
+        assert report["outputs"]["q_majorizes_p"] is False
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_coherent_state_is_guarded(self, tmp_path, capsys, qutrit_file):
         rho = np.full((3, 3), 1 / 3)
         sf = write_matrix(tmp_path / "rho.json", rho)

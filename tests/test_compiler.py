@@ -878,6 +878,57 @@ class TestCompileApproximate:
             with open(paths[0], "rb") as a, open(paths[1], "rb") as b:
                 assert a.read() == b.read()
 
+    @given(sizes=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+           shuffle=st.randoms(use_true_random=False), kind=st.sampled_from(["haar", "identity"]),
+           method=st.sampled_from(["trotter", "bch"]),
+           accuracy=st.one_of(st.just(0.0), st.floats(-4, -1).map(lambda x: 10.0 ** x)),
+           seed=st.integers(0, 2 ** 31 - 1))
+    @example(sizes=[3, 1, 2], shuffle=None, kind="haar", method="trotter", accuracy=1e-3,
+             seed=5)  # mixed block sizes
+    @example(sizes=[2, 4, 2], shuffle=None, kind="haar", method="bch", accuracy=1e-1, seed=6)
+    @example(sizes=[1, 1, 1], shuffle=None, kind="haar", method="trotter", accuracy=1e-2,
+             seed=7)  # all singletons: d_max = 1, phase gates only
+    @example(sizes=[2, 3], shuffle=None, kind="identity", method="trotter", accuracy=1e-2,
+             seed=0)  # a slice with no gates
+    @example(sizes=[1, 2], shuffle=None, kind="haar", method="trotter", accuracy=0.0,
+             seed=8)  # the M_CAP stop
+    @settings(max_examples=30, deadline=None)
+    def test_stacked_errors_match_reconstruct(self, sizes, shuffle, kind, method, accuracy,
+                                              seed):
+        """Each candidate error of the one stacked evaluation, up to the m
+        returned, is ||reconstruct(build(m)) - u||_F within 1e-12 relative
+        plus m*eps, and the m returned is the first whose error meets the
+        accuracy (M_CAP if none does)."""
+        es = [3.0 * b for b, d in enumerate(sizes) for _ in range(d)]
+        if shuffle is not None:
+            shuffle.shuffle(es)  # blocks interleave in flat order
+        blocks = energy_blocks(Spectrum.from_energies(es), Spectrum.from_energies([0.0]))
+        u = (random_energy_preserving_unitary(blocks, seed=seed) if kind == "haar"
+             else np.eye(blocks.joint_dim, dtype=complex))
+        k = compiler._log_unitary(u, blocks)
+        if method == "trotter":
+            coeffs = compiler._expand_in_basis(k, blocks)
+            sl = compiler._trotter_slice(coeffs, 1.0, blocks.dims)
+            build = lambda m: compile_trotter(coeffs, 1.0, m, blocks.dims)
+        else:
+            if any(d == 1 for d in sizes):
+                assume(kind == "identity")  # a singleton phase has no rank-2 form
+            combo = compiler._rank2_combination(k, blocks)
+            sl = compiler._nested_slice(combo, 1.0, blocks.dims)
+            build = lambda m: compile_nested(combo, 1.0, m, blocks.dims)
+        errs = compiler._power_errors(sl, u, blocks)
+        seq, err = compile_approximate(u, blocks, method, accuracy)
+        j = seq.trotter_m.bit_length() - 1
+        assert len(errs) == compiler.M_CAP.bit_length() and err == errs[j]
+        assert (errs[:j] >= accuracy).all()
+        assert err < accuracy or seq.trotter_m == compiler.M_CAP
+        if kind == "identity":
+            assert len(sl.kinds) == 0
+        for i in range(j + 1):
+            m = 2 ** i
+            want = np.linalg.norm(reconstruct(build(m)) - u)
+            assert abs(errs[i] - want) <= 1e-12 * want + np.finfo(float).eps * m
+
 
 @st.composite
 def blocked_unitaries(draw):

@@ -1,6 +1,7 @@
 """Tests for beta-ordered Lorenz curves, thermomajorization checks,
 the TO ground-population oracle, and the beta-swap reach search."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -85,6 +86,27 @@ class TestCurve:
         assert c.vertices == ((0.0, 0.0), (1.0, 1.0))
         assert thermo_majorizes(DiagonalState([1.0, 0.0]), gibbs_state(spec), spec)
         assert not thermo_majorizes(gibbs_state(spec), DiagonalState([0.0, 1.0]), spec)
+
+    def test_zero_gibbs_weight_levels_go_first_or_last(self):
+        # exp(-800) underflows to 0.  Holding population, the level goes
+        # first, on the one vertical segment, at x = 0; holding none, last.
+        spec = Spectrum.from_energies([0.0, 800.0])
+        gibbs = gibbs_state(spec)
+        p = DiagonalState([0.5, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert thermo_curve(p, spec).vertices == ((0.0, 0.0), (0.0, 0.5), (1.0, 1.0))
+            assert thermo_curve(gibbs, spec).vertices == ((0.0, 0.0), (1.0, 1.0))
+            four = Spectrum.from_energies([0.0, 800.0, 900.0, 1.0])
+            q = DiagonalState([0.25, 0.25, 0.0, 0.5])
+            xs = thermo_curve(q, four).xs.tolist()  # levels 1, 3, 0, then 2 merged at x = 1
+            assert xs == [0.0, 0.0, gibbs_state(four).populations[3], 1.0]
+            assert thermo_majorizes(p, gibbs, spec)
+            assert not thermo_majorizes(gibbs, p, spec)
+        with pytest.raises(DomainError, match="x must increase strictly"):
+            ThermoCurve(((0.0, 0.0), (0.5, 0.5), (0.5, 0.75), (1.0, 1.0)))
+        with pytest.raises(DomainError, match="x must increase strictly"):
+            ThermoCurve(((0.0, 0.0), (0.0, 0.0), (1.0, 1.0)))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10_000))

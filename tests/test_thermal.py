@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thermoforge import (
@@ -16,11 +16,13 @@ from thermoforge import (
     is_energy_preserving,
     random_energy_preserving_unitary,
 )
+from thermoforge import thermal
 from thermoforge.errors import DomainError, ShapeError
 from thermoforge.thermal import ENERGY_TOL
 from util import (
     random_resonant_spectra,
     reference_energy_blocks,
+    reference_energy_groups,
     reference_random_energy_preserving_unitary,
     reference_spectrum_error,
 )
@@ -172,6 +174,32 @@ class TestCsrBlocks:
     @settings(max_examples=200, deadline=None)
     def test_resonant_spectra(self, es, ec):
         self._check([float(e) for e in es], [float(e) for e in ec])
+
+    @given(st.lists(st.one_of(
+        st.integers(0, 12).map(lambda k: k * 0.3 * ENERGY_TOL),
+        st.sampled_from([0.0, ENERGY_TOL, 2 * ENERGY_TOL, 1.0, 1.0 + ENERGY_TOL, 1e8,
+                         1e8 + 1.0, 1e17, -1e17, 1e308, -1e308, math.inf, -math.inf])),
+        max_size=20))
+    @example([1.0, 1.0 + ENERGY_TOL, 0.0, ENERGY_TOL, 1e8, 1e8, math.inf, math.inf])
+    @settings(max_examples=300, deadline=None)
+    def test_groups_match_greedy_walk(self, energies):
+        """Bit-equal to the walk with one searchsorted per group, on chains
+        of sub-tolerance steps, steps of exactly ENERGY_TOL, energies whose
+        ulp exceeds ENERGY_TOL and the infinite sums that energies near the
+        float range give."""
+        e = np.array(energies, dtype=float)
+        for got, want in zip(thermal._energy_groups(e), reference_energy_groups(e)):
+            assert np.array_equal(got, want)
+
+    def test_hundred_thousand_levels(self):
+        # Mostly distinct energies, with exact repeats and sub-tolerance
+        # chains that span several groups, shuffled together.
+        rng = np.random.default_rng(5)
+        chains = [50.0 + 0.3 * ENERGY_TOL * k for k in range(40)] * 2
+        es = np.concatenate([rng.random(10 ** 5 - 2000) * 100, np.repeat(rng.random(480), 2),
+                             chains, rng.integers(0, 20, 960).astype(float)])
+        assert len(es) == 10 ** 5
+        self._check(rng.permutation(es).tolist(), [0.0])
 
 
 def level_lists(max_size):

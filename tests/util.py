@@ -64,6 +64,21 @@ def reference_energy_blocks(es, ec):
     return tuple((e, tuple(sorted(idx))) for e, idx in blocks)
 
 
+def reference_energy_groups(energies):
+    """The greedy group walk, one searchsorted per group: (order, offsets,
+    reps) as thermal._energy_groups returns them."""
+    order = np.argsort(energies, kind="stable")
+    s = energies[order]
+    starts = []
+    i = 0
+    while i < len(s):
+        starts.append(i)
+        rep = float(s[i])
+        i = max(i + 1, int(np.searchsorted(s, max(rep + ENERGY_TOL, math.nextafter(rep, math.inf)))))
+    gid = np.repeat(np.arange(len(starts)), np.diff(starts + [len(s)]))
+    return order[np.lexsort((order, gid))], np.array(starts + [len(s)]), s[starts]
+
+
 def reference_spectrum_error(levels):
     """The DomainError message Spectrum(levels) must raise, or None.
 

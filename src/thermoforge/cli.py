@@ -74,11 +74,19 @@ def _load_json(path: str):
         return json.load(f)
 
 
+def _complex_array(obj) -> np.ndarray:
+    """re + 1j * im of a matrix or state object; re and im of one shape."""
+    re, im = np.array(obj["re"], dtype=float), np.array(obj["im"], dtype=float)
+    if re.shape != im.shape:
+        raise ShapeError(f"'re' has shape {re.shape} but 'im' has shape {im.shape}")
+    return re + 1j * im
+
+
 def _load_matrix(path: str) -> np.ndarray:
     obj = _load_json(path)
     if "re" not in obj or "im" not in obj:
         raise KeyError("matrix JSON needs 're' and 'im' keys")
-    return np.array(obj["re"], dtype=float) + 1j * np.array(obj["im"], dtype=float)
+    return _complex_array(obj)
 
 
 def _load_state(path: str, coherence_guard: bool = False):
@@ -87,7 +95,7 @@ def _load_state(path: str, coherence_guard: bool = False):
     if "populations" in obj:
         p = DiagonalState(np.array(obj["populations"], dtype=float))
         return p.to_dense(), p
-    rho = np.array(obj["re"], dtype=float) + 1j * np.array(obj["im"], dtype=float)
+    rho = _complex_array(obj)
     off = rho - np.diag(np.diag(rho))
     if coherence_guard and np.abs(off).sum() > COHERENCE_TOL:
         raise CoherenceError(

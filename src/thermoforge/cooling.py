@@ -46,9 +46,9 @@ def build_cooling_catalyst(d: int) -> Spectrum:
         raise DomainError(f"catalyst parameter must be >= 1, got {d}")
     if d > MAX_D_DIAGONAL:
         raise CapacityError(f"catalyst parameter {d} exceeds the diagonal-path cap")
-    shells = 1 << np.arange(d)  # 2^n levels at energy n*E, from index 2^n - 1
-    return Spectrum.from_arrays(np.repeat(np.arange(d) * E_UNIT, shells),
-                                np.arange((1 << d) - 1) - np.repeat(shells - 1, shells))
+    # 2^n levels at energy n*E, from index 2^n - 1; from_energies labels
+    # each shell 0..2^n - 1 in listed order.
+    return Spectrum.from_energies(np.repeat(np.arange(d) * E_UNIT, 1 << np.arange(d)))
 
 
 def _swap_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -59,11 +59,15 @@ def _swap_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
     """
     c = np.arange((1 << (d - 1)) - 1)
     shells = 1 << np.arange(d - 1)
-    half = np.repeat(shells, shells)[:, None]  # 2^(n-1) per c
-    x = np.array([1, 2])
+    half = shells.repeat(shells)  # 2^(n-1) per c
     dim_c = (1 << d) - 1
-    a = c[:, None] + x * half
-    b = x * dim_c + c[:, None]
+    # Column x - 1 holds swap (c, x), written by one 1-D pass per column:
+    # broadcasting over the length-2 x axis runs a 2-element loop per c.
+    a, b = np.empty((2, c.size, 2), dtype=c.dtype)
+    np.add(c, half, out=a[:, 0])
+    np.add(a[:, 0], half, out=a[:, 1])
+    np.add(c, dim_c, out=b[:, 0])
+    np.add(c, 2 * dim_c, out=b[:, 1])
     return a.ravel(), b.ravel()
 
 
@@ -122,7 +126,7 @@ def run_cooling(d: int, p: DiagonalState | None = None,
     if tau_c.dim != (1 << d) - 1:
         raise DomainError(f"catalyst state dim {tau_c.dim} != {(1 << d) - 1} for d = {d}")
     gamma = tau_c.populations
-    q = np.outer(p.populations, gamma)  # q[s, c]
+    q = np.multiply.outer(p.populations, gamma)  # q[s, c]
     a, b = _swap_pairs(d)
     flat = q.reshape(-1)  # a view: q is C-contiguous
     flat[a], flat[b] = flat[b], flat[a]  # fancy indexing copies both sides first

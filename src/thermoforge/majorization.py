@@ -39,7 +39,9 @@ def _check_curve(xs: np.ndarray, ys: np.ndarray) -> None:
         raise DomainError("x must increase strictly to 1")
     if (dy < -1e-12).any() or abs(ys[-1] - 1.0) > 1e-12:
         raise DomainError("y must be nondecreasing to 1")
-    slopes = dy[v:] / dx[v:]
+    # A rise over a subnormal dx overflows to slope +inf, which is still ordered.
+    with np.errstate(over="ignore"):
+        slopes = dy[v:] / dx[v:]
     if (slopes[1:] - slopes[:-1] > 1e-9).any():
         raise DomainError("curve is not concave")
 
@@ -49,8 +51,9 @@ def _curve_arrays(p: np.ndarray, gamma: np.ndarray) -> tuple[np.ndarray, np.ndar
     Gibbs weights gamma, runs of equal x merged into their last vertex
     (the origin kept)."""
     # A zero Gibbs weight gives the ratio inf (p > 0), first, or NaN (p = 0),
-    # which argsort puts last.
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # which argsort puts last; a subnormal one may overflow to inf, which
+    # still sorts first.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         order = np.argsort(-(p / gamma), kind="stable")
     xs, ys = np.zeros(len(p) + 1), np.zeros(len(p) + 1)
     np.cumsum(gamma[order], out=xs[1:])
@@ -115,10 +118,10 @@ def max_ground_population_TO(p: DiagonalState, spec_s: Spectrum, spec_c: Spectru
     Within each degenerate joint block any permutation is allowed, and a
     coordinate-subset sum over doubly stochastic images is maximized at a
     permutation: greedily assign each block's largest populations to its
-    ground-system slots.  One segmented sort orders every block's joint
-    weights p_s * gamma_c largest first; each block then sums its first k,
-    k its number of s = 0 members.  tau_c is the bath's Gibbs state, for a
-    caller that already has it; by default it is built from spec_c.
+    ground-system slots.  Each block sorts its own joint weights
+    p_s * gamma_c, largest first, and sums its first k, k its number of
+    s = 0 members.  tau_c is the bath's Gibbs state, for a caller that
+    already has it; by default it is built from spec_c.
     """
     if p.dim != spec_s.dim:
         raise DomainError(f"state dim {p.dim} != system dim {spec_s.dim}")
@@ -127,17 +130,19 @@ def max_ground_population_TO(p: DiagonalState, spec_s: Spectrum, spec_c: Spectru
     if tau_c.dim != spec_c.dim:
         raise DomainError(f"bath state dim {tau_c.dim} != bath dim {spec_c.dim}")
     blocks = energy_blocks(spec_s, spec_c)
-    w = np.outer(p.populations, tau_c.populations).ravel()[blocks.order]
-    sizes = np.diff(blocks.offsets)
-    bid = np.repeat(np.arange(len(sizes)), sizes)
-    w = w[np.lexsort((-w, bid))]
-    ground = np.bincount(bid[blocks.order < spec_c.dim], minlength=len(sizes))  # s = 0
+    offsets = blocks.offsets
+    # Negated weights: an ascending sort of a block puts its largest weights
+    # first, and a negated sum rounds as the sum of the weights would.
+    neg = np.multiply.outer(-p.populations, tau_c.populations).ravel()[blocks.order]
+    ground = np.add.reduceat(blocks.order < spec_c.dim, offsets[:-1], dtype=np.intp)  # s = 0
     total = 0.0
-    # One slice sum per block, in block order: np.add.reduceat would
-    # round differently from summing each slice on its own.
-    for a, k in zip(blocks.offsets.tolist(), ground.tolist()):
+    # One sort and sum per block, in block order: a float np.add.reduceat
+    # would round differently from summing each slice on its own.
+    for a, b, k in zip(offsets[:-1].tolist(), offsets[1:].tolist(), ground.tolist()):
         if k:
-            total += w[a:a + k].sum()
+            block = neg[a:b]  # a view of neg, which is this call's own copy
+            block.sort()
+            total -= block[:k].sum()
     return float(total)
 
 

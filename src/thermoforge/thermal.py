@@ -47,7 +47,7 @@ def _energy_groups(energies: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     Groups are numbered by ascending representative `reps[k]`.
     """
     n = len(energies)
-    order = np.argsort(energies, kind="stable")
+    order = energies.argsort(kind="stable")
     s = energies[order]
     # The group of representative s[i] ends below reach[i] =
     # max(s[i] + ENERGY_TOL, nextafter(s[i])): the next float keeps equal
@@ -63,29 +63,37 @@ def _energy_groups(energies: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     opens = np.empty(n, dtype=bool)
     opens[:1] = True
     np.greater_equal(s[1:], reach[:-1], out=opens[1:])
-    starts = np.flatnonzero(opens)
+    starts = opens.nonzero()[0]
     offsets = np.empty(len(starts) + 1, dtype=np.intp)
     offsets[:-1], offsets[-1] = starts, n
-    wide = s[offsets[1:] - 1] >= reach[starts]
+    last = s[offsets[1:] - 1]
+    wide = last >= reach[starts]
     if wide.any():
         for i, end in zip(starts[wide].tolist(), offsets[1:][wide].tolist()):
             while True:
-                i = max(i + 1, int(np.searchsorted(s, reach[i])))
+                i = max(i + 1, int(s.searchsorted(reach[i])))
                 if i >= end:
                     break
                 opens[i] = True
-        starts = np.flatnonzero(opens)
+        starts = opens.nonzero()[0]
         offsets = np.append(starts, n)
+        last = s[offsets[1:] - 1]
+    reps = s[starts]
     # The stable energy sort leaves a group in index order unless its
-    # members differ in energy; only such groups are sorted again.
-    descents = (order[1:] < order[:-1]) & ~opens[1:]
-    if descents.any():
-        gid = np.cumsum(opens) - 1
-        unsorted = np.zeros(len(starts), dtype=bool)
-        unsorted[gid[1:][descents]] = True
-        redo = np.flatnonzero(unsorted[gid])
-        order[redo] = order[redo[np.lexsort((order[redo], gid[redo]))]]
-    return order, offsets, s[starts]
+    # members differ in energy; only such groups are sorted again, on the
+    # key group * n + index, which orders by group and then by index.
+    if (last != reps).any():
+        descents = (order[1:] < order[:-1]) & ~opens[1:]
+        if descents.any():
+            gid = opens.cumsum() - 1
+            unsorted = np.zeros(len(starts), dtype=bool)
+            unsorted[gid[1:][descents]] = True
+            redo = unsorted[gid].nonzero()[0]
+            base = gid[redo] * n
+            key = base + order[redo]
+            key.sort()
+            order[redo] = key - base
+    return order, offsets, reps
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -129,17 +137,17 @@ class Spectrum:
 
     def _init(self, e: np.ndarray, g: np.ndarray | None) -> None:
         """Validate and store; g None assigns labels in listed order."""
-        if not np.all(np.isfinite(e)):
+        if not np.isfinite(e).all():
             raise DomainError("spectrum energies must be finite")
-        if g is not None and np.any(g < 0):
+        if g is not None and (g < 0).any():
             raise DomainError("degeneracy labels must be nonnegative")
         order, offsets, reps = _energy_groups(e)
-        sizes = np.diff(offsets)
-        gid = np.repeat(np.arange(len(sizes)), sizes)  # group of each sorted position
+        sizes = offsets[1:] - offsets[:-1]
         if g is None:
             g = np.empty(len(e), dtype=np.int64)
-            g[order] = np.arange(len(e)) - offsets[gid]
+            g[order] = np.arange(len(e)) - offsets[:-1].repeat(sizes)
         else:
+            gid = np.arange(len(sizes)).repeat(sizes)  # group of each sorted position
             g = _checked_labels(g, order, offsets, reps, gid)
         object.__setattr__(self, "energies", _read_only(e))
         object.__setattr__(self, "labels", _read_only(g))
@@ -214,11 +222,15 @@ class DiagonalState:
 
     def __post_init__(self):
         p = np.asarray(self.populations, dtype=float)
-        if np.any(p < -1e-14):
-            raise DomainError(f"negative population {p.min()}")
-        p = np.clip(p, 0.0, None)
-        if abs(p.sum() - 1.0) > 1e-12:
-            raise DomainError(f"populations sum to {p.sum()}, not 1")
+        # NaN propagates through min and sum and fails both tests, which are
+        # written to be False on it; +inf and an empty vector fail the sum.
+        low = p.min(initial=0.0)
+        if not low >= -1e-14:
+            raise DomainError(f"negative or NaN population {low}")
+        p = np.maximum(p, 0.0)
+        total = p.sum()
+        if not abs(total - 1.0) <= 1e-12:
+            raise DomainError(f"populations sum to {total}, not 1")
         p.flags.writeable = False
         object.__setattr__(self, "populations", p)
 

@@ -92,6 +92,15 @@ class TestCompile:
         assert code == 3
         assert "couples energy blocks" in err
 
+    def test_re_im_shape_mismatch_exits_3(self, tmp_path, capsys, qubit_cat_file):
+        uf = write_json(tmp_path / "u.json", {"re": np.eye(4).tolist(), "im": [[0]]})
+        code, report, err = run_cli(capsys, [
+            "compile", "--system", qubit_cat_file, "--catalyst", qubit_cat_file,
+            "--unitary", uf,
+        ])
+        assert (code, report) == (3, None)
+        assert "(4, 4)" in err and "(1, 1)" in err
+
     def test_malformed_json_is_parse_error(self, tmp_path, capsys,
                                            qutrit_file, qubit_cat_file):
         bad = tmp_path / "u.json"
@@ -341,6 +350,33 @@ class TestCurve:
         assert report["outputs"]["vertices"] == [[0.0, 0.0], [0.0, 0.5], [1.0, 1.0]]
         assert report["outputs"]["p_majorizes_q"] is True
         assert report["outputs"]["q_majorizes_p"] is False
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("flag", ["--state", "--compare"])
+    def test_nan_populations_exit_3(self, tmp_path, capsys, flag):
+        spec = write_json(tmp_path / "spec.json", {"energies": [0, 1]})
+        nan = write_json(tmp_path / "nan.json", {"populations": [math.nan, 1]})
+        half = write_json(tmp_path / "half.json", {"populations": [0.5, 0.5]})
+        argv = ["curve", "--spectrum", spec, "--state", half, "--compare", half]
+        argv[argv.index(flag) + 1] = nan
+        code, report, err = run_cli(capsys, argv)
+        assert (code, report) == (3, None)
+        assert "nan" in err
+
+    def test_re_im_shape_mismatch_exits_3(self, tmp_path, capsys):
+        spec = write_json(tmp_path / "spec.json", {"energies": [0, 1]})
+        sf = write_json(tmp_path / "rho.json", {"re": np.diag([0.5, 0.5]).tolist(), "im": [[0]]})
+        code, report, err = run_cli(capsys, ["curve", "--state", sf, "--spectrum", spec])
+        assert (code, report) == (3, None)
+        assert "(2, 2)" in err and "(1, 1)" in err
+
+    def test_subnormal_gibbs_weight_writes_no_warning(self, tmp_path, capsys, recwarn):
+        # exp(-740) is subnormal, so p / gamma and the first slope overflow.
+        spec = write_json(tmp_path / "gap.json", {"energies": [0, 740]})
+        sf = write_json(tmp_path / "p.json", {"populations": [0.5, 0.5]})
+        code, report, err = run_cli(capsys, ["curve", "--state", sf, "--spectrum", spec])
+        assert (code, err) == (0, "")
+        assert report["outputs"]["vertices"] == [[0.0, 0.0], [math.exp(-740), 0.5], [1.0, 1.0]]
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_coherent_state_is_guarded(self, tmp_path, capsys, qutrit_file):

@@ -51,6 +51,13 @@ class TestCatalyst:
             z = np.exp(-np.asarray(cat.energies)).sum()
             assert abs(z - d) < 1e-12
 
+    @pytest.mark.parametrize("d", range(1, 21))
+    def test_auto_labels_equal_explicit_shell_labels(self, d):
+        # Shell n holds catalyst indices 2^n - 1 .. 2^(n+1) - 2, labelled 0..2^n - 1.
+        energies = np.repeat(np.arange(d) * E_UNIT, 1 << np.arange(d))
+        labels = np.concatenate([np.arange(1 << n) for n in range(d)])
+        assert build_cooling_catalyst(d) == Spectrum.from_arrays(energies, labels)
+
     def test_flat_index_map(self):
         assert _cat_index(0, 1) == 0
         assert _cat_index(1, 1) == 1
@@ -74,6 +81,15 @@ class TestSequence:
     def test_rejects_d_below_two(self):
         with pytest.raises(DomainError):
             build_cooling_sequence(1)
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_gate_order_follows_the_docstring(self, d):
+        # Gate (n, k, x) swaps |0>|n, k + (x-1) 2^(n-1)> with |x>|n-1, k>,
+        # listed by n, then k, then x.
+        dim_c = (1 << d) - 1
+        want = [[_cat_index(n, k + (x - 1) * (1 << (n - 1))), x * dim_c + _cat_index(n - 1, k)]
+                for n in range(1, d) for k in range(1, (1 << (n - 1)) + 1) for x in (1, 2)]
+        assert build_cooling_sequence(d).flats.tolist() == want
 
     def test_gates_are_energy_preserving(self):
         inst = build_cooling_instance(3)

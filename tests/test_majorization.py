@@ -31,6 +31,7 @@ from util import (
     random_populations,
     random_resonant_spectra,
     reference_max_ground_population,
+    reference_max_ground_population_lexsort,
     reference_thermo_majorizes,
 )
 
@@ -107,6 +108,20 @@ class TestCurve:
             ThermoCurve(((0.0, 0.0), (0.5, 0.5), (0.5, 0.75), (1.0, 1.0)))
         with pytest.raises(DomainError, match="x must increase strictly"):
             ThermoCurve(((0.0, 0.0), (0.0, 0.0), (1.0, 1.0)))
+
+    def test_subnormal_gibbs_weight_raises_no_warning(self):
+        # exp(-740) is subnormal: p / gamma and the first slope overflow to
+        # inf, which still orders that level first.
+        spec = Spectrum.from_energies([0.0, 740.0])
+        gibbs = gibbs_state(spec)
+        p = DiagonalState([0.5, 0.5])
+        gamma = gibbs.populations[1]
+        assert 0.0 < gamma < np.finfo(float).tiny
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert thermo_curve(p, spec).vertices == ((0.0, 0.0), (gamma, 0.5), (1.0, 1.0))
+            assert thermo_majorizes(p, gibbs, spec)
+            assert not thermo_majorizes(gibbs, p, spec)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10_000))
@@ -257,6 +272,26 @@ class TestGroundPopulationOracle:
         p = w / w.sum()
         got = max_ground_population_TO(DiagonalState(p), sys, cat)
         assert abs(got - reference_max_ground_population(p, sys, cat)) < 1e-14
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(2, 8), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_per_block_sorts_equal_one_segmented_sort(self, seed, max_s, max_c, ties):
+        # Small integer weights give equal joint weights inside a block.
+        rng = np.random.default_rng(seed)
+        sys, cat = random_resonant_spectra(rng, max_s=max_s, max_c=max_c)
+        w = rng.integers(1, 4, sys.dim) if ties else random_populations(rng, sys.dim)
+        p = DiagonalState(w / w.sum())
+        assert max_ground_population_TO(p, sys, cat) == \
+            reference_max_ground_population_lexsort(p, sys, cat)
+
+    @pytest.mark.parametrize("d", range(2, 15))
+    def test_cooling_catalysts_equal_one_segmented_sort(self, d):
+        sys, cat = qutrit(), build_cooling_catalyst(d)
+        tau = gibbs_state(cat)
+        rng = np.random.default_rng(d)
+        for p in (DiagonalState([0.0, 0.5, 0.5]), DiagonalState(random_populations(rng, 3))):
+            assert max_ground_population_TO(p, sys, cat, tau_c=tau) == \
+                reference_max_ground_population_lexsort(p, sys, cat, tau_c=tau)
 
     def test_given_bath_state_matches_default(self):
         sys, cat = qutrit(), build_cooling_catalyst(6)

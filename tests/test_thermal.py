@@ -21,6 +21,7 @@ from thermoforge.errors import DomainError, ShapeError
 from thermoforge.thermal import ENERGY_TOL
 from util import (
     random_resonant_spectra,
+    reference_clipped_populations,
     reference_energy_blocks,
     reference_energy_groups,
     reference_random_energy_preserving_unitary,
@@ -285,6 +286,30 @@ class TestDiagonalState:
     def test_rejects_unnormalized(self):
         with pytest.raises(DomainError):
             DiagonalState(np.array([0.5, 0.4]))
+
+    @pytest.mark.parametrize("populations", [
+        [math.nan, 1.0], [1.0, math.nan], [math.nan], [math.inf, 1.0], [-math.inf, 1.0],
+        [math.inf, -math.inf], [], [1.5, -0.5], [1.0, -2e-14],
+    ])
+    def test_rejects_non_finite_empty_and_negative(self, populations):
+        with pytest.raises(DomainError):
+            DiagonalState(np.array(populations, dtype=float))
+
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8).filter(lambda w: sum(w) > 0.01),
+           st.lists(st.one_of(st.sampled_from([-0.0, 0.0, -1e-14, -1e-300]),
+                              st.floats(-1e-14, 0.0)), max_size=6),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=300, deadline=None)
+    def test_populations_equal_the_clip_formulation(self, weights, tiny, rnd):
+        p = list(np.array(weights) / sum(weights)) + tiny
+        rnd.shuffle(p)
+        try:
+            want = reference_clipped_populations(p)
+        except DomainError:
+            with pytest.raises(DomainError):
+                DiagonalState(np.array(p))
+            return
+        assert DiagonalState(np.array(p)).populations.tobytes() == want.tobytes()
 
 
 class TestEnergyBlocks:

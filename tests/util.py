@@ -8,6 +8,7 @@ import numpy as np
 from thermoforge import (
     build_cooling_catalyst,
     build_cooling_sequence,
+    energy_blocks,
     gibbs_state,
 )
 from thermoforge import compiler
@@ -43,6 +44,18 @@ def sequence(steps, method, dims, error_bound=0.0, trotter_m=None, repeat=1):
     one = GateSequence.from_json(obj)
     return GateSequence(one.kinds, one.flats, one.blocks, one.params, one.method, one.dims,
                         one.error_bound, one.trotter_m, repeat)
+
+
+def reference_clipped_populations(p):
+    """DiagonalState's populations by two passes: refuse an entry below
+    -1e-14, clip at 0 with np.clip, refuse a sum more than 1e-12 from 1."""
+    p = np.asarray(p, dtype=float)
+    if np.any(p < -1e-14):
+        raise DomainError(f"negative population {p.min()}")
+    p = np.clip(p, 0.0, None)
+    if abs(p.sum() - 1.0) > 1e-12:
+        raise DomainError(f"populations sum to {p.sum()}, not 1")
+    return p
 
 
 def reference_energy_blocks(es, ec):
@@ -162,6 +175,25 @@ def reference_max_ground_population(p, spec_s, spec_c):
         pops = sorted((p[s] * gamma[c] for s, c in idx), reverse=True)
         total += sum(pops[:sum(1 for s, _ in idx if s == 0)])
     return total
+
+
+def reference_max_ground_population_lexsort(p, spec_s, spec_c, tau_c=None):
+    """One segmented sort for all blocks: np.lexsort orders every block's
+    joint weights p_s * gamma_c largest first, then each block sums its
+    first k, k its number of s = 0 members, one slice sum per block."""
+    if tau_c is None:
+        tau_c = gibbs_state(spec_c)
+    blocks = energy_blocks(spec_s, spec_c)
+    w = np.outer(p.populations, tau_c.populations).ravel()[blocks.order]
+    sizes = np.diff(blocks.offsets)
+    bid = np.repeat(np.arange(len(sizes)), sizes)
+    w = w[np.lexsort((-w, bid))]
+    ground = np.bincount(bid[blocks.order < spec_c.dim], minlength=len(sizes))  # s = 0
+    total = 0.0
+    for a, k in zip(blocks.offsets.tolist(), ground.tolist()):
+        if k:
+            total += w[a:a + k].sum()
+    return float(total)
 
 
 def reference_lie_closure(gens, max_dim: int = 512, dims: tuple[int, int] | None = None,

@@ -28,7 +28,7 @@ from .errors import (
     PreconditionError,
     ShapeError,
 )
-from .linalg import frobenius_distance
+from .linalg import as_operator, frobenius_distance
 from .majorization import max_ground_population_TO, thermo_curve, thermo_majorizes
 from .channels import STRICT_TOL, run_gc_eto
 from .thermal import DiagonalState, Spectrum, energy_blocks, gibbs_state
@@ -69,21 +69,41 @@ class RunReport:
         return 0 if self.all_pass else 1
 
 
-def _load_json(path: str):
+def _load_object(path: str) -> dict:
+    """The JSON object in a file; any other top-level value is a FormatError."""
     with open(path) as f:
-        return json.load(f)
+        obj = json.load(f)
+    if not isinstance(obj, dict):
+        raise FormatError(f"{path}: expected a JSON object, got {type(obj).__name__}")
+    return obj
 
 
-def _complex_array(obj) -> np.ndarray:
-    """re + 1j * im of a matrix or state object; re and im of one shape."""
-    re, im = np.array(obj["re"], dtype=float), np.array(obj["im"], dtype=float)
+def _real_array(obj: dict, key: str) -> np.ndarray:
+    """obj[key] as a float array.  Ragged nesting is a FormatError; an entry
+    that is not a JSON number (a string or null, say) is a DomainError.  A
+    bool counts as its integer, as in the step loader."""
+    try:
+        a = np.array(obj[key])
+    except ValueError:  # an inhomogeneous shape
+        raise FormatError(f"'{key}' is a ragged array") from None
+    if a.dtype.kind not in "biuf":
+        raise DomainError(f"'{key}' holds an entry that is not a finite JSON number")
+    return a.astype(float)
+
+
+def _complex_array(obj: dict) -> np.ndarray:
+    """re + 1j * im of a matrix or state object: re and im of one square
+    shape, every entry finite (linalg.as_operator)."""
+    re, im = _real_array(obj, "re"), _real_array(obj, "im")
     if re.shape != im.shape:
         raise ShapeError(f"'re' has shape {re.shape} but 'im' has shape {im.shape}")
-    return re + 1j * im
+    with np.errstate(invalid="ignore"):  # 1j * inf is nan + inf j, which as_operator refuses
+        z = re + 1j * im
+    return as_operator(z)
 
 
 def _load_matrix(path: str) -> np.ndarray:
-    obj = _load_json(path)
+    obj = _load_object(path)
     if "re" not in obj or "im" not in obj:
         raise KeyError("matrix JSON needs 're' and 'im' keys")
     return _complex_array(obj)
@@ -91,19 +111,18 @@ def _load_matrix(path: str) -> np.ndarray:
 
 def _load_state(path: str, coherence_guard: bool = False):
     """Returns (dense matrix, populations-or-None)."""
-    obj = _load_json(path)
+    obj = _load_object(path)
     if "populations" in obj:
         p = DiagonalState(np.array(obj["populations"], dtype=float))
         return p.to_dense(), p
     rho = _complex_array(obj)
-    off = rho - np.diag(np.diag(rho))
-    if coherence_guard and np.abs(off).sum() > COHERENCE_TOL:
-        raise CoherenceError(
-            f"state has off-diagonal mass {np.abs(off).sum():.3e}; "
-            "dephasing is not silently applied"
-        )
-    if np.abs(off).sum() <= COHERENCE_TOL:
+    mass = np.abs(rho - np.diag(np.diag(rho))).sum()  # off-diagonal
+    if mass <= COHERENCE_TOL:
         return rho, DiagonalState(np.clip(np.real(np.diag(rho)), 0, None))
+    if coherence_guard:
+        raise CoherenceError(
+            f"state has off-diagonal mass {mass:.3e}; dephasing is not silently applied"
+        )
     return rho, None
 
 

@@ -49,7 +49,11 @@ one kind_blocks call for the (K, L) 2x2 blocks, one layered pass over a
 (d_max the largest block size), and per block size one squaring cascade
 that squares candidate j j times.  That is O(Λ K n d_max +
 sum_j j sum_b d_b^3) in all, with Λ the number of layers in one slice.
-The sequence is built once, for the m returned.
+The sequence is built once, for the m returned, and its error_bound is
+the error measured there, ||S^m - u||_F.  There is no a-priori error
+formula: exact sequences, and those of the fixed-m calls
+compile_trotter, compile_bch and compile_nested, which have no target
+unitary, carry error_bound 0.0.
 
 The approximate back-ends start from K = log u, which is block-diagonal
 like u, and never form it as an n x n matrix.  _log_unitary works on one
@@ -74,7 +78,7 @@ from .gates import (  # noqa: F401
 )
 from .generators import ElementaryGenerator
 from .linalg import block_stacks
-from .thermal import EnergyBlocks, is_energy_preserving, max_cross_block_entry
+from .thermal import PRESERVING_TOL, EnergyBlocks, is_energy_preserving, max_cross_block_entry
 
 _ELIM_TOL = 1e-13
 _COEFF_TOL = 1e-14  # generator coefficients at or below this are dropped
@@ -92,8 +96,13 @@ def reconstruct(seq: GateSequence) -> np.ndarray:
 
 
 def _require_energy_preserving(u: np.ndarray, blocks: EnergyBlocks) -> None:
+    """Raise DomainError naming the worst cross-block entry of u, or, when
+    no entry couples two blocks, its unitarity defect ||U†U - I||_F."""
     if not is_energy_preserving(u, blocks):
         i, j, mag = max_cross_block_entry(u, blocks)
+        if mag < PRESERVING_TOL:
+            defect = np.linalg.norm(u.conj().T @ u - np.eye(len(u)))
+            raise DomainError(f"matrix is not unitary: ||U†U - I||_F = {defect:.3e}")
         raise DomainError(
             f"unitary entry ({i},{j}) of magnitude {mag:.3e} couples energy blocks"
         )
@@ -207,8 +216,10 @@ class _Slice(NamedTuple):
     of its generator steps, in order.
 
     At slice count m a linear term (sign 0) gets the parameter base/m and
-    a term of a commutator group sign * sqrt(base/m); the error bound is
-    bound/m for trotter, bound/sqrt(m) for bch and 0 for nested.
+    a term of a commutator group sign * sqrt(base/m).  The slice carries
+    no error formula: compile_approximate measures ||S^m - u||_F and
+    passes it to sequence as the error_bound, and a fixed-m sequence
+    keeps 0.0.
     """
 
     method: str
@@ -217,7 +228,6 @@ class _Slice(NamedTuple):
     flats: np.ndarray
     base: np.ndarray
     sign: np.ndarray
-    bound: float
 
     def params(self, m: int) -> np.ndarray:
         p = self.base / m
@@ -226,20 +236,22 @@ class _Slice(NamedTuple):
         np.multiply(p, self.sign, out=p, where=root)
         return p
 
-    def sequence(self, m: int) -> GateSequence:
-        """The slice at slice count m, repeated m times."""
-        bound = {"trotter": self.bound / m, "bch": self.bound / math.sqrt(m)}.get(self.method, 0.0)
+    def sequence(self, m: int, error: float = 0.0) -> GateSequence:
+        """The slice at slice count m, repeated m times, with error_bound
+        `error`."""
         return GateSequence(self.kinds, self.flats, np.zeros((len(self.kinds), 2, 2)),
                             self.params(m), method=self.method, dims=self.dims,
-                            error_bound=bound, trotter_m=m, repeat=m)
+                            error_bound=error, trotter_m=m, repeat=m)
 
 
-def _slice(method: str, dims: tuple[int, int], linear=(), groups=(),
-           bound: float = 0.0) -> _Slice:
+def _slice(method: str, dims: tuple[int, int], linear=(), groups=()) -> _Slice:
     """A _Slice of (generator, base) linear terms, then one group
-    commutator e^{-sJ} e^{-sK} e^{sJ} e^{sK} per (J, K, base) group with
-    base > 0, its four steps listed first-acting first.  A joint index
-    outside dims raises ShapeError."""
+    commutator e^{-sJ} e^{-sK} e^{sJ} e^{sK} per (J, K, c) group, its four
+    steps listed first-acting first.  A group with c < 0 is taken as
+    (K, J, -c), since [K, J] = -[J, K], so that s = sqrt(c/m) is real; one
+    with c == 0 is dropped.  A joint index outside dims raises
+    ShapeError."""
+    groups = [(k, j, -c) if c < 0 else (j, k, c) for j, k, c in groups if c != 0.0]
     terms = [*linear]
     for j, k, c in groups:
         terms += [(k, c), (j, c), (k, c), (j, c)]
@@ -254,37 +266,24 @@ def _slice(method: str, dims: tuple[int, int], linear=(), groups=(),
                   np.array([KIND_CODE[g.kind] for g, _ in terms], dtype=np.int8),
                   np.array(flats, dtype=np.intp).reshape(-1, 2),
                   np.array([c for _, c in terms], dtype=float),
-                  np.array([0.0] * len(linear) + [1.0, 1.0, -1.0, -1.0] * len(groups)),
-                  bound)
+                  np.array([0.0] * len(linear) + [1.0, 1.0, -1.0, -1.0] * len(groups)))
 
 
 def _trotter_slice(coeffs, t: float, dims: tuple[int, int]) -> _Slice:
-    items = [(g, r) for g, r in _sorted_coeffs(coeffs) if r != 0.0]
-    if not items or t == 0.0:
-        return _slice("trotter", dims)
-    total = sum(abs(r) for _, r in items)  # every kind has unit spectral norm
-    return _slice("trotter", dims, [(g, t * r) for g, r in items], bound=(t * total) ** 2)
+    linear = [(g, t * r) for g, r in _sorted_coeffs(coeffs) if r != 0.0] if t != 0.0 else []
+    return _slice("trotter", dims, linear)
 
 
 def compile_trotter(coeffs, t: float, m: int, dims: tuple[int, int]) -> GateSequence:
     """First-order product formula for exp(t * sum_j r_j K_j).
 
     One slice applies every generator in lexicographic order with parameter
-    t*r_j/m; the slice repeats m times.  The reported bound uses the
-    heuristic constant c=1 on the O(t^2/M) term.
+    t*r_j/m; the slice repeats m times.  Its error_bound is 0.0: there is
+    no target unitary to measure against.
     """
     if m <= 0:
         raise DomainError(f"trotter step count must be positive, got {m}")
     return _trotter_slice(coeffs, t, dims).sequence(m)
-
-
-def _bch_slice(j: ElementaryGenerator, k: ElementaryGenerator, t: float,
-               dims: tuple[int, int]) -> _Slice:
-    if t < 0:
-        j, k, t = k, j, -t
-    if t == 0.0:
-        return _slice("bch", dims)
-    return _slice("bch", dims, groups=[(j, k, t)], bound=t ** 1.5)
 
 
 def compile_bch(j: ElementaryGenerator, k: ElementaryGenerator, t: float, m: int,
@@ -292,11 +291,11 @@ def compile_bch(j: ElementaryGenerator, k: ElementaryGenerator, t: float, m: int
     """Group-commutator synthesis of exp(t [K_j, K_k]), 4m gates.
 
     Negative t swaps the pair ([K_k, K_j] = -[K_j, K_k]) so sqrt(t/m)
-    stays real.  Error decays as t^{3/2}/sqrt(m).
+    stays real.  Error decays as t^{3/2}/sqrt(m); error_bound is 0.0.
     """
     if m <= 0:
         raise DomainError(f"bch step count must be positive, got {m}")
-    return _bch_slice(j, k, t, dims).sequence(m)
+    return _slice("bch", dims, groups=[(j, k, t)]).sequence(m)
 
 
 @dataclass(frozen=True)
@@ -311,16 +310,6 @@ class GeneratorCombination:
             if not (isinstance(a, ElementaryGenerator) and isinstance(b, ElementaryGenerator)):
                 raise DomainError("commutator terms deeper than one level are unsupported")
 
-    def target_matrix(self, dims: tuple[int, int]) -> np.ndarray:
-        n = dims[0] * dims[1]
-        k = np.zeros((n, n), dtype=complex)
-        for g, c in self.linear:
-            k += c * g.matrix(dims)
-        for a, b, c in self.commutators:
-            am, bm = a.matrix(dims), b.matrix(dims)
-            k += c * (am @ bm - bm @ am)
-        return k
-
 
 def _nested_slice(combo: GeneratorCombination, t: float, dims: tuple[int, int]) -> _Slice:
     if not combo.commutators:
@@ -328,18 +317,10 @@ def _nested_slice(combo: GeneratorCombination, t: float, dims: tuple[int, int]) 
         for g, c in combo.linear:  # repeated generators add
             summed[g] = summed.get(g, 0.0) + c
         return _trotter_slice(summed, t, dims)
-    if not combo.linear and len(combo.commutators) == 1:
-        a, b, c = combo.commutators[0]
-        return _bch_slice(a, b, t * c, dims)
     linear = [(g, t * c) for g, c in sorted(combo.linear, key=lambda p: p[0]) if c != 0.0]
-    groups = []
-    for a, b, c in combo.commutators:
-        tc = t * c
-        if tc < 0:
-            a, b, tc = b, a, -tc
-        if tc != 0.0:
-            groups.append((a, b, tc))
-    return _slice("nested", dims, linear, groups)
+    groups = [(a, b, t * c) for a, b, c in combo.commutators]
+    method = "bch" if not combo.linear and len(groups) == 1 else "nested"
+    return _slice(method, dims, linear, groups)
 
 
 def compile_nested(combo: GeneratorCombination, t: float, m: int,
@@ -527,10 +508,10 @@ def compile_approximate(u, blocks: EnergyBlocks, method: str,
     plus commutators (compile_nested).  The slice count m is the first
     power of two, from 1 up to M_CAP, whose Frobenius error is below
     `accuracy`; every candidate's error comes from one stacked
-    evaluation (_power_errors).  Returns the sequence and its error; if
-    M_CAP is not enough, the M_CAP sequence and an error at or above
-    `accuracy`.  The slice is planned once and the sequence built once,
-    for the m returned.
+    evaluation (_power_errors).  Returns the sequence and its error, which
+    is also the sequence's error_bound; if M_CAP is not enough, the M_CAP
+    sequence and an error at or above `accuracy`.  The slice is planned
+    once and the sequence built once, for the m returned.
     """
     u = np.asarray(u, dtype=complex)
     _require_energy_preserving(u, blocks)
@@ -544,4 +525,5 @@ def compile_approximate(u, blocks: EnergyBlocks, method: str,
     errs = _power_errors(sl, u, blocks)
     met = np.flatnonzero(errs < accuracy)
     j = int(met[0]) if len(met) else len(errs) - 1
-    return sl.sequence(1 << j), float(errs[j])
+    err = float(errs[j])
+    return sl.sequence(1 << j, err), err

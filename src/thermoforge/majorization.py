@@ -78,10 +78,6 @@ class ThermoCurve:
         v = np.asarray(self.vertices)
         _check_curve(v[:, 0], v[:, 1])
 
-    def evaluate(self, xs) -> np.ndarray:
-        v = np.asarray(self.vertices)
-        return np.interp(np.asarray(xs, dtype=float), v[:, 0], v[:, 1])
-
     @property
     def xs(self) -> np.ndarray:
         return np.asarray(self.vertices)[:, 0]

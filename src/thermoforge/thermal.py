@@ -256,10 +256,6 @@ class EnergyBlocks:
     def joint_dim(self) -> int:
         return self.dims[0] * self.dims[1]
 
-    def flat(self, pair: tuple[int, int]) -> int:
-        s, c = pair
-        return s * self.dims[1] + c
-
     def pairs(self, flats) -> list[tuple[int, int]]:
         """(system, catalyst) index pair of each flat joint index."""
         s, c = np.divmod(np.asarray(flats), self.dims[1])

@@ -207,7 +207,7 @@ def test_criterion_06_product_formula_order(verdict):
     cblocks = energy_blocks(inst.system, inst.catalyst)
     commuting = {}
     for step, r in zip(inst.gates.steps, (0.3, 0.7, 0.4, 0.9, 0.2, 0.5)):
-        pa, pb = sorted(step.indices, key=cblocks.flat)
+        pa, pb = sorted(step.indices)  # (s, c) order is flat-index order
         energy = inst.system.energies[pa[0]] + inst.catalyst.energies[pa[1]]
         commuting[ElementaryGenerator("h", energy, pa, pb)] = r
     ctarget = expm_skew(

@@ -101,6 +101,37 @@ class TestCompile:
         assert (code, report) == (3, None)
         assert "(4, 4)" in err and "(1, 1)" in err
 
+    def test_non_unitary_block_diagonal_names_the_defect(self, tmp_path, capsys,
+                                                         qubit_cat_file):
+        # 2·I couples no energy blocks, so the message must not blame one.
+        uf = write_matrix(tmp_path / "u.json", 2 * np.eye(4))
+        code, report, err = run_cli(capsys, [
+            "compile", "--system", qubit_cat_file, "--catalyst", qubit_cat_file,
+            "--unitary", uf,
+        ])
+        assert (code, report) == (3, None)
+        assert "not unitary" in err and "6.000e+00" in err
+        assert "couples" not in err
+
+    @pytest.mark.parametrize("re_part,code", [
+        ([1.0, 0.0, 0.0, 1.0], 3),  # 1-D
+        (np.eye(4)[:3].tolist(), 3),  # 3 x 4
+        ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1], [0, 0, 0, 1]], 2),  # ragged
+        ([["1", 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], 3),  # a string entry
+        ([[math.nan, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], 3),
+    ])
+    @pytest.mark.parametrize("method", ["exact", "trotter"])
+    def test_malformed_unitary_exit_code(self, tmp_path, capsys, qubit_cat_file, re_part,
+                                         code, method):
+        im = np.zeros(np.shape(re_part)).tolist() if code == 3 else re_part
+        uf = write_json(tmp_path / "u.json", {"re": re_part, "im": im})
+        got, report, err = run_cli(capsys, [
+            "compile", "--system", qubit_cat_file, "--catalyst", qubit_cat_file,
+            "--unitary", uf, "--method", method,
+        ])
+        assert (got, report) == (code, None)
+        assert err
+
     def test_malformed_json_is_parse_error(self, tmp_path, capsys,
                                            qutrit_file, qubit_cat_file):
         bad = tmp_path / "u.json"
@@ -131,6 +162,23 @@ class TestCompile:
         assert code == 0
         assert report["checks"][0]["measured"] < 1e-3
         assert report["outputs"]["trotter_m"] >= 1
+
+    @pytest.mark.parametrize("method,accuracy", [("trotter", "1e-2"), ("bch", "1e-1")])
+    def test_error_bound_is_the_measured_error(self, tmp_path, capsys, method, accuracy):
+        es, ec = [0.0, 1.0], [0.0, 0.0]  # blocks [2, 2]: no singleton phase for bch
+        blocks = energy_blocks(Spectrum.from_energies(es), Spectrum.from_energies(ec))
+        uf = write_matrix(tmp_path / "u.json", random_energy_preserving_unitary(blocks, seed=9))
+        out = tmp_path / "seq.json"
+        code, report, _ = run_cli(capsys, [
+            "compile", "--system", write_json(tmp_path / "s.json", {"energies": es}),
+            "--catalyst", write_json(tmp_path / "c.json", {"energies": ec}),
+            "--unitary", uf, "--method", method, "--accuracy", accuracy, "--out", str(out),
+        ])
+        assert code == 0
+        measured = report["checks"][0]["measured"]
+        assert report["checks"][0]["name"] == "reconstruction_error" and measured > 0.0
+        assert report["outputs"]["error_bound"] == measured
+        assert json.loads(out.read_text())["error_bound"] == measured
 
     @pytest.mark.parametrize("method", ["exact", "trotter"])
     def test_report_counts_asap_layers(self, tmp_path, capsys, method):
@@ -369,6 +417,28 @@ class TestCurve:
         code, report, err = run_cli(capsys, ["curve", "--state", sf, "--spectrum", spec])
         assert (code, report) == (3, None)
         assert "(2, 2)" in err and "(1, 1)" in err
+
+    @pytest.mark.parametrize("state,code", [
+        ({"re": [[0.5, math.nan], [math.nan, 0.5]], "im": [[0, 0], [0, 0]]}, 3),
+        ({"re": [[0.5, 0], [0, 0.5]], "im": [[0, math.inf], [0, 0]]}, 3),
+        ({"re": [0.5, 0.5], "im": [0, 0]}, 3),  # 1-D
+        ({"re": [[0.5, 0, 0], [0, 0.5, 0]], "im": [[0, 0, 0], [0, 0, 0]]}, 3),  # 2 x 3
+        ({"re": [[0.5, 0], [0]], "im": [[0, 0], [0]]}, 2),  # ragged
+        ({"re": [[0.5, "0"], [0, 0.5]], "im": [[0, 0], [0, 0]]}, 3),  # a string entry
+        ({"re": [[0.5, None], [0, 0.5]], "im": [[0, 0], [0, 0]]}, 3),  # a null entry
+        ([[0.5, 0], [0, 0.5]], 2),  # a list at the top level
+        ("populations", 2),  # a string at the top level
+    ])
+    @pytest.mark.parametrize("flag", ["--state", "--compare"])
+    def test_malformed_dense_state_exit_code(self, tmp_path, capsys, state, code, flag):
+        spec = write_json(tmp_path / "spec.json", {"energies": [0, 1]})
+        bad = write_json(tmp_path / "bad.json", state)
+        half = write_json(tmp_path / "half.json", {"populations": [0.5, 0.5]})
+        argv = ["curve", "--spectrum", spec, "--state", half, "--compare", half]
+        argv[argv.index(flag) + 1] = bad
+        got, report, err = run_cli(capsys, argv)
+        assert (got, report) == (code, None)
+        assert err
 
     def test_subnormal_gibbs_weight_writes_no_warning(self, tmp_path, capsys, recwarn):
         # exp(-740) is subnormal, so p / gamma and the first slope overflow.

@@ -2,6 +2,7 @@ import cmath
 import json
 import math
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -37,6 +38,7 @@ from util import (
     reference_compile_exact,
     reference_expand_in_basis,
     reference_rank2_combination,
+    reference_target_matrix,
     sequence,
 )
 
@@ -641,7 +643,7 @@ class TestCompileNested:
         gh, gm = hm_pair(blocks)
         combo = GeneratorCombination(linear=((gh, 0.4),), commutators=((gh, gm, 0.2),))
         t = 0.5
-        target = expm_skew(t * combo.target_matrix(blocks.dims))
+        target = expm_skew(t * reference_target_matrix(combo, blocks.dims))
         errs = []
         m = 4
         while m <= 1 << 14:
@@ -659,7 +661,7 @@ class TestCompileNested:
         gh, _ = hm_pair(blocks)
         combo = GeneratorCombination(linear=((gh, 0.5), (gh, 0.3)))
         seq = compile_nested(combo, 1.0, 1, blocks.dims)
-        target = expm_skew(combo.target_matrix(blocks.dims))
+        target = expm_skew(reference_target_matrix(combo, blocks.dims))
         assert np.linalg.norm(reconstruct(seq) - target) <= 1e-12
 
     def test_rejects_deep_nesting(self):
@@ -696,13 +698,11 @@ class TestSliceParams:
         items = sorted((g, x) for g, x in coeffs.items() if x != 0.0)
         seq = compile_trotter(coeffs, t, m, dims)
         assert seq.params.tolist() == ([] if t == 0.0 else [t * x / m for _, x in items])
-        if t != 0.0 and items:
-            total = sum(abs(x) for _, x in items)
-            assert seq.error_bound == (t * total) ** 2 / m
+        assert seq.error_bound == 0.0  # a fixed-m sequence has no target to measure
 
         seq = compile_bch(gh, gm, t, m, dims)
         assert seq.params.tolist() == ([] if t == 0.0 else group(t / m))
-        assert seq.error_bound == (0.0 if t == 0.0 else abs(t) ** 1.5 / math.sqrt(m))
+        assert seq.error_bound == 0.0
 
         combo = GeneratorCombination(linear=((gh2, r[0]), (pa, r[1])),
                                      commutators=((gh, gm, c[0]), (gm, gh2, c[1])))
@@ -710,7 +710,9 @@ class TestSliceParams:
         for _, _, x in combo.commutators:
             if t * x != 0.0:
                 want += group(t * x / m)
-        assert compile_nested(combo, t, m, dims).params.tolist() == want
+        seq = compile_nested(combo, t, m, dims)
+        assert seq.params.tolist() == want
+        assert seq.error_bound == 0.0
 
 
 def periodic_builders():
@@ -845,7 +847,8 @@ class TestCompileApproximate:
     def test_matches_reference_loop(self, es, ec, kind, method, accuracy, leak, seed):
         """Same trotter_m and save bytes as the dense doubling loop, and the
         same error up to 1e-12 relative plus m*eps for the rounding that m
-        slices accumulate (on all-singleton blocks the error is that noise).
+        slices accumulate (on all-singleton blocks the error is that noise);
+        the sequence's error_bound is that error.
         A leak couples the blocks by about 1e-10, inside the energy-
         preservation tolerance, which the error must still count."""
         assume(len(es) * len(ec) <= 4)  # bounds the files at M_CAP
@@ -871,12 +874,17 @@ class TestCompileApproximate:
         if kind == "identity":
             assert len(seq) == 0
         assert abs(err - want_err) <= 1e-12 * want_err + np.finfo(float).eps * seq.trotter_m
+        assert seq.error_bound == err
+        # Same save bytes once error_bound is masked: the loop's fixed-m
+        # back-ends write 0.0 there.
+        texts = []
         with tempfile.TemporaryDirectory() as d:
-            paths = os.path.join(d, "want.json"), os.path.join(d, "got.json")
-            want.save(paths[0])
-            seq.save(paths[1])
-            with open(paths[0], "rb") as a, open(paths[1], "rb") as b:
-                assert a.read() == b.read()
+            path = os.path.join(d, "seq.json")
+            for s in (want, seq):
+                s.save(path)
+                with open(path, "rb") as f:
+                    texts.append(re.subn(rb'"error_bound": [^,]*,', b"", f.read(), count=1))
+        assert texts[0] == texts[1] and texts[0][1] == 1
 
     @given(sizes=st.lists(st.integers(1, 4), min_size=1, max_size=4),
            shuffle=st.randoms(use_true_random=False), kind=st.sampled_from(["haar", "identity"]),

@@ -130,13 +130,32 @@ def reference_random_energy_preserving_unitary(blocks, seed):
     return u
 
 
+def reference_curve_values(curve, xs):
+    """The piecewise-linear curve through a ThermoCurve's vertices at xs."""
+    v = np.asarray(curve.vertices)
+    return np.interp(np.asarray(xs, dtype=float), v[:, 0], v[:, 1])
+
+
 def reference_thermo_majorizes(p, q, spec, tol=1e-9):
     """Build both ThermoCurve objects and compare them at the union of
     their vertex x values."""
     cp = thermo_curve(p, spec)
     cq = thermo_curve(q, spec)
     xs = np.union1d(cp.xs, cq.xs)
-    return bool(np.all(cp.evaluate(xs) >= cq.evaluate(xs) - tol))
+    return bool(np.all(reference_curve_values(cp, xs) >= reference_curve_values(cq, xs) - tol))
+
+
+def reference_target_matrix(combo, dims):
+    """The dense n x n generator of a GeneratorCombination: sum c K_g over
+    its linear terms plus sum c [K_a, K_b] over its commutators."""
+    n = dims[0] * dims[1]
+    k = np.zeros((n, n), dtype=complex)
+    for g, c in combo.linear:
+        k += c * g.matrix(dims)
+    for a, b, c in combo.commutators:
+        am, bm = a.matrix(dims), b.matrix(dims)
+        k += c * (am @ bm - bm @ am)
+    return k
 
 
 def reference_cooling_populations(d, p):

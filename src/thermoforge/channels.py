@@ -7,9 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import GateSequence, apply_gates
-from .errors import DomainError, ShapeError
+from .errors import ShapeError
 from .linalg import as_operator, kron, partial_trace, trace_distance
-from .thermal import DiagonalState, Spectrum, energy_blocks, gibbs_state, is_energy_preserving
+from .thermal import DiagonalState, Spectrum, energy_blocks, gibbs_state, require_energy_preserving
 
 STRICT_TOL = 1e-10  # largest catalyst-marginal and product distance of a strict verdict
 
@@ -24,9 +24,7 @@ class ChannelSpec:
 
     def __post_init__(self):
         u = as_operator(self.unitary)
-        blocks = energy_blocks(self.system, self.bath)
-        if not is_energy_preserving(u, blocks):
-            raise DomainError("channel unitary is not energy-preserving")
+        require_energy_preserving(u, energy_blocks(self.system, self.bath))
         u.flags.writeable = False
         object.__setattr__(self, "unitary", u)
 

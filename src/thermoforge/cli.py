@@ -20,14 +20,8 @@ import numpy as np
 
 from . import cooling
 from .compiler import GateSequence, compile_approximate, compile_exact, reconstruct
-from .errors import (
-    CapacityError,
-    CoherenceError,
-    DomainError,
-    FormatError,
-    PreconditionError,
-    ShapeError,
-)
+from .errors import (CapacityError, CoherenceError, DomainError, FormatError, PreconditionError,
+                     ShapeError, json_reals, load_json_object)
 from .linalg import as_operator, frobenius_distance
 from .majorization import max_ground_population_TO, thermo_curve, thermo_majorizes
 from .channels import STRICT_TOL, run_gc_eto
@@ -69,32 +63,10 @@ class RunReport:
         return 0 if self.all_pass else 1
 
 
-def _load_object(path: str) -> dict:
-    """The JSON object in a file; any other top-level value is a FormatError."""
-    with open(path) as f:
-        obj = json.load(f)
-    if not isinstance(obj, dict):
-        raise FormatError(f"{path}: expected a JSON object, got {type(obj).__name__}")
-    return obj
-
-
-def _real_array(obj: dict, key: str) -> np.ndarray:
-    """obj[key] as a float array.  Ragged nesting is a FormatError; an entry
-    that is not a JSON number (a string or null, say) is a DomainError.  A
-    bool counts as its integer, as in the step loader."""
-    try:
-        a = np.array(obj[key])
-    except ValueError:  # an inhomogeneous shape
-        raise FormatError(f"'{key}' is a ragged array") from None
-    if a.dtype.kind not in "biuf":
-        raise DomainError(f"'{key}' holds an entry that is not a finite JSON number")
-    return a.astype(float)
-
-
 def _complex_array(obj: dict) -> np.ndarray:
     """re + 1j * im of a matrix or state object: re and im of one square
     shape, every entry finite (linalg.as_operator)."""
-    re, im = _real_array(obj, "re"), _real_array(obj, "im")
+    re, im = json_reals(obj["re"], "re"), json_reals(obj["im"], "im")
     if re.shape != im.shape:
         raise ShapeError(f"'re' has shape {re.shape} but 'im' has shape {im.shape}")
     with np.errstate(invalid="ignore"):  # 1j * inf is nan + inf j, which as_operator refuses
@@ -102,18 +74,11 @@ def _complex_array(obj: dict) -> np.ndarray:
     return as_operator(z)
 
 
-def _load_matrix(path: str) -> np.ndarray:
-    obj = _load_object(path)
-    if "re" not in obj or "im" not in obj:
-        raise KeyError("matrix JSON needs 're' and 'im' keys")
-    return _complex_array(obj)
-
-
 def _load_state(path: str, coherence_guard: bool = False):
     """Returns (dense matrix, populations-or-None)."""
-    obj = _load_object(path)
+    obj = load_json_object(path, "a state")
     if "populations" in obj:
-        p = DiagonalState(np.array(obj["populations"], dtype=float))
+        p = DiagonalState(json_reals(obj["populations"], "populations"))
         return p.to_dense(), p
     rho = _complex_array(obj)
     mass = np.abs(rho - np.diag(np.diag(rho))).sum()  # off-diagonal
@@ -126,17 +91,13 @@ def _load_state(path: str, coherence_guard: bool = False):
     return rho, None
 
 
-def _seed_from_env(default: int) -> int:
-    return int(os.environ.get("THERMOFORGE_SEED", default))
-
-
 # ---------------------------------------------------------------- compile
 
 def cmd_compile(args) -> int:
     t0 = time.perf_counter()
     spec_s = Spectrum.from_json(args.system)
     spec_c = Spectrum.from_json(args.catalyst)
-    u = _load_matrix(args.unitary)
+    u = _complex_array(load_json_object(args.unitary, "a matrix"))
     blocks = energy_blocks(spec_s, spec_c)
     report = RunReport(
         command="compile",
@@ -239,7 +200,7 @@ def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     if args.trials < 0:
         raise DomainError(f"--trials must be nonnegative, got {args.trials}")
-    seed = _seed_from_env(args.seed)
+    seed = int(os.environ.get("THERMOFORGE_SEED", args.seed))
     report = RunReport(
         command="verify",
         inputs={"suite": args.suite, "seed": seed, "trials": args.trials},
@@ -366,7 +327,7 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as e:
         print(f"parse error: {e.msg} at line {e.lineno}, column {e.colno}", file=sys.stderr)
         return 2
-    except (KeyError, FileNotFoundError, FormatError) as e:
+    except (KeyError, FileNotFoundError, FormatError, UnicodeDecodeError) as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2
     except CoherenceError as e:

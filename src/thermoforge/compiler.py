@@ -78,7 +78,7 @@ from .gates import (  # noqa: F401
 )
 from .generators import ElementaryGenerator
 from .linalg import block_stacks
-from .thermal import PRESERVING_TOL, EnergyBlocks, is_energy_preserving, max_cross_block_entry
+from .thermal import EnergyBlocks, require_energy_preserving
 
 _ELIM_TOL = 1e-13
 _COEFF_TOL = 1e-14  # generator coefficients at or below this are dropped
@@ -93,19 +93,6 @@ def reconstruct(seq: GateSequence) -> np.ndarray:
     u = np.eye(seq.dims[0] * seq.dims[1], dtype=complex)
     apply_layers(seq._plan(), 1, u)
     return u if seq.repeat == 1 else np.linalg.matrix_power(u, seq.repeat)
-
-
-def _require_energy_preserving(u: np.ndarray, blocks: EnergyBlocks) -> None:
-    """Raise DomainError naming the worst cross-block entry of u, or, when
-    no entry couples two blocks, its unitarity defect ||U†U - I||_F."""
-    if not is_energy_preserving(u, blocks):
-        i, j, mag = max_cross_block_entry(u, blocks)
-        if mag < PRESERVING_TOL:
-            defect = np.linalg.norm(u.conj().T @ u - np.eye(len(u)))
-            raise DomainError(f"matrix is not unitary: ||U†U - I||_F = {defect:.3e}")
-        raise DomainError(
-            f"unitary entry ({i},{j}) of magnitude {mag:.3e} couples energy blocks"
-        )
 
 
 def _eliminate(a: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -171,7 +158,7 @@ def compile_exact(u, blocks: EnergyBlocks) -> GateSequence:
     order, then level order) acts first, then each block's rotations
     undone in reverse."""
     u = np.asarray(u, dtype=complex)
-    _require_energy_preserving(u, blocks)
+    require_energy_preserving(u, blocks)
     order, offsets = blocks.order, blocks.offsets
     sizes = np.diff(offsets)
     diag = u[order, order]  # the final diagonal, in the order of `order`
@@ -514,7 +501,7 @@ def compile_approximate(u, blocks: EnergyBlocks, method: str,
     once and the sequence built once, for the m returned.
     """
     u = np.asarray(u, dtype=complex)
-    _require_energy_preserving(u, blocks)
+    require_energy_preserving(u, blocks)
     k = _log_unitary(u, blocks)
     if method == "trotter":
         sl = _trotter_slice(_expand_in_basis(k, blocks), 1.0, blocks.dims)

@@ -1,9 +1,13 @@
-"""Exception taxonomy shared across the package.
+"""Exception taxonomy shared across the package, and the readers of JSON
+input files: load_json_object for a file, json_reals for its numbers.
 
 The CLI maps these onto stable exit codes: parse failures (FormatError
 among them) -> 2, DomainError/PreconditionError/ShapeError -> 3,
 CapacityError -> 4, CoherenceError -> 5.
 """
+import json
+
+import numpy as np
 
 
 class FormatError(ValueError):
@@ -28,3 +32,35 @@ class CapacityError(RuntimeError):
 
 class CoherenceError(ValueError):
     """An incoherent (diagonal) input was required but coherence was found."""
+
+
+def load_json_object(path_or_obj, what: str) -> dict:
+    """The JSON object in the file at a path, or an already parsed value;
+    any other top-level value is a FormatError naming `what`."""
+    obj = path_or_obj
+    if isinstance(path_or_obj, str):
+        with open(path_or_obj) as f:
+            obj = json.load(f)
+        what = f"{path_or_obj}: {what}"
+    if not isinstance(obj, dict):
+        raise FormatError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    return obj
+
+
+def json_reals(value, name: str) -> np.ndarray:
+    """A JSON value as a float array, by one np.array call.  Ragged nesting
+    is a FormatError; an entry that is not a JSON number (a string, null
+    or an object) is a DomainError.  A bool counts as its integer, and an
+    integer beyond int64 as its float."""
+    try:
+        a = np.array(value)
+    except ValueError:  # an inhomogeneous shape
+        raise FormatError(f"'{name}' is a ragged array") from None
+    if a.dtype.kind == "O" and all(isinstance(v, (int, float)) for v in a.flat):
+        try:
+            return a.astype(float)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    if a.dtype.kind not in "biuf":
+        raise DomainError(f"'{name}' holds an entry that is not a JSON number")
+    return a.astype(float, copy=False)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, FormatError, ShapeError
+from .errors import DomainError, FormatError, ShapeError, load_json_object
 from .generators import KINDS
 
 _UNITARY_TOL = 1e-12  # largest ||U†U - I||_F of an accepted givens block
@@ -77,10 +77,13 @@ class GateStep:
             a, b, c, d = u2.ravel().tolist()
             if not all(map(cmath.isfinite, (a, b, c, d))):
                 raise DomainError("givens block has non-finite entries")
-            # ||U^dagger U - I||_F from the column norms and their inner product.
-            off = abs(a.conjugate() * b + c.conjugate() * d)
-            if math.hypot(abs(a) ** 2 + abs(c) ** 2 - 1, abs(b) ** 2 + abs(d) ** 2 - 1,
-                          off, off) > _UNITARY_TOL:
+            try:  # ||U^dagger U - I||_F from the column norms and their inner product
+                off = abs(a.conjugate() * b + c.conjugate() * d)
+                defect = math.hypot(abs(a) ** 2 + abs(c) ** 2 - 1, abs(b) ** 2 + abs(d) ** 2 - 1,
+                                    off, off)
+            except OverflowError:  # an entry too large to square
+                defect = math.inf
+            if defect > _UNITARY_TOL:
                 raise DomainError("givens block is not unitary")
             u2.flags.writeable = False
             object.__setattr__(self, "u2", u2)
@@ -348,22 +351,15 @@ class GateSequence:
         integer (a bool is neither), or a `method` not in METHODS raises
         DomainError.  A loaded sequence has repeat 1.
         """
-        if isinstance(obj, str):
-            with open(obj) as f:
-                obj = json.load(f)
-        if not isinstance(obj, dict):
-            raise FormatError("a gate sequence must be a JSON object")
+        obj = load_json_object(obj, "a gate sequence")
         dims = obj["dims"]
         if not (isinstance(dims, (list, tuple)) and len(dims) == 2
                 and all(type(d) is int and d > 0 for d in dims)):
             raise FormatError(f"'dims' must be two positive integers, got {dims!r}")
         dims = tuple(dims)
         bound = obj.get("error_bound", 0.0)
-        try:
-            error_bound = float(bound) if type(bound) in (int, float) else math.nan
-        except OverflowError:  # an integer beyond the float range
-            error_bound = math.inf
-        if not 0.0 <= error_bound < math.inf:
+        (error_bound,), non_number = _numbers([bound], integer=False)
+        if non_number[0] or type(bound) is bool or not 0.0 <= error_bound < math.inf:
             raise DomainError(f"'error_bound' {bound!r} is not a finite non-negative number")
         trotter_m = obj.get("trotter_m")
         if trotter_m is not None and not (type(trotter_m) is int and trotter_m > 0):
@@ -372,7 +368,7 @@ class GateSequence:
         if method not in METHODS:
             raise DomainError(f"'method' {method!r} is not one of {', '.join(METHODS)}")
         return cls(*_read_steps(obj["steps"], dims), method=method, dims=dims,
-                   error_bound=error_bound, trotter_m=trotter_m)
+                   error_bound=float(error_bound), trotter_m=trotter_m)
 
 
 def _numbers(values: list, integer: bool) -> tuple[np.ndarray, np.ndarray]:

@@ -35,14 +35,21 @@ def _check_curve(xs: np.ndarray, ys: np.ndarray) -> None:
     # A rising vertical first segment has slope +inf, so it keeps any
     # curve after it concave; the slopes are checked from the next one.
     v = int(len(dx) > 0 and dx[0] == 0 and dy[0] > 0)
-    if (dx[v:] <= 0).any() or abs(xs[-1] - 1.0) > 1e-12:
+    if not (dx[v:] > 0).all() or abs(xs[-1] - 1.0) > 1e-12:
         raise DomainError("x must increase strictly to 1")
     if (dy < -1e-12).any() or abs(ys[-1] - 1.0) > 1e-12:
         raise DomainError("y must be nondecreasing to 1")
-    # A rise over a subnormal dx overflows to slope +inf, which is still ordered.
-    with np.errstate(over="ignore"):
+    # A rise over a subnormal dx overflows to slope +inf.  Two such slopes in
+    # a row (inf - inf is NaN) are compared, to a relative 1e-9, over dx
+    # scaled by 2**600, which is exact.
+    with np.errstate(over="ignore", invalid="ignore"):
         slopes = dy[v:] / dx[v:]
-    if (slopes[1:] - slopes[:-1] > 1e-9).any():
+        rise = slopes[1:] - slopes[:-1]
+    both = np.isnan(rise)
+    if both.any():
+        scaled = dy[v:] / np.ldexp(dx[v:], 600)
+        rise[both] = ((scaled[1:] - scaled[:-1]) / scaled[:-1])[both]
+    if not (rise <= 1e-9).all():
         raise DomainError("curve is not concave")
 
 
@@ -51,10 +58,15 @@ def _curve_arrays(p: np.ndarray, gamma: np.ndarray) -> tuple[np.ndarray, np.ndar
     Gibbs weights gamma, runs of equal x merged into their last vertex
     (the origin kept)."""
     # A zero Gibbs weight gives the ratio inf (p > 0), first, or NaN (p = 0),
-    # which argsort puts last; a subnormal one may overflow to inf, which
-    # still sorts first.
+    # which sorts last; a subnormal one may overflow to inf too.  Ratios
+    # tied at inf are ordered by p over gamma scaled by 2**600 (exact).
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        order = np.argsort(-(p / gamma), kind="stable")
+        ratio = p / gamma
+        inf = ratio == np.inf
+        if np.count_nonzero(inf) > 1:
+            order = np.lexsort((np.where(inf, -(p / np.ldexp(gamma, 600)), 0.0), -ratio))
+        else:
+            order = np.argsort(-ratio, kind="stable")
     xs, ys = np.zeros(len(p) + 1), np.zeros(len(p) + 1)
     np.cumsum(gamma[order], out=xs[1:])
     np.cumsum(p[order], out=ys[1:])

@@ -27,13 +27,12 @@ no tuple view: `items()` yields each block's energy and members, and
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError, FormatError, ShapeError, json_reals, load_json_object
 from .linalg import as_operator, is_unitary
 
 ENERGY_TOL = 1e-9
@@ -116,11 +115,13 @@ class Spectrum:
                    np.array([g for _, g in levels]))
 
     @classmethod
-    def from_arrays(cls, energies, labels) -> "Spectrum":
-        """A spectrum from an energy array and a label array of one length."""
-        e, g = np.array(energies, dtype=float), np.array(labels)
-        if e.ndim != 1 or g.shape != e.shape:
-            raise ShapeError(f"energies {e.shape} and labels {g.shape} must be flat and of one length")
+    def from_arrays(cls, energies, labels=None) -> "Spectrum":
+        """A spectrum from an energy array and a label array of one length;
+        labels None assigns them in listed order."""
+        e = np.array(energies, dtype=float)
+        g = None if labels is None else np.array(labels)
+        if e.ndim != 1 or g is not None and g.shape != e.shape:
+            raise ShapeError(f"energies {e.shape} must be flat and labels, if given, of that shape")
         spec = cls.__new__(cls)
         spec._init(e, g)
         return spec
@@ -128,12 +129,7 @@ class Spectrum:
     @classmethod
     def from_energies(cls, energies) -> "Spectrum":
         """Auto-assign degeneracy labels in listed order."""
-        e = np.array(energies, dtype=float)
-        if e.ndim != 1:
-            raise ShapeError(f"energies must be a flat list, got shape {e.shape}")
-        spec = cls.__new__(cls)
-        spec._init(e, None)
-        return spec
+        return cls.from_arrays(energies)
 
     def _init(self, e: np.ndarray, g: np.ndarray | None) -> None:
         """Validate and store; g None assigns labels in listed order."""
@@ -169,14 +165,18 @@ class Spectrum:
 
     @classmethod
     def from_json(cls, obj) -> "Spectrum":
-        if isinstance(obj, str):
-            with open(obj) as f:
-                obj = json.load(f)
+        """A spectrum from a path or a parsed object, in either form of
+        docs/formats.md; its numbers are read by errors.json_reals."""
+        obj = load_json_object(obj, "a spectrum")
         if "energies" in obj:
-            return cls.from_energies(obj["energies"])
+            return cls.from_energies(json_reals(obj["energies"], "energies"))
         if "levels" in obj:
-            return cls(tuple((float(l["energy"]), int(l["deg"])) for l in obj["levels"]))
-        raise DomainError("spectrum JSON needs an 'energies' or 'levels' key")
+            levels = obj["levels"]
+            if not (isinstance(levels, list) and all(isinstance(l, dict) for l in levels)):
+                raise FormatError("'levels' must be a list of objects")
+            return cls.from_arrays(json_reals([l["energy"] for l in levels], "energy"),
+                                   json_reals([l["deg"] for l in levels], "deg"))
+        raise FormatError("spectrum JSON needs an 'energies' or 'levels' key")
 
     def to_json(self) -> dict:
         return {"levels": [{"energy": e, "deg": g}
@@ -222,6 +222,8 @@ class DiagonalState:
 
     def __post_init__(self):
         p = np.asarray(self.populations, dtype=float)
+        if p.ndim != 1:
+            raise ShapeError(f"populations must be a flat list, got shape {p.shape}")
         # NaN propagates through min and sum and fails both tests, which are
         # written to be False on it; +inf and an empty vector fail the sum.
         low = p.min(initial=0.0)
@@ -336,11 +338,17 @@ def is_energy_preserving(u, blocks: EnergyBlocks, tol: float = PRESERVING_TOL) -
     return bool(np.all(np.abs(u[mask]) < tol))
 
 
-def max_cross_block_entry(u, blocks: EnergyBlocks) -> tuple[int, int, float]:
-    """Largest entry coupling two blocks, for error reporting."""
+def require_energy_preserving(u, blocks: EnergyBlocks) -> None:
+    """Raise DomainError unless is_energy_preserving(u, blocks), naming the
+    worst cross-block entry of u or, when no entry couples two blocks, its
+    unitarity defect ||U†U - I||_F."""
+    if is_energy_preserving(u, blocks):
+        return
     u = as_operator(u)
     bid = blocks.block_of_flat()
-    mask = bid[:, None] != bid[None, :]
-    mags = np.where(mask, np.abs(u), 0.0)
+    mags = np.where(bid[:, None] != bid[None, :], np.abs(u), 0.0)
     i, j = np.unravel_index(np.argmax(mags), mags.shape)
-    return int(i), int(j), float(mags[i, j])
+    if mags[i, j] < PRESERVING_TOL:
+        defect = np.linalg.norm(u.conj().T @ u - np.eye(len(u)))
+        raise DomainError(f"matrix is not unitary: ||U†U - I||_F = {defect:.3e}")
+    raise DomainError(f"unitary entry ({i},{j}) of magnitude {mags[i, j]:.3e} couples energy blocks")

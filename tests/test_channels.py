@@ -68,8 +68,15 @@ class TestApplyTO:
         sys = Spectrum.from_energies([0.0, 1.0])
         bath = Spectrum.from_energies([0.0])
         u = np.array([[0.0, 1.0], [1.0, 0.0]])  # swaps levels of unequal energy
-        with pytest.raises(DomainError, match="energy-preserving"):
+        with pytest.raises(DomainError, match=r"entry \(0,1\) of magnitude 1.000e\+00 couples"):
             ChannelSpec(sys, bath, u)
+
+    def test_rejects_non_unitary_block_diagonal(self):
+        # 2·I couples no energy blocks, so the message names the defect.
+        sys = Spectrum.from_energies([0.0, 1.0])
+        bath = Spectrum.from_energies([0.0])
+        with pytest.raises(DomainError, match=r"not unitary: \|\|U†U - I\|\|_F = 4.243e\+00"):
+            ChannelSpec(sys, bath, 2 * np.eye(2))
 
     def test_cooling_channel_reaches_closed_form(self):
         for d in (2, 3, 4):

@@ -11,11 +11,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from thermoforge import (
     Spectrum,
     build_cooling_catalyst,
     build_cooling_sequence,
+    compile_exact,
     energy_blocks,
     random_energy_preserving_unitary,
 )
@@ -132,6 +135,21 @@ class TestCompile:
         assert (got, report) == (code, None)
         assert err
 
+    @pytest.mark.parametrize("system,code", [
+        ({"energies": ["0", "1"]}, 3),
+        ({"energies": [[0, 1], [2]]}, 2),
+        ([0, 1], 2),
+    ])
+    def test_malformed_system_exit_code(self, tmp_path, capsys, qubit_cat_file, system, code):
+        # The spectrum reader of curve serves compile --system too.
+        sf = write_json(tmp_path / "sys.json", system)
+        uf = write_matrix(tmp_path / "u.json", np.eye(4))
+        got, report, err = run_cli(capsys, [
+            "compile", "--system", sf, "--catalyst", qubit_cat_file, "--unitary", uf,
+        ])
+        assert (got, report) == (code, None)
+        assert len(err.strip().splitlines()) == 1, err
+
     def test_malformed_json_is_parse_error(self, tmp_path, capsys,
                                            qutrit_file, qubit_cat_file):
         bad = tmp_path / "u.json"
@@ -141,6 +159,16 @@ class TestCompile:
             "--unitary", str(bad),
         ])
         assert code == 2
+
+    def test_non_utf8_file_is_parse_error(self, tmp_path, capsys, qutrit_file, qubit_cat_file):
+        bad = tmp_path / "u.json"
+        bad.write_bytes(b"\xff\xfe")
+        code, report, err = run_cli(capsys, [
+            "compile", "--system", qutrit_file, "--catalyst", qubit_cat_file,
+            "--unitary", str(bad),
+        ])
+        assert (code, report) == (2, None)
+        assert len(err.strip().splitlines()) == 1, err
 
     def test_missing_file_is_parse_error(self, capsys, qutrit_file, qubit_cat_file):
         code, _, _ = run_cli(capsys, [
@@ -478,6 +506,57 @@ class TestCurve:
         assert report["outputs"]["p_majorizes_q"]
         assert not report["outputs"]["q_majorizes_p"]
 
+    @pytest.mark.parametrize("spectrum,state,code", [
+        ({"energies": ["0", "1"]}, {"populations": [0.5, 0.5]}, 3),
+        ({"energies": [0, 1]}, {"populations": ["0.5", "0.5"]}, 3),
+        ({"energies": [0, 1]}, {"populations": ["a", 1]}, 3),
+        ({"energies": [[0, 1], [2]]}, {"populations": [0.5, 0.5]}, 2),
+        ({"energies": [0, 1]}, {"populations": [[0.5], [0.5, 0]]}, 2),
+        (5, {"populations": [0.5, 0.5]}, 2),
+        ({"levels": [1, 2]}, {"populations": [0.5, 0.5]}, 2),
+        ({"energy": [0, 1]}, {"populations": [0.5, 0.5]}, 2),  # no known key
+        ({"levels": [{"energy": "0", "deg": 0}, {"energy": 1, "deg": 0}]},
+         {"populations": [0.5, 0.5]}, 3),
+        ({"levels": [{"energy": 0, "deg": "0"}, {"energy": 1, "deg": 0}]},
+         {"populations": [0.5, 0.5]}, 3),
+        ({"energies": [0, 1]}, {"populations": [[0.5], [0.5]]}, 3),  # 2-D
+        ({"energies": [0, 1]}, {"populations": 1}, 3),  # a scalar
+    ])
+    def test_malformed_spectrum_or_populations_exit_code(self, tmp_path, capsys, spectrum,
+                                                         state, code):
+        spec = write_json(tmp_path / "spec.json", spectrum)
+        sf = write_json(tmp_path / "p.json", state)
+        got, report, err = run_cli(capsys, ["curve", "--state", sf, "--spectrum", spec])
+        assert (got, report) == (code, None)
+        assert len(err.strip().splitlines()) == 1, err
+
+    def test_valid_spectrum_forms_read_alike(self, tmp_path, capsys):
+        # A bool counts as its integer, and an integer beyond int64 as its float.
+        argv = []
+        for name, spectrum in (("a", {"energies": [0, 1.0, 1e20]}),
+                               ("b", {"energies": [False, True, 10**20]}),
+                               ("c", {"levels": [{"energy": 0, "deg": 0}, {"energy": 1, "deg": 0},
+                                                 {"energy": 10**20, "deg": False}]})):
+            spec = write_json(tmp_path / f"{name}.json", spectrum)
+            sf = write_json(tmp_path / "p.json", {"populations": [0.5, 0.5, 0]})
+            code, report, err = run_cli(capsys, ["curve", "--state", sf, "--spectrum", spec])
+            assert code == 0, err
+            argv.append(report["outputs"]["vertices"])
+        assert argv[0] == argv[1] == argv[2]
+
+    def test_overflowed_ratios_keep_the_curve_concave(self, tmp_path, capsys, recwarn):
+        # exp(-740) and exp(-741) are subnormal, so both p / gamma overflow to
+        # inf; level 2 has the larger true ratio and must come first.
+        spec = write_json(tmp_path / "gap.json", {"energies": [0, 740, 741]})
+        sf = write_json(tmp_path / "p.json", {"populations": [0.2, 0.3, 0.5]})
+        code, report, err = run_cli(capsys, ["curve", "--state", sf, "--spectrum", spec])
+        assert (code, err) == (0, "")
+        g1, g2 = math.exp(-740), math.exp(-741)
+        assert report["outputs"]["vertices"] == [[0.0, 0.0], [g2, 0.5], [g2 + g1, 0.8],
+                                                 [1.0, 1.0]]
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 
 class TestSimulate:
     def test_cooling_run(self, tmp_path, capsys):
@@ -660,6 +739,111 @@ class TestMain:
             json.dump(json.loads(out), expected, indent=1, sort_keys=True)
             expected.write("\n")
             assert out == expected.getvalue(), argv[0]
+
+
+def _json_paths(node, prefix=()):
+    """The path (a tuple of keys and indices) of every node of a JSON value,
+    the root () first."""
+    yield prefix
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(
+        node, list) else ()
+    for key, child in items:
+        yield from _json_paths(child, prefix + (key,))
+
+
+def _mutated(root, path, mutation, value):
+    """A copy of root with the node at path changed by mutation."""
+    root = json.loads(json.dumps(root))
+    parent, node = None, root
+    for key in path:
+        parent, node = node, node[key]
+    if mutation == "replace":  # a type swap, NaN/±Infinity or an empty list
+        new = value
+    elif mutation == "wrap":  # ragged nesting
+        new = [node]
+    elif isinstance(node, list) and node:  # mismatched shapes
+        new = node[:-1] if mutation == "drop" else node + [node[-1]]
+    elif isinstance(node, dict) and node:  # a missing key
+        new = {k: v for k, v in node.items() if k != min(node)}
+    else:
+        new = value
+    if parent is None:
+        return new
+    parent[path[-1]] = new
+    return root
+
+
+_REPLACEMENTS = ["0.5", "", None, True, False, {}, [], [[]], 0, -1, 5, 0.5, -0.5, 1e308,
+                 math.nan, math.inf, -math.inf]
+
+
+def _finite(value) -> bool:
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, dict):
+        return all(map(_finite, value.values()))
+    if isinstance(value, list):
+        return all(map(_finite, value))
+    return True
+
+
+class TestMutatedInputs:
+    """Valid inputs on a 2-level system and a 2-level catalyst, with one node
+    of one file changed; every command must exit 0, 2, 3, 4 or 5 without a
+    traceback, and an exit 0 must report only finite numbers."""
+
+    @pytest.fixture(scope="class")
+    def files(self):
+        system = {"energies": [0.0, 1.0]}
+        catalyst = {"levels": [{"energy": 0.0, "deg": 0}, {"energy": 0.0, "deg": 1}]}
+        blocks = energy_blocks(Spectrum.from_json(system), Spectrum.from_json(catalyst))
+        u = random_energy_preserving_unitary(blocks, seed=3)
+        return {
+            "sys": system,
+            "cat": catalyst,
+            "u": {"re": u.real.tolist(), "im": u.imag.tolist()},
+            "p": {"populations": [0.25, 0.75]},
+            "rho": {"re": [[0.25, 0.0], [0.0, 0.75]], "im": [[0.0, 0.0], [0.0, 0.0]]},
+            "seq": compile_exact(u, blocks).to_json(),
+        }
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("mutated")
+
+    COMMANDS = {
+        "compile": ["compile", "--system", "sys", "--catalyst", "cat", "--unitary", "u"],
+        "compile_trotter": ["compile", "--system", "sys", "--catalyst", "cat", "--unitary", "u",
+                            "--method", "trotter", "--accuracy", "1e-2"],
+        "simulate": ["simulate", "--state", "p", "--catalyst", "cat", "--gates", "seq",
+                     "--rethermalize"],
+        "simulate_dense": ["simulate", "--state", "rho", "--catalyst", "cat", "--gates", "seq"],
+        "curve": ["curve", "--state", "p", "--spectrum", "sys", "--compare", "rho"],
+    }
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_exit_code_contract(self, files, workdir, capsys, command, data):
+        argv = self.COMMANDS[command]
+        names = [a for a in argv if a in files]
+        target = data.draw(st.sampled_from(names), label="file")
+        path = data.draw(st.sampled_from(list(_json_paths(files[target]))), label="path")
+        mutation = data.draw(st.sampled_from(["replace", "wrap", "drop", "append"]),
+                             label="mutation")
+        value = data.draw(st.sampled_from(_REPLACEMENTS), label="value")
+        paths = {}
+        for name in names:
+            obj = _mutated(files[name], path, mutation, value) if name == target else files[name]
+            paths[name] = write_json(workdir / f"{name}.json", obj)
+        code = main([paths.get(a, a) for a in argv])
+        out = capsys.readouterr()
+        assert code in (0, 2, 3, 4, 5), out.err
+        if code == 0:
+            assert _finite(json.loads(out.out)["outputs"])
+        else:
+            assert out.out == "" and len(out.err.strip().splitlines()) == 1, out.err
 
 
 NO_SCIPY = """

@@ -124,6 +124,28 @@ class TestCurve:
             assert thermo_majorizes(p, gibbs, spec)
             assert not thermo_majorizes(gibbs, p, spec)
 
+    def test_two_overflowed_slopes_are_compared(self):
+        # Both slopes overflow to inf; scaled, they are 2e321 then 3e321, a
+        # convex bend.  inf - inf once made NaN, which passed the test.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="not concave"):
+                ThermoCurve(((0, 0), (1e-322, 0.2), (2e-322, 0.5), (1, 1)))
+            ThermoCurve(((0, 0), (1e-322, 0.3), (2e-322, 0.5), (1, 1)))  # 3e321, 2e321
+            ThermoCurve(((0, 0), (0, 0.2), (1e-322, 0.5), (2e-322, 0.7), (1, 1)))
+        with pytest.raises(DomainError, match="x must increase"):
+            ThermoCurve(((0.0, 0.0), (math.nan, 0.5), (1.0, 1.0)))
+
+    def test_overflowed_ratios_sort_by_their_true_order(self):
+        # Levels 1 and 2 both have p / gamma = inf; level 2's true ratio is
+        # the larger, and level 3's zero weight puts it first of all.
+        spec = Spectrum.from_energies([0.0, 740.0, 741.0, 800.0])
+        gamma = gibbs_state(spec).populations
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            xs = thermo_curve(DiagonalState([0.2, 0.3, 0.4, 0.1]), spec).xs.tolist()
+        assert xs == [0.0, 0.0, gamma[2], gamma[2] + gamma[1], 1.0]
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10_000))
     def test_random_curve_invariants(self, seed):

@@ -17,7 +17,7 @@ from thermoforge import (
     random_energy_preserving_unitary,
 )
 from thermoforge import thermal
-from thermoforge.errors import DomainError, ShapeError
+from thermoforge.errors import DomainError, FormatError, ShapeError
 from thermoforge.thermal import ENERGY_TOL
 from util import (
     random_resonant_spectra,
@@ -48,6 +48,21 @@ class TestSpectrum:
                                              {"energy": 1.0, "deg": 0},
                                              {"energy": 1.0, "deg": 1}]}))
         assert Spectrum.from_json(str(f1)) == Spectrum.from_json(str(f2))
+
+    @pytest.mark.parametrize("obj,error", [
+        (5, FormatError),
+        ([0.0, 1.0], FormatError),
+        ({"levels": [{"energy": 0.0, "deg": 0}, 1]}, FormatError),
+        ({"levels": {"energy": 0.0, "deg": 0}}, FormatError),
+        ({"energies": [[0.0], [1.0, 2.0]]}, FormatError),
+        ({"energies": [0.0, None]}, DomainError),
+        ({"levels": [{"energy": 0.0, "deg": 0.5}]}, DomainError),  # int() once read 0
+        ({"levels": [{"energy": 0.0, "deg": math.nan}]}, DomainError),
+        ({"levels": [{"energy": [0.0, 1.0], "deg": 0}]}, ShapeError),
+    ])
+    def test_json_reading_rule(self, obj, error):
+        with pytest.raises(error):
+            Spectrum.from_json(obj)
 
     def test_documented_forms_load_to_one_spectrum(self):
         doc = (Path(__file__).parents[1] / "docs" / "formats.md").read_text()

@@ -19,7 +19,7 @@ from thermoforge.errors import CapacityError, DomainError, ShapeError
 from thermoforge.generators import ElementaryGenerator, _to_matrix, enumerate_basis
 from thermoforge.linalg import frobenius_distance
 from thermoforge.majorization import thermo_curve
-from thermoforge.thermal import ENERGY_TOL
+from thermoforge.thermal import ENERGY_TOL, require_energy_preserving
 from thermoforge.verify import (  # noqa: F401  (re-exported for the tests)
     random_antihermitian,
     random_density,
@@ -331,7 +331,7 @@ def reference_compile_exact(u, blocks):
     rotation: for each column of each energy block, rotate rows (col, row)
     to zero a[row, col], row by row; skip an entry below _ELIM_TOL."""
     u = np.asarray(u, dtype=complex)
-    compiler._require_energy_preserving(u, blocks)
+    require_energy_preserving(u, blocks)
     phases: list[tuple[int, float]] = []  # (flat level, param)
     givens: list[tuple[int, int, np.ndarray]] = []  # (flat levels, R with R† emitted)
     for _, members in blocks.items():
@@ -374,7 +374,7 @@ def reference_compile_approximate(u, blocks, method, accuracy):
     dense n x n slice^m at every slice count m: m doubles from 1 until
     ||reconstruct(seq) - u||_F is below accuracy, up to compiler.M_CAP."""
     u = np.asarray(u, dtype=complex)
-    compiler._require_energy_preserving(u, blocks)
+    require_energy_preserving(u, blocks)
     k = compiler._log_unitary(u, blocks)
     if method == "trotter":
         coeffs = compiler._expand_in_basis(k, blocks)

@@ -22,7 +22,7 @@ from . import cooling
 from .compiler import GateSequence, compile_approximate, compile_exact, reconstruct
 from .errors import (CapacityError, CoherenceError, DomainError, FormatError, PreconditionError,
                      ShapeError, json_reals, load_json_object)
-from .linalg import as_operator, frobenius_distance
+from .linalg import DEFAULT_TOL, as_operator, frobenius_distance
 from .majorization import max_ground_population_TO, thermo_curve, thermo_majorizes
 from .channels import STRICT_TOL, run_gc_eto
 from .thermal import DiagonalState, Spectrum, energy_blocks, gibbs_state
@@ -30,6 +30,7 @@ from .verify import SUITES, run_suites
 
 DEFAULT_SEED = 7
 COHERENCE_TOL = 1e-10  # largest off-diagonal mass of a state read as diagonal
+TRACE_TOL = 1e-12  # largest |tr rho - 1| of a dense state, as of a population sum
 COOL_TOL = 1e-12  # closed-form, invariant and TO-limit deviation of a cool row
 
 
@@ -75,12 +76,22 @@ def _complex_array(obj: dict) -> np.ndarray:
 
 
 def _load_state(path: str, coherence_guard: bool = False):
-    """Returns (dense matrix, populations-or-None)."""
+    """Returns (dense matrix, populations-or-None).  A dense state must be
+    Hermitian to DEFAULT_TOL (||rho - rho†||_F, as trace_distance needs)
+    and have trace 1 to TRACE_TOL; this is checked before the coherence
+    guard."""
     obj = load_json_object(path, "a state")
     if "populations" in obj:
         p = DiagonalState(json_reals(obj["populations"], "populations"))
         return p.to_dense(), p
     rho = _complex_array(obj)
+    with np.errstate(over="ignore", invalid="ignore"):  # entries near 1e308 give inf or NaN
+        skew = np.linalg.norm(rho - rho.conj().T)
+        trace = float(np.trace(rho).real)
+    if not skew <= DEFAULT_TOL:
+        raise DomainError(f"state is not Hermitian: ||rho - rho†||_F = {skew:.3e}")
+    if not abs(trace - 1) <= TRACE_TOL:
+        raise DomainError(f"state has trace {trace!r}, not 1")
     mass = np.abs(rho - np.diag(np.diag(rho))).sum()  # off-diagonal
     if mass <= COHERENCE_TOL:
         return rho, DiagonalState(np.clip(np.real(np.diag(rho)), 0, None))
@@ -200,7 +211,11 @@ def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     if args.trials < 0:
         raise DomainError(f"--trials must be nonnegative, got {args.trials}")
-    seed = int(os.environ.get("THERMOFORGE_SEED", args.seed))
+    source = "THERMOFORGE_SEED" if "THERMOFORGE_SEED" in os.environ else "--seed"
+    text = os.environ.get("THERMOFORGE_SEED", str(args.seed))
+    if not re.fullmatch("[0-9]+", text):
+        raise DomainError(f"{source} must be a non-negative integer, got {text!r}")
+    seed = int(text)
     report = RunReport(
         command="verify",
         inputs={"suite": args.suite, "seed": seed, "trials": args.trials},

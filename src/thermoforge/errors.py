@@ -1,5 +1,6 @@
 """Exception taxonomy shared across the package, and the readers of JSON
-input files: load_json_object for a file, json_reals for its numbers.
+input files: load_json_object for a file, json_reals for its numbers
+(json_float for one number).
 
 The CLI maps these onto stable exit codes: parse failures (FormatError
 among them) -> 2, DomainError/PreconditionError/ShapeError -> 3,
@@ -47,20 +48,27 @@ def load_json_object(path_or_obj, what: str) -> dict:
     return obj
 
 
+def json_float(value) -> float:
+    """One JSON number as a float: an int (a bool counts as its integer) or
+    a float.  Anything else raises TypeError, and an integer beyond the
+    float range OverflowError."""
+    if not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not a JSON number")
+    return float(value)
+
+
 def json_reals(value, name: str) -> np.ndarray:
     """A JSON value as a float array, by one np.array call.  Ragged nesting
-    is a FormatError; an entry that is not a JSON number (a string, null
-    or an object) is a DomainError.  A bool counts as its integer, and an
-    integer beyond int64 as its float."""
+    is a FormatError; an entry that is not a JSON number (json_float: a
+    string, null or an object, or an integer beyond the float range) is a
+    DomainError.  An integer beyond int64 counts as its float."""
     try:
         a = np.array(value)
     except ValueError:  # an inhomogeneous shape
         raise FormatError(f"'{name}' is a ragged array") from None
-    if a.dtype.kind == "O" and all(isinstance(v, (int, float)) for v in a.flat):
-        try:
-            return a.astype(float)
-        except OverflowError:  # an integer beyond the float range
-            pass
-    if a.dtype.kind not in "biuf":
-        raise DomainError(f"'{name}' holds an entry that is not a JSON number")
-    return a.astype(float, copy=False)
+    if a.dtype.kind in "biuf":
+        return a.astype(float, copy=False)
+    try:  # an object or string array: each entry by json_float
+        return np.array([json_float(v) for v in a.flat], dtype=float).reshape(a.shape)
+    except (TypeError, OverflowError):
+        raise DomainError(f"'{name}' holds an entry that is not a JSON number") from None

@@ -3,12 +3,17 @@
 GateSequence holds an ordered list of elementary gates as columns of one
 slice plus a repeat count, reads and writes the JSON sequence format
 (docs/formats.md), and apply_gates applies it layer by layer; the cost
-model is in compiler.py.  save writes each slice with two string
-formats over flat field tuples, and the loader reads each step field
-for all steps at once.  GateStep is one gate as a value (a named
+model is in compiler.py.  GateStep is one gate as a value (a named
 generator kind with a parameter, or an explicit 2x2 unitary, on one or
-two joint (system, catalyst) indices): the value type of a JSON step,
-of the loader's error messages and of the read-only seq.steps view.
+two joint (system, catalyst) indices): the value type of the read-only
+seq.steps view, and the one judge of a JSON step.
+
+A file has one writer and one judge.  save is the only serializer: it
+writes each slice with two string formats over flat field tuples.  The
+loader reads each step field for all steps at once and checks the
+columns as arrays, which only decides whether the file is clean; the
+error of a file that is not comes from one fallback scan, its
+structural faults first and then GateStep.from_json(step).local(dims).
 """
 from __future__ import annotations
 
@@ -22,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, FormatError, ShapeError, load_json_object
+from .errors import (DomainError, FormatError, ShapeError, json_float, json_reals,
+                     load_json_object)
 from .generators import KINDS
 
 _UNITARY_TOL = 1e-12  # largest ||U†U - I||_F of an accepted givens block
@@ -130,21 +136,22 @@ class GateStep:
         u[np.ix_(flats, flats)] = block
         return u
 
-    def to_json(self) -> dict:
-        d = {"kind": self.kind, "indices": [[int(s), int(c)] for s, c in self.indices]}
-        if self.kind == "givens":
-            d["u2"] = [[z.real, z.imag] for z in self.u2.ravel().tolist()]
-        else:
-            d["param"] = float(self.param)
-        return d
-
     @classmethod
     def from_json(cls, d: dict) -> "GateStep":
+        """The step of a JSON step object.  A `param` or `u2` entry that is
+        not a JSON number (errors.json_float) raises DomainError."""
         indices = tuple(tuple(p) for p in d["indices"])
         if d["kind"] == "givens":
-            flat = [complex(re, im) for re, im in d["u2"]]
+            try:
+                flat = [complex(json_float(re), json_float(im)) for re, im in d["u2"]]
+            except (TypeError, OverflowError):
+                raise DomainError("givens block has non-numeric entries") from None
             return cls("givens", indices, u2=np.array(flat).reshape(2, 2))
-        return cls(d["kind"], indices, param=float(d["param"]))
+        try:
+            param = json_float(d["param"])
+        except (TypeError, OverflowError):
+            raise DomainError(f"param {d['param']!r} is not a number") from None
+        return cls(d["kind"], indices, param=param)
 
 
 class _StepView(Sequence):
@@ -287,20 +294,6 @@ class GateSequence:
         times repeat."""
         return len(self._plan()) * self.repeat
 
-    def _json_fields(self, steps: list) -> dict:
-        d = {
-            "method": self.method,
-            "dims": list(self.dims),
-            "error_bound": self.error_bound,
-            "steps": steps,
-        }
-        if self.trotter_m is not None:
-            d["trotter_m"] = self.trotter_m
-        return d
-
-    def to_json(self) -> dict:
-        return self._json_fields([s.to_json() for s in self._slice_steps()] * self.repeat)
-
     def _slice_text(self) -> str:
         """The slice's steps as save() writes them, joined by ",\n": the
         steps' templates in one string, formatted with one flat tuple of
@@ -314,7 +307,10 @@ class GateSequence:
                 % tuple(_float_texts(floats[_FLOAT_FIELDS[self.kinds]])))
 
     def save(self, path: str) -> None:
-        """Write the bytes of json.dump(self.to_json(), f, indent=1).
+        """Write the sequence file: the bytes json.dump(obj, f, indent=1)
+        writes for its JSON object obj, keys in the order method, dims,
+        error_bound, steps and trotter_m (absent when None), with the
+        slice's steps listed repeat times.
 
         The slice is formatted once (_slice_text): its steps' templates
         are joined into one string and filled from the columns by one %
@@ -323,7 +319,11 @@ class GateSequence:
         writes floats.  A repeated slice is written as chunks of about
         _SAVE_CHUNK characters, each holding whole copies of it.
         """
-        text = json.dumps(self._json_fields([]), indent=1)
+        head = {"method": self.method, "dims": list(self.dims),
+                "error_bound": self.error_bound, "steps": []}
+        if self.trotter_m is not None:
+            head["trotter_m"] = self.trotter_m
+        text = json.dumps(head, indent=1)
         with open(path, "w") as f:
             if not len(self):
                 f.write(text)
@@ -358,8 +358,11 @@ class GateSequence:
             raise FormatError(f"'dims' must be two positive integers, got {dims!r}")
         dims = tuple(dims)
         bound = obj.get("error_bound", 0.0)
-        (error_bound,), non_number = _numbers([bound], integer=False)
-        if non_number[0] or type(bound) is bool or not 0.0 <= error_bound < math.inf:
+        try:
+            error_bound = json_float(bound)
+        except (TypeError, OverflowError):
+            error_bound = math.nan
+        if type(bound) is bool or not 0.0 <= error_bound < math.inf:
             raise DomainError(f"'error_bound' {bound!r} is not a finite non-negative number")
         trotter_m = obj.get("trotter_m")
         if trotter_m is not None and not (type(trotter_m) is int and trotter_m > 0):
@@ -368,36 +371,7 @@ class GateSequence:
         if method not in METHODS:
             raise DomainError(f"'method' {method!r} is not one of {', '.join(METHODS)}")
         return cls(*_read_steps(obj["steps"], dims), method=method, dims=dims,
-                   error_bound=float(error_bound), trotter_m=trotter_m)
-
-
-def _numbers(values: list, integer: bool) -> tuple[np.ndarray, np.ndarray]:
-    """1-D array of a flat list of JSON numbers (int64 if integer, else
-    float; a bool counts as its integer) and the mask of entries holding
-    anything else, zeroed in the array.  Integers too large for int64
-    become -1, out of any range; too large for a float, they are not
-    numbers."""
-    try:
-        arr = np.array(values)
-        if arr.ndim == 1 and arr.dtype.kind in ("bi" if integer else "biuf"):
-            return arr.astype(np.int64 if integer else float), np.zeros(len(values), dtype=bool)
-    except (TypeError, ValueError, OverflowError):  # nested or mixed entries
-        pass
-
-    def number(v):
-        if not isinstance(v, int if integer else (int, float)):
-            return None
-        if integer:
-            return v if abs(v) < 1 << 62 else -1
-        try:
-            return float(v)
-        except OverflowError:
-            return None
-
-    got = [number(v) for v in values]
-    bad = np.array([v is None for v in got], dtype=bool)
-    return np.array([0 if v is None else v for v in got],
-                    dtype=np.int64 if integer else float), bad
+                   error_bound=error_bound, trotter_m=trotter_m)
 
 
 def _has_len(value, n: int) -> bool:
@@ -409,8 +383,18 @@ def _has_len(value, n: int) -> bool:
         return False
 
 
-def _raise_structural_fault(items: list) -> None:
-    """Raise the FormatError of the first step with a structural fault."""
+def _raise_first_fault(items: list, dims: tuple[int, int]) -> None:
+    """Raise the error of a step list the loader's array checks flag: the
+    FormatError of the first step with a structural fault, else the error
+    of the first step GateStep.from_json(step).local(dims) rejects,
+    prefixed `step <i>:`.
+
+    A structural fault is a step that is not an object or lacks a key,
+    `indices` that are not a list of [s, c] pairs, or a givens `u2` that
+    is not four [re, im] pairs.  The array checks flag only steps this
+    scan rejects, save a givens block within rounding of the unitarity
+    bound, which it may accept.
+    """
     for i, step in enumerate(items):
         try:
             kind, idx = step["kind"], step["indices"]
@@ -425,83 +409,66 @@ def _raise_structural_fault(items: list) -> None:
             raise FormatError(f"step {i}: 'indices' must be a list of [s, c] pairs")
         if kind == "givens" and not (_has_len(value, 4) and all(_has_len(e, 2) for e in value)):
             raise FormatError(f"step {i}: 'u2' must be four [re, im] pairs")
+    for i, step in enumerate(items):
+        try:
+            GateStep.from_json(step).local(dims)
+        except (DomainError, ShapeError) as e:
+            raise type(e)(f"step {i}: {e}") from None
 
 
 def _read_steps(items, dims: tuple[int, int]):
     """(kinds, flats, blocks, params) of a JSON step list.
 
-    Each field is read for all steps by one comprehension, `indices` and
-    `u2` are flattened to flat lists, and each flat list becomes one
-    array.  Structural faults raise FormatError at the first step that
-    has one (found by one scan, _raise_structural_fault): a step that is
-    not an object or lacks a key, `indices` that are not a list of [s, c]
-    pairs, a givens `u2` that is not four [re, im] pairs.  GateStep's
-    checks (known kind, index count, finite param or u2 entries,
-    ||U†U - I||_F <= 1e-12, integer in-range indices, distinct levels)
-    then run over all steps at once as array masks, with one more for a
-    param or u2 entry that is not a number; the first step they flag
-    raises GateStep's own error, prefixed `step <i>:`.
+    Each field is read for all steps by one comprehension and flattened
+    to one flat list, and each flat list becomes one array: the kind
+    codes, the `param`s and the `u2` entries (errors.json_reals), and the
+    (s, c) entries of each step's first and last index pair.  GateStep's
+    checks then run over all steps at once: known kind, index count per
+    kind, integer in-range indices, distinct levels, finite params and
+    ||U†U - I||_F <= 1e-12 (which also needs finite u2 entries).  These
+    only decide whether the list is clean; a conversion that fails or a
+    flagged value hands the list to _raise_first_fault, the one judge of
+    its errors.
     """
     if not isinstance(items, list):
         raise FormatError("'steps' must be a list")
     chain = itertools.chain.from_iterable
     try:
-        names = [step["kind"] for step in items]
+        codes = [KIND_CODE.get(step["kind"], -1) for step in items]
         indices = [step["indices"] for step in items]
-        codes = [KIND_CODE.get(name, -1) if isinstance(name, str) else -1 for name in names]
-        params = [0.0 if code == _GIVENS else step["param"] for step, code in zip(items, codes)]
+        params = json_reals([0.0 if code == _GIVENS else step["param"]
+                             for step, code in zip(items, codes)], "param")
         u2s = [step["u2"] for step, code in zip(items, codes) if code == _GIVENS]
-        counts = list(map(len, indices))
-        pairs, entries = list(chain(indices)), list(chain(u2s))
-        well_formed = (all(map(isinstance, indices, itertools.repeat((list, tuple))))
-                       and set(map(len, pairs)) <= {2}
-                       and set(map(len, u2s)) <= {4} and set(map(len, entries)) <= {2}
-                       and (max(counts, default=0) <= 2 or all(
-                           isinstance(p, (list, tuple)) for idx in indices if len(idx) > 2
-                           for p in idx)))
-    except (KeyError, TypeError):
-        well_formed = False
-    if not well_formed:
-        _raise_structural_fault(items)
-
-    kinds = np.array(codes, dtype=np.int8)
-    givens, phase = kinds == _GIVENS, kinds == _P
-    params, non_number = _numbers(params, integer=False)
-    params = np.where(givens, math.nan, params)
-    u2, bad_u2 = _numbers(list(chain(entries)), integer=False)
-    non_number[givens] = bad_u2.reshape(-1, 8).any(axis=1)
-    blocks = np.zeros((len(items), 2, 2), dtype=complex)
-    blocks[givens] = u2.view(complex).reshape(-1, 2, 2)
-    # Each step's first and last index pair, so a phase's one pair twice.
-    # A step with 0 or 3+ pairs (its count flags it) reads a neighbour's
-    # or the spare pair (0, 0) at the end.
-    joint, nonint = _numbers(list(chain(pairs)) + [0, 0], integer=True)
-    joint, nonint = joint.reshape(-1, 2), nonint.reshape(-1, 2).any(axis=1)
-    counts = np.array(counts, dtype=np.intp)
-    last = np.cumsum(counts) - 1
-    ends = np.stack([last + 1 - counts, last], axis=1)
-    s, c = joint[ends, 0], joint[ends, 1]
-    outside = nonint[ends] | ~((0 <= s) & (s < dims[0]) & (0 <= c) & (c < dims[1]))
-    flats = np.where(outside, 0, s * dims[1] + c)
-    with np.errstate(invalid="ignore", over="ignore"):
-        # ||U†U - I||_F from the column norms and their inner product, as in GateStep.
-        u00, u01, u10, u11 = blocks[givens].reshape(-1, 4).T
-        off = np.abs(u00.conj() * u01 + u10.conj() * u11)
-        defect = np.sqrt((np.abs(u00) ** 2 + np.abs(u10) ** 2 - 1) ** 2
-                         + (np.abs(u01) ** 2 + np.abs(u11) ** 2 - 1) ** 2 + 2 * off ** 2)
-    bad = ((kinds < 0) | (counts != np.where(phase, 1, 2)) | non_number
-           | ~np.isfinite(np.where(givens, 0.0, params)) | outside.any(axis=1)
-           | (~phase & (flats[:, 0] == flats[:, 1])))
-    bad[givens] |= ~(defect <= _UNITARY_TOL)
-    for i in np.flatnonzero(bad).tolist():
-        if non_number[i]:
-            raise DomainError(f"step {i}: givens block has non-numeric entries" if givens[i]
-                              else f"step {i}: param {items[i]['param']!r} is not a number")
-        try:
-            GateStep.from_json(items[i]).local(dims)
-        except (DomainError, ShapeError) as e:
-            raise type(e)(f"step {i}: {e}") from None
-    return kinds, flats, blocks, params
+        entries = list(chain(u2s))
+        u2 = json_reals(list(chain(entries)), "u2")
+        pairs = [pair for idx in indices for pair in (idx[0], idx[-1])]  # a phase's pair twice
+        joint = np.array(list(chain(pairs)))
+        clean = (list(map(len, indices)) == [1 if code == _P else 2 for code in codes]
+                 and set(map(len, pairs)) <= {2} and set(map(len, u2s)) <= {4}
+                 and set(map(len, entries)) <= {2} and params.ndim == u2.ndim == 1
+                 and (joint.dtype.kind in "bi" or not items))
+    except (KeyError, IndexError, TypeError, ValueError):  # FormatError, DomainError included
+        clean = False
+    if clean:
+        kinds = np.array(codes, dtype=np.int8)
+        givens, phase = kinds == _GIVENS, kinds == _P
+        s, c = np.moveaxis(joint.astype(np.intp).reshape(-1, 2, 2), 2, 0)
+        flats = s * dims[1] + c
+        blocks = np.zeros((len(items), 2, 2), dtype=complex)
+        blocks[givens] = u2.view(complex).reshape(-1, 2, 2)
+        with np.errstate(invalid="ignore", over="ignore"):
+            # ||U†U - I||_F from the column norms and their inner product, as in GateStep.
+            u00, u01, u10, u11 = blocks[givens].reshape(-1, 4).T
+            off = np.abs(u00.conj() * u01 + u10.conj() * u11)
+            defect = np.sqrt((np.abs(u00) ** 2 + np.abs(u10) ** 2 - 1) ** 2
+                             + (np.abs(u01) ** 2 + np.abs(u11) ** 2 - 1) ** 2 + 2 * off ** 2)
+        clean = ((kinds >= 0).all() and np.isfinite(params).all()
+                 and (defect <= _UNITARY_TOL).all()
+                 and ((0 <= s) & (s < dims[0]) & (0 <= c) & (c < dims[1])).all()
+                 and (phase | (flats[:, 0] != flats[:, 1])).all())
+    if not clean:
+        _raise_first_fault(items, dims)
+    return kinds, flats, blocks, np.where(givens, math.nan, params)
 
 
 def layer_order(flats: np.ndarray, kinds: np.ndarray, n: int) -> tuple[np.ndarray, list]:

@@ -27,9 +27,12 @@ def as_operator(a) -> np.ndarray:
     return a
 
 
-def is_unitary(u: np.ndarray, tol: float) -> bool:
-    d = u.shape[0]
-    return np.linalg.norm(u.conj().T @ u - np.eye(d)) < tol
+def unitarity_defect(u: np.ndarray) -> float:
+    """||U†U - I||_F of a finite square u; inf, with no numpy warning, when
+    an entry is large enough to overflow the product or the norm."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = float(np.linalg.norm(u.conj().T @ u - np.eye(len(u))))
+    return defect if defect < np.inf else np.inf  # an overflow can leave NaN as well as inf
 
 
 def kron(a, b) -> np.ndarray:

@@ -33,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, FormatError, ShapeError, json_reals, load_json_object
-from .linalg import as_operator, is_unitary
+from .linalg import as_operator, unitarity_defect
 
 ENERGY_TOL = 1e-9
 PRESERVING_TOL = 1e-9  # largest ||U†U - I||_F and cross-block |u_ij| of an energy-preserving unitary
@@ -326,29 +326,33 @@ def random_energy_preserving_unitary(blocks: EnergyBlocks, seed: int) -> np.ndar
     return u
 
 
-def is_energy_preserving(u, blocks: EnergyBlocks, tol: float = PRESERVING_TOL) -> bool:
-    """True iff u is unitary and couples no distinct energy blocks."""
+def _preserving_fault(u, blocks: EnergyBlocks, tol: float) -> str | None:
+    """Why u is not an energy-preserving unitary to tol, or None: its worst
+    entry coupling two energy blocks or, when no entry does, its
+    unitarity defect ||U†U - I||_F (inf if it overflows)."""
     u = as_operator(u)
     if u.shape[0] != blocks.joint_dim:
         raise ShapeError(f"unitary dim {u.shape[0]} != joint dim {blocks.joint_dim}")
-    if not is_unitary(u, tol):
-        return False
     bid = blocks.block_of_flat()
-    mask = bid[:, None] != bid[None, :]
-    return bool(np.all(np.abs(u[mask]) < tol))
+    mags = np.where(bid[:, None] != bid[None, :], np.abs(u), 0.0)
+    if mags.max(initial=0.0) >= tol:
+        i, j = np.unravel_index(np.argmax(mags), mags.shape)
+        return f"unitary entry ({i},{j}) of magnitude {mags[i, j]:.3e} couples energy blocks"
+    defect = unitarity_defect(u)
+    if defect >= tol:
+        return f"matrix is not unitary: ||U†U - I||_F = {defect:.3e}"
+    return None
+
+
+def is_energy_preserving(u, blocks: EnergyBlocks, tol: float = PRESERVING_TOL) -> bool:
+    """True iff u is unitary and couples no distinct energy blocks."""
+    return _preserving_fault(u, blocks, tol) is None
 
 
 def require_energy_preserving(u, blocks: EnergyBlocks) -> None:
     """Raise DomainError unless is_energy_preserving(u, blocks), naming the
     worst cross-block entry of u or, when no entry couples two blocks, its
     unitarity defect ||U†U - I||_F."""
-    if is_energy_preserving(u, blocks):
-        return
-    u = as_operator(u)
-    bid = blocks.block_of_flat()
-    mags = np.where(bid[:, None] != bid[None, :], np.abs(u), 0.0)
-    i, j = np.unravel_index(np.argmax(mags), mags.shape)
-    if mags[i, j] < PRESERVING_TOL:
-        defect = np.linalg.norm(u.conj().T @ u - np.eye(len(u)))
-        raise DomainError(f"matrix is not unitary: ||U†U - I||_F = {defect:.3e}")
-    raise DomainError(f"unitary entry ({i},{j}) of magnitude {mags[i, j]:.3e} couples energy blocks")
+    fault = _preserving_fault(u, blocks, PRESERVING_TOL)
+    if fault is not None:
+        raise DomainError(fault)

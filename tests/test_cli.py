@@ -24,6 +24,7 @@ from thermoforge import (
 )
 from thermoforge import cli
 from thermoforge.cli import main
+from util import sequence_to_json
 
 LN2 = math.log(2.0)
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -115,6 +116,20 @@ class TestCompile:
         assert (code, report) == (3, None)
         assert "not unitary" in err and "6.000e+00" in err
         assert "couples" not in err
+
+    @pytest.mark.parametrize("method", ["exact", "trotter"])
+    def test_overflowing_unitarity_defect_is_inf(self, tmp_path, capsys, recwarn, method):
+        # U†U overflows on an entry of 1e308, so the defect is reported as
+        # inf, in one stderr line and with no numpy warning.
+        sf = write_json(tmp_path / "sys.json", {"energies": [0.0]})
+        cf = write_json(tmp_path / "cat.json", {"energies": [0.0, 1.0]})
+        uf = write_json(tmp_path / "u.json", {"re": [[1e308, 0], [0, 1]], "im": [[0, 0], [0, 0]]})
+        code, report, err = run_cli(capsys, [
+            "compile", "--system", sf, "--catalyst", cf, "--unitary", uf, "--method", method,
+        ])
+        assert (code, report) == (3, None)
+        assert err == "domain error: matrix is not unitary: ||U†U - I||_F = inf\n"
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     @pytest.mark.parametrize("re_part,code", [
         ([1.0, 0.0, 0.0, 1.0], 3),  # 1-D
@@ -389,6 +404,22 @@ class TestVerify:
         assert code == 0
         assert report["inputs"]["seed"] == 123
 
+    @pytest.mark.parametrize("env,argv,name", [
+        ("abc", [], "THERMOFORGE_SEED"),
+        ("-5", [], "THERMOFORGE_SEED"),
+        ("", [], "THERMOFORGE_SEED"),
+        (None, ["--seed", "-5"], "--seed"),
+    ])
+    def test_bad_seed_exits_3(self, capsys, monkeypatch, env, argv, name):
+        if env is None:
+            monkeypatch.delenv("THERMOFORGE_SEED", raising=False)
+        else:
+            monkeypatch.setenv("THERMOFORGE_SEED", env)
+        code, report, err = run_cli(capsys, ["verify", "--suite", "numerics", "--trials", "1",
+                                             *argv])
+        assert (code, report) == (3, None)
+        assert len(err.splitlines()) == 1 and name in err and "non-negative integer" in err
+
 
 class TestCurve:
     def test_diagonal_state_vertices(self, tmp_path, capsys, qutrit_file):
@@ -475,6 +506,29 @@ class TestCurve:
         code, report, err = run_cli(capsys, ["curve", "--state", sf, "--spectrum", spec])
         assert (code, err) == (0, "")
         assert report["outputs"]["vertices"] == [[0.0, 0.0], [math.exp(-740), 0.5], [1.0, 1.0]]
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("state,message", [
+        ({"re": [[0.9, 0.3], [0.3, 0.5]], "im": [[0, 0], [0, 0]]}, "trace 1.4, not 1"),
+        ({"re": [[0.5, 1e308], [0, 0.5]], "im": [[0, 0], [0, 0]]}, "not Hermitian"),
+        ({"re": [[0.5, 0], [0, 0.5]], "im": [[0.1, 0], [0, 0]]}, "not Hermitian"),
+    ])
+    @pytest.mark.parametrize("command", ["simulate", "curve"])
+    def test_dense_state_must_be_a_state(self, tmp_path, capsys, recwarn, state, message,
+                                         command):
+        # Checked on reading, before the coherence guard and before any gate.
+        spec = write_json(tmp_path / "spec.json", {"energies": [0, 1]})
+        cat = write_json(tmp_path / "cat.json", {"energies": [0]})
+        gates = write_json(tmp_path / "gates.json", {
+            "method": "handcrafted", "dims": [2, 1], "error_bound": 0.0,
+            "steps": [{"kind": "h", "indices": [[0, 0], [1, 0]], "param": 0.3}],
+        })
+        sf = write_json(tmp_path / "rho.json", state)
+        argv = (["simulate", "--state", sf, "--catalyst", cat, "--gates", gates]
+                if command == "simulate" else ["curve", "--state", sf, "--spectrum", spec])
+        code, report, err = run_cli(capsys, argv)
+        assert (code, report) == (3, None)
+        assert len(err.splitlines()) == 1 and message in err
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_coherent_state_is_guarded(self, tmp_path, capsys, qutrit_file):
@@ -804,7 +858,7 @@ class TestMutatedInputs:
             "u": {"re": u.real.tolist(), "im": u.imag.tolist()},
             "p": {"populations": [0.25, 0.75]},
             "rho": {"re": [[0.25, 0.0], [0.0, 0.75]], "im": [[0.0, 0.0], [0.0, 0.0]]},
-            "seq": compile_exact(u, blocks).to_json(),
+            "seq": sequence_to_json(compile_exact(u, blocks)),
         }
 
     @pytest.fixture(scope="class")

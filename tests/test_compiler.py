@@ -29,7 +29,7 @@ from thermoforge import (
     random_energy_preserving_unitary,
     reconstruct,
 )
-from thermoforge.errors import DomainError, ShapeError
+from thermoforge.errors import DomainError, FormatError, ShapeError
 from util import (
     random_antihermitian,
     random_resonant_spectra,
@@ -40,6 +40,7 @@ from util import (
     reference_rank2_combination,
     reference_target_matrix,
     sequence,
+    sequence_to_json,
 )
 
 
@@ -226,15 +227,24 @@ class TestLayeredKernel:
         assert sequence(steps, "trotter", (1, 4), trotter_m=3, repeat=3).layers == 6
 
 
+# Values that are not JSON numbers, or numbers only by the bool rule, or
+# integers beyond int64 or the float range.
+ODD_NUMBERS = ["0.5", "ab", None, True, False, 2 ** 63, -(2 ** 63) - 1, 10 ** 20, 10 ** 400]
+
+
 @st.composite
 def step_json(draw):
     """One JSON step, valid or not, on dims (2, 3): any kind or an unknown
-    one, 0-3 index pairs with entries in -1..3 or 0.5, a float param
-    (NaN and infinities included) or a u2 block moved off a unitary."""
+    one; 0-3 index pairs with entries in -1..3, floats, bools or huge
+    integers, or a two-character string for a pair; a param that is a
+    float (NaN and infinities included) or one of ODD_NUMBERS; or a u2
+    block moved off a unitary, one entry of which may be one of
+    ODD_NUMBERS."""
     kind = draw(st.sampled_from(("h", "m", "p", "g_diag", "givens", "x")))
-    entry = st.sampled_from([-1, 0, 1, 2, 3, 0.5])
-    pairs = draw(st.lists(st.lists(entry, min_size=2, max_size=2), max_size=3))
-    step = {"kind": kind, "indices": pairs}
+    entry = st.sampled_from([-1, 0, 1, 2, 3, 0.5, 1.0, True, False, 2 ** 63, 10 ** 400])
+    pair = st.one_of(st.lists(entry, min_size=2, max_size=2), st.sampled_from(["01", "ab"]))
+    step = {"kind": kind, "indices": draw(st.lists(pair, max_size=3))}
+    odd = st.sampled_from(ODD_NUMBERS)
     if kind == "givens":
         theta, phi = draw(st.floats(0, 2 * math.pi)), draw(st.floats(0, 2 * math.pi))
         u2 = np.array([[math.cos(theta), -math.sin(theta) * cmath.exp(1j * phi)],
@@ -242,8 +252,10 @@ def step_json(draw):
         u2.flat[draw(st.integers(0, 3))] += draw(st.sampled_from(
             [0.0, 1e-13, 1e-12, 1e-11, 0.1, math.nan, math.inf]))
         step["u2"] = [[z.real, z.imag] for z in u2.ravel().tolist()]
+        if draw(st.booleans()):
+            step["u2"][draw(st.integers(0, 3))][draw(st.integers(0, 1))] = draw(odd)
     else:
-        step["param"] = draw(st.floats(allow_nan=True, allow_infinity=True))
+        step["param"] = draw(st.one_of(st.floats(allow_nan=True, allow_infinity=True), odd))
     return step
 
 
@@ -251,11 +263,18 @@ class TestSequenceLoader:
     @given(st.lists(step_json(), min_size=1, max_size=4))
     @settings(max_examples=300, deadline=None)
     def test_checks_match_gatestep(self, items):
-        # The array checks of GateSequence.from_json reject the first step
-        # that GateStep.from_json or GateStep.local rejects, with its message.
+        # GateSequence.from_json raises the FormatError of the first step
+        # with a structural fault (here: a string pair among 0 or 3 pairs),
+        # else the error of the first step GateStep.from_json or
+        # GateStep.local rejects, with its message.
         dims = (2, 3)
         expected = None
         for i, item in enumerate(items):
+            if len(item["indices"]) not in (1, 2) and any(
+                    isinstance(p, str) for p in item["indices"]):
+                expected = (FormatError, f"step {i}: 'indices' must be a list of [s, c] pairs")
+                break
+        for i, item in enumerate(items if expected is None else []):
             try:
                 GateStep.from_json(item).local(dims)
             except (DomainError, ShapeError) as e:
@@ -346,6 +365,22 @@ class TestGateStep:
     def test_rejects_non_finite_param(self, kind, indices, param):
         with pytest.raises(DomainError, match="param"):
             GateStep(kind, indices, param=param)
+
+    @pytest.mark.parametrize("value", ["0.5", None, [0.3], 10 ** 400],
+                             ids=["string", "null", "list", "beyond-float"])
+    def test_from_json_refuses_a_non_number(self, value):
+        with pytest.raises(DomainError, match=r"^param .* is not a number$"):
+            GateStep.from_json({"kind": "h", "indices": [[0, 0], [0, 1]], "param": value})
+        u2 = [[value, 0], [0, 0], [0, 0], [1, 0]]
+        with pytest.raises(DomainError, match="^givens block has non-numeric entries$"):
+            GateStep.from_json({"kind": "givens", "indices": [[0, 0], [0, 1]], "u2": u2})
+
+    def test_from_json_reads_a_bool_as_its_integer(self):
+        step = GateStep.from_json({"kind": "h", "indices": [[0, 0], [0, 1]], "param": True})
+        assert step.param == 1.0
+        step = GateStep.from_json({"kind": "givens", "indices": [[0, 0], [0, 1]],
+                                   "u2": [[False, 0], [True, 0], [1, 0], [0, False]]})
+        assert np.array_equal(step.u2, [[0, 1], [1, 0]])
 
 
 def haar_block(rng, d):
@@ -518,7 +553,7 @@ class TestCompileExact:
             path = os.path.join(d, "seq.json")
             seq.save(path)
             with open(path) as f:
-                assert f.read() == json.dumps(seq.to_json(), indent=1)
+                assert f.read() == json.dumps(sequence_to_json(seq), indent=1)
 
     def test_rejects_block_coupling(self):
         s = Spectrum.from_energies([0.0, 1.0])
@@ -766,7 +801,7 @@ class TestPeriodicReconstruct:
 
     def test_json_loaded_sequence_takes_gate_path(self, kernel_calls):
         seq = periodic_builders()["bch"](16)
-        loaded = GateSequence.from_json(json.loads(json.dumps(seq.to_json())))
+        loaded = GateSequence.from_json(json.loads(json.dumps(sequence_to_json(seq))))
         assert loaded.trotter_m == 16
         assert np.linalg.norm(reconstruct(loaded) - reconstruct(seq)) < 1e-12 * 16
         assert kernel_calls == [(len(seq), 1), (len(seq) // 16, 1)]
@@ -1121,7 +1156,7 @@ class TestSequenceJson:
             path = os.path.join(d, "seq.json")
             seq.save(path)
             with open(path) as f:
-                assert f.read() == json.dumps(seq.to_json(), indent=1)
+                assert f.read() == json.dumps(sequence_to_json(seq), indent=1)
             loaded = GateSequence.from_json(path)
         assert_same_columns(loaded, seq)
 
@@ -1153,7 +1188,7 @@ class TestSequenceJson:
             path = os.path.join(d, "seq.json")
             seq.save(path)
             with open(path) as f:
-                assert f.read() == json.dumps(seq.to_json(), indent=1)
+                assert f.read() == json.dumps(sequence_to_json(seq), indent=1)
 
     @given(gate_sequences())
     @settings(max_examples=200, deadline=None)
@@ -1180,7 +1215,7 @@ class TestSequenceJson:
         for seq in (compile_exact(u, blocks), compile_bch(gh, gm, 0.3, 5, blocks.dims)):
             path = tmp_path / f"{seq.method}.json"
             seq.save(str(path))
-            assert path.read_text() == json.dumps(seq.to_json(), indent=1)
+            assert path.read_text() == json.dumps(sequence_to_json(seq), indent=1)
 
     @given(st.sampled_from(["trotter", "bch", "nested"]), st.integers(1, 40))
     @settings(max_examples=60, deadline=None)
@@ -1193,7 +1228,7 @@ class TestSequenceJson:
             with open(path) as f:
                 text = f.read()
             loaded = GateSequence.from_json(path)
-        assert text == json.dumps(seq.to_json(), indent=1)
+        assert text == json.dumps(sequence_to_json(seq), indent=1)
         assert (loaded.repeat, len(loaded), loaded.trotter_m) == (1, len(seq), m)
         for got, want in zip(loaded.steps, seq.steps):
             assert (got.kind, got.indices, got.param) == (want.kind, want.indices, want.param)
@@ -1208,7 +1243,7 @@ class TestSequenceJson:
         seq = periodic_builders()[method](m)
         path = tmp_path / "seq.json"
         seq.save(str(path))
-        assert path.read_text() == json.dumps(seq.to_json(), indent=1)
+        assert path.read_text() == json.dumps(sequence_to_json(seq), indent=1)
 
     def test_repeated_handcrafted_slice(self, tmp_path):
         swap = GateStep("givens", ((0, 0), (1, 1)), u2=np.array([[0, 1j], [1j, 0]]))
@@ -1217,4 +1252,4 @@ class TestSequenceJson:
         assert seq.repeat == 3
         path = tmp_path / "seq.json"
         seq.save(str(path))
-        assert path.read_text() == json.dumps(seq.to_json(), indent=1)
+        assert path.read_text() == json.dumps(sequence_to_json(seq), indent=1)

@@ -127,6 +127,19 @@ class TestExpmSkew:
             expm_skew(np.eye(2))
 
 
+class TestUnitarityDefect:
+    def test_frobenius_norm(self):
+        assert linalg.unitarity_defect(2 * np.eye(3)) == pytest.approx(3 * np.sqrt(3))
+        assert linalg.unitarity_defect(np.eye(3)[[2, 0, 1]]) == 0.0
+
+    @pytest.mark.parametrize("entry", [1e308, 1e200, 1e308j])
+    def test_overflow_is_inf_without_warning(self, entry, recwarn):
+        u = np.eye(2, dtype=complex)
+        u[0, 0] = entry
+        assert linalg.unitarity_defect(u) == np.inf
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 class TestDistance:
     def test_zero_on_equal(self):
         rng = np.random.default_rng(7)

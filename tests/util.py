@@ -36,7 +36,7 @@ def sequence(steps, method, dims, error_bound=0.0, trotter_m=None, repeat=1):
     checks run at construction; each step's indices are written as given,
     which lets a float, negative or extra index pair reach those checks.
     """
-    items = [dict(step.to_json(), indices=[list(pair) for pair in step.indices])
+    items = [dict(step_to_json(step), indices=[list(pair) for pair in step.indices])
              for step in steps]
     obj = {"method": method, "dims": list(dims), "error_bound": error_bound, "steps": items}
     if trotter_m is not None:
@@ -44,6 +44,28 @@ def sequence(steps, method, dims, error_bound=0.0, trotter_m=None, repeat=1):
     one = GateSequence.from_json(obj)
     return GateSequence(one.kinds, one.flats, one.blocks, one.params, one.method, one.dims,
                         one.error_bound, one.trotter_m, repeat)
+
+
+def step_to_json(step) -> dict:
+    """The JSON object of one GateStep (docs/formats.md), built field by
+    field: the reference for the steps GateSequence.save writes."""
+    d = {"kind": step.kind, "indices": [[int(s), int(c)] for s, c in step.indices]}
+    if step.kind == "givens":
+        d["u2"] = [[z.real, z.imag] for z in step.u2.ravel().tolist()]
+    else:
+        d["param"] = float(step.param)
+    return d
+
+
+def sequence_to_json(seq) -> dict:
+    """The JSON object of a GateSequence, one step object per gate: the
+    reference GateSequence.save is checked against, as
+    json.dumps(sequence_to_json(seq), indent=1) must equal the file."""
+    d = {"method": seq.method, "dims": list(seq.dims), "error_bound": seq.error_bound,
+         "steps": [step_to_json(step) for step in seq.steps]}
+    if seq.trotter_m is not None:
+        d["trotter_m"] = seq.trotter_m
+    return d
 
 
 def reference_clipped_populations(p):

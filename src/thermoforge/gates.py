@@ -446,7 +446,7 @@ def _read_steps(items, dims: tuple[int, int]):
         clean = (list(map(len, indices)) == [1 if code == _P else 2 for code in codes]
                  and set(map(len, pairs)) <= {2} and set(map(len, u2s)) <= {4}
                  and set(map(len, entries)) <= {2} and params.ndim == u2.ndim == 1
-                 and (joint.dtype.kind in "bi" or not items))
+                 and (joint.ndim == 1 and joint.dtype.kind in "bi" or not items))
     except (KeyError, IndexError, TypeError, ValueError):  # FormatError, DomainError included
         clean = False
     if clean:

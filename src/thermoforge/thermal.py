@@ -353,6 +353,5 @@ def require_energy_preserving(u, blocks: EnergyBlocks) -> None:
     """Raise DomainError unless is_energy_preserving(u, blocks), naming the
     worst cross-block entry of u or, when no entry couples two blocks, its
     unitarity defect ||U†U - I||_F."""
-    fault = _preserving_fault(u, blocks, PRESERVING_TOL)
-    if fault is not None:
-        raise DomainError(fault)
+    if not is_energy_preserving(u, blocks):
+        raise DomainError(_preserving_fault(u, blocks, PRESERVING_TOL))

@@ -408,8 +408,9 @@ class TestVerify:
         ("abc", [], "THERMOFORGE_SEED"),
         ("-5", [], "THERMOFORGE_SEED"),
         ("", [], "THERMOFORGE_SEED"),
+        ("9" * 5000, [], "THERMOFORGE_SEED"),  # beyond int()'s digit limit
         (None, ["--seed", "-5"], "--seed"),
-    ])
+    ], ids=["letters", "negative", "empty", "5000-digits", "negative-flag"])
     def test_bad_seed_exits_3(self, capsys, monkeypatch, env, argv, name):
         if env is None:
             monkeypatch.delenv("THERMOFORGE_SEED", raising=False)
@@ -509,7 +510,8 @@ class TestCurve:
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     @pytest.mark.parametrize("state,message", [
-        ({"re": [[0.9, 0.3], [0.3, 0.5]], "im": [[0, 0], [0, 0]]}, "trace 1.4, not 1"),
+        ({"re": [[0.9, 0.3], [0.3, 0.5]], "im": [[0, 0], [0, 0]]}, "sum to 1.4, not 1"),
+        ({"re": [[1.5, 0], [0, -0.5]], "im": [[0, 0], [0, 0]]}, "negative or NaN population -0.5"),
         ({"re": [[0.5, 1e308], [0, 0.5]], "im": [[0, 0], [0, 0]]}, "not Hermitian"),
         ({"re": [[0.5, 0], [0, 0.5]], "im": [[0.1, 0], [0, 0]]}, "not Hermitian"),
     ])

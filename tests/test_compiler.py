@@ -292,6 +292,20 @@ class TestSequenceLoader:
                 GateSequence.from_json(obj)
             assert str(info.value) == expected[1]
 
+    @pytest.mark.parametrize("wrap", [lambda e: [e], lambda e: [e, e]], ids=["once", "twice"])
+    def test_every_index_entry_nested(self, wrap):
+        # Nested alike in every step, the entries form one regular array
+        # instead of a ragged one; they are still not integers.
+        steps = [{"kind": "h", "indices": [[0, 0], [1, 0]], "param": 0.3},
+                 {"kind": "p", "indices": [[1, 0]], "param": 0.2}]
+        for step in steps:
+            step["indices"] = [[wrap(e) for e in pair] for pair in step["indices"]]
+        obj = {"method": "handcrafted", "dims": [2, 1], "error_bound": 0.0, "steps": steps}
+        with pytest.raises(ShapeError) as info:
+            GateSequence.from_json(obj)
+        pair = tuple(wrap(0) for _ in range(2))
+        assert str(info.value) == f"step 0: joint index {pair} is not an integer pair"
+
 
 class TestGateStep:
     def test_elementary_support(self):

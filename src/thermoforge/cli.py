@@ -22,7 +22,7 @@ from . import cooling
 from .compiler import GateSequence, compile_approximate, compile_exact, reconstruct
 from .errors import (CapacityError, CoherenceError, DomainError, FormatError, PreconditionError,
                      ShapeError, json_reals, load_json_object)
-from .linalg import DEFAULT_TOL, as_operator, frobenius_distance
+from .linalg import DEFAULT_TOL, _eigvalsh_by_blocks, as_operator, frobenius_distance
 from .majorization import max_ground_population_TO, thermo_curve, thermo_majorizes
 from .channels import STRICT_TOL, run_gc_eto
 from .thermal import DiagonalState, Spectrum, energy_blocks, gibbs_state
@@ -76,9 +76,10 @@ def _complex_array(obj: dict) -> np.ndarray:
 
 def _load_state(path: str, coherence_guard: bool = False):
     """Returns (dense matrix, populations-or-None).  A dense state must be
-    Hermitian to DEFAULT_TOL (||rho - rho†||_F, as trace_distance needs)
-    and its diagonal must be a DiagonalState; both are checked before the
-    coherence guard."""
+    Hermitian to DEFAULT_TOL (||rho - rho†||_F, as trace_distance needs),
+    its diagonal must be a DiagonalState and its smallest eigenvalue must
+    be -DEFAULT_TOL or more; all three are checked before the coherence
+    guard."""
     obj = load_json_object(path, "a state")
     if "populations" in obj:
         p = DiagonalState(json_reals(obj["populations"], "populations"))
@@ -89,7 +90,11 @@ def _load_state(path: str, coherence_guard: bool = False):
     if not skew <= DEFAULT_TOL:
         raise DomainError(f"state is not Hermitian: ||rho - rho†||_F = {skew:.3e}")
     p = DiagonalState(np.real(np.diag(rho)))
-    mass = np.abs(rho - np.diag(np.diag(rho))).sum()  # off-diagonal
+    low = _eigvalsh_by_blocks(rho).min()
+    if not low >= -DEFAULT_TOL:
+        raise DomainError(f"state is not positive: smallest eigenvalue {low:.3e}")
+    with np.errstate(over="ignore"):
+        mass = np.abs(rho - np.diag(np.diag(rho))).sum()  # off-diagonal
     if mass <= COHERENCE_TOL:
         return rho, p
     if coherence_guard:

@@ -2,9 +2,24 @@
 
 All operators are plain numpy complex arrays.  Everything here is a pure
 function; nothing mutates its inputs.  trace_distance solves the exact
-diagonal blocks of a difference (up to a permutation of levels) one
-stack at a time, so a block-diagonal difference costs O(sum_b d_b^3),
-not O(n^3).
+diagonal blocks of a difference (up to a permutation of levels), padded
+into groups of like size (block_stacks), so a block-diagonal difference
+costs O(sum_b d_b^3), not O(n^3).
+
+kron, partial_trace, expm_skew, dagger, frobenius_distance and
+trace_distance also take stacks of shape (..., n, n), whose leading axes
+index independent matrices.  kron, partial_trace, expm_skew and dagger
+return a (..., m, m) stack of results; the two distances return a float
+array of shape (...).  The two factors of kron are stacks of one leading
+shape; the two arguments of a distance are stacks of one shape, or a
+stack and one matrix.  A 2-D argument is the stack with no leading axes
+and takes the same code path, returning a matrix or a float; slice i of
+a stacked call is bit-equal to the 2-D call on slice i.  kron takes no
+single factor against a stack: numpy may multiply such a layout in a
+loop without fused multiply-adds, whose complex products differ in the
+last bit from those of the 2-D call.  as_operator, the reader of every
+other module's inputs, still takes one square matrix only; it shares
+the finiteness rule of the kernels.
 """
 from __future__ import annotations
 
@@ -18,13 +33,41 @@ _BLOCK_MIN_DIM = 64  # below it one eigvalsh costs less than finding blocks
 _LABEL_PASSES = 8  # label passes before a pattern counts as one block
 
 
-def as_operator(a) -> np.ndarray:
+def _operators(a) -> np.ndarray:
+    """a as a complex (..., n, n) stack of square matrices with finite entries."""
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ShapeError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.view(float))):
+    if not np.isfinite(a).all():
         raise DomainError("operator has non-finite entries")
     return a
+
+
+def as_operator(a) -> np.ndarray:
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 2:
+        raise ShapeError(f"expected a square matrix, got shape {a.shape}")
+    return _operators(a)
+
+
+def dagger(a: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of each matrix of a (..., n, n) stack."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def _frobenius(x: np.ndarray) -> np.ndarray:
+    """||x||_F of each matrix of a (..., n, n) stack, taken as the two dot
+    products np.linalg.norm takes of one flattened matrix, so a slice has
+    the bits of np.linalg.norm(x[i])."""
+    flat = x.reshape(x.shape[:-2] + (1, x.shape[-1] ** 2))
+    re, im = flat.real, flat.imag
+    sq = re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2)
+    return np.sqrt(sq[..., 0, 0])
+
+
+def _scalars(x: np.ndarray):
+    """A float for a 0-d result, else the float array."""
+    return float(x) if x.ndim == 0 else x
 
 
 def unitarity_defect(u: np.ndarray) -> float:
@@ -37,13 +80,17 @@ def unitarity_defect(u: np.ndarray) -> float:
 
 def kron(a, b) -> np.ndarray:
     """Tensor product with the second factor's index varying fastest."""
-    a = as_operator(a)
-    b = as_operator(b)
-    joint = a.shape[0] * b.shape[0]
+    a = _operators(a)
+    b = _operators(b)
+    if a.shape[:-2] != b.shape[:-2]:
+        raise ShapeError(f"stacks of different lengths: {a.shape} vs {b.shape}")
+    m, n = a.shape[-1], b.shape[-1]
+    joint = m * n
     if joint > JOINT_DIM_CAP:
         raise CapacityError(f"joint dimension {joint} exceeds cap {JOINT_DIM_CAP}")
     # Each entry is the one product a[i, j] * b[k, l], as in np.kron.
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(joint, joint)
+    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return prod.reshape(prod.shape[:-4] + (joint, joint))
 
 
 def partial_trace(rho, dims: tuple[int, int], keep: int) -> np.ndarray:
@@ -51,16 +98,16 @@ def partial_trace(rho, dims: tuple[int, int], keep: int) -> np.ndarray:
 
     ``keep=0`` keeps the first (slow) factor, ``keep=1`` the second.
     """
-    rho = as_operator(rho)
+    rho = _operators(rho)
     if keep not in (0, 1):
         raise ShapeError(f"keep must select one of two subsystems, got {keep!r}")
     da, db = dims
-    if da * db != rho.shape[0]:
-        raise ShapeError(f"dims {dims} do not factor dimension {rho.shape[0]}")
-    r = rho.reshape(da, db, da, db)
+    if da * db != rho.shape[-1]:
+        raise ShapeError(f"dims {dims} do not factor dimension {rho.shape[-1]}")
+    r = rho.reshape(rho.shape[:-2] + (da, db, da, db))
     if keep == 0:
-        return np.einsum("ikjk->ij", r)
-    return np.einsum("kikj->ij", r)
+        return np.einsum("...ikjk->...ij", r)
+    return np.einsum("...kikj->...ij", r)
 
 
 def expm_skew(k) -> np.ndarray:
@@ -68,12 +115,12 @@ def expm_skew(k) -> np.ndarray:
 
     Exactly unitary to machine precision; no series truncation.
     """
-    k = as_operator(k)
-    if np.linalg.norm(k + k.conj().T) >= DEFAULT_TOL:
+    k = _operators(k)
+    if (_frobenius(k + dagger(k)) >= DEFAULT_TOL).any():
         raise DomainError("expm_skew requires an anti-Hermitian input")
     # iK is Hermitian, K = -i(iK), so exp(K) = V diag(e^{-i w}) V†.
     w, v = np.linalg.eigh(1j * k)
-    return (v * np.exp(-1j * w)) @ v.conj().T
+    return (v * np.exp(-1j * w)[..., None, :]) @ dagger(v)
 
 
 def block_stacks(sizes: list[int]) -> list[list[int]]:
@@ -94,11 +141,19 @@ def block_stacks(sizes: list[int]) -> list[list[int]]:
     return stacks
 
 
-def frobenius_distance(a, b) -> float:
-    a, b = as_operator(a), as_operator(b)
-    if a.shape != b.shape:
+def _same_size(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """a and b as stacks of one shape, or a stack and one matrix of its size."""
+    a, b = _operators(a), _operators(b)
+    stacked = a.ndim > 2 and b.ndim > 2
+    if a.shape[-1] != b.shape[-1] or stacked and a.shape != b.shape:
         raise ShapeError(f"shape mismatch {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
+    return a, b
+
+
+def frobenius_distance(a, b):
+    """||a - b||_F, of each pair of slices for stacks."""
+    a, b = _same_size(a, b)
+    return _scalars(_frobenius(a - b))
 
 
 def _eigvalsh_by_blocks(h: np.ndarray) -> np.ndarray:
@@ -149,16 +204,20 @@ def _eigvalsh_by_blocks(h: np.ndarray) -> np.ndarray:
     return np.concatenate(eigs)
 
 
-def trace_distance(a, b) -> float:
-    """Half the sum of the absolute eigenvalues of a - b (Hermitian inputs),
-    taken per exact diagonal block of (Δ + Δ†)/2 when it has some (see
-    _eigvalsh_by_blocks)."""
-    a, b = as_operator(a), as_operator(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"shape mismatch {a.shape} vs {b.shape}")
+def trace_distance(a, b):
+    """Half the sum of the absolute eigenvalues of a - b (Hermitian inputs).
+
+    A stack below _BLOCK_MIN_DIM takes one stacked eigvalsh; larger
+    matrices go one at a time through _eigvalsh_by_blocks, which solves
+    the exact diagonal blocks of (Δ + Δ†)/2 when it has some."""
+    a, b = _same_size(a, b)
     diff = a - b
-    dh = diff.conj().T
-    if np.linalg.norm(diff - dh) >= DEFAULT_TOL:
+    dh = dagger(diff)
+    if (_frobenius(diff - dh) >= DEFAULT_TOL).any():
         raise DomainError("trace distance requires Hermitian inputs")
-    eigs = _eigvalsh_by_blocks((diff + dh) / 2)
-    return float(np.sum(np.abs(eigs)) / 2)
+    h = (diff + dh) / 2
+    n = h.shape[-1]
+    if n < _BLOCK_MIN_DIM:
+        return _scalars(np.sum(np.abs(np.linalg.eigvalsh(h)), axis=-1) / 2)
+    dist = [np.sum(np.abs(_eigvalsh_by_blocks(m))) / 2 for m in h.reshape(-1, n, n)]
+    return _scalars(np.reshape(dist, h.shape[:-2]))

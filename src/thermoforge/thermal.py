@@ -299,30 +299,35 @@ def energy_blocks(spec_s: Spectrum, spec_c: Spectrum) -> EnergyBlocks:
                         dims=(spec_s.dim, spec_c.dim))
 
 
-def random_energy_preserving_unitary(blocks: EnergyBlocks, seed: int) -> np.ndarray:
+def random_energy_preserving_unitary(blocks: EnergyBlocks, seed) -> np.ndarray:
     """Block-diagonal unitary with an independent Haar block per energy.
 
     One rng.standard_normal call draws sum_b 2 d_b^2 values; block b, in
     block order, takes the next d_b^2 as the real parts of a d_b x d_b
     matrix Z (row-major), then the next d_b^2 as its imaginary parts.
     Each Z is QR-factored (one stacked qr per block size) and Q's columns
-    are multiplied by the phases of R's diagonal.
+    are multiplied by the phases of R's diagonal.  An array of seeds, such
+    as a sequence of T, gives the stack of shape (T, n, n) whose slice i is
+    the unitary of seed i, bit for bit: one rng per seed, one qr per block
+    size for the whole stack.
     """
-    rng = np.random.default_rng(seed)
+    lead = np.shape(seed)
     n = blocks.joint_dim
     sizes = np.diff(blocks.offsets)
     width = 2 * sizes * sizes
     starts = np.cumsum(width) - width
-    draw = rng.standard_normal(int(width.sum()))
-    u = np.zeros((n, n), dtype=complex)
+    total = int(width.sum())
+    draw = np.reshape([np.random.default_rng(s).standard_normal(total)
+                       for s in np.ravel(seed).tolist()], lead + (total,))
+    u = np.zeros(lead + (n, n), dtype=complex)
     for d in sorted(set(sizes.tolist())):
         bs = np.flatnonzero(sizes == d)
-        z = draw[starts[bs][:, None] + np.arange(2 * d * d)].reshape(-1, 2, d, d)
-        q, r = np.linalg.qr(z[:, 0] + 1j * z[:, 1])
-        diag = r.diagonal(axis1=1, axis2=2)
-        q *= (diag / np.abs(diag))[:, None, :]
+        z = draw[..., starts[bs][:, None] + np.arange(2 * d * d)].reshape(lead + (len(bs), 2, d, d))
+        q, r = np.linalg.qr(z[..., 0, :, :] + 1j * z[..., 1, :, :])
+        diag = r.diagonal(axis1=-2, axis2=-1)
+        q *= (diag / np.abs(diag))[..., None, :]
         idx = blocks.order[blocks.offsets[bs][:, None] + np.arange(d)]
-        u[idx[:, :, None], idx[:, None, :]] = q
+        u[..., idx[:, :, None], idx[:, None, :]] = q
     return u
 
 

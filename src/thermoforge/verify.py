@@ -5,6 +5,14 @@ returns one CheckResult per named property.  Deterministic per
 (seed, trials).  The random_* helpers draw every instance; the test
 suite imports them too, so their draw order is pinned by seeded tests
 as well as by `verify` stdout.
+
+suite_numerics and the TO-oracle loop of suite_majorization (in
+_oracle_excess) draw trials of one fixed shape.  They take them in chunks
+of at most TRIAL_CHUNK, so memory is bounded for any trial count: a chunk
+is drawn in the rng order of a loop of single trials, then evaluated with
+one stacked call per kernel (see linalg).  Each measured value is
+bit-equal to that of the loop of 2-D calls, which the test suite keeps
+as a reference.
 """
 from __future__ import annotations
 
@@ -21,7 +29,7 @@ from .channels import (
 )
 from .compiler import GateSequence, compile_bch, compile_exact, compile_trotter, reconstruct
 from .generators import enumerate_basis, lie_closure, rank2_basis, ElementaryGenerator
-from .linalg import expm_skew, frobenius_distance, kron, partial_trace, trace_distance
+from .linalg import dagger, expm_skew, frobenius_distance, kron, partial_trace, trace_distance
 from .majorization import max_ground_population_TO, thermo_majorizes
 from .thermal import (
     DiagonalState,
@@ -42,20 +50,60 @@ class CheckResult:
     tolerance: float
 
 
+TRIAL_CHUNK = 256  # most trials one stacked kernel call takes
+
+
+def _chunks(trials: int) -> list[int]:
+    """Sizes of the consecutive chunks of at most TRIAL_CHUNK trials."""
+    return [min(TRIAL_CHUNK, trials - start) for start in range(0, trials, TRIAL_CHUNK)]
+
+
+def _trace(a):
+    """The trace of each matrix of a (..., n, n) stack."""
+    return np.trace(a, axis1=-2, axis2=-1)
+
+
+def _complex(z):
+    """Z = Re + i Im of a (..., 2, d, d) draw: its d^2 real parts, then its
+    d^2 imaginary parts."""
+    return z[..., 0, :, :] + 1j * z[..., 1, :, :]
+
+
+def _hermitian(z):
+    z = _complex(z)
+    return (z + dagger(z)) / 2
+
+
+def _antihermitian(z):
+    z = _complex(z)
+    return (z - dagger(z)) / 2
+
+
+def _density(z):
+    z = _complex(z)
+    rho = z @ dagger(z)
+    return rho / _trace(rho).real[..., None, None]
+
+
+def _trial_draws(rng, trials: int, dims) -> list[np.ndarray]:
+    """One (trials, 2, d, d) draw per d in dims, taken from one
+    rng.standard_normal call in the order of a loop that calls
+    random_hermitian (or its siblings) once per d, trial after trial."""
+    widths = [2 * d * d for d in dims]
+    parts = np.split(rng.standard_normal((trials, sum(widths))), np.cumsum(widths)[:-1], axis=1)
+    return [part.reshape(trials, 2, d, d) for part, d in zip(parts, dims)]
+
+
 def random_hermitian(rng, d):
-    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return (z + z.conj().T) / 2
+    return _hermitian(rng.standard_normal((2, d, d)))
 
 
 def random_antihermitian(rng, d):
-    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return (z - z.conj().T) / 2
+    return _antihermitian(rng.standard_normal((2, d, d)))
 
 
 def random_density(rng, d):
-    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    rho = z @ z.conj().T
-    return rho / np.trace(rho).real
+    return _density(rng.standard_normal((2, d, d)))
 
 
 def random_populations(rng, d):
@@ -80,22 +128,27 @@ def _hi(results, name, measured, tolerance, below=True):
 def suite_numerics(seed: int, trials: int) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     results: list[CheckResult] = []
-    worst = {"assoc": 0.0, "trace": 0.0, "pt": 0.0, "unit": 0.0, "inv": 0.0, "tri": 0.0}
-    for _ in range(trials):
-        a = random_hermitian(rng, 2)
-        b = random_hermitian(rng, 3)
-        c = random_hermitian(rng, 2)
-        worst["assoc"] = max(worst["assoc"], frobenius_distance(kron(kron(a, b), c), kron(a, kron(b, c))))
-        worst["trace"] = max(worst["trace"], abs(np.trace(kron(a, b)) - np.trace(a) * np.trace(b)))
-        worst["pt"] = max(worst["pt"], frobenius_distance(partial_trace(kron(a, b), (2, 3), 0), np.trace(b) * a))
-        k = random_antihermitian(rng, 4)
+    worst = dict.fromkeys(("assoc", "trace", "pt", "unit", "inv", "tri"), 0.0)
+    eye = np.eye(4)
+    for t in _chunks(trials):
+        a, b, c, k, x, y, z = _trial_draws(rng, t, (2, 3, 2, 4, 3, 3, 3))
+        a, b, c, k = _hermitian(a), _hermitian(b), _hermitian(c), _antihermitian(k)
+        x, y, z = _density(x), _density(y), _density(z)
+        ab = kron(a, b)
+        tr_b = _trace(b)
+        trace_gap = _trace(ab) - _trace(a) * tr_b
         u = expm_skew(k)
-        worst["unit"] = max(worst["unit"], np.linalg.norm(u.conj().T @ u - np.eye(4)))
-        worst["inv"] = max(worst["inv"], frobenius_distance(u @ expm_skew(-k), np.eye(4)))
-        x, y, z = (random_density(rng, 3) for _ in range(3))
-        worst["tri"] = max(
-            worst["tri"], trace_distance(x, z) - trace_distance(x, y) - trace_distance(y, z)
-        )
+        measured = {
+            "assoc": frobenius_distance(kron(ab, c), kron(a, kron(b, c))),
+            # hypot has the bits of abs() of one complex; np.abs need not
+            "trace": np.hypot(trace_gap.real, trace_gap.imag),
+            "pt": frobenius_distance(partial_trace(ab, (2, 3), 0), tr_b[:, None, None] * a),
+            "unit": frobenius_distance(dagger(u) @ u, eye),
+            "inv": frobenius_distance(u @ expm_skew(-k), eye),
+            "tri": trace_distance(x, z) - trace_distance(x, y) - trace_distance(y, z),
+        }
+        for key, values in measured.items():
+            worst[key] = max(worst[key], float(values.max()))
     _hi(results, "kron_associative", worst["assoc"], 1e-12)
     _hi(results, "kron_trace_product", worst["trace"], 1e-12)
     _hi(results, "partial_trace_of_product", worst["pt"], 1e-12)
@@ -261,22 +314,28 @@ def suite_majorization(seed: int, trials: int) -> list[CheckResult]:
         a, b, c = (DiagonalState(random_populations(rng, 3)) for _ in range(3))
         if thermo_majorizes(a, b, spec) and thermo_majorizes(b, c, spec):
             transitivity_ok &= thermo_majorizes(a, c, spec, tol=1e-8)
-    # TO optimality oracle never exceeded by simulated unitaries.
-    inst = cooling.build_cooling_instance(2)
-    oracle = max_ground_population_TO(cooling.DEFAULT_INPUT, inst.system, inst.catalyst)
-    blocks = energy_blocks(inst.system, inst.catalyst)
-    tau_c = gibbs_state(inst.catalyst).to_dense()
-    over = 0.0
-    for _ in range(min(trials, 200)):
-        u = random_energy_preserving_unitary(blocks, seed=int(rng.integers(1 << 31)))
-        joint = u @ kron(cooling.DEFAULT_INPUT.to_dense(), tau_c) @ u.conj().T
-        sigma = partial_trace(joint, blocks.dims, keep=0)
-        over = max(over, float(np.real(sigma[0, 0])) - oracle)
+    over = _oracle_excess(rng, min(trials, 200))  # the TO optimum is never exceeded
     results.append(CheckResult("to_monotonicity_violations", violations == 0, float(violations), 0.0))
     results.append(CheckResult("beta_swap_majorized", swap_violations == 0, float(swap_violations), 0.0))
     results.append(CheckResult("curve_transitivity", transitivity_ok, float(transitivity_ok), 1.0))
     _hi(results, "to_oracle_upper_bound", over, 1e-9)
     return results
+
+
+def _oracle_excess(rng, trials: int) -> float:
+    """Largest ground population that a Haar energy-preserving unitary gives
+    the cooling input at D = 2, less the TO optimum (the oracle), over
+    `trials` unitaries, each drawn from an rng.integers seed in turn."""
+    inst = cooling.build_cooling_instance(2)
+    oracle = max_ground_population_TO(cooling.DEFAULT_INPUT, inst.system, inst.catalyst)
+    blocks = energy_blocks(inst.system, inst.catalyst)
+    joint_in = kron(cooling.DEFAULT_INPUT.to_dense(), gibbs_state(inst.catalyst).to_dense())
+    over = 0.0
+    for t in _chunks(trials):
+        u = random_energy_preserving_unitary(blocks, seed=rng.integers(1 << 31, size=t))
+        sigma = partial_trace(u @ joint_in @ dagger(u), blocks.dims, keep=0)
+        over = max(over, float(np.max(sigma[:, 0, 0].real - oracle)))
+    return over
 
 
 def suite_cooling(seed: int, trials: int) -> list[CheckResult]:

@@ -150,6 +150,18 @@ class TestCompile:
         assert (got, report) == (code, None)
         assert err
 
+    @pytest.mark.parametrize("shape", [(1, 4, 4), (4, 4, 4), (2, 2, 2, 2)])
+    def test_stacked_unitary_exits_3(self, tmp_path, capsys, qubit_cat_file, shape):
+        # The kernels take stacks; the matrix reader does not.
+        u = np.broadcast_to(np.eye(4).ravel(), (np.prod(shape) // 16, 16)).reshape(shape)
+        uf = write_matrix(tmp_path / "u.json", u)
+        code, report, err = run_cli(capsys, [
+            "compile", "--system", qubit_cat_file, "--catalyst", qubit_cat_file,
+            "--unitary", uf,
+        ])
+        assert (code, report) == (3, None)
+        assert err == f"domain error: expected a square matrix, got shape {shape}\n"
+
     @pytest.mark.parametrize("system,code", [
         ({"energies": ["0", "1"]}, 3),
         ({"energies": [[0, 1], [2]]}, 2),
@@ -514,6 +526,12 @@ class TestCurve:
         ({"re": [[1.5, 0], [0, -0.5]], "im": [[0, 0], [0, 0]]}, "negative or NaN population -0.5"),
         ({"re": [[0.5, 1e308], [0, 0.5]], "im": [[0, 0], [0, 0]]}, "not Hermitian"),
         ({"re": [[0.5, 0], [0, 0.5]], "im": [[0.1, 0], [0, 0]]}, "not Hermitian"),
+        # Hermitian, trace 1 and a nonnegative diagonal, eigenvalues -1.5 and 2.5.
+        ({"re": [[0.5, 2], [2, 0.5]], "im": [[0, 0], [0, 0]]},
+         "not positive: smallest eigenvalue -1.500e+00"),
+        # The same with off-diagonals whose absolute sum overflows.
+        ({"re": [[0.5, 1e308], [1e308, 0.5]], "im": [[0, 0], [0, 0]]},
+         "not positive: smallest eigenvalue -1.000e+308"),
     ])
     @pytest.mark.parametrize("command", ["simulate", "curve"])
     def test_dense_state_must_be_a_state(self, tmp_path, capsys, recwarn, state, message,
@@ -632,6 +650,20 @@ class TestSimulate:
         assert abs(pops[0] - 0.5) < 1e-12
         assert report["outputs"]["post_verdict"]["strict"]
         assert not report["outputs"]["pre_verdict"]["correlated"]
+
+    @pytest.mark.parametrize("shape", [(1, 2, 2), (2, 2, 2)])
+    def test_stacked_state_exits_3(self, tmp_path, capsys, shape):
+        # The kernels take stacks; the state reader does not.
+        rho = np.broadcast_to(np.eye(2) / 2, shape)
+        sf = write_matrix(tmp_path / "rho.json", rho)
+        cf = write_json(tmp_path / "cat.json", {"energies": [0]})
+        gf = write_json(tmp_path / "gates.json", {
+            "method": "handcrafted", "dims": [2, 1], "error_bound": 0.0, "steps": []})
+        code, report, err = run_cli(capsys, [
+            "simulate", "--state", sf, "--catalyst", cf, "--gates", gf,
+        ])
+        assert (code, report) == (3, None)
+        assert err == f"domain error: expected a square matrix, got shape {shape}\n"
 
     @pytest.mark.parametrize("bad", [[0, -1], [0, 2], [0.5, 0]])
     def test_bad_joint_index_exits_3(self, tmp_path, capsys, bad):

@@ -260,3 +260,117 @@ class TestBlockTraceDistance:
         holes[3, 5] = holes[5, 3] = 0
         for h in (chain, holes):
             assert trace_distance(h, np.zeros_like(h)) == dense_trace_distance(h, np.zeros_like(h))
+
+
+ENTRIES = st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False)
+
+
+def stacks(t, n):
+    """(t, n, n) complex arrays of arbitrary finite entries."""
+    return hnp.arrays(complex, (t, n, n), elements=ENTRIES)
+
+
+def bits(x):
+    x = np.asarray(x)
+    return x.dtype, x.shape, x.tobytes()
+
+
+def stacked_blocks(rng, t, n):
+    """t Hermitian n x n matrices, each block-diagonal up to its own
+    permutation of the levels, with 1 to 12 blocks."""
+    label = rng.integers(0, rng.integers(1, 13), size=(t, n))
+    same = label[:, :, None] == label[:, None, :]
+    return np.where(same, [random_hermitian(rng, n) for _ in range(t)], 0)
+
+
+class TestStacks:
+    """A stacked call equals the list of its 2-D calls, bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 4), st.integers(1, 5), st.integers(1, 5), st.data())
+    def test_kron(self, t, m, n, data):
+        a, b = data.draw(stacks(t, m)), data.draw(stacks(t, n))
+        got = kron(a, b)
+        assert got.shape == (t, m * n, m * n)
+        assert bits(got) == bits([kron(x, y) for x, y in zip(a, b)] or got)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 4), st.integers(1, 4), st.integers(1, 4), st.sampled_from([0, 1]),
+           st.data())
+    def test_partial_trace(self, t, da, db, keep, data):
+        rho = data.draw(stacks(t, da * db))
+        got = partial_trace(rho, (da, db), keep)
+        assert got.shape == (t,) + ((da, da) if keep == 0 else (db, db))
+        assert bits(got) == bits([partial_trace(r, (da, db), keep) for r in rho] or got)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 4), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+    def test_expm_skew(self, t, n, seed):
+        rng = np.random.default_rng(seed)
+        k = np.array([random_antihermitian(rng, n) for _ in range(t)]).reshape(t, n, n)
+        got = expm_skew(k)
+        assert bits(got) == bits([expm_skew(x) for x in k] or got)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 4), st.integers(1, 6), st.data())
+    def test_frobenius_distance(self, t, n, data):
+        a, b = data.draw(stacks(t, n)), data.draw(stacks(t, n))
+        got = frobenius_distance(a, b)
+        assert bits(got) == bits([frobenius_distance(x, y) for x, y in zip(a, b)] or got)
+        assert bits(got) == bits([np.linalg.norm(x - y) for x, y in zip(a, b)] or got)
+        one = data.draw(stacks(1, n))[0]  # a single matrix against the stack
+        assert bits(frobenius_distance(a, one)) == bits(
+            [frobenius_distance(x, one) for x in a] or frobenius_distance(a, one))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 4), st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
+    def test_trace_distance(self, t, n, seed):
+        rng = np.random.default_rng(seed)
+        a, b = (np.array([random_density(rng, n) for _ in range(t)]).reshape(t, n, n)
+                for _ in range(2))
+        got = trace_distance(a, b)
+        assert got.shape == (t,)
+        assert bits(got) == bits([trace_distance(x, y) for x, y in zip(a, b)] or got)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 3), st.integers(linalg._BLOCK_MIN_DIM, 80), st.integers(0, 2 ** 32 - 1))
+    def test_trace_distance_by_blocks(self, t, n, seed):
+        # At n >= _BLOCK_MIN_DIM each matrix goes through _eigvalsh_by_blocks.
+        rng = np.random.default_rng(seed)
+        a, b = stacked_blocks(rng, t, n), stacked_blocks(rng, t, n)
+        got = trace_distance(a, b)
+        assert bits(got) == bits([trace_distance(x, y) for x, y in zip(a, b)])
+        h = (a - b)[0]
+        assert got[0] == np.sum(np.abs(linalg._eigvalsh_by_blocks(h))) / 2
+
+    def test_two_dimensional_calls_return_floats(self):
+        a, b = np.eye(2) / 2, np.diag([1.0, 0.0])
+        assert type(trace_distance(a, b)) is float
+        assert type(frobenius_distance(a, b)) is float
+
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (1, 3, 3)])
+    def test_as_operator_refuses_stacks(self, shape):
+        with pytest.raises(ShapeError, match="expected a square matrix"):
+            linalg.as_operator(np.zeros(shape))
+
+    def test_stacks_of_different_lengths_are_refused(self):
+        with pytest.raises(ShapeError, match="stacks of different lengths"):
+            kron(np.zeros((2, 3, 3)), np.zeros((3, 3)))
+        with pytest.raises(ShapeError, match="shape mismatch"):
+            frobenius_distance(np.zeros((2, 3, 3)), np.zeros((3, 3, 3)))
+        with pytest.raises(ShapeError, match="shape mismatch"):
+            trace_distance(np.zeros((2, 3, 3)), np.zeros((2, 2, 2)))
+
+    def test_transposed_inputs_are_read(self):
+        # A transposed complex matrix has no contiguous last axis.
+        x = np.arange(4.0).reshape(2, 2) + 1j
+        assert bits(kron(x.T, x)) == bits(np.kron(x.T, x))
+        assert frobenius_distance(x.T, x) == np.linalg.norm(x.T - x)
+
+    def test_stack_with_one_bad_matrix_is_refused(self):
+        k = np.zeros((3, 2, 2))
+        k[1] = np.eye(2)  # Hermitian, not anti-Hermitian
+        with pytest.raises(DomainError):
+            expm_skew(k)
+        with pytest.raises(DomainError):
+            trace_distance(np.zeros((3, 2, 2)), np.triu(np.ones((3, 2, 2))))

@@ -366,6 +366,24 @@ class TestEnergyBlocks:
         assert sizes1 == sizes2
 
 
+BLOCK_SIZES = st.one_of(
+    st.lists(st.integers(1, 4), min_size=1, max_size=16),  # repeated sizes, many 1x1
+    st.integers(5, 16).map(lambda d: [d]),  # one large block
+    st.tuples(st.integers(5, 12), st.lists(st.just(1), max_size=12))
+    .map(lambda t: [t[0]] + t[1]),  # one large block among 1x1 blocks
+)
+
+
+def shuffled_blocks(sizes, shuffle, two_system_levels):
+    """Block k of the catalyst holds sizes[k] levels at energy k, placed in
+    a shuffled order; a second system level at an incommensurate energy
+    interleaves a second copy of every block in the flat indices."""
+    energies = np.repeat(np.arange(len(sizes), dtype=float), sizes)
+    cat = Spectrum.from_energies(np.random.default_rng(shuffle).permutation(energies))
+    system = Spectrum.from_energies([0.0, math.sqrt(2)] if two_system_levels else [0.0])
+    return energy_blocks(system, cat)
+
+
 class TestRandomUnitary:
     def test_singleton_blocks_give_phases(self):
         s = Spectrum.from_energies([0.0, 1.0])
@@ -395,23 +413,24 @@ class TestRandomUnitary:
         )
 
     @settings(max_examples=200, deadline=None)
-    @given(st.one_of(
-        st.lists(st.integers(1, 4), min_size=1, max_size=16),  # repeated sizes, many 1x1
-        st.integers(5, 16).map(lambda d: [d]),  # one large block
-        st.tuples(st.integers(5, 12), st.lists(st.just(1), max_size=12))
-        .map(lambda t: [t[0]] + t[1]),  # one large block among 1x1 blocks
-    ), st.integers(0, 2 ** 16), st.booleans(), st.integers(0, 2 ** 31 - 1))
+    @given(BLOCK_SIZES, st.integers(0, 2 ** 16), st.booleans(), st.integers(0, 2 ** 31 - 1))
     def test_matches_per_block_reference(self, sizes, shuffle, two_system_levels, seed):
-        # Block k of the catalyst holds sizes[k] levels at energy k, placed in
-        # a shuffled order; a second system level at an incommensurate energy
-        # interleaves a second copy of every block in the flat indices.
-        energies = np.repeat(np.arange(len(sizes), dtype=float), sizes)
-        cat = Spectrum.from_energies(np.random.default_rng(shuffle).permutation(energies))
-        system = Spectrum.from_energies([0.0, math.sqrt(2)] if two_system_levels else [0.0])
-        blocks = energy_blocks(system, cat)
+        blocks = shuffled_blocks(sizes, shuffle, two_system_levels)
         got = random_energy_preserving_unitary(blocks, seed)
         want = reference_random_energy_preserving_unitary(blocks, seed)
         assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(BLOCK_SIZES, st.integers(0, 2 ** 16), st.booleans(),
+           st.lists(st.integers(0, 2 ** 31 - 1), max_size=5))
+    def test_seed_list_stacks_the_single_seed_calls(self, sizes, shuffle, two_system_levels,
+                                                    seeds):
+        blocks = shuffled_blocks(sizes, shuffle, two_system_levels)
+        n = blocks.joint_dim
+        got = random_energy_preserving_unitary(blocks, seeds)
+        assert got.shape == (len(seeds), n, n)
+        for i, seed in enumerate(seeds):
+            assert got[i].tobytes() == random_energy_preserving_unitary(blocks, seed).tobytes()
 
 
 class TestIsEnergyPreserving:

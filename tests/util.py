@@ -1,25 +1,30 @@
 """Reference implementations shared by the test suite, the sequence
 builder the tests construct GateSequences with, and the seeded
-random-instance helpers of thermoforge.verify, re-exported."""
+random-instance helpers of thermoforge.verify, re-exported.  The
+reference_suite_numerics and reference_oracle_excess loops call each
+kernel once per trial on 2-D matrices; verify's suites must match them."""
 import math
 
 import numpy as np
 
 from thermoforge import (
     build_cooling_catalyst,
+    build_cooling_instance,
     build_cooling_sequence,
     energy_blocks,
     gibbs_state,
 )
-from thermoforge import compiler
+from thermoforge import compiler, cooling
 from thermoforge.compiler import (
     _COEFF_TOL, _ELIM_TOL, _GIVENS, _P, GateSequence, GeneratorCombination,
 )
 from thermoforge.errors import CapacityError, DomainError, ShapeError
 from thermoforge.generators import ElementaryGenerator, _to_matrix, enumerate_basis
-from thermoforge.linalg import frobenius_distance
-from thermoforge.majorization import thermo_curve
-from thermoforge.thermal import ENERGY_TOL, require_energy_preserving
+from thermoforge.linalg import expm_skew, frobenius_distance, kron, partial_trace, trace_distance
+from thermoforge.majorization import max_ground_population_TO, thermo_curve
+from thermoforge.thermal import (ENERGY_TOL, random_energy_preserving_unitary,
+                                 require_energy_preserving)
+from thermoforge.verify import _hi
 from thermoforge.verify import (  # noqa: F401  (re-exported for the tests)
     random_antihermitian,
     random_density,
@@ -150,6 +155,59 @@ def reference_random_energy_preserving_unitary(blocks, seed):
         q = q * (np.diag(r) / np.abs(np.diag(r)))
         u[np.ix_(flats, flats)] = q
     return u
+
+
+def _reference_complex(rng, d):
+    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+
+def reference_suite_numerics(seed, trials):
+    """verify.suite_numerics as one loop of 2-D kernel calls per trial, each
+    instance drawn by two standard_normal calls (real, then imaginary
+    parts) in the order a, b, c, k, x, y, z."""
+    rng = np.random.default_rng(seed)
+    results = []
+    worst = {"assoc": 0.0, "trace": 0.0, "pt": 0.0, "unit": 0.0, "inv": 0.0, "tri": 0.0}
+    for _ in range(trials):
+        a, b, c = (_reference_complex(rng, d) for d in (2, 3, 2))
+        a, b, c = ((m + m.conj().T) / 2 for m in (a, b, c))
+        k = _reference_complex(rng, 4)
+        k = (k - k.conj().T) / 2
+        worst["assoc"] = max(worst["assoc"], frobenius_distance(kron(kron(a, b), c), kron(a, kron(b, c))))
+        worst["trace"] = max(worst["trace"], abs(np.trace(kron(a, b)) - np.trace(a) * np.trace(b)))
+        worst["pt"] = max(worst["pt"], frobenius_distance(partial_trace(kron(a, b), (2, 3), 0), np.trace(b) * a))
+        u = expm_skew(k)
+        worst["unit"] = max(worst["unit"], np.linalg.norm(u.conj().T @ u - np.eye(4)))
+        worst["inv"] = max(worst["inv"], frobenius_distance(u @ expm_skew(-k), np.eye(4)))
+        x, y, z = (_reference_complex(rng, 3) for _ in range(3))
+        x, y, z = (m @ m.conj().T for m in (x, y, z))
+        x, y, z = (m / np.trace(m).real for m in (x, y, z))
+        worst["tri"] = max(
+            worst["tri"], trace_distance(x, z) - trace_distance(x, y) - trace_distance(y, z)
+        )
+    _hi(results, "kron_associative", worst["assoc"], 1e-12)
+    _hi(results, "kron_trace_product", worst["trace"], 1e-12)
+    _hi(results, "partial_trace_of_product", worst["pt"], 1e-12)
+    _hi(results, "expm_skew_unitarity", worst["unit"], 1e-12)
+    _hi(results, "expm_skew_inverse", worst["inv"], 1e-10)
+    _hi(results, "trace_distance_triangle", worst["tri"], 1e-10)
+    return results
+
+
+def reference_oracle_excess(rng, trials):
+    """verify._oracle_excess as one loop of 2-D kernel calls per trial, each
+    unitary from its own int(rng.integers(1 << 31)) seed."""
+    inst = build_cooling_instance(2)
+    oracle = max_ground_population_TO(cooling.DEFAULT_INPUT, inst.system, inst.catalyst)
+    blocks = energy_blocks(inst.system, inst.catalyst)
+    tau_c = gibbs_state(inst.catalyst).to_dense()
+    over = 0.0
+    for _ in range(trials):
+        u = random_energy_preserving_unitary(blocks, seed=int(rng.integers(1 << 31)))
+        joint = u @ kron(cooling.DEFAULT_INPUT.to_dense(), tau_c) @ u.conj().T
+        sigma = partial_trace(joint, blocks.dims, keep=0)
+        over = max(over, float(np.real(sigma[0, 0])) - oracle)
+    return over
 
 
 def reference_curve_values(curve, xs):

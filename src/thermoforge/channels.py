@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import GateSequence, apply_gates
-from .errors import ShapeError
+from .errors import DomainError, ShapeError
 from .linalg import as_operator, kron, partial_trace, trace_distance
 from .thermal import DiagonalState, Spectrum, energy_blocks, gibbs_state, require_energy_preserving
 
@@ -114,7 +114,10 @@ def run_gc_eto(rho_s, catalyst: Spectrum, seq: GateSequence,
     """Evolve rho ⊗ tau(H_C) through an elementary gate sequence.
 
     Returns the system marginal and the catalysis verdicts before and
-    (when requested) after rethermalizing the catalyst.
+    (when requested) after rethermalizing the catalyst.  Given the system
+    spectrum, every step must keep its two levels in one joint energy
+    block (DomainError names the first that does not); without it the
+    energies are unknown and nothing is checked.
     """
     rho_s = as_operator(rho_s)
     ds = rho_s.shape[0]
@@ -122,6 +125,18 @@ def run_gc_eto(rho_s, catalyst: Spectrum, seq: GateSequence,
         raise ShapeError(
             f"sequence dims {seq.dims} != (system {ds}, catalyst {catalyst.dim})"
         )
+    if system is not None:
+        if system.dim != ds:
+            raise ShapeError(f"system spectrum dim {system.dim} != state dim {ds}")
+        blocks = energy_blocks(system, catalyst)
+        block = blocks.block_of_flat()[seq.flats]
+        crossing = np.flatnonzero(block[:, 0] != block[:, 1])
+        if len(crossing):
+            k = int(crossing[0])
+            a, b = blocks.pairs(seq.flats[k])
+            energy = np.add.outer(system.energies, catalyst.energies)
+            raise DomainError(f"step {k}: levels {a} and {b} lie in different energy blocks "
+                              f"(joint energies {energy[a]} and {energy[b]})")
     tau_c = gibbs_state(catalyst).to_dense()
     joint = apply_gates(seq, kron(rho_s, tau_c), conjugate=True)
     dims = (ds, catalyst.dim)

@@ -265,14 +265,18 @@ def cmd_simulate(args) -> int:
     t0 = time.perf_counter()
     rho, _ = _load_state(args.state)
     catalyst = Spectrum.from_json(args.catalyst)
+    system = Spectrum.from_json(args.system) if args.system else None
     seq = GateSequence.from_json(args.gates)
-    sigma, pre, post = run_gc_eto(rho, catalyst, seq, rethermalize=args.rethermalize)
+    sigma, pre, post = run_gc_eto(rho, catalyst, seq, rethermalize=args.rethermalize,
+                                  system=system)
     report = RunReport(
         command="simulate",
         inputs={"state": args.state, "catalyst": args.catalyst,
                 "gates": args.gates, "rethermalize": args.rethermalize,
                 "epsilon": args.epsilon},
     )
+    if system is not None:
+        report.inputs["system"] = args.system
     report.outputs["system_populations"] = [float(x) for x in np.real(np.diag(sigma))]
     def verdict_json(v):
         return {
@@ -336,6 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--gates", required=True)
     c.add_argument("--rethermalize", action="store_true")
     c.add_argument("--epsilon", type=float, default=1e-10)
+    c.add_argument("--system", default=None,
+                   help="system spectrum; refuses a step that crosses energy blocks")
     c.set_defaults(func=cmd_simulate)
     return p
 

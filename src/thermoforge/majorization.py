@@ -11,6 +11,15 @@ last when it holds none.  The first levels then rise at x = 0: that run
 is merged into one vertex (0, y) after the origin, and this first
 segment is the only vertical one a curve may have.  np.interp reads the
 top of it, y, at x = 0.
+
+Curves are built and checked as stacks: an (m, n) array of populations
+gives (m, n + 1) vertex arrays, one row per curve.  Merged vertices are
+kept in place and masked; the checks see each row's kept vertices, and
+a reading of a curve at x lands, as np.searchsorted(side="right") - 1
+does, on the last vertex of a run, which holds the run's largest y.
+thermo_majorizes takes p and q as DiagonalStates or (..., n) arrays and
+one spectrum or one per row; a 1-D call is the stack with no leading
+axes.
 """
 from __future__ import annotations
 
@@ -20,66 +29,94 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import beta_swap
-from .errors import CapacityError, DomainError
-from .thermal import DiagonalState, Spectrum, energy_blocks, gibbs_state
+from .errors import CapacityError, DomainError, ShapeError
+from .thermal import (DiagonalState, Spectrum, _checked_populations, _gibbs_weights, energy_blocks,
+                      gibbs_state)
 
 REACH_NODE_CAP = 10**6  # most search-tree nodes eto_reach_search will visit
 
 
-def _check_curve(xs: np.ndarray, ys: np.ndarray) -> None:
+def _check_curve(xs: np.ndarray, ys: np.ndarray, size=None) -> None:
     """Raise DomainError unless the vertices (xs, ys) form a thermo curve;
-    only the first segment may be vertical, and then it must rise."""
-    if xs[0] != 0.0 or ys[0] != 0.0:
+    only the first segment may be vertical, and then it must rise.  An
+    (m, k) stack is checked row by row, row r on its first size[r]
+    vertices (all k when size is None), and the first rule any row fails
+    is raised."""
+    if (xs[..., 0] != 0.0).any() or (ys[..., 0] != 0.0).any():
         raise DomainError("curve must start at (0, 0)")
-    dx, dy = xs[1:] - xs[:-1], ys[1:] - ys[:-1]
+    dx, dy = xs[..., 1:] - xs[..., :-1], ys[..., 1:] - ys[..., :-1]
+    if size is None:
+        last_x, last_y, seg = xs[..., -1], ys[..., -1], True
+    else:
+        rows = np.arange(len(xs))
+        last_x, last_y = xs[rows, size - 1], ys[rows, size - 1]
+        seg = np.arange(xs.shape[-1] - 1) < (size - 1)[:, None]  # a row's segments
     # A rising vertical first segment has slope +inf, so it keeps any
     # curve after it concave; the slopes are checked from the next one.
-    v = int(len(dx) > 0 and dx[0] == 0 and dy[0] > 0)
-    if not (dx[v:] > 0).all() or abs(xs[-1] - 1.0) > 1e-12:
+    vertical = np.zeros(dx.shape, dtype=bool)
+    vertical[..., :1] = (dx[..., :1] == 0) & (dy[..., :1] > 0)
+    rest = seg & ~vertical
+    if (rest & ~(dx > 0)).any() or (abs(last_x - 1.0) > 1e-12).any():
         raise DomainError("x must increase strictly to 1")
-    if (dy < -1e-12).any() or abs(ys[-1] - 1.0) > 1e-12:
+    if (seg & (dy < -1e-12)).any() or (abs(last_y - 1.0) > 1e-12).any():
         raise DomainError("y must be nondecreasing to 1")
     # A rise over a subnormal dx overflows to slope +inf.  Two such slopes in
     # a row (inf - inf is NaN) are compared, to a relative 1e-9, over dx
     # scaled by 2**600, which is exact.
-    with np.errstate(over="ignore", invalid="ignore"):
-        slopes = dy[v:] / dx[v:]
-        rise = slopes[1:] - slopes[:-1]
-    both = np.isnan(rise)
-    if both.any():
-        scaled = dy[v:] / np.ldexp(dx[v:], 600)
-        rise[both] = ((scaled[1:] - scaled[:-1]) / scaled[:-1])[both]
-    if not (rise <= 1e-9).all():
+    pair = rest[..., 1:] & rest[..., :-1]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        slopes = dy / dx
+        rise = slopes[..., 1:] - slopes[..., :-1]
+        both = np.isnan(rise) & pair
+        if both.any():
+            scaled = dy / np.ldexp(dx, 600)
+            rise[both] = ((scaled[..., 1:] - scaled[..., :-1]) / scaled[..., :-1])[both]
+    if (pair & ~(rise <= 1e-9)).any():
         raise DomainError("curve is not concave")
 
 
-def _curve_arrays(p: np.ndarray, gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The checked vertices (xs, ys) of the curve of populations p over
-    Gibbs weights gamma, runs of equal x merged into their last vertex
-    (the origin kept)."""
+def _curve_arrays(p: np.ndarray, gamma: np.ndarray):
+    """The curves of the rows of populations p, (m, n), over Gibbs weights
+    gamma, (m, n) or (1, n), checked.
+
+    Returns (xs, ys, top, keep), each (m, n + 1): every vertex, the y of
+    the last vertex of each vertex's run of equal x (the origin's run
+    included), and the mask of the vertices a curve keeps when a run of
+    equal x merges into its last vertex (the origin kept); keep is None
+    when no run has two vertices, and then top is ys.
+    """
+    m, n = p.shape
+    rows = np.arange(m)[:, None]
+    gamma = np.broadcast_to(gamma, p.shape)
     # A zero Gibbs weight gives the ratio inf (p > 0), first, or NaN (p = 0),
     # which sorts last; a subnormal one may overflow to inf too.  Ratios
     # tied at inf are ordered by p over gamma scaled by 2**600 (exact).
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio = p / gamma
         inf = ratio == np.inf
-        if np.count_nonzero(inf) > 1:
+        if (np.count_nonzero(inf, axis=-1) > 1).any():
             order = np.lexsort((np.where(inf, -(p / np.ldexp(gamma, 600)), 0.0), -ratio))
         else:
-            order = np.argsort(-ratio, kind="stable")
-    xs, ys = np.zeros(len(p) + 1), np.zeros(len(p) + 1)
-    np.cumsum(gamma[order], out=xs[1:])
-    np.cumsum(p[order], out=ys[1:])
+            order = np.argsort(-ratio, axis=-1, kind="stable")
+    xs, ys = np.zeros((m, n + 1)), np.zeros((m, n + 1))
+    np.cumsum(gamma[rows, order], axis=-1, out=xs[:, 1:])
+    np.cumsum(p[rows, order], axis=-1, out=ys[:, 1:])
     # Guard the invariants against accumulated rounding at the endpoints.
-    xs[-1] = 1.0
-    ys[-1] = 1.0
-    merged = xs[1:] == xs[:-1]
-    if merged.any():
-        last = np.append(~merged, True)
-        last[0] = True
-        xs, ys = xs[last], ys[last]
-    _check_curve(xs, ys)
-    return xs, ys
+    xs[:, -1] = 1.0
+    ys[:, -1] = 1.0
+    merged = xs[:, 1:] == xs[:, :-1]
+    if not merged.any():
+        _check_curve(xs, ys)
+        return xs, ys, ys, None
+    keep = np.ones(xs.shape, dtype=bool)
+    keep[:, 1:-1] = ~merged[:, 1:]
+    # The checked curve of a row is its kept vertices, moved to the front.
+    front = np.argsort(~keep, axis=-1, kind="stable")
+    _check_curve(xs[rows, front], ys[rows, front], keep.sum(axis=-1))
+    last = np.ones(xs.shape, dtype=bool)
+    last[:, :-1] = ~merged
+    run_end = np.minimum.accumulate(np.where(last, np.arange(n + 1), n)[:, ::-1], axis=-1)
+    return xs, ys, ys[rows, run_end[:, ::-1]], keep
 
 
 @dataclass(frozen=True)
@@ -95,27 +132,100 @@ class ThermoCurve:
         return np.asarray(self.vertices)[:, 0]
 
 
-def _check_dim(p: DiagonalState, spec: Spectrum) -> None:
-    if p.dim != spec.dim:
-        raise DomainError(f"state dim {p.dim} != spectrum dim {spec.dim}")
+def _check_dim(n: int, spec: Spectrum) -> None:
+    if n != spec.dim:
+        raise DomainError(f"state dim {n} != spectrum dim {spec.dim}")
 
 
 def thermo_curve(p: DiagonalState, spec: Spectrum) -> ThermoCurve:
-    _check_dim(p, spec)
-    xs, ys = _curve_arrays(p.populations, gibbs_state(spec).populations)
-    return ThermoCurve(tuple(zip(xs.tolist(), ys.tolist())))
+    _check_dim(p.dim, spec)
+    xs, ys, _, keep = _curve_arrays(p.populations[None], _gibbs_weights(spec.energies))
+    if keep is not None:
+        xs, ys = xs[keep], ys[keep]
+    return ThermoCurve(tuple(zip(xs.ravel().tolist(), ys.ravel().tolist())))
 
 
-def thermo_majorizes(p: DiagonalState, q: DiagonalState, spec: Spectrum,
-                     tol: float = 1e-9) -> bool:
-    """True iff p's curve lies above q's at every vertex of either curve."""
-    _check_dim(p, spec)
-    gamma = gibbs_state(spec).populations
-    xp, yp = _curve_arrays(p.populations, gamma)
-    _check_dim(q, spec)
-    xq, yq = _curve_arrays(q.populations, gamma)
-    xs = np.concatenate((xp, xq))
-    return bool((np.interp(xs, xp, yp) >= np.interp(xs, xq, yq) - tol).all())
+def _stack(p) -> np.ndarray:
+    """The populations of a DiagonalState, or p as a float (..., n) array."""
+    if isinstance(p, DiagonalState):
+        return p.populations
+    p = np.asarray(p, dtype=float)
+    if p.ndim < 1:
+        raise ShapeError(f"populations must have a level axis, got shape {p.shape}")
+    return p
+
+
+def thermo_majorizes(p, q, spec, tol: float = 1e-9):
+    """True iff p's curve lies above q's at every vertex of either curve.
+
+    p and q are DiagonalStates or (..., n) population arrays whose leading
+    axes broadcast; every row is read by the DiagonalState rule.  spec is
+    one Spectrum, or a sequence of one per row (in C order).  A stacked
+    call returns the bool array of its rows, each equal to the 1-D call on
+    that row; a 1-D call returns a bool.  A failing stack raises the
+    DomainError of its first row whose 1-D call fails.
+    """
+    p, q = _stack(p), _stack(q)
+    lead = np.broadcast_shapes(p.shape[:-1], q.shape[:-1])
+    p = np.broadcast_to(p, lead + p.shape[-1:]).reshape(-1, p.shape[-1])
+    q = np.broadcast_to(q, lead + q.shape[-1:]).reshape(-1, q.shape[-1])
+    specs = [spec] if isinstance(spec, Spectrum) else list(spec)
+    if len(specs) not in (1, len(p)):
+        raise ShapeError(f"{len(specs)} spectra for {len(p)} rows")
+    try:
+        ok = _majorizes(p, q, specs, tol)
+    except DomainError:
+        for i in range(len(p)):
+            _raise_row_fault(p[i], q[i], specs[min(i, len(specs) - 1)])
+        raise
+    return ok.reshape(lead) if lead else bool(ok[0])
+
+
+def _raise_row_fault(p: np.ndarray, q: np.ndarray, spec: Spectrum) -> None:
+    """Raise the DomainError of the 1-D thermo_majorizes call on one row,
+    if it fails: p and q are read, then p's dim and curve are checked
+    before q's."""
+    p, q = _checked_populations(p), _checked_populations(q)
+    for r in (p, q):
+        _check_dim(len(r), spec)
+        _curve_arrays(r[None], _gibbs_weights(spec.energies))
+
+
+def _majorizes(p: np.ndarray, q: np.ndarray, specs: list[Spectrum], tol: float) -> np.ndarray:
+    """thermo_majorizes on (m, n) rows, both curves of every row built
+    and checked as one stack; any DomainError it raises is replaced by
+    the first failing row's own."""
+    m, n = p.shape
+    if q.shape[-1] != n or any(spec.dim != n for spec in specs):
+        raise DomainError("state and spectrum dims differ")
+    gamma = _gibbs_weights(np.array([spec.energies for spec in specs]))
+    xs, _, ys, _ = _curve_arrays(_checked_populations(np.concatenate((p, q))),
+                                 gamma if len(gamma) == 1 else np.concatenate((gamma, gamma)))
+    # Each curve at the other's vertices, as np.interp reads it: the segment
+    # starts at the last vertex j at or left of x (the last of a run of
+    # equal x, which holds the run's largest y); an exact hit takes y[j],
+    # else slope * (x - x[j]) + y[j], where x - x[j] > 0 makes no NaN.
+    at = np.concatenate((xs[m:], xs[:m]))
+    rows = np.arange(2 * m)[:, None]
+    j = _segments(xs, at)
+    j1 = np.minimum(j + 1, n)
+    x0, y0 = xs[rows, j], ys[rows, j]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        slope = (ys[rows, j1] - y0) / (xs[rows, j1] - x0)
+        value = np.where(at == x0, y0, slope * (at - x0) + y0)
+    # At its own vertices a curve reads its run tops; p >= q - tol at both.
+    return (value[:m] >= ys[m:] - tol).all(axis=-1) & (ys[:m] >= value[m:] - tol).all(axis=-1)
+
+
+def _segments(xp: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """np.searchsorted(xp[r], x[r], side="right") - 1 for every row r of
+    ascending (m, k) rows xp: one stable sort of each row's xp followed by
+    its x, which puts every vertex of xp at or left of an x before it."""
+    k = xp.shape[-1]
+    order = np.argsort(np.concatenate((xp, x), axis=-1), axis=-1, kind="stable")
+    out = np.empty_like(order)
+    out[np.arange(len(order))[:, None], order] = np.cumsum(order < k, axis=-1) - 1
+    return out[:, k:]
 
 
 def max_ground_population_TO(p: DiagonalState, spec_s: Spectrum, spec_c: Spectrum,

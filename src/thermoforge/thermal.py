@@ -24,6 +24,14 @@ built on first use: `__hash__` and `__repr__` read it, and the
 `Spectrum(levels)` constructor takes the same form.  EnergyBlocks keeps
 no tuple view: `items()` yields each block's energy and members, and
 `pairs()` turns flat indices into (s, c) pairs.
+
+random_energy_preserving_unitary samples one structure (with a seed, or
+an array of seeds for a (..., n, n) stack) or a list of structures with
+one seed each (a list of unitaries).  Both are one ragged batch: one rng
+and one standard_normal draw per seed, in order, then one stacked QR per
+distinct block size across every block of every instance, and one
+scatter.  The population rule of DiagonalState and the Gibbs weights
+read (..., n) stacks row by row, for majorization's stacked curves.
 """
 from __future__ import annotations
 
@@ -214,6 +222,26 @@ def _checked_labels(g: np.ndarray, order, offsets, reps, gid) -> np.ndarray:
     return g
 
 
+def _checked_populations(p: np.ndarray) -> np.ndarray:
+    """Each row of a float (..., n) array as a population vector: no entry
+    below -1e-14, entries clipped at 0, a sum within 1e-12 of 1.  Raises
+    DomainError for the first row, in C order, that fails, naming its
+    first failed rule."""
+    # NaN propagates through min and sum and fails both tests, which are
+    # written to be False on it; +inf and an empty row fail the sum.
+    low = p.min(axis=-1, initial=0.0)
+    p = np.maximum(p, 0.0)
+    total = p.sum(axis=-1)
+    ok = (low >= -1e-14) & (abs(total - 1.0) <= 1e-12)
+    if not ok.all():
+        i = np.flatnonzero(~ok)[0]
+        low, total = np.ravel(low)[i], np.ravel(total)[i]
+        if not low >= -1e-14:
+            raise DomainError(f"negative or NaN population {low}")
+        raise DomainError(f"populations sum to {total}, not 1")
+    return p
+
+
 @dataclass(frozen=True)
 class DiagonalState:
     """A population vector over a spectrum's levels."""
@@ -224,15 +252,7 @@ class DiagonalState:
         p = np.asarray(self.populations, dtype=float)
         if p.ndim != 1:
             raise ShapeError(f"populations must be a flat list, got shape {p.shape}")
-        # NaN propagates through min and sum and fails both tests, which are
-        # written to be False on it; +inf and an empty vector fail the sum.
-        low = p.min(initial=0.0)
-        if not low >= -1e-14:
-            raise DomainError(f"negative or NaN population {low}")
-        p = np.maximum(p, 0.0)
-        total = p.sum()
-        if not abs(total - 1.0) <= 1e-12:
-            raise DomainError(f"populations sum to {total}, not 1")
+        p = _checked_populations(p)
         p.flags.writeable = False
         object.__setattr__(self, "populations", p)
 
@@ -281,10 +301,15 @@ class EnergyBlocks:
         return out
 
 
+def _gibbs_weights(energies: np.ndarray) -> np.ndarray:
+    """exp(-E_i) / Z along the last axis of an (..., n) energy array."""
+    w = np.exp(-(energies - energies.min(axis=-1, keepdims=True)))
+    return w / w.sum(axis=-1, keepdims=True)
+
+
 def gibbs_state(spec: Spectrum) -> DiagonalState:
     """exp(-E_i) / Z over the spectrum's levels."""
-    w = np.exp(-(spec.energies - spec.energies.min()))
-    return DiagonalState(w / w.sum())
+    return DiagonalState(_gibbs_weights(spec.energies))
 
 
 def energy_blocks(spec_s: Spectrum, spec_c: Spectrum) -> EnergyBlocks:
@@ -299,35 +324,72 @@ def energy_blocks(spec_s: Spectrum, spec_c: Spectrum) -> EnergyBlocks:
                         dims=(spec_s.dim, spec_c.dim))
 
 
-def random_energy_preserving_unitary(blocks: EnergyBlocks, seed) -> np.ndarray:
+def random_energy_preserving_unitary(blocks, seed):
     """Block-diagonal unitary with an independent Haar block per energy.
 
     One rng.standard_normal call draws sum_b 2 d_b^2 values; block b, in
     block order, takes the next d_b^2 as the real parts of a d_b x d_b
     matrix Z (row-major), then the next d_b^2 as its imaginary parts.
-    Each Z is QR-factored (one stacked qr per block size) and Q's columns
-    are multiplied by the phases of R's diagonal.  An array of seeds, such
-    as a sequence of T, gives the stack of shape (T, n, n) whose slice i is
-    the unitary of seed i, bit for bit: one rng per seed, one qr per block
-    size for the whole stack.
+    Each Z is QR-factored and Q's columns are multiplied by the phases of
+    R's diagonal.
+
+    `blocks` is one EnergyBlocks or a sequence of them.  For one, an array
+    of seeds, such as a sequence of T, gives the stack of shape (T, n, n)
+    whose slice i is the unitary of seed i, bit for bit.  For a sequence,
+    `seed` holds one seed per structure, and the result is the list of
+    their unitaries, each bit-equal to its single call.  Either way there
+    is one rng per seed, one stacked qr per block size over every block of
+    every instance, and one scatter.
     """
-    lead = np.shape(seed)
-    n = blocks.joint_dim
-    sizes = np.diff(blocks.offsets)
-    width = 2 * sizes * sizes
-    starts = np.cumsum(width) - width
-    total = int(width.sum())
-    draw = np.reshape([np.random.default_rng(s).standard_normal(total)
-                       for s in np.ravel(seed).tolist()], lead + (total,))
-    u = np.zeros(lead + (n, n), dtype=complex)
-    for d in sorted(set(sizes.tolist())):
+    if isinstance(blocks, EnergyBlocks):
+        lead = np.shape(seed)
+        n = blocks.joint_dim
+        seeds = np.ravel(seed).tolist()
+        return _haar_unitaries([blocks] * len(seeds), seeds).reshape(lead + (n, n))
+    blocks, seeds = list(blocks), np.ravel(seed).tolist()
+    if len(seeds) != len(blocks):
+        raise ShapeError(f"{len(seeds)} seeds for {len(blocks)} block structures")
+    flat = _haar_unitaries(blocks, seeds)
+    ns = [b.joint_dim for b in blocks]
+    ends = np.cumsum([n * n for n in ns]).tolist()
+    return [flat[end - n * n:end].reshape(n, n) for n, end in zip(ns, ends)]
+
+
+def _haar_unitaries(structures: list[EnergyBlocks], seeds: list[int]) -> np.ndarray:
+    """The unitaries of random_energy_preserving_unitary, one per
+    (structure, seed), row-major one after another in one flat array."""
+    ns = np.array([b.joint_dim for b in structures], dtype=np.intp)
+    nblocks = np.array([len(b.reps) for b in structures], dtype=np.intp)
+    u = np.zeros(int((ns * ns).sum()), dtype=complex)
+    if not len(u):
+        return u
+    # Every block of every instance, in instance then block order: its size,
+    # the start of its members in `order`, and its instance's size and
+    # start in u.
+    first = np.concatenate([b.offsets[:-1] for b in structures])
+    sizes = np.concatenate([b.offsets[1:] for b in structures]) - first
+    order = np.concatenate([b.order for b in structures])
+    member = first + np.repeat(np.cumsum(ns) - ns, nblocks)
+    dim = np.repeat(ns, nblocks)
+    base = np.repeat(np.cumsum(ns * ns) - ns * ns, nblocks)
+    # Block k takes draw[ends[k]:ends[k + 1]]; instance i draws the values
+    # of its blocks in one call.
+    ends = np.concatenate(([0], np.cumsum(2 * sizes * sizes)))
+    totals = np.diff(ends[np.concatenate(([0], np.cumsum(nblocks)))])
+    draw = np.concatenate([np.random.default_rng(s).standard_normal(t)
+                           for s, t in zip(seeds, totals.tolist())])
+    at, values = [], []
+    for d in np.flatnonzero(np.bincount(sizes)).tolist():
         bs = np.flatnonzero(sizes == d)
-        z = draw[..., starts[bs][:, None] + np.arange(2 * d * d)].reshape(lead + (len(bs), 2, d, d))
-        q, r = np.linalg.qr(z[..., 0, :, :] + 1j * z[..., 1, :, :])
+        z = draw[ends[bs][:, None] + np.arange(2 * d * d)].reshape(-1, 2, d, d)
+        q, r = np.linalg.qr(z[:, 0] + 1j * z[:, 1])
         diag = r.diagonal(axis1=-2, axis2=-1)
         q *= (diag / np.abs(diag))[..., None, :]
-        idx = blocks.order[blocks.offsets[bs][:, None] + np.arange(d)]
-        u[..., idx[:, :, None], idx[:, None, :]] = q
+        idx = order[member[bs][:, None] + np.arange(d)]
+        at.append((base[bs, None, None] + idx[:, :, None] * dim[bs, None, None]
+                   + idx[:, None, :]).ravel())
+        values.append(q.ravel())
+    u[np.concatenate(at)] = np.concatenate(values)
     return u
 
 

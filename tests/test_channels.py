@@ -287,6 +287,17 @@ class TestRunGcEto:
         _, pre, _ = run_gc_eto(rho, cat, seq, system=SYSTEM_SPECTRUM)
         assert pre.product_defect > 1e-3
 
+    def test_step_across_energy_blocks_refused_given_the_system(self):
+        cat = build_cooling_catalyst(2)
+        ok = GateStep(kind="h", indices=((0, 1), (1, 0)), param=0.6)
+        across = GateStep(kind="h", indices=((0, 0), (1, 0)), param=0.6)
+        seq = sequence((ok, across), "exact", (3, cat.dim))
+        rho = np.diag([0.0, 0.5, 0.5])
+        run_gc_eto(rho, cat, seq)  # no energies, no check
+        with pytest.raises(DomainError, match=r"^step 1: levels \(0, 0\) and \(1, 0\) lie in "
+                                              "different energy blocks"):
+            run_gc_eto(rho, cat, seq, system=SYSTEM_SPECTRUM)
+
     def test_rejects_wrong_dims(self):
         cat = build_cooling_catalyst(2)
         seq = sequence((), "exact", (2, cat.dim))

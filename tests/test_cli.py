@@ -24,6 +24,7 @@ from thermoforge import (
 )
 from thermoforge import cli
 from thermoforge.cli import main
+from thermoforge.cooling import SYSTEM_SPECTRUM
 from util import sequence_to_json
 
 LN2 = math.log(2.0)
@@ -651,6 +652,53 @@ class TestSimulate:
         assert report["outputs"]["post_verdict"]["strict"]
         assert not report["outputs"]["pre_verdict"]["correlated"]
 
+    def test_step_across_energy_blocks_exits_3_with_system(self, tmp_path, capsys):
+        # A swap of joint levels (0, 0) and (0, 1), of energies 0 and 1, breaks
+        # energy conservation.  Without --system the energies are unknown and
+        # the run goes through; with it, the step is named and refused.
+        sf = write_json(tmp_path / "p.json", {"populations": [1.0]})
+        cf = write_json(tmp_path / "cat.json", {"energies": [0, 1]})
+        yf = write_json(tmp_path / "sys.json", {"energies": [0]})
+        gf = write_json(tmp_path / "gates.json", {
+            "method": "handcrafted", "dims": [1, 2], "error_bound": 0.0,
+            "steps": [{"kind": "p", "indices": [[0, 1]], "param": 0.3},
+                      {"kind": "givens", "indices": [[0, 0], [0, 1]],
+                       "u2": [[0, 0], [1, 0], [1, 0], [0, 0]]}]})
+        argv = ["simulate", "--state", sf, "--catalyst", cf, "--gates", gf, "--rethermalize"]
+        code, report, _ = run_cli(capsys, argv)
+        assert code == 0 and report["outputs"]["pre_verdict"]["catalyst_marginal_distance"] > 0.4
+        code, report, err = run_cli(capsys, argv + ["--system", yf])
+        assert (code, report) == (3, None)
+        assert err == ("domain error: step 1: levels (0, 0) and (0, 1) lie in different "
+                       "energy blocks (joint energies 0.0 and 1.0)\n")
+
+    def test_system_spectrum_leaves_a_conserving_run_unchanged(self, tmp_path, capsys):
+        cat = build_cooling_catalyst(2)
+        sf = write_json(tmp_path / "p.json", {"populations": [0.0, 0.5, 0.5]})
+        cf = write_json(tmp_path / "cat.json", cat.to_json())
+        yf = write_json(tmp_path / "sys.json", SYSTEM_SPECTRUM.to_json())
+        gf = tmp_path / "gates.json"
+        build_cooling_sequence(2).save(str(gf))
+        argv = ["simulate", "--state", sf, "--catalyst", cf, "--gates", str(gf), "--rethermalize"]
+        _, plain, _ = run_cli(capsys, argv)
+        code, with_system, _ = run_cli(capsys, argv + ["--system", yf])
+        assert code == 0
+        assert with_system["inputs"].pop("system") == yf
+        plain.pop("wall_time")
+        with_system.pop("wall_time")
+        assert plain == with_system
+
+    def test_system_spectrum_must_match_the_state(self, tmp_path, capsys):
+        sf = write_json(tmp_path / "p.json", {"populations": [0.5, 0.5]})
+        cf = write_json(tmp_path / "cat.json", {"energies": [0]})
+        yf = write_json(tmp_path / "sys.json", {"energies": [0, 1, 2]})
+        gf = write_json(tmp_path / "gates.json", {
+            "method": "handcrafted", "dims": [2, 1], "error_bound": 0.0, "steps": []})
+        code, _, err = run_cli(capsys, ["simulate", "--state", sf, "--catalyst", cf,
+                                        "--gates", gf, "--system", yf])
+        assert code == 3
+        assert err == "domain error: system spectrum dim 3 != state dim 2\n"
+
     @pytest.mark.parametrize("shape", [(1, 2, 2), (2, 2, 2)])
     def test_stacked_state_exits_3(self, tmp_path, capsys, shape):
         # The kernels take stacks; the state reader does not.
@@ -949,6 +997,7 @@ try:
 except ImportError:
     refused = True
 from thermoforge.cli import main
+from thermoforge.cooling import SYSTEM_SPECTRUM
 
 codes = []
 with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):

@@ -24,12 +24,13 @@ from thermoforge import (
 )
 from thermoforge import majorization
 from thermoforge.cooling import build_cooling_catalyst
-from thermoforge.errors import CapacityError, DomainError
+from thermoforge.errors import CapacityError, DomainError, ShapeError
 from thermoforge.majorization import ThermoCurve
 
 from util import (
     random_populations,
     random_resonant_spectra,
+    reference_curve,
     reference_curve_values,
     reference_max_ground_population,
     reference_max_ground_population_lexsort,
@@ -247,6 +248,97 @@ class TestMajorizes:
             out = apply_TO(np.diag(p.populations), chan)
             q = DiagonalState(np.real(np.diag(out)))
             assert thermo_majorizes(p, q, sys)
+
+
+# Repeated energies tie ratios; 50 gives a Gibbs weight below an ulp of the
+# running sum (a merge), 740 a subnormal one, 750 and 800 one that underflows
+# to 0 (a vertical first segment when it holds population).
+CURVE_ENERGIES = st.sampled_from([0.0, 0.0, LN2, LN2, 1.0, 2.0, 50.0, 740.0, 750.0, 800.0])
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except DomainError as e:
+        return str(e)
+
+
+class TestStackedMajorizes:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(CURVE_ENERGIES, min_size=1, max_size=6),
+           st.lists(st.integers(0, 4), min_size=6, max_size=6))
+    def test_curve_matches_one_pass_reference(self, energies, weights):
+        spec = Spectrum.from_energies(energies)
+        w = np.array(weights[:len(energies)], float)
+        assume(w.sum() > 0)
+        p = DiagonalState(w / w.sum())
+        got = outcome(lambda: thermo_curve(p, spec).vertices)
+        want = outcome(lambda: tuple(zip(*(a.tolist() for a in reference_curve(p, spec)))))
+        assert got == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 5), st.data(), st.booleans(),
+           st.sampled_from(["ok", "extra_q_level", "unnormalized_q", "negative_p"]),
+           st.sampled_from([1e-9, 0.0, 1e-3]))
+    def test_rows_match_curve_reference(self, n, m, data, per_row, fault, tol):
+        # Each row of a stacked call equals reference_thermo_majorizes on that
+        # row; a stack with failing rows raises the first one's error.
+        specs = [Spectrum.from_energies(data.draw(st.lists(CURVE_ENERGIES, min_size=n,
+                                                           max_size=n)))
+                 for _ in range(m if per_row else 1)] * (1 if per_row else m)
+
+        def rows(width):
+            w = np.array([data.draw(st.lists(st.integers(0, 4), min_size=width, max_size=width))
+                          for _ in range(m)], float)
+            w[w.sum(axis=1) == 0, 0] = 1.0
+            return w / w.sum(axis=1, keepdims=True)
+
+        p, q = rows(n), rows(n + 1 if fault == "extra_q_level" else n)
+        bad = data.draw(st.integers(0, m - 1))
+        if fault == "unnormalized_q":
+            q[bad] *= 2.0
+        elif fault == "negative_p":
+            p[bad, 0] = -1e-3
+        want = [outcome(lambda r=r: reference_thermo_majorizes(
+            DiagonalState(p[r]), DiagonalState(q[r]), specs[r], tol)) for r in range(m)]
+        errors = [w for w in want if isinstance(w, str)]
+        got = outcome(thermo_majorizes, p, q, specs if per_row else specs[0], tol)
+        if errors:
+            assert got == errors[0]
+        else:
+            assert got.dtype == bool and got.tolist() == want
+            lead = outcome(thermo_majorizes, p[None], q, specs if per_row else specs[0], tol)
+            assert lead.shape == (1, m) and lead[0].tolist() == want
+
+    def test_vertical_first_segment_and_merge_rows(self):
+        # Row 0 rises at x = 0 (weight exp(-800) underflows to 0); row 1 merges
+        # two vertices at x = 1 (exp(-50) is below an ulp of 1).
+        specs = [Spectrum.from_energies([0.0, 800.0]), Spectrum.from_energies([0.0, 50.0])]
+        p = np.array([[0.5, 0.5], [1.0, 0.0]])
+        q = np.array([gibbs_state(s).populations for s in specs])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert thermo_majorizes(p, q, specs).tolist() == [True, True]
+            assert thermo_majorizes(q, p, specs).tolist() == [False, True]
+        for r in range(2):
+            assert thermo_majorizes(q[r], p[r], specs[r]) == reference_thermo_majorizes(
+                DiagonalState(q[r]), DiagonalState(p[r]), specs[r])
+
+    def test_one_row_call_is_a_bool_and_a_one_row_stack_an_array(self):
+        spec = qutrit()
+        p, q = DiagonalState([0.0, 1.0, 0.0]), gibbs_state(qutrit())
+        assert thermo_majorizes(p, q, spec) is True
+        assert thermo_majorizes(p.populations, q.populations, spec) is True
+        got = thermo_majorizes(p.populations[None], q, [spec])
+        assert got.shape == (1,) and got.dtype == bool and got[0]
+
+    def test_spectra_must_match_the_rows(self):
+        p = np.full((3, 2), 0.5)
+        spec = Spectrum.from_energies([0.0, 1.0])
+        with pytest.raises(ShapeError, match="2 spectra for 3 rows"):
+            thermo_majorizes(p, p, [spec, spec])
+        with pytest.raises(DomainError, match="state dim 2 != spectrum dim 3"):
+            thermo_majorizes(p, p, [spec, qutrit(), spec])
 
 
 class TestGroundPopulationOracle:

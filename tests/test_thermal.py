@@ -433,6 +433,33 @@ class TestRandomUnitary:
             assert got[i].tobytes() == random_energy_preserving_unitary(blocks, seed).tobytes()
 
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(BLOCK_SIZES, st.integers(0, 2 ** 16), st.booleans(),
+                              st.integers(0, 2 ** 31 - 1)), max_size=6),
+           st.booleans())
+    def test_structure_list_matches_single_calls(self, instances, one_structure):
+        # A list of block structures, one seed each, gives the list of their
+        # single-call unitaries bit for bit; with one structure repeated it
+        # is also the stack of its seed-array call.
+        structures = [shuffled_blocks(*args[:3]) for args in instances]
+        if one_structure and structures:
+            structures = [structures[0]] * len(structures)
+        seeds = [args[3] for args in instances]
+        got = random_energy_preserving_unitary(structures, seeds)
+        assert isinstance(got, list) and len(got) == len(structures)
+        for u, blocks, seed in zip(got, structures, seeds):
+            assert u.shape == (blocks.joint_dim,) * 2
+            assert u.tobytes() == random_energy_preserving_unitary(blocks, seed).tobytes()
+        if one_structure and structures:
+            stack = random_energy_preserving_unitary(structures[0], seeds)
+            assert stack.tobytes() == np.array(got).tobytes()
+
+    def test_structure_list_needs_one_seed_each(self):
+        blocks = shuffled_blocks([2, 1], 0, False)
+        with pytest.raises(ShapeError, match="2 seeds for 1 block structures"):
+            random_energy_preserving_unitary([blocks], [1, 2])
+
+
 class TestIsEnergyPreserving:
     def setup_method(self):
         s = Spectrum.from_energies([0.0, 1.0])

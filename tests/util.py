@@ -1,8 +1,9 @@
 """Reference implementations shared by the test suite, the sequence
 builder the tests construct GateSequences with, and the seeded
 random-instance helpers of thermoforge.verify, re-exported.  The
-reference_suite_numerics and reference_oracle_excess loops call each
-kernel once per trial on 2-D matrices; verify's suites must match them."""
+reference_suite_* and reference_oracle_excess loops call each kernel
+once per trial, on 2-D matrices, one block structure or one population
+vector; verify's suites must match them."""
 import math
 
 import numpy as np
@@ -15,16 +16,17 @@ from thermoforge import (
     gibbs_state,
 )
 from thermoforge import compiler, cooling
+from thermoforge.channels import ChannelSpec, apply_TO, beta_swap
 from thermoforge.compiler import (
     _COEFF_TOL, _ELIM_TOL, _GIVENS, _P, GateSequence, GeneratorCombination,
 )
 from thermoforge.errors import CapacityError, DomainError, ShapeError
 from thermoforge.generators import ElementaryGenerator, _to_matrix, enumerate_basis
 from thermoforge.linalg import expm_skew, frobenius_distance, kron, partial_trace, trace_distance
-from thermoforge.majorization import max_ground_population_TO, thermo_curve
-from thermoforge.thermal import (ENERGY_TOL, random_energy_preserving_unitary,
+from thermoforge.majorization import max_ground_population_TO, thermo_majorizes
+from thermoforge.thermal import (ENERGY_TOL, DiagonalState, random_energy_preserving_unitary,
                                  require_energy_preserving)
-from thermoforge.verify import _hi
+from thermoforge.verify import CheckResult, _hi
 from thermoforge.verify import (  # noqa: F401  (re-exported for the tests)
     random_antihermitian,
     random_density,
@@ -167,7 +169,7 @@ def reference_suite_numerics(seed, trials):
     parts) in the order a, b, c, k, x, y, z."""
     rng = np.random.default_rng(seed)
     results = []
-    worst = {"assoc": 0.0, "trace": 0.0, "pt": 0.0, "unit": 0.0, "inv": 0.0, "tri": 0.0}
+    worst = {"assoc": 0.0, "trace": 0.0, "pt": 0.0, "unit": 0.0, "inv": 0.0, "tri": -np.inf}
     for _ in range(trials):
         a, b, c = (_reference_complex(rng, d) for d in (2, 3, 2))
         a, b, c = ((m + m.conj().T) / 2 for m in (a, b, c))
@@ -201,7 +203,7 @@ def reference_oracle_excess(rng, trials):
     oracle = max_ground_population_TO(cooling.DEFAULT_INPUT, inst.system, inst.catalyst)
     blocks = energy_blocks(inst.system, inst.catalyst)
     tau_c = gibbs_state(inst.catalyst).to_dense()
-    over = 0.0
+    over = -np.inf
     for _ in range(trials):
         u = random_energy_preserving_unitary(blocks, seed=int(rng.integers(1 << 31)))
         joint = u @ kron(cooling.DEFAULT_INPUT.to_dense(), tau_c) @ u.conj().T
@@ -216,13 +218,127 @@ def reference_curve_values(curve, xs):
     return np.interp(np.asarray(xs, dtype=float), v[:, 0], v[:, 1])
 
 
+def _reference_check_curve(xs, ys):
+    """The thermo-curve rules on one vertex list, in the order
+    majorization._check_curve raises them."""
+    if xs[0] != 0.0 or ys[0] != 0.0:
+        raise DomainError("curve must start at (0, 0)")
+    dx, dy = xs[1:] - xs[:-1], ys[1:] - ys[:-1]
+    v = int(len(dx) > 0 and dx[0] == 0 and dy[0] > 0)  # a rising vertical first segment
+    if not (dx[v:] > 0).all() or abs(xs[-1] - 1.0) > 1e-12:
+        raise DomainError("x must increase strictly to 1")
+    if (dy < -1e-12).any() or abs(ys[-1] - 1.0) > 1e-12:
+        raise DomainError("y must be nondecreasing to 1")
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        slopes = dy[v:] / dx[v:]
+        rise = slopes[1:] - slopes[:-1]
+        both = np.isnan(rise)
+        if both.any():  # two overflowed slopes, compared over dx * 2**600
+            scaled = dy[v:] / np.ldexp(dx[v:], 600)
+            rise[both] = ((scaled[1:] - scaled[:-1]) / scaled[:-1])[both]
+    if not (rise <= 1e-9).all():
+        raise DomainError("curve is not concave")
+
+
+def reference_curve(p, spec):
+    """The checked vertices (xs, ys) of a DiagonalState's curve, built on
+    its own: ratios sorted with np.lexsort (ties at inf by p over gamma
+    scaled by 2**600, then by index), cumulative sums, and each run of
+    equal x after the origin dropped but for its last vertex."""
+    if p.dim != spec.dim:
+        raise DomainError(f"state dim {p.dim} != spectrum dim {spec.dim}")
+    p, gamma = p.populations, gibbs_state(spec).populations
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = p / gamma
+        inf = ratio == np.inf
+        order = np.lexsort((np.where(inf, -(p / np.ldexp(gamma, 600)), 0.0), -ratio))
+    xs = np.concatenate(([0.0], np.cumsum(gamma[order])))
+    ys = np.concatenate(([0.0], np.cumsum(p[order])))
+    xs[-1] = ys[-1] = 1.0
+    kept = [0] + [k for k in range(1, len(xs)) if k == len(xs) - 1 or xs[k + 1] != xs[k]]
+    xs, ys = xs[kept], ys[kept]
+    _reference_check_curve(xs, ys)
+    return xs, ys
+
+
 def reference_thermo_majorizes(p, q, spec, tol=1e-9):
-    """Build both ThermoCurve objects and compare them at the union of
-    their vertex x values."""
-    cp = thermo_curve(p, spec)
-    cq = thermo_curve(q, spec)
-    xs = np.union1d(cp.xs, cq.xs)
-    return bool(np.all(reference_curve_values(cp, xs) >= reference_curve_values(cq, xs) - tol))
+    """Build both curves, one state at a time, and compare them with
+    np.interp at the union of their vertex x values."""
+    xp, yp = reference_curve(p, spec)
+    xq, yq = reference_curve(q, spec)
+    xs = np.union1d(xp, xq)
+    return bool(np.all(np.interp(xs, xp, yp) >= np.interp(xs, xq, yq) - tol))
+
+
+def _reference_instances(rng, trials):
+    """verify's random channel instances, one trial at a time: spectra,
+    blocks and the unitary of its own int(rng.integers(1 << 31)) seed."""
+    for _ in range(trials):
+        spec_s, spec_c = random_resonant_spectra(rng)
+        blocks = energy_blocks(spec_s, spec_c)
+        yield spec_s, spec_c, blocks, random_energy_preserving_unitary(
+            blocks, seed=int(rng.integers(1 << 31)))
+
+
+def reference_suite_compiler_trials(seed, trials):
+    """The random-instance checks of verify.suite_compiler, one compile per
+    trial: (worst round-trip error, gate counts within their bound)."""
+    rng = np.random.default_rng(seed)
+    worst_rt, count_ok = 0.0, True
+    for _, _, blocks, u in _reference_instances(rng, max(1, trials // 4)):
+        seq = compiler.compile_exact(u, blocks)
+        worst_rt = max(worst_rt, frobenius_distance(compiler.reconstruct(seq), u))
+        count_ok &= seq.count("givens") <= sum(d * (d - 1) // 2 for d in blocks.block_sizes())
+    return worst_rt, count_ok
+
+
+def reference_suite_channels_trials(seed, trials):
+    """The random-instance checks of verify.suite_channels, one channel per
+    trial, its density drawn after its unitary's seed: the worst trace
+    defect, negative eigenvalue and Gibbs-state distance."""
+    rng = np.random.default_rng(seed)
+    worst_trace = worst_eig = worst_gibbs = 0.0
+    for spec_s, spec_c, _, u in _reference_instances(rng, max(1, trials // 4)):
+        chan = ChannelSpec(spec_s, spec_c, u)
+        rho = random_density(rng, spec_s.dim)
+        out = apply_TO(rho, chan)
+        worst_trace = max(worst_trace, abs(np.trace(out).real - 1.0))
+        worst_eig = max(worst_eig, -np.linalg.eigvalsh((out + out.conj().T) / 2).min())
+        tau_s = gibbs_state(spec_s).to_dense()
+        worst_gibbs = max(worst_gibbs, trace_distance(apply_TO(tau_s, chan), tau_s))
+    return worst_trace, worst_eig, worst_gibbs
+
+
+def reference_suite_majorization(seed, trials):
+    """verify.suite_majorization with one 1-D thermo_majorizes call per
+    check and trial: per trial the spectra, the unitary's seed, the
+    populations, then the beta-swap pair; then three population vectors
+    per transitivity trial, and the oracle loop."""
+    rng = np.random.default_rng(seed)
+    results = []
+    violations = swap_violations = 0
+    transitivity_ok = True
+    for spec_s, spec_c, _, u in _reference_instances(rng, trials):
+        chan = ChannelSpec(spec_s, spec_c, u)
+        p = DiagonalState(random_populations(rng, spec_s.dim))
+        out = apply_TO(p.to_dense(), chan)
+        q = DiagonalState(np.clip(np.real(np.diag(out)), 0, None) / np.trace(out).real)
+        violations += not thermo_majorizes(p, q, spec_s, tol=1e-9)
+        i, j = sorted(rng.choice(spec_s.dim, size=2, replace=False))
+        swap_violations += not thermo_majorizes(p, beta_swap(p, spec_s, int(i), int(j)), spec_s,
+                                                tol=1e-9)
+    spec = cooling.SYSTEM_SPECTRUM
+    for _ in range(min(trials, 50)):
+        a, b, c = (DiagonalState(random_populations(rng, 3)) for _ in range(3))
+        if thermo_majorizes(a, b, spec) and thermo_majorizes(b, c, spec):
+            transitivity_ok &= thermo_majorizes(a, c, spec, tol=1e-8)
+    over = reference_oracle_excess(rng, min(trials, 200))
+    results.append(CheckResult("to_monotonicity_violations", violations == 0, float(violations), 0.0))
+    results.append(CheckResult("beta_swap_majorized", swap_violations == 0,
+                               float(swap_violations), 0.0))
+    results.append(CheckResult("curve_transitivity", transitivity_ok, float(transitivity_ok), 1.0))
+    _hi(results, "to_oracle_upper_bound", over, 1e-9)
+    return results
 
 
 def reference_target_matrix(combo, dims):

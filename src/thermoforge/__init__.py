@@ -25,7 +25,7 @@ from .cooling import (
     run_cooling,
     run_cooling_dense,
 )
-from .gates import GateSequence, GateStep, apply_gates
+from .gates import GateSequence, GateStep
 from .generators import ElementaryGenerator, enumerate_basis, lie_closure, rank2_basis
 from .linalg import expm_skew, kron, partial_trace, trace_distance
 from .majorization import (

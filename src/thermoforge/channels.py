@@ -6,9 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import GateSequence, apply_gates
+from .compiler import reconstruct
 from .errors import DomainError, ShapeError
-from .linalg import as_operator, kron, partial_trace, trace_distance
+from .gates import GateSequence
+from .linalg import as_operator, dagger, kron, partial_trace, trace_distance
 from .thermal import DiagonalState, Spectrum, energy_blocks, gibbs_state, require_energy_preserving
 
 STRICT_TOL = 1e-10  # largest catalyst-marginal and product distance of a strict verdict
@@ -111,7 +112,9 @@ def run_gc_eto(rho_s, catalyst: Spectrum, seq: GateSequence,
                rethermalize: bool = True,
                system: Spectrum | None = None,
                ) -> tuple[np.ndarray, CatalysisVerdict, CatalysisVerdict | None]:
-    """Evolve rho ⊗ tau(H_C) through an elementary gate sequence.
+    """Evolve rho ⊗ tau(H_C) through an elementary gate sequence: the
+    joint state U (rho ⊗ tau_C) U† with U = reconstruct(seq), as apply_TO
+    forms it with the catalyst as bath.
 
     Returns the system marginal and the catalysis verdicts before and
     (when requested) after rethermalizing the catalyst.  Given the system
@@ -138,14 +141,14 @@ def run_gc_eto(rho_s, catalyst: Spectrum, seq: GateSequence,
             raise DomainError(f"step {k}: levels {a} and {b} lie in different energy blocks "
                               f"(joint energies {energy[a]} and {energy[b]})")
     tau_c = gibbs_state(catalyst).to_dense()
-    joint = apply_gates(seq, kron(rho_s, tau_c), conjugate=True)
+    u = reconstruct(seq)
+    joint = u @ kron(rho_s, tau_c) @ dagger(u)
+    del u  # an n x n array less through the verdicts
     dims = (ds, catalyst.dim)
     pre = classify_catalysis(joint, tau_c, dims)
     sigma_s = partial_trace(joint, dims, keep=0)
     post = None
     if rethermalize:
-        if system is None:
-            system = Spectrum.from_energies([0.0] * ds)  # energies unused for keep=catalyst
-        final = thermalize(joint, (system, catalyst), which=1)
-        post = classify_catalysis(final, tau_c, dims)
+        # thermalize(joint, (system, catalyst), which=1), from what is at hand
+        post = classify_catalysis(kron(sigma_s, tau_c), tau_c, dims)
     return sigma_s, pre, post

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cooling
-from .compiler import GateSequence, compile_approximate, compile_exact, reconstruct
+from .compiler import EXACT_TOL, GateSequence, compile_approximate, compile_exact, reconstruct
 from .errors import (CapacityError, CoherenceError, DomainError, FormatError, PreconditionError,
                      ShapeError, json_reals, load_json_object)
 from .linalg import DEFAULT_TOL, _eigvalsh_by_blocks, as_operator, frobenius_distance
@@ -121,7 +121,7 @@ def cmd_compile(args) -> int:
     if args.method == "exact":
         seq = compile_exact(u, blocks)
         err = frobenius_distance(reconstruct(seq), u)
-        report.add_check("reconstruction_error", err < 1e-8, err, 1e-8)
+        report.add_check("reconstruction_error", err < EXACT_TOL, err, EXACT_TOL)
     else:
         seq, err = compile_approximate(u, blocks, args.method, args.accuracy)
         report.outputs["trotter_m"] = seq.trotter_m

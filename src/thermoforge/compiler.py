@@ -15,20 +15,22 @@ m = trotter_m times.  GateStep is the value type of a JSON step and of
 the loader's error messages, and seq.steps views a sequence as GateStep
 values.
 
-Cost model: apply_gates groups the slice, order unchanged, into ASAP
-layers: each step goes into the earliest layer after every earlier step
-that shares a level with it.  The steps of one layer act on disjoint
-levels, so each row of the operand is changed by at most one of them,
-from its own and its partner's old values; applying the layer's gates
-one by one in any order, or all at once, gives the same numbers.  Under
-x -> x U† the same holds for columns.  A layer of k two-level gates is
-one batched (k,2,2) @ (k,2,n) row update plus one multiply for its
-phases, so L gates in Λ layers cost O(Λ) numpy calls of O(k n) work
-each, O(L n) in all.  Conjugation x -> U x U† adds a column pass of the
-same cost.  compile_exact's triangular order has about 2 max_b d_b
-layers (50 layers for 990 gates at n = 108).  reconstruct costs O(n^2)
-for the identity plus one pass, and a sequence of one slice repeated m
-times is reconstructed as slice^m: O(L n + n^3 log m).
+Cost model: a sequence groups its slice, order unchanged, into ASAP
+layers, which apply_layers applies: each step goes into the earliest
+layer after every earlier step that shares a level with it.  The steps
+of one layer act on disjoint levels, so each row of the operand is
+changed by at most one of them, from its own and its partner's old
+values; applying the layer's gates one by one in any order, or all at
+once, gives the same numbers.  A layer of k two-level gates is one
+batched (k,2,2) @ (k,2,n) row update plus one multiply for its phases,
+so L gates in Λ layers cost O(Λ) numpy calls of O(k n) work each,
+O(L n) in all.  compile_exact's triangular order has about 2 max_b d_b
+layers (50 layers for 990 gates at n = 108).  reconstruct, the one
+whole-sequence product, costs O(n^2) for the identity plus one pass, and
+a sequence of one slice repeated m times is reconstructed as slice^m:
+O(L n + n^3 log m).  Conjugation x -> U x U† (channels.run_gc_eto) is
+reconstruct plus two dense products, O(L n + n^3), with slice^m when
+repeat > 1.
 
 compile_exact stacks the energy blocks of size >= 2, largest first,
 each padded with the identity to its stack's first block D_s; a stack
@@ -83,6 +85,7 @@ from .thermal import EnergyBlocks, require_energy_preserving
 _ELIM_TOL = 1e-13
 _COEFF_TOL = 1e-14  # generator coefficients at or below this are dropped
 M_CAP = 1 << 14  # largest slice count compile_approximate tries
+EXACT_TOL = 1e-8  # largest ||reconstruct(seq) - u||_F an exact compile passes with
 _P, _GIVENS = KIND_CODE["p"], KIND_CODE["givens"]
 
 
@@ -91,7 +94,7 @@ def reconstruct(seq: GateSequence) -> np.ndarray:
     layer by layer over the identity, then slice^repeat by repeated
     squaring when repeat > 1."""
     u = np.eye(seq.dims[0] * seq.dims[1], dtype=complex)
-    apply_layers(seq._plan(), 1, u)
+    apply_layers(seq._plan(), u)
     return u if seq.repeat == 1 else np.linalg.matrix_power(u, seq.repeat)
 
 
@@ -472,7 +475,7 @@ def _power_errors(sl: _Slice, u: np.ndarray, blocks: EnergyBlocks) -> np.ndarray
     pos[blocks.order] = np.arange(n) - np.repeat(blocks.offsets[:-1], sizes)
     s = np.zeros((k, n, sizes.max()), dtype=complex)
     s[:, np.arange(n), pos] = 1.0
-    apply_layers(gates, 1, s.reshape(k * n, -1))
+    apply_layers(gates, s.reshape(k * n, -1))
     e2 = np.zeros(k)
     off = u.copy()
     for d in np.unique(sizes).tolist():

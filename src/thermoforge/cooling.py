@@ -21,9 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import KIND_CODE, GateSequence, apply_gates
+from .channels import ChannelSpec, apply_TO
+from .compiler import reconstruct
 from .errors import CapacityError, DomainError
-from .linalg import kron, partial_trace
+from .gates import KIND_CODE, GateSequence
 from .thermal import DiagonalState, Spectrum, gibbs_state
 
 E_UNIT = math.log(2.0)
@@ -137,14 +138,13 @@ def run_cooling(d: int, p: DiagonalState | None = None,
 
 
 def run_cooling_dense(d: int, p: DiagonalState | None = None) -> DiagonalState:
-    """Dense cross-check: conjugate the full joint density matrix
-    p ⊗ tau_C gate by gate and trace the catalyst out."""
+    """Dense cross-check: the thermal operation of the cooling gates with
+    the catalyst as bath, apply_TO on the full density matrix of p; the
+    ChannelSpec checks that the gates preserve energy."""
     if d > MAX_D_DENSE:
         raise CapacityError(f"dense path limited to d <= {MAX_D_DENSE}")
     if p is None:
         p = DEFAULT_INPUT
     inst = build_cooling_instance(d)
-    tau = gibbs_state(inst.catalyst).to_dense()
-    joint = apply_gates(inst.gates, kron(p.to_dense(), tau), conjugate=True)
-    sigma = partial_trace(joint, inst.gates.dims, keep=0)
+    sigma = apply_TO(p.to_dense(), ChannelSpec(inst.system, inst.catalyst, reconstruct(inst.gates)))
     return DiagonalState(np.real(np.diag(sigma)))

@@ -2,11 +2,12 @@
 
 GateSequence holds an ordered list of elementary gates as columns of one
 slice plus a repeat count, reads and writes the JSON sequence format
-(docs/formats.md), and apply_gates applies it layer by layer; the cost
-model is in compiler.py.  GateStep is one gate as a value (a named
-generator kind with a parameter, or an explicit 2x2 unitary, on one or
-two joint (system, catalyst) indices): the value type of the read-only
-seq.steps view, and the one judge of a JSON step.
+(docs/formats.md), and plans its slice as ASAP layers, which
+apply_layers applies; compiler.reconstruct multiplies a whole sequence
+out, and the cost model is in compiler.py.  GateStep is one gate as a
+value (a named generator kind with a parameter, or an explicit 2x2
+unitary, on one or two joint (system, catalyst) indices): the value type
+of the read-only seq.steps view, and the one judge of a JSON step.
 
 A file has one writer and one judge.  save is the only serializer: it
 writes each slice with two string formats over flat field tuples.  The
@@ -290,8 +291,8 @@ class GateSequence:
 
     @property
     def layers(self) -> int:
-        """Number of layers apply_gates applies: the slice's ASAP layers
-        times repeat."""
+        """Number of layers in the sequence: the slice's ASAP layers
+        times repeat (reconstruct applies the slice's once)."""
         return len(self._plan()) * self.repeat
 
     def _slice_text(self) -> str:
@@ -500,33 +501,11 @@ def layer_views(flats: np.ndarray, blocks: np.ndarray, cuts: list) -> list[tuple
             for lo, mid, hi in zip(cuts[0::2], cuts[1::2], cuts[2::2])]
 
 
-def apply_layers(layers: list[tuple], repeat: int, x: np.ndarray) -> None:
-    """x <- U x for the slice U given by its layers, applied `repeat` times."""
-    for _ in range(repeat):
-        for pairs, blocks, levels, phases in layers:
-            if len(pairs):
-                x[pairs] = blocks @ x[pairs]
-            if len(levels):
-                x[levels] *= phases[:, None]
-
-
-def apply_gates(seq: GateSequence, x: np.ndarray, conjugate: bool = False) -> np.ndarray:
-    """Apply every step to x in place, steps[0] first, and return x.
-
-    x <- U x updates the rows of each layer at once (x may be a vector or
-    an n-row matrix).  With conjugate=True, x <- U x U† = conj(conj(U x) U^T):
-    the second pass updates rows of the transposed view, i.e. columns, between
-    two in-place conjugations.
-    """
-    n = seq.dims[0] * seq.dims[1]
-    if x.ndim not in (1, 2) or x.shape[0] != n or (conjugate and x.shape != (n, n)):
-        raise ShapeError(f"operand shape {x.shape} does not match sequence dims {seq.dims}")
-    if x.dtype != complex:
-        raise TypeError(f"gates update a complex array in place, got {x.dtype}")
-    layers = seq._plan()
-    apply_layers(layers, seq.repeat, x if x.ndim == 2 else x[:, None])
-    if conjugate:
-        np.conjugate(x, out=x)
-        apply_layers(layers, seq.repeat, x.T)
-        np.conjugate(x, out=x)
-    return x
+def apply_layers(layers: list[tuple], x: np.ndarray) -> None:
+    """x <- U x in place for the slice U given by its layers (layer_views),
+    x an n-row complex array."""
+    for pairs, blocks, levels, phases in layers:
+        if len(pairs):
+            x[pairs] = blocks @ x[pairs]
+        if len(levels):
+            x[levels] *= phases[:, None]

@@ -60,18 +60,22 @@ def _check_curve(xs: np.ndarray, ys: np.ndarray, size=None) -> None:
         raise DomainError("x must increase strictly to 1")
     if (seg & (dy < -1e-12)).any() or (abs(last_y - 1.0) > 1e-12).any():
         raise DomainError("y must be nondecreasing to 1")
-    # A rise over a subnormal dx overflows to slope +inf.  Two such slopes in
-    # a row (inf - inf is NaN) are compared, to a relative 1e-9, over dx
-    # scaled by 2**600, which is exact.
+    # A slope may exceed the one before it by 1e-9 * max(1, |earlier|): two
+    # tied ratios of 1e20 give slopes apart by far more than 1e-9.  A rise
+    # over a subnormal dx overflows to slope +inf.  Two such slopes in a row
+    # (inf - inf is NaN) are compared, to a relative 1e-9, over dx scaled by
+    # 2**600, which is exact.
     pair = rest[..., 1:] & rest[..., :-1]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         slopes = dy / dx
+        earlier = np.abs(slopes[..., :-1])
         rise = slopes[..., 1:] - slopes[..., :-1]
+        tol = 1e-9 * np.where(earlier < np.inf, np.maximum(earlier, 1.0), 1.0)
         both = np.isnan(rise) & pair
         if both.any():
             scaled = dy / np.ldexp(dx, 600)
             rise[both] = ((scaled[..., 1:] - scaled[..., :-1]) / scaled[..., :-1])[both]
-    if (pair & ~(rise <= 1e-9)).any():
+    if (pair & ~(rise <= tol)).any():
         raise DomainError("curve is not concave")
 
 
@@ -101,7 +105,10 @@ def _curve_arrays(p: np.ndarray, gamma: np.ndarray):
     xs, ys = np.zeros((m, n + 1)), np.zeros((m, n + 1))
     np.cumsum(gamma[rows, order], axis=-1, out=xs[:, 1:])
     np.cumsum(p[rows, order], axis=-1, out=ys[:, 1:])
-    # Guard the invariants against accumulated rounding at the endpoints.
+    # Guard the invariants against accumulated rounding at the endpoints.  A
+    # running Gibbs sum that rounds above 1 is clamped, so the last x = 1.0
+    # never steps back; a clamped vertex merges by the equal-x rule.
+    np.minimum(xs, 1.0, out=xs)
     xs[:, -1] = 1.0
     ys[:, -1] = 1.0
     merged = xs[:, 1:] == xs[:, :-1]

@@ -43,7 +43,8 @@ from .channels import (
     beta_swap,
     run_gc_eto,
 )
-from .compiler import GateSequence, compile_bch, compile_exact, compile_trotter, reconstruct
+from .compiler import (EXACT_TOL, GateSequence, compile_bch, compile_exact, compile_trotter,
+                       reconstruct)
 from .generators import enumerate_basis, lie_closure, rank2_basis, ElementaryGenerator
 from .linalg import dagger, expm_skew, frobenius_distance, kron, partial_trace, trace_distance
 from .majorization import max_ground_population_TO, thermo_majorizes
@@ -283,7 +284,7 @@ def suite_compiler(seed: int, trials: int) -> list[CheckResult]:
     monotone = all(errs[i + 1] <= errs[i] * 1.1 for i in range(len(errs) - 1))
     same = compile_bch(gh, gh, 0.4, 8, blocks.dims)
     bch_self = frobenius_distance(reconstruct(same), np.eye(blocks.joint_dim))
-    _hi(results, "exact_roundtrip_error", worst_rt, 1e-8)
+    _hi(results, "exact_roundtrip_error", worst_rt, EXACT_TOL)
     results.append(CheckResult("exact_gate_count_bound", count_ok, float(count_ok), 1.0))
     _hi(results, "trotter_commuting_exact_m1", commuting_err, 1e-10)
     results.append(CheckResult("trotter_error_monotone", monotone, float(monotone), 1.0))

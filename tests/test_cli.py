@@ -459,6 +459,17 @@ class TestCurve:
         assert code == 0, err
         assert report["outputs"]["vertices"] == [[0.0, 0.0], [1.0, 1.0]]
 
+    @pytest.mark.parametrize("energies,weights", [
+        ([50, 0.6931471805599453, 740, 50], [4 / 15, 3 / 15, 4 / 15, 4 / 15]),  # huge tied slopes
+        ([2, 2, 0, 2, 50], [2 / 7, 0, 4 / 7, 1 / 7, 0]),  # Gibbs sum rounds above 1
+    ])
+    def test_valid_curves_at_the_rounding_edge(self, tmp_path, capsys, energies, weights):
+        spec = write_json(tmp_path / "spec.json", {"energies": energies})
+        sf = write_json(tmp_path / "p.json", {"populations": weights})
+        code, report, err = run_cli(capsys, ["curve", "--state", sf, "--spectrum", spec])
+        assert code == 0, err
+        assert report["outputs"]["vertices"][-1] == [1.0, 1.0]
+
     def test_zero_gibbs_weight_on_a_populated_level(self, tmp_path, capsys, recwarn):
         # exp(-800) underflows to 0, so level 1's ratio p/gamma is infinite:
         # it goes first, on a vertical segment at x = 0 above the origin.

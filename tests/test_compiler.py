@@ -4,20 +4,21 @@ import math
 import os
 import re
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from thermoforge import compiler, gates, linalg
+from thermoforge import channels, compiler, gates, linalg
 from thermoforge import (
     ElementaryGenerator,
     GateSequence,
     GateStep,
     GeneratorCombination,
     Spectrum,
-    apply_gates,
+    classify_catalysis,
     compile_approximate,
     compile_bch,
     compile_exact,
@@ -25,13 +26,19 @@ from thermoforge import (
     compile_trotter,
     energy_blocks,
     expm_skew,
+    gibbs_state,
     is_energy_preserving,
+    kron,
+    partial_trace,
     random_energy_preserving_unitary,
     reconstruct,
+    run_gc_eto,
+    thermalize,
 )
 from thermoforge.errors import DomainError, FormatError, ShapeError
 from util import (
     random_antihermitian,
+    random_density,
     random_resonant_spectra,
     reference_apply_gates,
     reference_compile_approximate,
@@ -134,6 +141,9 @@ def gate_steps(draw, dims):
 
 
 class TestGateKernel:
+    """reconstruct of one step against its dense matrix and the gate-by-gate
+    reference kernel."""
+
     @given(gate_cases(), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=200, deadline=None)
     def test_left_product_matches_dense(self, case, seed):
@@ -142,8 +152,9 @@ class TestGateKernel:
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         seq = sequence([step], "handcrafted", dims)
-        got = apply_gates(seq, x.copy())
-        assert np.max(np.abs(got - u @ x)) < 1e-12
+        got = reconstruct(seq)
+        assert np.max(np.abs(got - u)) < 1e-12
+        assert np.max(np.abs(got @ x - reference_apply_gates(seq, x.copy()))) < 1e-12
 
     @given(gate_cases(), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=200, deadline=None)
@@ -154,17 +165,10 @@ class TestGateKernel:
         z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         rho = (z + z.conj().T) / 2
         seq = sequence([step], "handcrafted", dims)
-        got = apply_gates(seq, rho.copy(), conjugate=True)
+        r = reconstruct(seq)
+        got = r @ rho @ r.conj().T
         assert np.max(np.abs(got - u @ rho @ u.conj().T)) < 1e-12
-
-    def test_rejects_bad_operand(self):
-        seq = sequence([], "handcrafted", (2, 2))
-        with pytest.raises(ShapeError):
-            apply_gates(seq, np.eye(3, dtype=complex))
-        with pytest.raises(ShapeError):
-            apply_gates(seq, np.ones((4, 2), dtype=complex), conjugate=True)
-        with pytest.raises(TypeError):
-            apply_gates(seq, np.eye(4))  # a real array would drop imaginary parts
+        assert np.max(np.abs(got - reference_apply_gates(seq, rho.copy(), conjugate=True))) < 1e-12
 
     def test_rejects_coincident_levels(self):
         step = GateStep("givens", ((0, 1), (0, 1)), u2=np.eye(2))
@@ -182,6 +186,11 @@ def layered_sequences(draw):
     return sequence(one, "trotter", dims, trotter_m=m, repeat=m)
 
 
+def gate_by_gate(seq):
+    """The product of a sequence's steps, through the reference kernel."""
+    return reference_apply_gates(seq, np.eye(seq.dims[0] * seq.dims[1], dtype=complex))
+
+
 class TestLayeredKernel:
     @given(layered_sequences(), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=200, deadline=None)
@@ -191,14 +200,14 @@ class TestLayeredKernel:
         x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         assert seq.repeat == seq.trotter_m
         assert seq.layers <= len(seq)
-        got = apply_gates(seq, x.copy())
-        assert np.max(np.abs(got - reference_apply_gates(seq, x.copy()))) < 1e-12
+        u = reconstruct(seq)
+        assert np.max(np.abs(u - gate_by_gate(seq))) < 1e-12
+        assert np.max(np.abs(u @ x - reference_apply_gates(seq, x.copy()))) < 1e-12
         rho = (x + x.conj().T) / 2
-        got = apply_gates(seq, rho.copy(), conjugate=True)
         want = reference_apply_gates(seq, rho.copy(), conjugate=True)
-        assert np.max(np.abs(got - want)) < 1e-12
+        assert np.max(np.abs(u @ rho @ u.conj().T - want)) < 1e-12
         v = x[:, 0].copy()
-        assert np.max(np.abs(apply_gates(seq, v.copy()) - reference_apply_gates(seq, v))) < 1e-12
+        assert np.max(np.abs(u @ v - reference_apply_gates(seq, v))) < 1e-12
 
     @pytest.mark.parametrize("conjugate", [False, True])
     @pytest.mark.parametrize("bad,error", [
@@ -225,6 +234,33 @@ class TestLayeredKernel:
         seq = sequence(steps, "handcrafted", (1, 4))
         assert seq.layers == 2
         assert sequence(steps, "trotter", (1, 4), trotter_m=3, repeat=3).layers == 6
+
+
+class TestSimulateProduct:
+    @given(layered_sequences(), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_run_gc_eto_matches_gate_by_gate(self, seq, seed):
+        """run_gc_eto's marginal and verdicts, from reconstruct(seq), against
+        those of the state conjugated gate by gate; the rethermalized state
+        is bit for bit thermalize's."""
+        ds, dc = seq.dims
+        rng = np.random.default_rng(seed)
+        system = Spectrum.from_energies(rng.integers(0, 3, ds).astype(float))
+        catalyst = Spectrum.from_energies(rng.integers(0, 3, dc).astype(float))
+        rho = random_density(rng, ds)
+        tau = gibbs_state(catalyst).to_dense()
+        with mock.patch.object(channels, "classify_catalysis",
+                               wraps=channels.classify_catalysis) as spy:
+            sigma_s, pre, post = run_gc_eto(rho, catalyst, seq)
+        joint, final = (call.args[0] for call in spy.call_args_list)
+        assert np.array_equal(final, thermalize(joint, (system, catalyst), 1))
+        want = reference_apply_gates(seq, kron(rho, tau), conjugate=True)
+        want_s = partial_trace(want, seq.dims, keep=0)
+        assert np.max(np.abs(sigma_s - want_s)) < 1e-12
+        for got, ref in ((pre, classify_catalysis(want, tau, seq.dims)),
+                         (post, classify_catalysis(kron(want_s, tau), tau, seq.dims))):
+            assert abs(got.catalyst_marginal_distance - ref.catalyst_marginal_distance) < 1e-12
+            assert abs(got.product_defect - ref.product_defect) < 1e-12
 
 
 # Values that are not JSON numbers, or numbers only by the bool rule, or
@@ -784,19 +820,15 @@ def periodic_builders():
     }
 
 
-def gate_by_gate(seq):
-    return apply_gates(seq, np.eye(seq.dims[0] * seq.dims[1], dtype=complex))
-
-
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """(steps in the layers, repeat) of each apply_layers call made through
-    the compiler module."""
+    """Steps in the layers of each apply_layers call made through the
+    compiler module."""
     calls = []
 
-    def counting(layers, repeat, x):
-        calls.append((sum(len(pairs) + len(levels) for pairs, _, levels, _ in layers), repeat))
-        return gates.apply_layers(layers, repeat, x)
+    def counting(layers, x):
+        calls.append(sum(len(pairs) + len(levels) for pairs, _, levels, _ in layers))
+        return gates.apply_layers(layers, x)
 
     monkeypatch.setattr(compiler, "apply_layers", counting)
     return calls
@@ -810,7 +842,7 @@ class TestPeriodicReconstruct:
         assert seq.method == method and seq.trotter_m == m
         got = reconstruct(seq)
         # the slice alone goes through the kernel, once
-        assert kernel_calls == [(len(seq) // m, 1)]
+        assert kernel_calls == [len(seq) // m]
         assert np.linalg.norm(got - gate_by_gate(seq)) < 1e-12 * m
 
     def test_json_loaded_sequence_takes_gate_path(self, kernel_calls):
@@ -818,7 +850,7 @@ class TestPeriodicReconstruct:
         loaded = GateSequence.from_json(json.loads(json.dumps(sequence_to_json(seq))))
         assert loaded.trotter_m == 16
         assert np.linalg.norm(reconstruct(loaded) - reconstruct(seq)) < 1e-12 * 16
-        assert kernel_calls == [(len(seq), 1), (len(seq) // 16, 1)]
+        assert kernel_calls == [len(seq), len(seq) // 16]
 
     def test_slice_indices_are_checked(self):
         bad = GateStep("h", ((0, 0), (0, 3)), param=0.1)

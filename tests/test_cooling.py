@@ -143,6 +143,15 @@ class TestRun:
             assert np.max(np.abs(fast.populations - dense.populations)) < 1e-10
             assert abs(dense.populations[0] - (1 - 1 / d)) < 1e-12
 
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_dense_matches_gate_by_gate_swaps(self, d):
+        # apply_TO of the reconstructed cooling gates against swapping the
+        # joint populations entry by entry, for the default and a mixed input
+        for p in (DEFAULT_INPUT, DiagonalState([0.2, 0.3, 0.5])):
+            q = reference_cooling_populations(d, p.populations)
+            dense = run_cooling_dense(d, p)
+            assert np.max(np.abs(dense.populations - q.sum(axis=1))) < 1e-12
+
     def test_dense_capacity_guard(self):
         with pytest.raises(CapacityError):
             run_cooling_dense(11)

@@ -137,6 +137,36 @@ class TestCurve:
         with pytest.raises(DomainError, match="x must increase"):
             ThermoCurve(((0.0, 0.0), (math.nan, 0.5), (1.0, 1.0)))
 
+    def test_huge_tied_slopes_are_compared_relatively(self):
+        # Levels 0 and 3 share the ratio p / gamma ~ 6.9e20; their two
+        # slopes, over rounded cumulative sums, differ by about 1.3e5, far
+        # above an absolute 1e-9 but within 1e-9 of the slope itself.
+        spec = Spectrum.from_energies([50.0, LN2, 740.0, 50.0])
+        p = DiagonalState(np.array([4, 3, 4, 4]) / 15)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = np.asarray(thermo_curve(p, spec).vertices)
+            xs, ys = reference_curve(p, spec)
+            assert thermo_majorizes(p, gibbs_state(spec), spec)
+            assert reference_thermo_majorizes(p, gibbs_state(spec), spec)
+        assert v[:, 0].tolist() == xs.tolist() and v[:, 1].tolist() == ys.tolist()
+        with pytest.raises(DomainError, match="not concave"):  # a true bend still fails
+            ThermoCurve(((0.0, 0.0), (1e-21, 0.4), (2e-21, 0.4 + 0.4 * (1 + 1e-8)), (1.0, 1.0)))
+
+    def test_running_gibbs_sum_above_one_is_clamped(self):
+        # The running Gibbs sum reaches 1 + 2**-52 at the fourth level, and
+        # the last weight, exp(-50) / Z, is below an ulp: the forced last
+        # x = 1.0 would step back.  Clamped at 1, the vertex merges.
+        spec = Spectrum.from_energies([2.0, 2.0, 0.0, 2.0, 50.0])
+        p = DiagonalState(np.array([2, 0, 4, 1, 0]) / 7)
+        assert np.cumsum(gibbs_state(spec).populations[[0, 3, 2, 1]])[-1] > 1.0  # curve order
+        v = np.asarray(thermo_curve(p, spec).vertices)
+        xs, ys = reference_curve(p, spec)
+        assert v[:, 0].tolist() == xs.tolist() and v[:, 1].tolist() == ys.tolist()
+        assert v[-1].tolist() == [1.0, 1.0] and (np.diff(v[:, 0]) > 0).all()
+        assert thermo_majorizes(p, gibbs_state(spec), spec)
+        assert reference_thermo_majorizes(p, gibbs_state(spec), spec)
+
     def test_overflowed_ratios_sort_by_their_true_order(self):
         # Levels 1 and 2 both have p / gamma = inf; level 2's true ratio is
         # the larger, and level 3's zero weight puts it first of all.

@@ -232,11 +232,13 @@ def _reference_check_curve(xs, ys):
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         slopes = dy[v:] / dx[v:]
         rise = slopes[1:] - slopes[:-1]
+        # relative to a finite earlier slope above 1, absolute otherwise
+        tol = [1e-9 * max(1.0, abs(s)) if math.isfinite(s) else 1e-9 for s in slopes[:-1]]
         both = np.isnan(rise)
         if both.any():  # two overflowed slopes, compared over dx * 2**600
             scaled = dy[v:] / np.ldexp(dx[v:], 600)
             rise[both] = ((scaled[1:] - scaled[:-1]) / scaled[:-1])[both]
-    if not (rise <= 1e-9).all():
+    if not (rise <= np.array(tol)).all():
         raise DomainError("curve is not concave")
 
 
@@ -252,7 +254,7 @@ def reference_curve(p, spec):
         ratio = p / gamma
         inf = ratio == np.inf
         order = np.lexsort((np.where(inf, -(p / np.ldexp(gamma, 600)), 0.0), -ratio))
-    xs = np.concatenate(([0.0], np.cumsum(gamma[order])))
+    xs = np.minimum(np.concatenate(([0.0], np.cumsum(gamma[order]))), 1.0)
     ys = np.concatenate(([0.0], np.cumsum(p[order])))
     xs[-1] = ys[-1] = 1.0
     kept = [0] + [k for k in range(1, len(xs)) if k == len(xs) - 1 or xs[k + 1] != xs[k]]

@@ -108,6 +108,8 @@ def _load_state(path: str, coherence_guard: bool = False):
 
 def cmd_compile(args) -> int:
     t0 = time.perf_counter()
+    if not 0 < args.accuracy < np.inf:  # the report echoes it, whatever the method
+        raise DomainError(f"--accuracy must be positive and finite, got {args.accuracy}")
     spec_s = Spectrum.from_json(args.system)
     spec_c = Spectrum.from_json(args.catalyst)
     u = _complex_array(load_json_object(args.unitary, "a matrix"))
@@ -263,6 +265,8 @@ def cmd_curve(args) -> int:
 
 def cmd_simulate(args) -> int:
     t0 = time.perf_counter()
+    if not 0 <= args.epsilon < np.inf:
+        raise DomainError(f"--epsilon must be nonnegative and finite, got {args.epsilon}")
     rho, _ = _load_state(args.state)
     catalyst = Spectrum.from_json(args.catalyst)
     system = Spectrum.from_json(args.system) if args.system else None

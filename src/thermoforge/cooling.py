@@ -47,8 +47,7 @@ def build_cooling_catalyst(d: int) -> Spectrum:
         raise DomainError(f"catalyst parameter must be >= 1, got {d}")
     if d > MAX_D_DIAGONAL:
         raise CapacityError(f"catalyst parameter {d} exceeds the diagonal-path cap")
-    # 2^n levels at energy n*E, from index 2^n - 1; from_energies labels
-    # each shell 0..2^n - 1 in listed order.
+    # 2^n levels at energy n*E, from index 2^n - 1.
     return Spectrum.from_energies(np.repeat(np.arange(d) * E_UNIT, 1 << np.arange(d)))
 
 

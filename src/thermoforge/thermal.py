@@ -5,25 +5,24 @@ temperature is fixed at beta = 1: energies are supplied pre-multiplied by
 beta, so a Gibbs weight is exp(-E) and no function takes a temperature.
 
 Energies that agree within ENERGY_TOL form one group, by one rule shared
-by spectrum labels and joint energy blocks: sort the energies; a group's
-representative is its smallest member, and the next group starts at the
-first energy >= representative + ENERGY_TOL.  A run of small steps is
-therefore split every ENERGY_TOL rather than chained into one group.
+by the check of a `levels`-form spectrum file and the joint energy
+blocks: sort the energies; a group's representative is its smallest
+member, and the next group starts at the first energy >= representative
++ ENERGY_TOL.  A run of small steps is therefore split every ENERGY_TOL
+rather than chained into one group.
 
-Storage is array-backed.  A Spectrum holds two read-only arrays,
-`energies` (float) and `labels` (int, the degeneracy label of each
-level).  EnergyBlocks holds the joint partition in CSR form:
+Storage is array-backed.  A Spectrum holds one read-only, flat, finite
+float array, `energies`: degeneracy is which levels share an energy, and
+only the joint energy blocks ask that.  EnergyBlocks holds the joint
+partition in CSR form:
 
     order    flat joint indices s * dims[1] + c, sorted by block and
              ascending within a block
     offsets  block b is order[offsets[b]:offsets[b + 1]]
     reps     each block's representative energy, ascending
 
-`Spectrum.levels`, the (energy, label) pairs, is the one tuple view,
-built on first use: `__hash__` and `__repr__` read it, and the
-`Spectrum(levels)` constructor takes the same form.  EnergyBlocks keeps
-no tuple view: `items()` yields each block's energy and members, and
-`pairs()` turns flat indices into (s, c) pairs.
+EnergyBlocks keeps no tuple view: `items()` yields each block's energy
+and members, and `pairs()` turns flat indices into (s, c) pairs.
 
 random_energy_preserving_unitary samples one structure (with a seed, or
 an array of seeds for a (..., n, n) stack) or a list of structures with
@@ -36,7 +35,6 @@ read (..., n) stacks row by row, for majorization's stacked curves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -108,53 +106,24 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+_NOT_FLAT = "energies {} must be flat and labels, if given, of that shape"
+
+
 class Spectrum:
-    """An ordered energy list with degeneracy labels.
-
-    The list order defines the basis index used by all matrices.  Every
-    construction path (levels, energies, arrays, JSON) groups the energies
-    once and checks the same rules: finite energies, nonnegative labels,
-    and labels 0..size-1 within each tolerance group.
-    """
-
-    def __init__(self, levels):
-        levels = tuple(levels)
-        self._init(np.array([e for e, _ in levels], dtype=float),
-                   np.array([g for _, g in levels]))
-
-    @classmethod
-    def from_arrays(cls, energies, labels=None) -> "Spectrum":
-        """A spectrum from an energy array and a label array of one length;
-        labels None assigns them in listed order."""
-        e = np.array(energies, dtype=float)
-        g = None if labels is None else np.array(labels)
-        if e.ndim != 1 or g is not None and g.shape != e.shape:
-            raise ShapeError(f"energies {e.shape} must be flat and labels, if given, of that shape")
-        spec = cls.__new__(cls)
-        spec._init(e, g)
-        return spec
+    """An ordered energy list, one energy per level, whose order is the
+    basis index of all matrices.  from_energies is the one constructor."""
 
     @classmethod
     def from_energies(cls, energies) -> "Spectrum":
-        """Auto-assign degeneracy labels in listed order."""
-        return cls.from_arrays(energies)
-
-    def _init(self, e: np.ndarray, g: np.ndarray | None) -> None:
-        """Validate and store; g None assigns labels in listed order."""
+        """A spectrum from a flat list or array of finite energies."""
+        e = np.array(energies, dtype=float)
+        if e.ndim != 1:
+            raise ShapeError(_NOT_FLAT.format(e.shape))
         if not np.isfinite(e).all():
             raise DomainError("spectrum energies must be finite")
-        if g is not None and (g < 0).any():
-            raise DomainError("degeneracy labels must be nonnegative")
-        order, offsets, reps = _energy_groups(e)
-        sizes = offsets[1:] - offsets[:-1]
-        if g is None:
-            g = np.empty(len(e), dtype=np.int64)
-            g[order] = np.arange(len(e)) - offsets[:-1].repeat(sizes)
-        else:
-            gid = np.arange(len(sizes)).repeat(sizes)  # group of each sorted position
-            g = _checked_labels(g, order, offsets, reps, gid)
-        object.__setattr__(self, "energies", _read_only(e))
-        object.__setattr__(self, "labels", _read_only(g))
+        spec = cls.__new__(cls)
+        object.__setattr__(spec, "energies", _read_only(e))
+        return spec
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Spectrum is immutable; cannot set {name!r}")
@@ -162,19 +131,20 @@ class Spectrum:
     def __eq__(self, other):
         if not isinstance(other, Spectrum):
             return NotImplemented
-        return (np.array_equal(self.energies, other.energies)
-                and np.array_equal(self.labels, other.labels))
+        return np.array_equal(self.energies, other.energies)
 
     def __hash__(self):
-        return hash(self.levels)
+        return hash(tuple(self.energies.tolist()))
 
     def __repr__(self):
-        return f"Spectrum({self.levels!r})"
+        return f"Spectrum.from_energies({self.energies.tolist()!r})"
 
     @classmethod
     def from_json(cls, obj) -> "Spectrum":
         """A spectrum from a path or a parsed object, in either form of
-        docs/formats.md; its numbers are read by errors.json_reals."""
+        docs/formats.md, its numbers read by errors.json_reals.  The `deg`
+        labels of the `levels` form are checked (after the shapes and the
+        energies), then dropped."""
         obj = load_json_object(obj, "a spectrum")
         if "energies" in obj:
             return cls.from_energies(json_reals(obj["energies"], "energies"))
@@ -182,44 +152,40 @@ class Spectrum:
             levels = obj["levels"]
             if not (isinstance(levels, list) and all(isinstance(l, dict) for l in levels)):
                 raise FormatError("'levels' must be a list of objects")
-            return cls.from_arrays(json_reals([l["energy"] for l in levels], "energy"),
-                                   json_reals([l["deg"] for l in levels], "deg"))
+            e = json_reals([l["energy"] for l in levels], "energy")
+            g = json_reals([l["deg"] for l in levels], "deg")
+            if g.shape != e.shape:
+                raise ShapeError(_NOT_FLAT.format(e.shape))
+            spec = cls.from_energies(e)
+            _check_labels(g, e)
+            return spec
         raise FormatError("spectrum JSON needs an 'energies' or 'levels' key")
-
-    def to_json(self) -> dict:
-        return {"levels": [{"energy": e, "deg": g}
-                           for e, g in zip(self.energies.tolist(), self.labels.tolist())]}
 
     @property
     def dim(self) -> int:
         return len(self.energies)
 
-    @cached_property
-    def levels(self) -> tuple[tuple[float, int], ...]:
-        """(energy, label) per level, a tuple view built on first use."""
-        return tuple(zip(self.energies.tolist(), self.labels.tolist()))
 
-
-def _checked_labels(g: np.ndarray, order, offsets, reps, gid) -> np.ndarray:
-    """g as int64 if each group's labels are 0..size-1 in some order.
+def _check_labels(g: np.ndarray, energies: np.ndarray) -> None:
+    """Raise DomainError unless the float labels g are nonnegative and,
+    within each tolerance group of `energies`, 0..size-1 in some order.
 
     Each label that fits its group claims slot offsets[group] + label; the
-    labels are valid iff every slot is claimed exactly once.  Labels known
-    to be nonnegative.
+    labels are valid iff every slot is claimed exactly once.
     """
+    if (g < 0).any():
+        raise DomainError("degeneracy labels must be nonnegative")
+    order, offsets, reps = _energy_groups(energies)
     n = len(g)
-    if g.dtype.kind not in "biu":  # a non-integral label fits no slot
-        g = g.astype(float)
-        g = np.where(np.isfinite(g) & (g == np.round(g)), g, n)
-    g = np.minimum(g, n).astype(np.int64)
     sizes = np.diff(offsets)
-    sorted_g = g[order]
+    gid = np.arange(len(sizes)).repeat(sizes)  # group of each sorted position
+    g = np.where(np.isfinite(g) & (g == np.round(g)), g, n)  # n fits no slot
+    sorted_g = np.minimum(g, n).astype(np.int64)[order]
     slot = np.where(sorted_g < sizes[gid], offsets[gid] + sorted_g, n)
     bad = np.flatnonzero(np.bincount(slot, minlength=n + 1)[:n] != 1)
     if len(bad):
         k = gid[bad[0]]
         raise DomainError(f"degeneracy labels at energy {reps[k]} are not 0..{sizes[k] - 1}")
-    return g
 
 
 def _checked_populations(p: np.ndarray) -> np.ndarray:

@@ -2,9 +2,11 @@
 
 Each suite runs the module-level invariants with seeded randomness and
 returns one CheckResult per named property.  Deterministic per
-(seed, trials).  The random_* helpers draw every instance; the test
-suite imports them too, so their draw order is pinned by seeded tests
-as well as by `verify` stdout.
+(seed, trials).  random_density, random_populations and
+random_resonant_spectra draw single instances; the fixed-shape loops
+draw theirs through _trial_draws.  The test suite imports these helpers
+too, so their draw order is pinned by seeded tests as well as by
+`verify` stdout.
 
 Every per-trial loop but those of suite_generators and suite_cooling
 takes its trials in chunks of at most TRIAL_CHUNK, so memory is bounded
@@ -130,19 +132,11 @@ def _density(z):
 
 def _trial_draws(rng, trials: int, dims) -> list[np.ndarray]:
     """One (trials, 2, d, d) draw per d in dims, taken from one
-    rng.standard_normal call in the order of a loop that calls
-    random_hermitian (or its siblings) once per d, trial after trial."""
+    rng.standard_normal call in the order of a loop that draws one
+    rng.standard_normal((2, d, d)) per d, trial after trial."""
     widths = [2 * d * d for d in dims]
     parts = np.split(rng.standard_normal((trials, sum(widths))), np.cumsum(widths)[:-1], axis=1)
     return [part.reshape(trials, 2, d, d) for part, d in zip(parts, dims)]
-
-
-def random_hermitian(rng, d):
-    return _hermitian(rng.standard_normal((2, d, d)))
-
-
-def random_antihermitian(rng, d):
-    return _antihermitian(rng.standard_normal((2, d, d)))
 
 
 def random_density(rng, d):

@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from thermoforge import (
+    GateSequence,
     Spectrum,
     build_cooling_catalyst,
     build_cooling_sequence,
@@ -25,7 +26,7 @@ from thermoforge import (
 from thermoforge import cli
 from thermoforge.cli import main
 from thermoforge.cooling import SYSTEM_SPECTRUM
-from util import sequence_to_json
+from util import reference_apply_gates, sequence_to_json, to_json
 
 LN2 = math.log(2.0)
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -280,6 +281,23 @@ class TestCompile:
                          "slice_gates": len(saved["steps"]) // m}
         assert sizes["slice_gates"] * m == report["outputs"]["gate_count"] > 0
         assert run_cli(capsys, argv)[1]["outputs"] == report["outputs"]
+
+
+    @pytest.mark.parametrize("method", ["exact", "trotter", "bch"])
+    @pytest.mark.parametrize("accuracy", ["-1", "0", "nan", "inf", "-inf"])
+    def test_meaningless_accuracy_exits_3_before_any_work(self, tmp_path, capsys, method,
+                                                          accuracy):
+        # The input files do not exist: the option is refused before any
+        # file is read, and no --out file is written.
+        out = tmp_path / "seq.json"
+        code, report, err = run_cli(capsys, [
+            "compile", "--system", str(tmp_path / "none.json"), "--catalyst",
+            str(tmp_path / "none.json"), "--unitary", str(tmp_path / "none.json"),
+            "--method", method, f"--accuracy={accuracy}", "--out", str(out),
+        ])
+        assert (code, report) == (3, None)
+        assert err == f"domain error: --accuracy must be positive and finite, got {float(accuracy)}\n"
+        assert not out.exists()
 
 
 class TestCool:
@@ -650,7 +668,7 @@ class TestSimulate:
         cat = build_cooling_catalyst(d)
         seq = build_cooling_sequence(d)
         sf = write_json(tmp_path / "p.json", {"populations": [0.0, 0.5, 0.5]})
-        cf = write_json(tmp_path / "cat.json", cat.to_json())
+        cf = write_json(tmp_path / "cat.json", to_json(cat))
         gf = tmp_path / "gates.json"
         seq.save(str(gf))
         code, report, _ = run_cli(capsys, [
@@ -686,8 +704,8 @@ class TestSimulate:
     def test_system_spectrum_leaves_a_conserving_run_unchanged(self, tmp_path, capsys):
         cat = build_cooling_catalyst(2)
         sf = write_json(tmp_path / "p.json", {"populations": [0.0, 0.5, 0.5]})
-        cf = write_json(tmp_path / "cat.json", cat.to_json())
-        yf = write_json(tmp_path / "sys.json", SYSTEM_SPECTRUM.to_json())
+        cf = write_json(tmp_path / "cat.json", to_json(cat))
+        yf = write_json(tmp_path / "sys.json", to_json(SYSTEM_SPECTRUM))
         gf = tmp_path / "gates.json"
         build_cooling_sequence(2).save(str(gf))
         argv = ["simulate", "--state", sf, "--catalyst", cf, "--gates", str(gf), "--rethermalize"]
@@ -728,7 +746,7 @@ class TestSimulate:
     def test_bad_joint_index_exits_3(self, tmp_path, capsys, bad):
         sf = write_json(tmp_path / "p.json", {"populations": [0.2, 0.3, 0.5]})
         cf = write_json(tmp_path / "cat.json",
-                        Spectrum.from_energies([0.0, 0.0]).to_json())
+                        to_json(Spectrum.from_energies([0.0, 0.0])))
         gf = write_json(tmp_path / "gates.json", {
             "method": "handcrafted", "dims": [3, 2], "error_bound": 0.0,
             "steps": [{"kind": "givens", "indices": [bad, [0, 0]],
@@ -749,7 +767,7 @@ class TestSimulate:
     def test_non_finite_step_exits_3(self, tmp_path, capsys, step):
         sf = write_json(tmp_path / "p.json", {"populations": [0.2, 0.3, 0.5]})
         cf = write_json(tmp_path / "cat.json",
-                        Spectrum.from_energies([0.0, 0.0]).to_json())
+                        to_json(Spectrum.from_energies([0.0, 0.0])))
         gf = write_json(tmp_path / "gates.json", {
             "method": "handcrafted", "dims": [3, 2], "error_bound": 0.0,
             "steps": [{"kind": "m", "indices": [[2, 0], [2, 1]], "param": 0.3}, step],
@@ -786,7 +804,7 @@ class TestSimulate:
     def test_malformed_step_exit_code(self, tmp_path, capsys, step, code):
         sf = write_json(tmp_path / "p.json", {"populations": [0.2, 0.3, 0.5]})
         cf = write_json(tmp_path / "cat.json",
-                        Spectrum.from_energies([0.0, 0.0]).to_json())
+                        to_json(Spectrum.from_energies([0.0, 0.0])))
         gf = write_json(tmp_path / "gates.json", {
             "method": "handcrafted", "dims": [3, 2], "error_bound": 0.0,
             "steps": [{"kind": "m", "indices": [[2, 0], [2, 1]], "param": 0.3}, step],
@@ -821,7 +839,7 @@ class TestSimulate:
     def test_malformed_sequence_exit_code(self, tmp_path, capsys, fields, code):
         sf = write_json(tmp_path / "p.json", {"populations": [0.2, 0.3, 0.5]})
         cf = write_json(tmp_path / "cat.json",
-                        Spectrum.from_energies([0.0, 0.0]).to_json())
+                        to_json(Spectrum.from_energies([0.0, 0.0])))
         seq = {"method": "handcrafted", "dims": [3, 2], "error_bound": 0.0, "steps": []}
         gf = write_json(tmp_path / "gates.json", {**seq, **fields})
         got, report, err = run_cli(capsys, [
@@ -830,11 +848,33 @@ class TestSimulate:
         assert (got, report) == (code, None)
         assert next(iter(fields)) in err
 
+    @pytest.mark.parametrize("epsilon", ["-1", "-1e-300", "nan", "inf"])
+    def test_meaningless_epsilon_exits_3_before_any_work(self, tmp_path, capsys, epsilon):
+        missing = str(tmp_path / "none.json")
+        code, report, err = run_cli(capsys, [
+            "simulate", "--state", missing, "--catalyst", missing, "--gates", missing,
+            f"--epsilon={epsilon}",
+        ])
+        assert (code, report) == (3, None)
+        assert err == ("domain error: --epsilon must be nonnegative and finite, "
+                       f"got {float(epsilon)}\n")
+
+    def test_zero_epsilon_is_allowed(self, tmp_path, capsys):
+        sf = write_json(tmp_path / "p.json", {"populations": [1.0]})
+        cf = write_json(tmp_path / "cat.json", {"energies": [0]})
+        gf = write_json(tmp_path / "gates.json", {
+            "method": "handcrafted", "dims": [1, 1], "error_bound": 0.0, "steps": []})
+        code, report, _ = run_cli(capsys, ["simulate", "--state", sf, "--catalyst", cf,
+                                           "--gates", gf, "--epsilon", "0"])
+        assert code == 0
+        assert report["inputs"]["epsilon"] == 0.0
+        assert report["outputs"]["pre_verdict"]["approximate"] is True
+
     def test_no_rethermalize_omits_post(self, tmp_path, capsys):
         cat = build_cooling_catalyst(2)
         seq = build_cooling_sequence(2)
         sf = write_json(tmp_path / "p.json", {"populations": [0.0, 0.5, 0.5]})
-        cf = write_json(tmp_path / "cat.json", cat.to_json())
+        cf = write_json(tmp_path / "cat.json", to_json(cat))
         gf = tmp_path / "gates.json"
         seq.save(str(gf))
         code, report, _ = run_cli(capsys, [
@@ -937,7 +977,8 @@ def _finite(value) -> bool:
 class TestMutatedInputs:
     """Valid inputs on a 2-level system and a 2-level catalyst, with one node
     of one file changed; every command must exit 0, 2, 3, 4 or 5 without a
-    traceback, and an exit 0 must report only finite numbers."""
+    traceback.  An exit 0 must report only finite numbers that mean what
+    they claim (_check_meaning); any other exit writes no --out file."""
 
     @pytest.fixture(scope="class")
     def files(self):
@@ -959,11 +1000,14 @@ class TestMutatedInputs:
         return tmp_path_factory.mktemp("mutated")
 
     COMMANDS = {
-        "compile": ["compile", "--system", "sys", "--catalyst", "cat", "--unitary", "u"],
+        "compile": ["compile", "--system", "sys", "--catalyst", "cat", "--unitary", "u",
+                    "--out", "out"],
         "compile_trotter": ["compile", "--system", "sys", "--catalyst", "cat", "--unitary", "u",
-                            "--method", "trotter", "--accuracy", "1e-2"],
+                            "--method", "trotter", "--accuracy", "1e-2", "--out", "out"],
         "simulate": ["simulate", "--state", "p", "--catalyst", "cat", "--gates", "seq",
                      "--rethermalize"],
+        "simulate_system": ["simulate", "--state", "p", "--catalyst", "cat", "--gates", "seq",
+                            "--rethermalize", "--system", "sys"],
         "simulate_dense": ["simulate", "--state", "rho", "--catalyst", "cat", "--gates", "seq"],
         "curve": ["curve", "--state", "p", "--spectrum", "sys", "--compare", "rho"],
     }
@@ -980,17 +1024,55 @@ class TestMutatedInputs:
         mutation = data.draw(st.sampled_from(["replace", "wrap", "drop", "append"]),
                              label="mutation")
         value = data.draw(st.sampled_from(_REPLACEMENTS), label="value")
-        paths = {}
+        paths = {"out": workdir / "out.json"}
+        paths["out"].unlink(missing_ok=True)
         for name in names:
             obj = _mutated(files[name], path, mutation, value) if name == target else files[name]
             paths[name] = write_json(workdir / f"{name}.json", obj)
-        code = main([paths.get(a, a) for a in argv])
+        code = main([str(paths.get(a, a)) for a in argv])
         out = capsys.readouterr()
         assert code in (0, 2, 3, 4, 5), out.err
         if code == 0:
-            assert _finite(json.loads(out.out)["outputs"])
+            outputs = json.loads(out.out)["outputs"]
+            assert _finite(outputs)
+            self._check_meaning(argv, outputs, files, paths)
         else:
             assert out.out == "" and len(out.err.strip().splitlines()) == 1, out.err
+            assert not paths["out"].exists()
+
+    @staticmethod
+    def _check_meaning(argv, outputs, files, paths):
+        """Semantic oracles of an exit 0.  compile: the gates of --out,
+        applied one by one to the identity, are within error_bound of u.
+        curve: the vertices run from (0, 0) to (1, 1), x ascending, and
+        the curve is concave.  simulate: the system populations are a
+        probability vector and, given --system, every step of the gates
+        lies in one energy block of the fixture's spectra (without it no
+        step is checked, so a crossing step may pass)."""
+        command = argv[0]
+        if command == "compile":
+            seq = GateSequence.from_json(str(paths["out"]))
+            u = cli._complex_array(json.loads(Path(paths["u"]).read_text()))
+            got = reference_apply_gates(seq, np.eye(len(u), dtype=complex))
+            assert np.linalg.norm(got - u) <= seq.error_bound + 1e-12
+        elif command == "curve":
+            x, y = np.array(outputs["vertices"]).T
+            assert (x[0], y[0], x[-1], y[-1]) == (0.0, 0.0, 1.0, 1.0)
+            dx, dy = np.diff(x), np.diff(y)
+            assert (dx >= 0).all()
+            # each slope at most the one before: dy_k / dx_k <= dy_k-1 / dx_k-1
+            assert (dy[1:] * dx[:-1] <= dy[:-1] * dx[1:] + 1e-12).all()
+        else:
+            p = np.array(outputs["system_populations"])
+            assert (p >= -1e-12).all() and abs(p.sum() - 1.0) <= 1e-12
+            if "--system" in argv:
+                blocks = energy_blocks(Spectrum.from_json(files["sys"]),
+                                       Spectrum.from_json(files["cat"]))
+                bid = blocks.block_of_flat()
+                seq = GateSequence.from_json(str(paths["seq"]))
+                for step in seq.steps:
+                    flats = [s * seq.dims[1] + c for s, c in step.indices]
+                    assert len(set(bid[flats].tolist())) == 1, step
 
 
 NO_SCIPY = """

@@ -53,10 +53,9 @@ class TestCatalyst:
 
     @pytest.mark.parametrize("d", range(1, 21))
     def test_auto_labels_equal_explicit_shell_labels(self, d):
-        # Shell n holds catalyst indices 2^n - 1 .. 2^(n+1) - 2, labelled 0..2^n - 1.
-        energies = np.repeat(np.arange(d) * E_UNIT, 1 << np.arange(d))
-        labels = np.concatenate([np.arange(1 << n) for n in range(d)])
-        assert build_cooling_catalyst(d) == Spectrum.from_arrays(energies, labels)
+        # Shell n holds catalyst indices 2^n - 1 .. 2^(n+1) - 2, all at n * E.
+        energies = [n * E_UNIT for n in range(d) for _ in range(1 << n)]
+        assert build_cooling_catalyst(d).energies.tolist() == energies
 
     def test_flat_index_map(self):
         assert _cat_index(0, 1) == 0
@@ -177,7 +176,8 @@ class TestRun:
 
     def test_catalyst_arrays_match_listed_levels(self):
         for d in (1, 2, 5, 9):
-            listed = Spectrum(tuple((n * E_UNIT, g) for n in range(d) for g in range(1 << n)))
+            listed = Spectrum.from_json({"levels": [{"energy": n * E_UNIT, "deg": g}
+                                                    for n in range(d) for g in range(1 << n)]})
             cat = build_cooling_catalyst(d)
             assert cat == listed
             assert cat.energies.tobytes() == listed.energies.tobytes()

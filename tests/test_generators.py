@@ -28,10 +28,7 @@ def qutrit_cooling_blocks(d=2):
 
 def doubled(spec: Spectrum) -> Spectrum:
     """Tensor with a two-level zero-energy catalyst (doubles every level)."""
-    energies = []
-    for e, _ in spec.levels:
-        energies.extend([e, e])
-    return Spectrum.from_energies(energies)
+    return Spectrum.from_energies(np.repeat(spec.energies, 2))
 
 
 class TestEnumerateBasis:

@@ -26,19 +26,21 @@ from util import (
     reference_energy_groups,
     reference_random_energy_preserving_unitary,
     reference_spectrum_error,
+    to_json,
 )
 
 LN2 = math.log(2.0)
 
 
-class TestSpectrum:
-    def test_auto_degeneracy_labels(self):
-        s = Spectrum.from_energies([0.0, 1.0, 1.0, 2.0])
-        assert s.levels == ((0.0, 0), (1.0, 0), (1.0, 1), (2.0, 0))
+def levels_json(levels):
+    """The `levels` form of docs/formats.md for (energy, deg) pairs."""
+    return {"levels": [{"energy": e, "deg": g} for e, g in levels]}
 
+
+class TestSpectrum:
     def test_explicit_labels_validated(self):
-        with pytest.raises(DomainError):
-            Spectrum(((0.0, 0), (0.0, 2)))  # gap: labels must be 0..delta-1
+        with pytest.raises(DomainError):  # gap: labels must be 0..delta-1
+            Spectrum.from_json(levels_json([(0.0, 0), (0.0, 2)]))
 
     def test_json_both_forms(self, tmp_path):
         f1 = tmp_path / "a.json"
@@ -59,6 +61,8 @@ class TestSpectrum:
         ({"levels": [{"energy": 0.0, "deg": 0.5}]}, DomainError),  # int() once read 0
         ({"levels": [{"energy": 0.0, "deg": math.nan}]}, DomainError),
         ({"levels": [{"energy": [0.0, 1.0], "deg": 0}]}, ShapeError),
+        ({"levels": [{"energy": 0.0, "deg": [0, 1]}]}, ShapeError),
+        ({"energies": [[0.0, 1.0]]}, ShapeError),  # from_energies([[0.0, 1.0]])
     ])
     def test_json_reading_rule(self, obj, error):
         with pytest.raises(error):
@@ -71,7 +75,7 @@ class TestSpectrum:
         assert len(examples) == 2
         a, b = (Spectrum.from_json(json.loads(text)) for text in examples)
         assert a == b
-        assert b.to_json() == json.loads(examples[1])
+        assert to_json(b) == json.loads(examples[0])
 
     def test_energies_cached_and_read_only(self):
         s = Spectrum.from_energies([0.0, 1.0])
@@ -80,41 +84,51 @@ class TestSpectrum:
             s.energies[0] = 5.0
 
     def test_array_backed_and_immutable(self):
-        s = Spectrum.from_arrays([1.0, 0.0, 1.0], [1, 0, 0])
-        assert s.labels.tolist() == [1, 0, 0]
-        assert s.labels.dtype == np.int64
-        with pytest.raises(ValueError):
-            s.labels[0] = 0
+        s = Spectrum.from_energies([1.0, 0.0, 1.0])
         with pytest.raises(AttributeError):
             s.energies = np.zeros(3)
-        assert s.levels is s.levels
-        assert s == Spectrum(s.levels)
-        assert hash(s) == hash(Spectrum(s.levels))
-        assert s != Spectrum.from_energies([1.0, 0.0, 1.0])  # labels differ
+        assert s == Spectrum.from_energies(s.energies)
+        assert hash(s) == hash(Spectrum.from_energies(s.energies))
+        assert eval(repr(s), {"Spectrum": Spectrum}) == s
+        assert s != Spectrum.from_energies([0.0, 1.0, 1.0])  # the order is the basis
+        zero, negative_zero = Spectrum.from_energies([0.0]), Spectrum.from_energies([-0.0])
+        assert zero == negative_zero and hash(zero) == hash(negative_zero)
 
     def test_from_arrays_shape_errors(self):
-        with pytest.raises(ShapeError):
-            Spectrum.from_arrays([[0.0, 1.0]], [0, 0])
-        with pytest.raises(ShapeError):
-            Spectrum.from_arrays([0.0, 1.0], [0])
+        # The shape rule the array constructor once checked: flat energies,
+        # and in the levels form one deg per energy.  Both forms word it alike.
+        message = re.escape("energies (1, 2) must be flat and labels, if given, of that shape")
+        with pytest.raises(ShapeError, match=message):
+            Spectrum.from_energies([[0.0, 1.0]])
+        with pytest.raises(ShapeError, match=message):
+            Spectrum.from_json({"levels": [{"energy": [0.0, 1.0], "deg": [0, 0]}]})
+        with pytest.raises(ShapeError, match=re.escape("energies (2,) must be flat")):
+            Spectrum.from_json({"levels": [{"energy": 0.0, "deg": [0]},
+                                           {"energy": 1.0, "deg": [0]}]})
 
     def test_non_integral_labels_rejected(self):
         with pytest.raises(DomainError, match="not 0..0"):
-            Spectrum(((0.0, 0.5),))
-        assert Spectrum(((0.0, 1.0), (0.0, 0.0))).labels.tolist() == [1, 0]
+            Spectrum.from_json(levels_json([(0.0, 0.5)]))
+        s = Spectrum.from_json(levels_json([(0.0, 1.0), (0.0, 0.0)]))
+        assert s == Spectrum.from_energies([0.0, 0.0])
 
     def test_tolerance_group_starts_at_representative_plus_tol(self):
         # 6e-10 and 0 lie within ENERGY_TOL of the smallest member 0; 1.2e-9
         # does not, although it is within ENERGY_TOL of 6e-10.
         s = Spectrum.from_energies([6e-10, 0.0, 1.2e-9])
-        assert tuple(g for _, g in s.levels) == (0, 1, 0)
         one_level = Spectrum.from_energies([0.0])
         assert energy_blocks(s, one_level).block_sizes() == [2, 1]
+        Spectrum.from_json(levels_json([(6e-10, 0), (0.0, 1), (1.2e-9, 0)]))
+        with pytest.raises(DomainError, match="at energy 1.2e-09 are not 0..0"):
+            Spectrum.from_json(levels_json([(6e-10, 0), (0.0, 1), (1.2e-9, 2)]))
 
     def test_equal_energies_grouped_where_tolerance_is_below_an_ulp(self):
         # at 1e8 the float spacing exceeds ENERGY_TOL, so e + ENERGY_TOL == e
         s = Spectrum.from_energies([1e8, 1e8, 1e8 + 1.0])
-        assert tuple(g for _, g in s.levels) == (0, 1, 0)
+        assert energy_blocks(s, Spectrum.from_energies([0.0])).block_sizes() == [2, 1]
+        Spectrum.from_json(levels_json([(1e8, 0), (1e8, 1), (1e8 + 1.0, 0)]))
+        with pytest.raises(DomainError, match="at energy 100000000.0 are not 0..1"):
+            Spectrum.from_json(levels_json([(1e8, 0), (1e8, 0), (1e8 + 1.0, 0)]))
 
 
 def energy_lists(max_size):
@@ -141,16 +155,6 @@ class TestToleranceGroups:
         blocks = energy_blocks(s, c)
         got = tuple((e, tuple(blocks.pairs(members))) for e, members in blocks.items())
         assert got == reference_energy_blocks(es, ec)
-
-    @given(energy_lists(12))
-    @settings(max_examples=200, deadline=None)
-    def test_labels_follow_blocks_in_listed_order(self, energies):
-        s = Spectrum.from_energies(energies)
-        blocks = energy_blocks(s, Spectrum.from_energies([0.0]))
-        assert sum(blocks.block_sizes()) == s.dim
-        for _, members in blocks.items():
-            idx = blocks.pairs(members)
-            assert [s.levels[i][1] for i, _ in idx] == list(range(len(idx)))
 
 
 class TestCsrBlocks:
@@ -235,35 +239,19 @@ class TestConstructionPaths:
     def test_levels_path_rejects_what_the_reference_rejects(self, levels):
         expected = reference_spectrum_error(levels)
         if expected is None:
-            assert Spectrum(tuple(levels)).dim == len(levels)
+            s = Spectrum.from_json(levels_json(levels))
+            assert s == Spectrum.from_energies([e for e, _ in levels])
         else:
             with pytest.raises(DomainError) as err:
-                Spectrum(tuple(levels))
+                Spectrum.from_json(levels_json(levels))
             assert str(err.value) == expected
-
-    @given(level_lists(8))
-    @settings(max_examples=300, deadline=None)
-    def test_array_path_rejects_exactly_what_levels_path_rejects(self, levels):
-        energies = np.array([e for e, _ in levels], dtype=float)
-        labels = np.array([g for _, g in levels], dtype=int)
-        try:
-            want = Spectrum(tuple(levels))
-        except DomainError as e:
-            with pytest.raises(DomainError) as err:
-                Spectrum.from_arrays(energies, labels)
-            assert str(err.value) == str(e)
-        else:
-            got = Spectrum.from_arrays(energies, labels)
-            assert got == want
-            assert got.levels == want.levels
 
     @given(st.lists(st.one_of(st.integers(0, 2).map(float),
                               st.sampled_from([math.nan, math.inf])), max_size=6))
     @settings(max_examples=100, deadline=None)
     def test_from_energies_checks_finiteness(self, energies):
         if all(map(math.isfinite, energies)):
-            s = Spectrum.from_energies(energies)
-            assert reference_spectrum_error(s.levels) is None
+            assert Spectrum.from_energies(energies).energies.tolist() == energies
         else:
             with pytest.raises(DomainError, match="finite"):
                 Spectrum.from_energies(energies)
@@ -360,7 +348,7 @@ class TestEnergyBlocks:
     def test_degenerate_relabeling_invariant(self):
         a = Spectrum.from_energies([0.0, 1.0, 1.0])
         b1 = Spectrum.from_energies([0.0, 1.0, 1.0])
-        b2 = Spectrum(((1.0, 1), (0.0, 0), (1.0, 0)))
+        b2 = Spectrum.from_json(levels_json([(1.0, 1), (0.0, 0), (1.0, 0)]))
         sizes1 = sorted(energy_blocks(a, b1).block_sizes())
         sizes2 = sorted(energy_blocks(a, b2).block_sizes())
         assert sizes1 == sizes2

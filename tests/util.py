@@ -1,6 +1,7 @@
 """Reference implementations shared by the test suite, the sequence
-builder the tests construct GateSequences with, and the seeded
-random-instance helpers of thermoforge.verify, re-exported.  The
+builder the tests construct GateSequences with, the spectrum file
+writer `to_json`, the seeded random-matrix helpers random_hermitian and
+random_antihermitian, and those of thermoforge.verify, re-exported.  The
 reference_suite_* and reference_oracle_excess loops call each kernel
 once per trial, on 2-D matrices, one block structure or one population
 vector; verify's suites must match them."""
@@ -26,14 +27,29 @@ from thermoforge.linalg import expm_skew, frobenius_distance, kron, partial_trac
 from thermoforge.majorization import max_ground_population_TO, thermo_majorizes
 from thermoforge.thermal import (ENERGY_TOL, DiagonalState, random_energy_preserving_unitary,
                                  require_energy_preserving)
-from thermoforge.verify import CheckResult, _hi
+from thermoforge.verify import CheckResult, _antihermitian, _hermitian, _hi
 from thermoforge.verify import (  # noqa: F401  (re-exported for the tests)
-    random_antihermitian,
     random_density,
-    random_hermitian,
     random_populations,
     random_resonant_spectra,
 )
+
+
+def random_hermitian(rng, d):
+    """A d x d Hermitian matrix from one rng.standard_normal((2, d, d))
+    draw (real, then imaginary parts), as verify's suites draw theirs."""
+    return _hermitian(rng.standard_normal((2, d, d)))
+
+
+def random_antihermitian(rng, d):
+    """The anti-Hermitian counterpart of random_hermitian, from the same draw."""
+    return _antihermitian(rng.standard_normal((2, d, d)))
+
+
+def to_json(spec) -> dict:
+    """The `energies` form of docs/formats.md for a Spectrum: the writer of
+    the spectrum files the tests hand to the CLI."""
+    return {"energies": spec.energies.tolist()}
 
 
 def sequence(steps, method, dims, error_bound=0.0, trotter_m=None, repeat=1):
@@ -122,7 +138,8 @@ def reference_energy_groups(energies):
 
 
 def reference_spectrum_error(levels):
-    """The DomainError message Spectrum(levels) must raise, or None.
+    """The DomainError message a `levels`-form spectrum of these (energy,
+    deg) pairs must raise, or None.
 
     Energies must be finite and labels nonnegative; within each tolerance
     group (grouped as in reference_energy_blocks) the labels must be

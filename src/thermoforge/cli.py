@@ -1,8 +1,9 @@
 """Command-line frontend: compile, cool, verify, curve, simulate.
 
-Exit codes: 0 success, 2 parse failure, 3 domain violation, 4 capacity,
-5 coherence guard.  Every command prints one RunReport as JSON; reruns
-are byte-identical modulo the wall_time field.
+Exit codes: 0 success, 2 parse failure (a usage error among them),
+3 domain violation, 4 capacity, 5 coherence guard.  Every command prints
+one RunReport as JSON; reruns are byte-identical modulo the wall_time
+field.
 """
 from __future__ import annotations
 
@@ -301,11 +302,20 @@ def cmd_simulate(args) -> int:
 
 # ---------------------------------------------------------------- main
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise FormatError, which main
+    prints as one `parse error:` line and exit code 2, in place of
+    argparse's usage block.  Subparsers are built from this class too."""
+
+    def error(self, message):
+        raise FormatError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parse_args keeps no
     state between calls."""
-    p = argparse.ArgumentParser(prog="thermoforge")
+    p = _Parser(prog="thermoforge")
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("compile", help="decompose an energy-preserving unitary")
@@ -351,8 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except json.JSONDecodeError as e:
         print(f"parse error: {e.msg} at line {e.lineno}, column {e.colno}", file=sys.stderr)

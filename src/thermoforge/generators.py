@@ -18,9 +18,13 @@ blocks are ever multiplied.  Each basis element of a component is
 commuted once with the k elements present at that time: O(k d_c^3) for
 the commutators plus O(r k d_c^2) to project the r surviving candidates
 out of the basis.  A component of closure dimension D_c therefore costs
-O(D_c^2 d_c^3) in about D_c numpy batches; for the full block algebra
+O(D_c^2 d_c^3) in at most D_c numpy batches; for the full block algebra
 (D_c = d_c^2) that is O(d_c^7) per block instead of O(D^2 n^3) for the
-whole n-level space.
+whole n-level space.  The batches stop once the basis holds d_c^2
+elements: it then spans all of u(d_c), which is closed under
+commutators.  Inputs that already span u(d_c), as enumerate_basis gives
+on a block, take no commutator batch at all; the rank-2 set of a 2 x 2
+block takes one.
 """
 from __future__ import annotations
 
@@ -199,7 +203,7 @@ def _component_closure(mats: np.ndarray, cap: int) -> int:
 
     extend(mats)
     i = 0
-    while i < count:  # each basis element, in the order it was added
+    while i < count < d * d:  # each basis element, in the order it was added, until u(d)
         a, known = basis[i], basis[:count]
         c = a @ known - known @ a
         extend((c - c.conj().transpose(0, 2, 1)) / 2)
@@ -215,8 +219,10 @@ def lie_closure(gens, max_dim: int = 512, dims: tuple[int, int] | None = None) -
     (see _components); a generator's block_energy label is never read.
     Each component's orthonormal basis (real inner product Re tr(A†B))
     grows by commuting every basis element, in order, with the whole
-    current basis; candidates are orthonormalized by classical
-    Gram-Schmidt applied twice.  A candidate joins the basis when, after
+    current basis, until it spans all of u(d_c) (d_c^2 elements, d_c the
+    component's level count) or no element is left to commute;
+    candidates are orthonormalized by classical Gram-Schmidt applied
+    twice.  A candidate joins the basis when, after
     normalisation, its residual is at least RANK_TOL.
 
     Raises DomainError if an input is not anti-Hermitian (to 1e-12 of its

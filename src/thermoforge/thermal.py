@@ -274,8 +274,14 @@ def _gibbs_weights(energies: np.ndarray) -> np.ndarray:
 
 
 def gibbs_state(spec: Spectrum) -> DiagonalState:
-    """exp(-E_i) / Z over the spectrum's levels."""
-    return DiagonalState(_gibbs_weights(spec.energies))
+    """exp(-E_i) / Z over the spectrum's levels.
+
+    The weights are nonnegative and sum to 1 within rounding by
+    construction, so they skip the population rule of DiagonalState,
+    whose clip and sum they would pass unchanged."""
+    state = DiagonalState.__new__(DiagonalState)
+    object.__setattr__(state, "populations", _read_only(_gibbs_weights(spec.energies)))
+    return state
 
 
 def energy_blocks(spec_s: Spectrum, spec_c: Spectrum) -> EnergyBlocks:

@@ -10,8 +10,13 @@ too, so their draw order is pinned by seeded tests as well as by
 
 Every per-trial loop but those of suite_generators and suite_cooling
 takes its trials in chunks of at most TRIAL_CHUNK, so memory is bounded
-for any trial count.  A chunk is drawn in the rng order of a loop of
-single trials, then evaluated with stacked calls:
+for any trial count.  suite_generators checks each trial's basis with
+one stacked frobenius_distance call per property, and suite_cooling
+runs the diagonal path once per D = 2..12: the dense cross-check
+(D = 2..4) and the TO-optimality check (D = 2..8) read those rows.
+
+A chunk is drawn in the rng order of a loop of single trials, then
+evaluated with stacked calls:
 
 - suite_numerics and the TO-oracle loop (_oracle_excess) draw instances
   of one fixed shape: one stacked call per kernel (see linalg).
@@ -22,10 +27,12 @@ single trials, then evaluated with stacked calls:
   The chunk's unitaries come from one random_energy_preserving_unitary
   call over the list of block structures.  ChannelSpec, apply_TO and
   compile_exact run once per trial; the curve checks are one stacked
-  thermo_majorizes call per system dimension and check.
+  thermo_majorizes call per system dimension, whose rows are the TO
+  outputs and then the beta-swap outputs of the chunk's trials.
 - The transitivity loop draws its 3t population vectors with one
   rng.random((t, 3, 3)) call, the values of 3t random(3) calls, and
-  makes three stacked thermo_majorizes calls.
+  makes two stacked thermo_majorizes calls: one for both links a > b
+  and b > c, one for a > c at the looser tolerance.
 
 Each measured value is bit-equal to that of the loop of single calls,
 which the test suite keeps as a reference.  trace_distance_triangle and
@@ -212,11 +219,10 @@ def suite_generators(seed: int, trials: int) -> list[CheckResult]:
         ).astype(complex)
         basis = enumerate_basis(blocks, include_rank1=True)
         count_ok &= len(basis) == sum(d * d for d in blocks.block_sizes())
-        mats = [g.matrix(blocks.dims) for g in basis]
-        for km in mats:
-            worst_comm = max(worst_comm, np.linalg.norm(km @ h0 - h0 @ km))
-            worst_anti = max(worst_anti, np.linalg.norm(km + km.conj().T))
-        flat = np.reshape(mats, (len(mats), -1))
+        mats = np.array([g.matrix(blocks.dims) for g in basis])
+        worst_comm = max(worst_comm, frobenius_distance(mats @ h0, h0 @ mats).max())
+        worst_anti = max(worst_anti, frobenius_distance(mats, -dagger(mats)).max())
+        flat = mats.reshape(len(mats), -1)
         gram = np.real(flat.conj() @ flat.T)  # Re tr(A^dagger B) for every pair
         gram_min = min(gram_min, np.linalg.eigvalsh(gram).min())
     # Closure equality on a doubled structure (all blocks size >= 2).
@@ -338,15 +344,17 @@ def suite_majorization(seed: int, trials: int) -> list[CheckResult]:
             rows.setdefault(spec_s.dim, []).append((spec_s, p.populations, q, swapped))
         for group in rows.values():
             specs, ps, qs, swaps = zip(*group)
-            ps = np.array(ps)
-            violations += np.count_nonzero(~thermo_majorizes(ps, np.array(qs), specs, tol=1e-9))
-            swap_violations += np.count_nonzero(
-                ~thermo_majorizes(ps, np.array(swaps), specs, tol=1e-9))
+            m = len(ps)
+            # the TO rows, then the beta-swap rows, in one stacked call
+            ok = thermo_majorizes(np.array(ps + ps), np.array(qs + swaps), specs + specs, tol=1e-9)
+            violations += np.count_nonzero(~ok[:m])
+            swap_violations += np.count_nonzero(~ok[m:])
     # The same values as 3 * t calls of random_populations(rng, 3).
     abc = rng.random((min(trials, 50), 3, 3))
     a, b, c = np.moveaxis(abc / abc.sum(axis=-1, keepdims=True), 1, 0)
     spec = cooling.SYSTEM_SPECTRUM
-    chained = thermo_majorizes(a, b, spec) & thermo_majorizes(b, c, spec)
+    links = thermo_majorizes(np.stack((a, b)), np.stack((b, c)), spec)  # a > b, then b > c
+    chained = links[0] & links[1]
     transitivity_ok = bool(thermo_majorizes(a, c, spec, tol=1e-8)[chained].all())
     over = _oracle_excess(rng, min(trials, 200))  # the TO optimum is never exceeded
     results.append(CheckResult("to_monotonicity_violations", violations == 0, float(violations), 0.0))
@@ -376,14 +384,14 @@ def suite_cooling(seed: int, trials: int) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     results: list[CheckResult] = []
     worst_closed = 0.0
-    for d in range(2, 13):
-        final, inv = cooling.run_cooling(d)
+    rows = {d: cooling.run_cooling(d) for d in range(2, 13)}  # D -> (final, inv)
+    for d, (final, inv) in rows.items():
         target = np.array([1 - 1 / d, 1 / (2 * d), 1 / (2 * d)])
         worst_closed = max(worst_closed, float(np.abs(final.populations - target).max()))
         worst_closed = max(worst_closed, abs(inv - 2.0 ** (-d) / d))
     worst_dense = 0.0
     for d in (2, 3, 4):
-        diag, _ = cooling.run_cooling(d)
+        diag, _ = rows[d]
         dense = cooling.run_cooling_dense(d)
         worst_dense = max(worst_dense, float(np.abs(diag.populations - dense.populations).max()))
     # Gate order does not matter (commuting family).
@@ -395,7 +403,7 @@ def suite_cooling(seed: int, trials: int) -> list[CheckResult]:
     # TO optimality attained.
     opt_dev = 0.0
     for d in range(2, 9):
-        final, _ = cooling.run_cooling(d)
+        final, _ = rows[d]
         oracle = max_ground_population_TO(cooling.DEFAULT_INPUT, cooling.SYSTEM_SPECTRUM,
                                           cooling.build_cooling_catalyst(d))
         opt_dev = max(opt_dev, abs(oracle - float(final.populations[0])))

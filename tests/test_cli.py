@@ -906,6 +906,18 @@ def every_command(tmp_path):
 
 
 class TestMain:
+    @pytest.mark.parametrize("argv, message", [
+        (["cool", "--D", "abc"], "thermoforge cool: argument --D: invalid int value: 'abc'"),
+        (["curve", "--state", "p.json"],
+         "thermoforge curve: the following arguments are required: --spectrum"),
+        # argparse reads -1e-300 as an option name; --epsilon=-1e-300 passes it
+        (["simulate", "--state", "p.json", "--catalyst", "c.json", "--gates", "g.json",
+          "--epsilon", "-1e-300"], "thermoforge simulate: argument --epsilon: expected one argument"),
+    ])
+    def test_usage_error_is_one_parse_error_line(self, capsys, argv, message):
+        code, report, err = run_cli(capsys, argv)
+        assert (code, report, err) == (2, None, f"parse error: {message}\n")
+
     def test_parser_built_once_per_process(self, capsys, monkeypatch):
         cli.build_parser.cache_clear()
         built = []  # build_parser calls add_subparsers once per parser it builds

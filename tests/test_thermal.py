@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from thermoforge import (
     DiagonalState,
     Spectrum,
+    build_cooling_catalyst,
     energy_blocks,
     gibbs_state,
     is_energy_preserving,
@@ -275,6 +276,27 @@ class TestGibbs:
         s = Spectrum.from_energies([0.0, LN2])
         p = gibbs_state(s).populations
         assert np.allclose(p, [2 / 3, 1 / 3])
+
+    @staticmethod
+    def assert_is_checked_state(spec):
+        # the state the population rule would build, bit for bit
+        got = gibbs_state(spec).populations
+        want = DiagonalState(thermal._gibbs_weights(spec.energies)).populations
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        assert not got.flags.writeable
+        assert thermal._checked_populations(got).tobytes() == got.tobytes()
+
+    @given(st.lists(st.one_of(st.integers(0, 3).map(float),
+                              st.floats(allow_nan=False, allow_infinity=False)),
+                    min_size=1, max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_skipped_population_rule_changes_nothing(self, energies):
+        self.assert_is_checked_state(Spectrum.from_energies(energies))
+
+    def test_skipped_population_rule_on_largest_cooling_catalyst(self):
+        spec = build_cooling_catalyst(20)
+        assert spec.dim == 1_048_575
+        self.assert_is_checked_state(spec)
 
 
 class TestDiagonalState:

@@ -1,5 +1,7 @@
 """verify's stacked suites against the per-trial loops of util: the same
 check names, order and pass flags, and measured values equal bit for bit.
+The generators suite is checked against one norm per generator, and the
+cooling suite against one diagonal run per check and D.
 At TRIAL_CHUNK + 1 trials the numerics and majorization loops cross a
 chunk boundary; the compiler and channels loops, which run trials // 4
 trials, cross one at 4 * TRIAL_CHUNK + 4, run for seed 0 alone."""
@@ -11,6 +13,8 @@ from util import (
     reference_oracle_excess,
     reference_suite_channels_trials,
     reference_suite_compiler_trials,
+    reference_suite_cooling,
+    reference_suite_generators,
     reference_suite_majorization,
     reference_suite_numerics,
 )
@@ -45,6 +49,19 @@ def test_majorization_matches_per_trial_oracle_loop(seed, trials, monkeypatch):
 def test_majorization_matches_per_trial_loop(seed, trials):
     assert fields(verify.suite_majorization(seed, trials)) == fields(
         reference_suite_majorization(seed, trials))
+
+
+@pytest.mark.parametrize("trials", TRIALS)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_generators_match_per_generator_loop(seed, trials):
+    assert fields(verify.suite_generators(seed, trials)) == fields(
+        reference_suite_generators(seed, trials))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_cooling_matches_per_check_runs(seed):
+    # the suite reads its trials nowhere; its seed orders the gates
+    assert fields(verify.suite_cooling(seed, 20)) == fields(reference_suite_cooling(seed, 20))
 
 
 @pytest.mark.parametrize("seed, trials", QUARTER_CASES)

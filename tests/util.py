@@ -10,6 +10,7 @@ import math
 import numpy as np
 
 from thermoforge import (
+    Spectrum,
     build_cooling_catalyst,
     build_cooling_instance,
     build_cooling_sequence,
@@ -17,12 +18,13 @@ from thermoforge import (
     gibbs_state,
 )
 from thermoforge import compiler, cooling
-from thermoforge.channels import ChannelSpec, apply_TO, beta_swap
+from thermoforge.channels import ChannelSpec, apply_TO, beta_swap, run_gc_eto
 from thermoforge.compiler import (
     _COEFF_TOL, _ELIM_TOL, _GIVENS, _P, GateSequence, GeneratorCombination,
 )
 from thermoforge.errors import CapacityError, DomainError, ShapeError
-from thermoforge.generators import ElementaryGenerator, _to_matrix, enumerate_basis
+from thermoforge.generators import (ElementaryGenerator, _to_matrix, enumerate_basis, lie_closure,
+                                    rank2_basis)
 from thermoforge.linalg import expm_skew, frobenius_distance, kron, partial_trace, trace_distance
 from thermoforge.majorization import max_ground_population_TO, thermo_majorizes
 from thermoforge.thermal import (ENERGY_TOL, DiagonalState, random_energy_preserving_unitary,
@@ -357,6 +359,84 @@ def reference_suite_majorization(seed, trials):
                                float(swap_violations), 0.0))
     results.append(CheckResult("curve_transitivity", transitivity_ok, float(transitivity_ok), 1.0))
     _hi(results, "to_oracle_upper_bound", over, 1e-9)
+    return results
+
+
+def reference_suite_generators(seed, trials):
+    """verify.suite_generators with one 2-D norm per generator and check:
+    the commutator with H0 and K + K† of each basis element in turn."""
+    rng = np.random.default_rng(seed)
+    results = []
+    worst_comm = worst_anti = 0.0
+    count_ok = closure_ok = True
+    gram_min = np.inf
+    for _ in range(max(1, trials // 10)):
+        spec_s, spec_c = random_resonant_spectra(rng, max_s=3, max_c=3)
+        blocks = energy_blocks(spec_s, spec_c)
+        h0 = np.diag(np.add.outer(spec_s.energies, spec_c.energies).ravel()).astype(complex)
+        basis = enumerate_basis(blocks, include_rank1=True)
+        count_ok &= len(basis) == sum(d * d for d in blocks.block_sizes())
+        mats = [g.matrix(blocks.dims) for g in basis]
+        for km in mats:
+            worst_comm = max(worst_comm, np.linalg.norm(km @ h0 - h0 @ km))
+            worst_anti = max(worst_anti, np.linalg.norm(km + km.conj().T))
+        flat = np.reshape(mats, (len(mats), -1))
+        gram = np.real(flat.conj() @ flat.T)
+        gram_min = min(gram_min, np.linalg.eigvalsh(gram).min())
+    blocks = energy_blocks(Spectrum.from_energies([0.0, 1.0]),
+                           Spectrum.from_energies([0.0, 0.0, 1.0, 1.0]))
+    expected = sum(d * d for d in blocks.block_sizes())
+    for gens in (enumerate_basis(blocks), rank2_basis(blocks)):
+        closure_ok &= lie_closure(gens, max_dim=4 * expected, dims=blocks.dims) == expected
+    a, b = blocks.pairs(blocks.members(1)[:2])
+    e = float(blocks.reps[1])
+    h, mm, g = (ElementaryGenerator(kind, e, a, b).matrix(blocks.dims)
+                for kind in ("h", "m", "g_diag"))
+    p = ElementaryGenerator("p", e, a, a).matrix(blocks.dims)
+    rank1_resid = np.linalg.norm(p + ((h @ mm - mm @ h) / 2 + g) / 2)
+    _hi(results, "generator_commutes_with_H0", worst_comm, 1e-12)
+    _hi(results, "generator_antihermitian", worst_anti, 1e-12)
+    results.append(CheckResult("basis_count_sum_d_squared", count_ok, float(count_ok), 1.0))
+    _hi(results, "basis_gram_full_rank", gram_min, 1e-9, below=False)
+    results.append(CheckResult("closure_rank2_equals_full", closure_ok, float(closure_ok), 1.0))
+    _hi(results, "rank1_from_rank2_combination", rank1_resid, 1e-12)
+    return results
+
+
+def reference_suite_cooling(seed, trials):
+    """verify.suite_cooling with one run_cooling call per check and D: the
+    closed forms for D = 2..12, the dense cross-check for D = 2..4 and the
+    TO optimum for D = 2..8 each run the diagonal path again."""
+    rng = np.random.default_rng(seed)
+    results = []
+    worst_closed = worst_dense = opt_dev = 0.0
+    for d in range(2, 13):
+        final, inv = cooling.run_cooling(d)
+        target = np.array([1 - 1 / d, 1 / (2 * d), 1 / (2 * d)])
+        worst_closed = max(worst_closed, float(np.abs(final.populations - target).max()))
+        worst_closed = max(worst_closed, abs(inv - 2.0 ** (-d) / d))
+    for d in (2, 3, 4):
+        diag, _ = cooling.run_cooling(d)
+        dense = cooling.run_cooling_dense(d)
+        worst_dense = max(worst_dense, float(np.abs(diag.populations - dense.populations).max()))
+    gates = build_cooling_instance(4).gates
+    perm = rng.permutation(len(gates))
+    seq = GateSequence(gates.kinds[perm], gates.flats[perm], gates.blocks[perm],
+                       gates.params[perm], method="handcrafted", dims=gates.dims)
+    order_dev = frobenius_distance(compiler.reconstruct(seq), compiler.reconstruct(gates))
+    for d in range(2, 9):
+        final, _ = cooling.run_cooling(d)
+        oracle = max_ground_population_TO(cooling.DEFAULT_INPUT, cooling.SYSTEM_SPECTRUM,
+                                          build_cooling_catalyst(d))
+        opt_dev = max(opt_dev, abs(oracle - float(final.populations[0])))
+    inst2 = build_cooling_instance(2)
+    _, pre, _ = run_gc_eto(cooling.DEFAULT_INPUT.to_dense(), inst2.catalyst, inst2.gates,
+                           rethermalize=False)
+    _hi(results, "q_prime_closed_form", worst_closed, 1e-12)
+    _hi(results, "dense_diagonal_cross_check", worst_dense, 1e-10)
+    _hi(results, "gate_order_independence", order_dev, 1e-12)
+    _hi(results, "to_optimality_attained", opt_dev, 1e-12)
+    _hi(results, "catalyst_out_of_equilibrium", pre.catalyst_marginal_distance, 0.1, below=False)
     return results
 
 

@@ -79,7 +79,7 @@ from .gates import (  # noqa: F401
     KIND_CODE, GateSequence, GateStep, apply_layers, kind_blocks, layer_order, layer_views,
 )
 from .generators import ElementaryGenerator
-from .linalg import block_stacks
+from .linalg import block_stacks, size_stacks
 from .thermal import EnergyBlocks, require_energy_preserving
 
 _ELIM_TOL = 1e-13
@@ -478,10 +478,9 @@ def _power_errors(sl: _Slice, u: np.ndarray, blocks: EnergyBlocks) -> np.ndarray
     apply_layers(gates, s.reshape(k * n, -1))
     e2 = np.zeros(k)
     off = u.copy()
-    for d in np.unique(sizes).tolist():
-        idx = blocks.order[blocks.offsets[:-1][sizes == d][:, None] + np.arange(d)]
+    for idx in size_stacks(blocks.order, blocks.offsets):
         rows, cols = idx[:, :, None], idx[:, None, :]
-        a = s[:, idx, :d]
+        a = s[:, idx, :idx.shape[1]]
         for j in range(1, k):
             a[j:] = a[j:] @ a[j:]
         r = (a - u[rows, cols]).reshape(k, -1)

@@ -13,18 +13,18 @@ The full algebra restricted to a block of size d is u(d), dimension d^2.
 
 Cost model of lie_closure: inputs whose supports share no level commute,
 so the closure splits into connected support components (found by
-union-find over the levels each input touches) and only d_c x d_c
-blocks are ever multiplied.  Each basis element of a component is
-commuted once with the k elements present at that time: O(k d_c^3) for
-the commutators plus O(r k d_c^2) to project the r surviving candidates
-out of the basis.  A component of closure dimension D_c therefore costs
-O(D_c^2 d_c^3) in at most D_c numpy batches; for the full block algebra
-(D_c = d_c^2) that is O(d_c^7) per block instead of O(D^2 n^3) for the
-whole n-level space.  The batches stop once the basis holds d_c^2
-elements: it then spans all of u(d_c), which is closed under
-commutators.  Inputs that already span u(d_c), as enumerate_basis gives
-on a block, take no commutator batch at all; the rank-2 set of a 2 x 2
-block takes one.
+linalg.components over the levels each input touches, after O(k n^2) to
+read the supports) and only d_c x d_c blocks are ever multiplied.  Each
+basis element of a component is commuted once with the k elements
+present at that time: O(k d_c^3) for the commutators plus O(r k d_c^2)
+to project the r surviving candidates out of the basis.  A component of
+closure dimension D_c therefore costs O(D_c^2 d_c^3) in at most D_c
+numpy batches; for the full block algebra (D_c = d_c^2) that is
+O(d_c^7) per block instead of O(D^2 n^3) for the whole n-level space.
+The batches stop once the basis holds d_c^2 elements: it then spans all
+of u(d_c), which is closed under commutators.  Inputs that already span
+u(d_c), as enumerate_basis gives on a block, take no commutator batch
+at all; the rank-2 set of a 2 x 2 block takes one.
 """
 from __future__ import annotations
 
@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DomainError, PreconditionError
+from .linalg import components
 from .thermal import EnergyBlocks
 
 KINDS = ("h", "m", "p", "g_diag")
@@ -133,24 +134,16 @@ def _components(mats: np.ndarray) -> list[np.ndarray]:
     their supports, each input restricted to its component's levels.
 
     An input's support is the set of levels (rows and columns) holding a
-    nonzero entry; union-find joins supports that share a level.  Returns
-    one (k_c, d_c, d_c) stack per component.  All-zero inputs are dropped.
+    nonzero entry; linalg.components joins supports that share a level,
+    through an edge from each input's first level to each of its levels.
+    Returns one (k_c, d_c, d_c) stack per component, in the order of their
+    first inputs.  All-zero inputs are dropped.
     """
     nz = mats != 0
     touched = nz.any(axis=1) | nz.any(axis=2)  # (k, n)
     first = touched.argmax(axis=1)
-    parent = list(range(mats.shape[1]))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     which, levels = np.nonzero(touched)
-    for a, b in zip(first[which].tolist(), levels.tolist()):
-        parent[find(b)] = find(a)
-    root = np.array([find(x) for x in range(len(parent))])
+    root = components(first[which], levels, mats.shape[1])
     comp = np.where(touched.any(axis=1), root[first], -1)
     used = touched.any(axis=0)
     out = []

@@ -2,9 +2,14 @@
 
 All operators are plain numpy complex arrays.  Everything here is a pure
 function; nothing mutates its inputs.  trace_distance solves the exact
-diagonal blocks of a difference (up to a permutation of levels), padded
-into groups of like size (block_stacks), so a block-diagonal difference
-costs O(sum_b d_b^3), not O(n^3).
+diagonal blocks of a difference (up to a permutation of levels), one
+eigvalsh per block size, so a block-diagonal difference costs
+O(sum_b d_b^3), not O(n^3).  Blocks are found one way: components labels
+the connected components of an edge list (here the nonzero entries, in
+lie_closure the levels each input couples), and size_stacks gives a CSR
+partition's (k, d) member array per block size d (here and in
+compiler._power_errors).  block_stacks pads blocks of unlike size into
+one stack, for compile_exact's column passes.
 
 kron, partial_trace, expm_skew, dagger, frobenius_distance and
 trace_distance also take stacks of shape (..., n, n), whose leading axes
@@ -30,7 +35,6 @@ from .errors import CapacityError, DomainError, ShapeError
 DEFAULT_TOL = 1e-10
 JOINT_DIM_CAP = 4096
 _BLOCK_MIN_DIM = 64  # below it one eigvalsh costs less than finding blocks
-_LABEL_PASSES = 8  # label passes before a pattern counts as one block
 
 
 def _operators(a) -> np.ndarray:
@@ -124,10 +128,11 @@ def expm_skew(k) -> np.ndarray:
 
 
 def block_stacks(sizes: list[int]) -> list[list[int]]:
-    """The blocks of size >= 2, largest first (ties in block order), cut
-    into stacks.  A stack is padded to its first block's size D; the next
-    block joins it unless the stack would then hold more than
-    2 sum_b d_b^2 entries, summed over the blocks it holds."""
+    """compile_exact's stacks: the blocks of size >= 2, largest first
+    (ties in block order), cut into stacks.  A stack is padded to its
+    first block's size D; the next block joins it unless the stack would
+    then hold more than 2 sum_b d_b^2 entries, summed over the blocks it
+    holds."""
     stacks: list[list[int]] = []
     held = 0  # sum of d_b^2 over the last stack
     for b in sorted((b for b, d in enumerate(sizes) if d >= 2), key=lambda b: -sizes[b]):
@@ -139,6 +144,36 @@ def block_stacks(sizes: list[int]) -> list[list[int]]:
             stacks.append([b])
             held = d2
     return stacks
+
+
+def components(a, b, n: int) -> np.ndarray:
+    """The connected components of the graph on nodes 0..n-1 with edges
+    (a[i], b[i]), as each node's label: the least node of its component.
+
+    A label only falls and always names a node of its own component.
+    Each pass lowers the labels held by the two ends of every edge to the
+    lesser of the two, then pointer-jumps (label = label[label]); the
+    passes stop, with no cap, once every edge joins equal labels, and
+    each pass that does not stop lowers some label.
+    """
+    label = np.arange(n)
+    while True:
+        la, lb = label[a], label[b]
+        if np.array_equal(la, lb):
+            return label
+        low = np.minimum(la, lb)
+        np.minimum.at(label, la, low)
+        np.minimum.at(label, lb, low)
+        label = label[label]
+
+
+def size_stacks(order, offsets) -> list[np.ndarray]:
+    """The members of a CSR partition (block b is order[offsets[b]:offsets[b + 1]]),
+    one (k, d) array per block size d, ascending in d: row i holds the
+    members of the i-th block of that size."""
+    starts, sizes = offsets[:-1], np.diff(offsets)
+    return [order[starts[sizes == d, None] + np.arange(d)]
+            for d in np.flatnonzero(np.bincount(sizes)).tolist()]
 
 
 def _same_size(a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -157,51 +192,25 @@ def frobenius_distance(a, b):
 
 
 def _eigvalsh_by_blocks(h: np.ndarray) -> np.ndarray:
-    """The eigenvalues of a Hermitian h, plus zeros, found per exact
-    diagonal block of h when it has them.
+    """The n eigenvalues of a Hermitian n x n h, solved per exact diagonal
+    block of h (up to a permutation of levels), one eigvalsh per block size.
 
-    The blocks are the connected parts of the nonzero pattern of h.  Each
-    row starts with the label of its first nonzero column (an all-zero
-    row with its own index) and takes the least label among its nonzero
-    entries' columns until no label changes: then no nonzero entry joins
-    two labels, and the label classes are diagonal blocks of a
-    permutation of h.  A 1x1 block is its diagonal entry; the others are
-    stacked by block_stacks and padded with zeros (each adding a zero
-    eigenvalue), one eigvalsh per stack, so the work is O(sum_b d_b^3).
-    A dimension below _BLOCK_MIN_DIM, a fully nonzero h, one class, or
-    labels still changing after _LABEL_PASSES passes take one eigvalsh of
-    all of h.
+    The blocks are the components of the nonzero pattern of the strict
+    lower triangle, the part of h that eigvalsh reads, so the work is
+    O(n^2 + sum_b d_b^3).  Below _BLOCK_MIN_DIM one eigvalsh of all of h
+    costs less than finding blocks.
     """
     n = len(h)
     if n < _BLOCK_MIN_DIM:
         return np.linalg.eigvalsh(h)
-    nonzero = h != 0
-    if nonzero.all():
-        return np.linalg.eigvalsh(h)
-    label = nonzero.argmax(axis=1)
-    label = np.where(nonzero[np.arange(n), label], label, np.arange(n))
-    for _ in range(_LABEL_PASSES):
-        joined = np.minimum(label, np.where(nonzero, label, n).min(axis=1))
-        if np.array_equal(joined, label):
-            break
-        label = joined
-    else:
-        return np.linalg.eigvalsh(h)
-    sizes = np.bincount(label, minlength=n)
-    if sizes.max() == n:
-        return np.linalg.eigvalsh(h)
-    order = np.argsort(label, kind="stable")  # the classes, one after another
-    sizes = sizes[sizes > 0]
-    starts = np.cumsum(sizes) - sizes
-    single = order[starts[sizes == 1]]
-    eigs = [h[single, single].real]
-    for stack in block_stacks(sizes.tolist()):
-        d = sizes[stack[0]]
-        real = np.arange(d) < sizes[stack][:, None]
-        idx = order[np.where(real, starts[stack][:, None] + np.arange(d), 0)]
-        sub = np.where(real[:, :, None] & real[:, None, :], h[idx[:, :, None], idx[:, None, :]], 0)
-        eigs.append(np.linalg.eigvalsh(sub).ravel())
-    return np.concatenate(eigs)
+    a, b = np.divmod(np.flatnonzero(h != 0), n)
+    lower = a > b
+    label = components(a[lower], b[lower], n)
+    order = np.argsort(label, kind="stable")  # the components, one after another
+    sizes = np.bincount(label)
+    offsets = np.concatenate(([0], np.cumsum(sizes[sizes > 0])))
+    return np.concatenate([np.linalg.eigvalsh(h[idx[:, :, None], idx[:, None, :]]).ravel()
+                           for idx in size_stacks(order, offsets)])
 
 
 def trace_distance(a, b):
@@ -209,7 +218,7 @@ def trace_distance(a, b):
 
     A stack below _BLOCK_MIN_DIM takes one stacked eigvalsh; larger
     matrices go one at a time through _eigvalsh_by_blocks, which solves
-    the exact diagonal blocks of (Δ + Δ†)/2 when it has some."""
+    the exact diagonal blocks of (Δ + Δ†)/2, one eigvalsh per block size."""
     a, b = _same_size(a, b)
     diff = a - b
     dh = dagger(diff)

@@ -9,7 +9,9 @@ by the check of a `levels`-form spectrum file and the joint energy
 blocks: sort the energies; a group's representative is its smallest
 member, and the next group starts at the first energy >= representative
 + ENERGY_TOL.  A run of small steps is therefore split every ENERGY_TOL
-rather than chained into one group.
+rather than chained into one group.  _energy_groups walks this rule,
+one searchsorted per group; a joint energy past the float range is inf,
+and each +inf opens a group of its own.
 
 Storage is array-backed.  A Spectrum holds one read-only, flat, finite
 float array, `energies`: degeneracy is which levels share an energy, and
@@ -34,6 +36,7 @@ read (..., n) stacks row by row, for majorization's stacked curves.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,53 +54,22 @@ def _energy_groups(energies: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     entries order[offsets[k]:offsets[k + 1]] in ascending index order.
     Groups are numbered by ascending representative `reps[k]`.
     """
-    n = len(energies)
     order = energies.argsort(kind="stable")
     s = energies[order]
-    # The group of representative s[i] ends below reach[i] =
-    # max(s[i] + ENERGY_TOL, nextafter(s[i])): the next float keeps equal
-    # energies together where ENERGY_TOL is below half an ulp, the only
-    # place it exceeds s[i] + ENERGY_TOL.  A step to reach[i - 1] or beyond
-    # opens a group whatever the representative, so the greedy rule is
-    # walked only inside a chain of smaller steps that spans reach of its
-    # first energy.
-    reach = s + ENERGY_TOL
-    flat = reach == s
-    if flat.any():
-        reach[flat] = np.nextafter(s[flat], np.inf)
-    opens = np.empty(n, dtype=bool)
-    opens[:1] = True
-    np.greater_equal(s[1:], reach[:-1], out=opens[1:])
-    starts = opens.nonzero()[0]
-    offsets = np.empty(len(starts) + 1, dtype=np.intp)
-    offsets[:-1], offsets[-1] = starts, n
-    last = s[offsets[1:] - 1]
-    wide = last >= reach[starts]
-    if wide.any():
-        for i, end in zip(starts[wide].tolist(), offsets[1:][wide].tolist()):
-            while True:
-                i = max(i + 1, int(s.searchsorted(reach[i])))
-                if i >= end:
-                    break
-                opens[i] = True
-        starts = opens.nonzero()[0]
-        offsets = np.append(starts, n)
-        last = s[offsets[1:] - 1]
+    starts, i = [], 0
+    while i < len(s):
+        starts.append(i)
+        rep = float(s[i])
+        # The next float keeps equal energies together where ENERGY_TOL is
+        # below half an ulp.  Neither reaches past +inf, so each +inf opens
+        # a group of its own.
+        i = max(i + 1, int(s.searchsorted(max(rep + ENERGY_TOL, math.nextafter(rep, math.inf)))))
+    offsets = np.array(starts + [len(s)], dtype=np.intp)
     reps = s[starts]
-    # The stable energy sort leaves a group in index order unless its
-    # members differ in energy; only such groups are sorted again, on the
-    # key group * n + index, which orders by group and then by index.
-    if (last != reps).any():
-        descents = (order[1:] < order[:-1]) & ~opens[1:]
-        if descents.any():
-            gid = opens.cumsum() - 1
-            unsorted = np.zeros(len(starts), dtype=bool)
-            unsorted[gid[1:][descents]] = True
-            redo = unsorted[gid].nonzero()[0]
-            base = gid[redo] * n
-            key = base + order[redo]
-            key.sort()
-            order[redo] = key - base
+    # The stable sort leaves a group in index order unless its members
+    # differ in energy.
+    if (s[offsets[1:] - 1] != reps).any():
+        order = order[np.lexsort((order, np.repeat(np.arange(len(starts)), np.diff(offsets))))]
     return order, offsets, reps
 
 
@@ -269,7 +241,8 @@ class EnergyBlocks:
 
 def _gibbs_weights(energies: np.ndarray) -> np.ndarray:
     """exp(-E_i) / Z along the last axis of an (..., n) energy array."""
-    w = np.exp(-(energies - energies.min(axis=-1, keepdims=True)))
+    with np.errstate(over="ignore"):  # a span past the float range: weight 0
+        w = np.exp(-(energies - energies.min(axis=-1, keepdims=True)))
     return w / w.sum(axis=-1, keepdims=True)
 
 
@@ -290,8 +263,9 @@ def energy_blocks(spec_s: Spectrum, spec_c: Spectrum) -> EnergyBlocks:
     Blocks are ordered by representative energy, indices within a block
     ascending, i.e. by (i, j).
     """
-    order, offsets, reps = _energy_groups(
-        np.add.outer(spec_s.energies, spec_c.energies).ravel())
+    with np.errstate(over="ignore"):  # a sum past the float range is inf
+        total = np.add.outer(spec_s.energies, spec_c.energies).ravel()
+    order, offsets, reps = _energy_groups(total)
     return EnergyBlocks(_read_only(order), _read_only(offsets), _read_only(reps),
                         dims=(spec_s.dim, spec_c.dim))
 

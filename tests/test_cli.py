@@ -133,6 +133,33 @@ class TestCompile:
         assert err == "domain error: matrix is not unitary: ||U†U - I||_F = inf\n"
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
+    def test_joint_energy_past_the_float_range_writes_no_warning(self, tmp_path, capsys,
+                                                                 recwarn):
+        # 1e308 + 1e308 overflows to inf in the joint energies; the identity
+        # is energy-preserving on any blocks, so the compile passes silently.
+        sf = write_json(tmp_path / "sys.json", {"energies": [1e308, 0]})
+        uf = write_matrix(tmp_path / "u.json", np.eye(4))
+        code, report, err = run_cli(capsys, [
+            "compile", "--system", sf, "--catalyst", sf, "--unitary", uf,
+        ])
+        assert (code, err) == (0, "")
+        assert report["outputs"]["gate_count"] == 0
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_gate_between_overflowed_levels_exits_3(self, tmp_path, capsys, recwarn):
+        # Joint levels (0, 0) and (1, 0) of [1e308, 1.5e308] ⊗ [1e308, 0] both
+        # sum to inf, yet they are two singleton blocks: a swap of them
+        # couples energy blocks.
+        sf = write_json(tmp_path / "sys.json", {"energies": [1e308, 1.5e308]})
+        cf = write_json(tmp_path / "cat.json", {"energies": [1e308, 0]})
+        uf = write_matrix(tmp_path / "u.json", np.eye(4)[[2, 1, 0, 3]])
+        code, report, err = run_cli(capsys, [
+            "compile", "--system", sf, "--catalyst", cf, "--unitary", uf,
+        ])
+        assert (code, report) == (3, None)
+        assert err.count("\n") == 1 and "couples energy blocks" in err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     @pytest.mark.parametrize("re_part,code", [
         ([1.0, 0.0, 0.0, 1.0], 3),  # 1-D
         (np.eye(4)[:3].tolist(), 3),  # 3 x 4
@@ -647,6 +674,17 @@ class TestCurve:
             assert code == 0, err
             argv.append(report["outputs"]["vertices"])
         assert argv[0] == argv[1] == argv[2]
+
+    def test_energy_span_past_the_float_range_writes_no_warning(self, tmp_path, capsys,
+                                                                recwarn):
+        # 1e308 - (-1e308) overflows inside the Gibbs weights; the weight of
+        # level 1 is 0 either way, so the curve is valid and stderr empty.
+        spec = write_json(tmp_path / "wide.json", {"energies": [-1e308, 1e308]})
+        sf = write_json(tmp_path / "p.json", {"populations": [0.5, 0.5]})
+        code, report, err = run_cli(capsys, ["curve", "--state", sf, "--spectrum", spec])
+        assert (code, err) == (0, "")
+        assert report["outputs"]["vertices"] == [[0.0, 0.0], [0.0, 0.5], [1.0, 1.0]]
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_overflowed_ratios_keep_the_curve_concave(self, tmp_path, capsys, recwarn):
         # exp(-740) and exp(-741) are subnormal, so both p / gamma overflow to

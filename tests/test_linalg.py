@@ -8,7 +8,7 @@ from thermoforge import expm_skew, kron, partial_trace, trace_distance
 from thermoforge import linalg
 from thermoforge.linalg import frobenius_distance
 from thermoforge.errors import CapacityError, DomainError, ShapeError
-from util import random_antihermitian, random_density, random_hermitian
+from util import random_antihermitian, random_density, random_hermitian, reference_components
 
 
 def naive_partial_trace(rho, da, db, keep):
@@ -250,8 +250,8 @@ class TestBlockTraceDistance:
         assert abs(got - dense_trace_distance(h, np.zeros_like(h))) <= 1e-13 * got
 
     def test_one_class_takes_one_eigvalsh(self):
-        # A tridiagonal h is one block whose labels settle only after many
-        # passes; a dense h with holes is one class at once.
+        # A tridiagonal h is one component whose labels take many passes
+        # to settle; a dense h with holes is one component at once.
         rng = np.random.default_rng(4)
         n = 100
         chain = np.where(np.abs(np.subtract.outer(range(n), range(n))) <= 1,
@@ -260,6 +260,72 @@ class TestBlockTraceDistance:
         holes[3, 5] = holes[5, 3] = 0
         for h in (chain, holes):
             assert trace_distance(h, np.zeros_like(h)) == dense_trace_distance(h, np.zeros_like(h))
+
+
+@st.composite
+def edge_lists(draw):
+    """(a, b, n): up to 60 edges on up to 40 nodes, with self-loops,
+    repeated edges and isolated nodes."""
+    n = draw(st.integers(0, 40))
+    if n == 0:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), 0
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=60))
+    edges += draw(st.lists(st.sampled_from(edges), max_size=10)) if edges else []
+    a, b = (np.array([e[k] for e in edges], dtype=np.intp) for k in (0, 1))
+    return a, b, n
+
+
+class TestComponents:
+    @given(edge_lists())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_union_find(self, edges):
+        a, b, n = edges
+        got = linalg.components(a, b, n)
+        assert got.tolist() == reference_components(a, b, n).tolist()
+
+    @pytest.mark.parametrize("n", [500, 5000])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_permuted_path(self, n, seed):
+        # A path through n nodes in random order: the least label must
+        # travel n - 1 hops, and a kernel with a pass cap leaves it split.
+        perm = np.random.default_rng(seed).permutation(n)
+        a, b = perm[:-1], perm[1:]
+        assert linalg.components(a, b, n).tolist() == [0] * n
+        assert linalg.components(b[::-1], a[::-1], n + 1).tolist() == [0] * n + [n]
+
+    def test_size_stacks(self):
+        order = np.array([4, 0, 2, 1, 3, 5])
+        offsets = np.array([0, 2, 3, 5, 6])
+        got = linalg.size_stacks(order, offsets)
+        assert [x.tolist() for x in got] == [[[2], [5]], [[4, 0], [1, 3]]]
+
+
+class TestEigvalshByBlocks:
+    """All n eigenvalues, within 1e-12 of one dense eigvalsh."""
+
+    @staticmethod
+    def _check(h):
+        got = linalg._eigvalsh_by_blocks(h)
+        assert got.shape == (len(h),)
+        assert np.abs(np.sort(got) - np.linalg.eigvalsh(h)).max() <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_permuted_tridiagonal(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 200
+        h = np.where(np.abs(np.subtract.outer(range(n), range(n))) <= 1,
+                     random_hermitian(rng, n), 0)
+        perm = rng.permutation(n)
+        self._check(h[np.ix_(perm, perm)])
+
+    @given(st.lists(st.sampled_from([2, 3]), min_size=22, max_size=40), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_mixed_block_sizes(self, sizes, seed):
+        rng = np.random.default_rng(seed)
+        label = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+        h = np.where(np.equal.outer(label, label), random_hermitian(rng, len(label)), 0)
+        self._check(h)
 
 
 ENTRIES = st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False)

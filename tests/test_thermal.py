@@ -375,6 +375,22 @@ class TestEnergyBlocks:
         sizes2 = sorted(energy_blocks(a, b2).block_sizes())
         assert sizes1 == sizes2
 
+    def test_overflowed_joint_energies_stay_singletons(self, recwarn):
+        # Two joint energies overflow to inf.  The reach of an inf
+        # representative, inf + ENERGY_TOL, is inf itself, so each inf
+        # opens a block of its own.
+        blocks = energy_blocks(Spectrum.from_energies([1e308, 1.5e308]),
+                               Spectrum.from_energies([1e308, 0.0]))
+        assert blocks.reps.tolist() == [1e308, 1.5e308, math.inf, math.inf]
+        assert blocks.order.tolist() == [1, 3, 0, 2]
+        assert blocks.block_sizes() == [1, 1, 1, 1]
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_gibbs_weights_past_the_float_range(self, recwarn):
+        weights = gibbs_state(Spectrum.from_energies([-1e308, 1e308])).populations
+        assert weights.tolist() == [1.0, 0.0]
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
 
 BLOCK_SIZES = st.one_of(
     st.lists(st.integers(1, 4), min_size=1, max_size=16),  # repeated sizes, many 1x1

@@ -139,6 +139,26 @@ def reference_energy_groups(energies):
     return order[np.lexsort((order, gid))], np.array(starts + [len(s)]), s[starts]
 
 
+def reference_components(a, b, n):
+    """Union-find over the edges (a[i], b[i]) of nodes 0..n-1, with path
+    halving: each node's label, the least node of its component, as
+    linalg.components returns it."""
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for x, y in zip(np.asarray(a).tolist(), np.asarray(b).tolist()):
+        parent[find(y)] = find(x)
+    least = {}
+    for x in range(n):
+        least.setdefault(find(x), x)
+    return np.array([least[find(x)] for x in range(n)], dtype=np.intp)
+
+
 def reference_spectrum_error(levels):
     """The DomainError message a `levels`-form spectrum of these (energy,
     deg) pairs must raise, or None.

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 
 from thermoforge import build_cooling_instance, run_gc_eto
-from thermoforge.cooling import DEFAULT_INPUT
+from thermoforge.cooling import DEFAULT_INPUT, closed_form
 
 
 def show(title, v):
@@ -37,8 +37,8 @@ def main() -> int:
     pops = np.real(np.diag(sigma))
     print(f"input populations   {DEFAULT_INPUT.populations}")
     print(f"output populations  {np.round(pops, 10)}")
-    print(f"closed form         ({1 - 1 / args.D}, {1 / (2 * args.D)}, "
-          f"{1 / (2 * args.D)})\n")
+    ground, excited, _ = closed_form(args.D)
+    print(f"closed form         ({ground}, {excited}, {excited})\n")
     show("before rethermalizing", pre)
     show("after rethermalizing", post)
     return 0

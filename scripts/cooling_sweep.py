@@ -10,7 +10,7 @@ import csv
 import sys
 
 from thermoforge import max_ground_population_TO, run_cooling
-from thermoforge.cooling import DEFAULT_INPUT, SYSTEM_SPECTRUM, build_cooling_catalyst
+from thermoforge.cooling import DEFAULT_INPUT, SYSTEM_SPECTRUM, build_cooling_catalyst, closed_form
 
 
 def main() -> int:
@@ -29,7 +29,7 @@ def main() -> int:
             "D": d,
             "catalyst_dim": (1 << d) - 1,
             "ground": final.populations[0],
-            "closed_form": 1 - 1 / d,
+            "closed_form": closed_form(d)[0],
             "invariant_level": inv,
             "to_optimum": oracle,
         })

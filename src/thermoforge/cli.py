@@ -15,11 +15,12 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import cooling
+from .cooling import COOL_TOL
 from .compiler import EXACT_TOL, GateSequence, compile_approximate, compile_exact, reconstruct
 from .errors import (CapacityError, CoherenceError, DomainError, FormatError, PreconditionError,
                      ShapeError, json_reals, load_json_object)
@@ -31,7 +32,6 @@ from .verify import SUITES, run_suites
 
 DEFAULT_SEED = 7
 COHERENCE_TOL = 1e-10  # largest off-diagonal mass of a state read as diagonal
-COOL_TOL = 1e-12  # closed-form, invariant and TO-limit deviation of a cool row
 
 
 @dataclass
@@ -107,8 +107,7 @@ def _load_state(path: str, coherence_guard: bool = False):
 
 # ---------------------------------------------------------------- compile
 
-def cmd_compile(args) -> int:
-    t0 = time.perf_counter()
+def cmd_compile(args) -> RunReport:
     if not 0 < args.accuracy < np.inf:  # the report echoes it, whatever the method
         raise DomainError(f"--accuracy must be positive and finite, got {args.accuracy}")
     spec_s = Spectrum.from_json(args.system)
@@ -139,8 +138,7 @@ def cmd_compile(args) -> int:
     if args.out:
         seq.save(args.out)
         report.outputs["sequence_file"] = args.out
-    report.wall_time = time.perf_counter() - t0
-    return report.emit()
+    return report
 
 
 # ---------------------------------------------------------------- cool
@@ -152,6 +150,7 @@ def _cool_row(d: int) -> dict:
     oracle = max_ground_population_TO(cooling.DEFAULT_INPUT, cooling.SYSTEM_SPECTRUM,
                                       catalyst, tau_c=tau_c)
     g, e1, e2 = (float(x) for x in final.populations)
+    ground, excited, invariant = cooling.closed_form(d)
     to_limit_dev = abs(oracle - g)
     return {
         "D": d,
@@ -159,9 +158,8 @@ def _cool_row(d: int) -> dict:
         "excited1": e1,
         "excited2": e2,
         "invariant_level_population": inv,
-        "closed_form_dev": max(abs(g - (1 - 1 / d)), abs(e1 - 1 / (2 * d)),
-                               abs(e2 - 1 / (2 * d))),
-        "invariant_dev": abs(inv - 2.0 ** (-d) / d),
+        "closed_form_dev": max(abs(g - ground), abs(e1 - excited), abs(e2 - excited)),
+        "invariant_dev": abs(inv - invariant),
         "to_limit_dev": to_limit_dev,
         "to_limit_check": bool(to_limit_dev < COOL_TOL),
     }
@@ -182,8 +180,7 @@ def _parse_sweep(text: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
-def cmd_cool(args) -> int:
-    t0 = time.perf_counter()
+def cmd_cool(args) -> RunReport:
     if args.sweep:
         ds = _parse_sweep(args.sweep)
     else:
@@ -206,14 +203,12 @@ def cmd_cool(args) -> int:
             w.writeheader()
             w.writerows(rows)
         report.outputs["csv_file"] = args.csv
-    report.wall_time = time.perf_counter() - t0
-    return report.emit()
+    return report
 
 
 # ---------------------------------------------------------------- verify
 
-def cmd_verify(args) -> int:
-    t0 = time.perf_counter()
+def cmd_verify(args) -> RunReport:
     if args.trials < 0:
         raise DomainError(f"--trials must be nonnegative, got {args.trials}")
     source = "THERMOFORGE_SEED" if "THERMOFORGE_SEED" in os.environ else "--seed"
@@ -234,14 +229,12 @@ def cmd_verify(args) -> int:
         report.outputs["note"] = "zero trials requested; vacuous pass"
     for r in results:
         report.add_check(r.name, r.passed, r.measured, r.tolerance)
-    report.wall_time = time.perf_counter() - t0
-    return report.emit()
+    return report
 
 
 # ---------------------------------------------------------------- curve
 
-def cmd_curve(args) -> int:
-    t0 = time.perf_counter()
+def cmd_curve(args) -> RunReport:
     spec = Spectrum.from_json(args.spectrum)
     _, p = _load_state(args.state, coherence_guard=True)
     curve = thermo_curve(p, spec)
@@ -258,14 +251,12 @@ def cmd_curve(args) -> int:
         _, q = _load_state(args.compare, coherence_guard=True)
         report.outputs["p_majorizes_q"] = thermo_majorizes(p, q, spec)
         report.outputs["q_majorizes_p"] = thermo_majorizes(q, p, spec)
-    report.wall_time = time.perf_counter() - t0
-    return report.emit()
+    return report
 
 
 # ---------------------------------------------------------------- simulate
 
-def cmd_simulate(args) -> int:
-    t0 = time.perf_counter()
+def cmd_simulate(args) -> RunReport:
     if not 0 <= args.epsilon < np.inf:
         raise DomainError(f"--epsilon must be nonnegative and finite, got {args.epsilon}")
     rho, _ = _load_state(args.state)
@@ -283,21 +274,13 @@ def cmd_simulate(args) -> int:
     if system is not None:
         report.inputs["system"] = args.system
     report.outputs["system_populations"] = [float(x) for x in np.real(np.diag(sigma))]
-    def verdict_json(v):
-        return {
-            "strict": v.strict,
-            "correlated": v.correlated,
-            "approximate": v.approximate(args.epsilon),
-            "catalyst_marginal_distance": v.catalyst_marginal_distance,
-            "product_defect": v.product_defect,
-        }
-    report.outputs["pre_verdict"] = verdict_json(pre)
+    for key, v in (("pre_verdict", pre), ("post_verdict", post)):
+        if v is not None:
+            report.outputs[key] = {**asdict(v), "approximate": v.approximate(args.epsilon)}
     if post is not None:
-        report.outputs["post_verdict"] = verdict_json(post)
         report.add_check("rethermalized_strict", post.strict,
                          post.catalyst_marginal_distance, STRICT_TOL)
-    report.wall_time = time.perf_counter() - t0
-    return report.emit()
+    return report
 
 
 # ---------------------------------------------------------------- main
@@ -363,7 +346,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        t0 = time.perf_counter()
+        report = args.func(args)
+        report.wall_time = time.perf_counter() - t0
+        return report.emit()
     except json.JSONDecodeError as e:
         print(f"parse error: {e.msg} at line {e.lineno}, column {e.colno}", file=sys.stderr)
         return 2

@@ -73,14 +73,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError
 # GateStep is re-exported: thermoforge.compiler.GateStep is public API.
 from .gates import (  # noqa: F401
     KIND_CODE, GateSequence, GateStep, apply_layers, kind_blocks, layer_order, layer_views,
 )
 from .generators import ElementaryGenerator
 from .linalg import block_stacks, size_stacks
-from .thermal import EnergyBlocks, require_energy_preserving
+from .thermal import EnergyBlocks, flat_index, require_energy_preserving
 
 _ELIM_TOL = 1e-13
 _COEFF_TOL = 1e-14  # generator coefficients at or below this are dropped
@@ -240,18 +240,12 @@ def _slice(method: str, dims: tuple[int, int], linear=(), groups=()) -> _Slice:
     steps listed first-acting first.  A group with c < 0 is taken as
     (K, J, -c), since [K, J] = -[J, K], so that s = sqrt(c/m) is real; one
     with c == 0 is dropped.  A joint index outside dims raises
-    ShapeError."""
+    ShapeError (thermal.flat_index)."""
     groups = [(k, j, -c) if c < 0 else (j, k, c) for j, k, c in groups if c != 0.0]
     terms = [*linear]
     for j, k, c in groups:
         terms += [(k, c), (j, c), (k, c), (j, c)]
-    ds, dc = dims
-    flats = []
-    for g, _ in terms:
-        for s, c in (g.first, g.second):
-            if not (0 <= s < ds and 0 <= c < dc):
-                raise ShapeError(f"joint index ({s}, {c}) out of range for dims {dims}")
-        flats.append((g.first[0] * dc + g.first[1], g.second[0] * dc + g.second[1]))
+    flats = [(flat_index(g.first, dims), flat_index(g.second, dims)) for g, _ in terms]
     return _Slice(method, dims,
                   np.array([KIND_CODE[g.kind] for g, _ in terms], dtype=np.int8),
                   np.array(flats, dtype=np.intp).reshape(-1, 2),

@@ -6,7 +6,8 @@ System: energies (0, E, E) with E = ln 2 (so exp(-E) = 1/2 at beta = 1).
 Catalyst for parameter D: levels n*E with degeneracy 2^n, n = 0..D-1,
 total dimension 2^D - 1.  The closed form for the default input
 p = (0, 1/2, 1/2) is (1 - 1/D, 1/(2D), 1/(2D)); the untouched top-energy
-joint levels each carry population 2^(-D)/D.
+joint levels each carry population 2^(-D)/D: `closed_form(D)`.  COOL_TOL
+bounds a run's deviation from it and from the thermal-operation optimum.
 
 The swap gates have disjoint supports: every gate moves one level with
 system state 0 and one with system state 1 or 2, and no level twice.
@@ -30,11 +31,18 @@ from .thermal import DiagonalState, Spectrum, gibbs_state
 E_UNIT = math.log(2.0)
 MAX_D_DIAGONAL = 20
 MAX_D_DENSE = 10  # joint dim 3*(2^D - 1) stays under the 4096 dense cap
+COOL_TOL = 1e-12  # largest deviation of a run from its closed form or the TO optimum
 
 SYSTEM_SPECTRUM = Spectrum.from_energies([0.0, E_UNIT, E_UNIT])
 DEFAULT_INPUT = DiagonalState(np.array([0.0, 0.5, 0.5]))
 
 SWAP2 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+
+
+def closed_form(d: int) -> tuple[float, float, float]:
+    """(ground, each excited, invariant level) populations for the default
+    input at catalyst parameter d: (1 - 1/D, 1/(2D), 2^(-D)/D)."""
+    return 1 - 1 / d, 1 / (2 * d), 2.0 ** (-d) / d
 
 
 def _cat_index(n: int, j: int) -> int:

@@ -18,11 +18,9 @@ structural faults first and then GateStep.from_json(step).local(dims).
 """
 from __future__ import annotations
 
-import cmath
 import itertools
 import json
 import math
-import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -31,6 +29,7 @@ import numpy as np
 from .errors import (DomainError, FormatError, ShapeError, json_float, json_reals,
                      load_json_object)
 from .generators import KINDS
+from .thermal import flat_index
 
 _UNITARY_TOL = 1e-12  # largest ||U†U - I||_F of an accepted givens block
 
@@ -49,6 +48,18 @@ _BLOCK_WEIGHTS = np.array([
     [[0, 0, 0, 0, 1], [0, 0, 0, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, 0, 1]],   # g_diag
     [[0, 0, 0, 0, 0]] * 4,                                                   # givens
 ], dtype=complex)
+
+
+def _givens_defect(blocks: np.ndarray) -> np.ndarray:
+    """||U†U - I||_F of each block of a (k, 2, 2) stack, from its column
+    norms and their inner product: the one unitarity bound of a givens
+    step, for a file's steps at once and for one GateStep alike.  An
+    entry too large to square gives inf or NaN."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        u00, u01, u10, u11 = blocks.reshape(-1, 4).T
+        off = np.abs(u00.conj() * u01 + u10.conj() * u11)
+        return np.sqrt((np.abs(u00) ** 2 + np.abs(u10) ** 2 - 1) ** 2
+                       + (np.abs(u01) ** 2 + np.abs(u11) ** 2 - 1) ** 2 + 2 * off ** 2)
 
 
 def kind_blocks(kinds: np.ndarray, params: np.ndarray) -> np.ndarray:
@@ -81,16 +92,9 @@ class GateStep:
             u2 = np.asarray(self.u2, dtype=complex)
             if u2.shape != (2, 2):
                 raise DomainError(f"givens step needs a 2x2 block, got shape {u2.shape}")
-            a, b, c, d = u2.ravel().tolist()
-            if not all(map(cmath.isfinite, (a, b, c, d))):
+            if not np.isfinite(u2).all():
                 raise DomainError("givens block has non-finite entries")
-            try:  # ||U^dagger U - I||_F from the column norms and their inner product
-                off = abs(a.conjugate() * b + c.conjugate() * d)
-                defect = math.hypot(abs(a) ** 2 + abs(c) ** 2 - 1, abs(b) ** 2 + abs(d) ** 2 - 1,
-                                    off, off)
-            except OverflowError:  # an entry too large to square
-                defect = math.inf
-            if defect > _UNITARY_TOL:
+            if not _givens_defect(u2[None])[0] <= _UNITARY_TOL:  # NaN once an entry overflows
                 raise DomainError("givens block is not unitary")
             u2.flags.writeable = False
             object.__setattr__(self, "u2", u2)
@@ -106,18 +110,8 @@ class GateStep:
                 raise DomainError(f"kind {self.kind!r} takes {want} joint indices")
 
     def _flats(self, dims: tuple[int, int]) -> list[int]:
-        """Flat joint indices, each checked: an index (s, c) must satisfy
-        0 <= s < dims[0] and 0 <= c < dims[1]; otherwise it would alias
-        another flat level."""
-        flats = []
-        for pair in self.indices:
-            try:
-                s, c = (operator.index(i) for i in pair)
-            except (TypeError, ValueError):
-                raise ShapeError(f"joint index {pair!r} is not an integer pair") from None
-            if not (0 <= s < dims[0] and 0 <= c < dims[1]):
-                raise ShapeError(f"joint index ({s}, {c}) out of range for dims {dims}")
-            flats.append(s * dims[1] + c)
+        """Flat joint indices, each checked by thermal.flat_index."""
+        flats = [flat_index(pair, dims) for pair in self.indices]
         if len(flats) == 2 and flats[0] == flats[1]:
             raise DomainError(f"two-level gate acts twice on flat level {flats[0]}")
         return flats
@@ -393,8 +387,7 @@ def _raise_first_fault(items: list, dims: tuple[int, int]) -> None:
     A structural fault is a step that is not an object or lacks a key,
     `indices` that are not a list of [s, c] pairs, or a givens `u2` that
     is not four [re, im] pairs.  The array checks flag only steps this
-    scan rejects, save a givens block within rounding of the unitarity
-    bound, which it may accept.
+    scan rejects.
     """
     for i, step in enumerate(items):
         try:
@@ -426,7 +419,8 @@ def _read_steps(items, dims: tuple[int, int]):
     (s, c) entries of each step's first and last index pair.  GateStep's
     checks then run over all steps at once: known kind, index count per
     kind, integer in-range indices, distinct levels, finite params and
-    ||U†U - I||_F <= 1e-12 (which also needs finite u2 entries).  These
+    _givens_defect <= 1e-12 (which also needs finite u2 entries), the
+    same expression GateStep evaluates on its one block.  These
     only decide whether the list is clean; a conversion that fails or a
     flagged value hands the list to _raise_first_fault, the one judge of
     its errors.
@@ -457,14 +451,8 @@ def _read_steps(items, dims: tuple[int, int]):
         flats = s * dims[1] + c
         blocks = np.zeros((len(items), 2, 2), dtype=complex)
         blocks[givens] = u2.view(complex).reshape(-1, 2, 2)
-        with np.errstate(invalid="ignore", over="ignore"):
-            # ||U†U - I||_F from the column norms and their inner product, as in GateStep.
-            u00, u01, u10, u11 = blocks[givens].reshape(-1, 4).T
-            off = np.abs(u00.conj() * u01 + u10.conj() * u11)
-            defect = np.sqrt((np.abs(u00) ** 2 + np.abs(u10) ** 2 - 1) ** 2
-                             + (np.abs(u01) ** 2 + np.abs(u11) ** 2 - 1) ** 2 + 2 * off ** 2)
         clean = ((kinds >= 0).all() and np.isfinite(params).all()
-                 and (defect <= _UNITARY_TOL).all()
+                 and (_givens_defect(blocks[givens]) <= _UNITARY_TOL).all()
                  and ((0 <= s) & (s < dims[0]) & (0 <= c) & (c < dims[1])).all()
                  and (phase | (flats[:, 0] != flats[:, 1])).all())
     if not clean:

@@ -28,13 +28,14 @@ at all; the rank-2 set of a 2 x 2 block takes one.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapacityError, DomainError, PreconditionError
 from .linalg import components
-from .thermal import EnergyBlocks
+from .thermal import EnergyBlocks, flat_index
 
 KINDS = ("h", "m", "p", "g_diag")
 RANK_TOL = 1e-9  # smallest normalised residual of a candidate that joins a closure basis
@@ -56,9 +57,10 @@ class ElementaryGenerator:
             raise DomainError(f"kind {self.kind!r} needs two distinct joint indices")
 
     def matrix(self, dims: tuple[int, int]) -> np.ndarray:
+        """Dense n x n matrix; ShapeError if an index pair is not a joint
+        level of dims (thermal.flat_index)."""
         n = dims[0] * dims[1]
-        a = self.first[0] * dims[1] + self.first[1]
-        b = self.second[0] * dims[1] + self.second[1]
+        a, b = flat_index(self.first, dims), flat_index(self.second, dims)
         k = np.zeros((n, n), dtype=complex)
         if self.kind == "h":
             k[a, b] = -1j
@@ -85,17 +87,7 @@ def enumerate_basis(blocks: EnergyBlocks, include_rank1: bool = True) -> list[El
     With rank-1 projectors: sum of d^2 over blocks.  Without them only
     the off-diagonal h/m pairs remain: sum of d(d-1).
     """
-    out: list[ElementaryGenerator] = []
-    for energy, members in blocks.items():
-        idx = blocks.pairs(members)
-        for i in range(len(idx)):
-            for j in range(i + 1, len(idx)):
-                out.append(ElementaryGenerator("h", energy, idx[i], idx[j]))
-                out.append(ElementaryGenerator("m", energy, idx[i], idx[j]))
-        if include_rank1:
-            for a in idx:
-                out.append(ElementaryGenerator("p", energy, a, a))
-    return out
+    return _pair_walk(blocks, ("h", "m"), include_rank1)
 
 
 def rank2_basis(blocks: EnergyBlocks) -> list[ElementaryGenerator]:
@@ -110,14 +102,20 @@ def rank2_basis(blocks: EnergyBlocks) -> list[ElementaryGenerator]:
                 f"block at energy {energy} is a singleton; append a "
                 "two-level zero-energy catalyst to double it first"
             )
+    return _pair_walk(blocks, ("h", "m", "g_diag"), rank1=False)
+
+
+def _pair_walk(blocks: EnergyBlocks, kinds: tuple[str, ...],
+               rank1: bool) -> list[ElementaryGenerator]:
+    """Per block, one generator of each kind on each level pair a < b
+    (pairs in lexicographic order), then with rank1 one 'p' per level."""
     out: list[ElementaryGenerator] = []
     for energy, members in blocks.items():
         idx = blocks.pairs(members)
-        for i in range(len(idx)):
-            for j in range(i + 1, len(idx)):
-                out.append(ElementaryGenerator("h", energy, idx[i], idx[j]))
-                out.append(ElementaryGenerator("m", energy, idx[i], idx[j]))
-                out.append(ElementaryGenerator("g_diag", energy, idx[i], idx[j]))
+        out += [ElementaryGenerator(kind, energy, a, b)
+                for a, b in itertools.combinations(idx, 2) for kind in kinds]
+        if rank1:
+            out += [ElementaryGenerator("p", energy, a, a) for a in idx]
     return out
 
 
@@ -219,7 +217,8 @@ def lie_closure(gens, max_dim: int = 512, dims: tuple[int, int] | None = None) -
     normalisation, its residual is at least RANK_TOL.
 
     Raises DomainError if an input is not anti-Hermitian (to 1e-12 of its
-    largest entry), and CapacityError as soon as the running total over
+    largest entry), ShapeError if a generator record names a level
+    outside dims, and CapacityError as soon as the running total over
     components exceeds max_dim.
     """
     mats = np.array([_to_matrix(g, dims) for g in gens])

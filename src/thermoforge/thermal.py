@@ -24,7 +24,8 @@ partition in CSR form:
     reps     each block's representative energy, ascending
 
 EnergyBlocks keeps no tuple view: `items()` yields each block's energy
-and members, and `pairs()` turns flat indices into (s, c) pairs.
+and members, and `pairs()` turns flat indices into (s, c) pairs;
+flat_index, the one joint-index check, turns a pair back.
 
 random_energy_preserving_unitary samples one structure (with a seed, or
 an array of seeds for a (..., n, n) stack) or a list of structures with
@@ -37,6 +38,7 @@ read (..., n) stacks row by row, for majorization's stacked curves.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,6 +202,20 @@ class DiagonalState:
 
     def to_dense(self) -> np.ndarray:
         return np.diag(self.populations).astype(complex)
+
+
+def flat_index(pair, dims: tuple[int, int]) -> int:
+    """Flat joint index s * dims[1] + c of a joint index pair (s, c), the
+    inverse of EnergyBlocks.pairs.  ShapeError unless s and c are integers
+    with 0 <= s < dims[0] and 0 <= c < dims[1]; otherwise the pair would
+    alias another flat level."""
+    try:
+        s, c = (operator.index(i) for i in pair)
+    except (TypeError, ValueError):
+        raise ShapeError(f"joint index {pair!r} is not an integer pair") from None
+    if not (0 <= s < dims[0] and 0 <= c < dims[1]):
+        raise ShapeError(f"joint index ({s}, {c}) out of range for dims {tuple(dims)}")
+    return s * dims[1] + c
 
 
 @dataclass(frozen=True, eq=False)
@@ -366,5 +382,6 @@ def require_energy_preserving(u, blocks: EnergyBlocks) -> None:
     """Raise DomainError unless is_energy_preserving(u, blocks), naming the
     worst cross-block entry of u or, when no entry couples two blocks, its
     unitarity defect ||U†U - I||_F."""
-    if not is_energy_preserving(u, blocks):
-        raise DomainError(_preserving_fault(u, blocks, PRESERVING_TOL))
+    fault = _preserving_fault(u, blocks, PRESERVING_TOL)
+    if fault is not None:
+        raise DomainError(fault)

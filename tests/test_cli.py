@@ -26,7 +26,7 @@ from thermoforge import (
 from thermoforge import cli
 from thermoforge.cli import main
 from thermoforge.cooling import SYSTEM_SPECTRUM
-from util import reference_apply_gates, sequence_to_json, to_json
+from util import BLOCK_A, BLOCK_B, reference_apply_gates, sequence_to_json, to_json
 
 LN2 = math.log(2.0)
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -718,6 +718,20 @@ class TestSimulate:
         assert abs(pops[0] - 0.5) < 1e-12
         assert report["outputs"]["post_verdict"]["strict"]
         assert not report["outputs"]["pre_verdict"]["correlated"]
+
+    @pytest.mark.parametrize("block,code,err", [
+        (BLOCK_A, 0, ""), (BLOCK_B, 3, "domain error: step 0: givens block is not unitary\n")],
+        ids=["A", "B"])
+    def test_givens_bound_at_rounding(self, tmp_path, capsys, block, code, err):
+        # Blocks within rounding of the unitarity bound: simulate takes the
+        # verdict of the one bound that files and single steps share.
+        sf = write_json(tmp_path / "p.json", {"populations": [1.0]})
+        cf = write_json(tmp_path / "cat.json", {"energies": [0, 0]})
+        gf = write_json(tmp_path / "gates.json", {
+            "method": "handcrafted", "dims": [1, 2], "error_bound": 0.0,
+            "steps": [{"kind": "givens", "indices": [[0, 0], [0, 1]], "u2": block}]})
+        got = run_cli(capsys, ["simulate", "--state", sf, "--catalyst", cf, "--gates", gf])
+        assert (got[0], got[2]) == (code, err)
 
     def test_step_across_energy_blocks_exits_3_with_system(self, tmp_path, capsys):
         # A swap of joint levels (0, 0) and (0, 1), of energies 0 and 1, breaks

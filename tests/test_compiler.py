@@ -37,6 +37,8 @@ from thermoforge import (
 )
 from thermoforge.errors import DomainError, FormatError, ShapeError
 from util import (
+    BLOCK_A,
+    BLOCK_B,
     random_antihermitian,
     random_density,
     random_resonant_spectra,
@@ -295,9 +297,15 @@ def step_json(draw):
     return step
 
 
+def givens_json(u2):
+    return {"kind": "givens", "indices": [[0, 0], [0, 1]], "u2": u2}
+
+
 class TestSequenceLoader:
     @given(st.lists(step_json(), min_size=1, max_size=4))
     @settings(max_examples=300, deadline=None)
+    @example([givens_json(BLOCK_A)])
+    @example([givens_json(BLOCK_B)])
     def test_checks_match_gatestep(self, items):
         # GateSequence.from_json raises the FormatError of the first step
         # with a structural fault (here: a string pair among 0 or 3 pairs),
@@ -406,6 +414,38 @@ class TestGateStep:
                 GateStep("givens", ((0, 0), (0, 1)), u2=u2)
         else:
             GateStep("givens", ((0, 0), (0, 1)), u2=u2)
+
+    @pytest.mark.parametrize("u2", [[[1e200, 0], [0, 1]], [[1, 1e200], [1e200, 1]]])
+    def test_givens_refuses_an_entry_too_large_to_square(self, u2):
+        # The defect overflows to inf or NaN; either is refused.
+        with pytest.raises(DomainError, match="not unitary"):
+            GateStep("givens", ((0, 0), (0, 1)), u2=np.array(u2, dtype=complex))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(
+        st.tuples(st.floats(0, 2 * math.pi), st.floats(0, 2 * math.pi),
+                  st.floats(0, 2 * math.pi), st.integers(0, 7), st.floats(-14, -10)),
+        st.lists(st.floats(-1e200, 1e200), min_size=8, max_size=8)), min_size=1, max_size=40))
+    def test_givens_defect_of_a_stack_is_its_blocks(self, draws):
+        # The loader bounds a file's givens blocks as one stack and GateStep
+        # bounds one block; they agree because each stacked defect has the
+        # bits of its one-block call.  Blocks are unitaries with one real or
+        # imaginary part moved by up to 1e-10, or arbitrary entries.
+        blocks = []
+        for draw in draws:
+            if isinstance(draw, tuple):
+                theta, phi, chi, part, log_eps = draw
+                c, s = math.cos(theta), math.sin(theta)
+                u2 = np.array([[c, -s * cmath.exp(1j * chi)],
+                               [s * cmath.exp(1j * phi), c * cmath.exp(1j * (phi + chi))]])
+                u2.reshape(4).view(float)[part] += 10.0 ** log_eps
+            else:
+                u2 = np.array(draw).view(complex).reshape(2, 2)
+            blocks.append(u2)
+        stack = np.array(blocks)
+        got = gates._givens_defect(stack)
+        want = np.array([gates._givens_defect(b[None])[0] for b in blocks])
+        assert np.array_equal(got, want, equal_nan=True)
 
     @pytest.mark.parametrize("param", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("kind,indices", [

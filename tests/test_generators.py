@@ -8,14 +8,17 @@ from hypothesis import strategies as st
 
 from thermoforge import (
     ElementaryGenerator,
+    GateSequence,
     Spectrum,
     build_cooling_catalyst,
+    compile_bch,
+    compile_trotter,
     energy_blocks,
     enumerate_basis,
     lie_closure,
     rank2_basis,
 )
-from thermoforge.errors import CapacityError, DomainError, PreconditionError
+from thermoforge.errors import CapacityError, DomainError, PreconditionError, ShapeError
 from util import random_antihermitian, random_resonant_spectra, reference_lie_closure
 
 LN2 = math.log(2.0)
@@ -92,6 +95,49 @@ class TestRank2Basis:
         assert sorted(blocks.block_sizes()) == [2, 8, 8]
         gens = rank2_basis(blocks)
         assert lie_closure(gens, max_dim=200, dims=blocks.dims) == 4 + 64 + 64
+
+
+class TestPairWalk:
+    def test_lists_keep_their_order(self):
+        # Per block, in block order: h and m (and g_diag in the rank-2 set)
+        # on each level pair a < b in lexicographic order, then, in the
+        # full basis, p on each level.
+        blocks = energy_blocks(Spectrum.from_energies([0.0, LN2, LN2]),
+                               doubled(build_cooling_catalyst(2)))
+        full, rank2 = [], []
+        for energy, members in blocks.items():
+            idx = blocks.pairs(members)
+            for i in range(len(idx)):
+                for j in range(i + 1, len(idx)):
+                    full += [ElementaryGenerator(k, energy, idx[i], idx[j]) for k in ("h", "m")]
+                    rank2 += [ElementaryGenerator(k, energy, idx[i], idx[j])
+                              for k in ("h", "m", "g_diag")]
+            full += [ElementaryGenerator("p", energy, a, a) for a in idx]
+        assert enumerate_basis(blocks) == full
+        assert enumerate_basis(blocks, include_rank1=False) == [g for g in full if g.kind != "p"]
+        assert rank2_basis(blocks) == rank2
+
+
+class TestJointIndexCheck:
+    # At dims (2, 3) the pair (0, 5) would alias flat level 5 = (1, 2),
+    # (0, -1) flat level -1, and (2, 0) lies past the last level; (0.5, 0)
+    # would be truncated to (0, 1) by an integer array.
+    @pytest.mark.parametrize("bad", [(0, 5), (0, -1), (2, 0), (0.5, 0)])
+    def test_every_caller_refuses_with_the_loader_message(self, bad):
+        dims = (2, 3)
+        step = {"kind": "h", "indices": [list(bad), [1, 0]], "param": 0.0}
+        with pytest.raises(ShapeError) as info:
+            GateSequence.from_json({"method": "handcrafted", "dims": list(dims),
+                                    "error_bound": 0.0, "steps": [step]})
+        want = str(info.value).removeprefix("step 0: ")
+        g = ElementaryGenerator("h", 0.0, bad, (1, 0))
+        other = ElementaryGenerator("m", 0.0, (0, 0), (1, 0))
+        for call in (lambda: g.matrix(dims), lambda: lie_closure([g], dims=dims),
+                     lambda: compile_trotter({g: 1.0}, 1.0, 1, dims),
+                     lambda: compile_bch(g, other, 1.0, 1, dims)):
+            with pytest.raises(ShapeError) as info:
+                call()
+            assert str(info.value) == want
 
 
 def raw_antihermitian(rng, n):

@@ -1,6 +1,7 @@
 """Reference implementations shared by the test suite, the sequence
 builder the tests construct GateSequences with, the spectrum file
-writer `to_json`, the seeded random-matrix helpers random_hermitian and
+writer `to_json`, the givens blocks BLOCK_A and BLOCK_B at the unitarity
+bound, the seeded random-matrix helpers random_hermitian and
 random_antihermitian, and those of thermoforge.verify, re-exported.  The
 reference_suite_* and reference_oracle_excess loops call each kernel
 once per trial, on 2-D matrices, one block structure or one population
@@ -35,6 +36,17 @@ from thermoforge.verify import (  # noqa: F401  (re-exported for the tests)
     random_populations,
     random_resonant_spectra,
 )
+
+
+# u2 entries ([re, im] pairs) of two givens blocks within rounding of the
+# unitarity bound 1e-12, on which a math.hypot form of ||U†U - I||_F and
+# the loader's numpy form disagreed: A is 0.99997e-12 by the numpy form
+# (1.00020e-12 by hypot), B 1.00002e-12 (0.99984e-12 by hypot).  One
+# formula must accept A and refuse B, as a file and as a single step.
+BLOCK_A = [[-0.022295545241504438, -0.31665788635648684], [0.6622809867732247, -0.6786859260576091],
+           [0.5886795674156532, -0.7434292559330903], [-0.3169155366168328, 0.0182715894365057]]
+BLOCK_B = [[-0.4239588508419298, 0.16520476841071657], [0.6424216447011081, 0.6166528259134347],
+           [-0.6767324614607683, 0.5787913725096299], [-0.41378555890379815, -0.18924913198077523]]
 
 
 def random_hermitian(rng, d):

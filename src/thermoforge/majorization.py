@@ -5,21 +5,21 @@ Curves are beta-ordered Lorenz curves: levels sorted by p_i / gamma_i
 descending (ties broken by level index), vertices at cumulative
 (Gibbs weight, population) pairs.  A Gibbs weight below an ulp of the
 running sum leaves x unchanged, so a run of vertices with equal x is
-merged into its last one, the one with the largest y.  A Gibbs weight
-that underflows to 0 sorts its level first when it holds population and
-last when it holds none.  The first levels then rise at x = 0: that run
-is merged into one vertex (0, y) after the origin, and this first
-segment is the only vertical one a curve may have.  np.interp reads the
-top of it, y, at x = 0.
+merged into its last one, the one with the largest y; the last run
+merges before its vertex becomes (1, 1).  A Gibbs weight that underflows
+to 0 sorts its level first when it holds population and last when it
+holds none.  The first levels then rise at x = 0: that run is merged
+into one vertex (0, y) after the origin, and this first segment is the
+only vertical one a curve may have.  np.interp reads the top of it, y,
+at x = 0.
 
 Curves are built and checked as stacks: an (m, n) array of populations
-gives (m, n + 1) vertex arrays, one row per curve.  Merged vertices are
-kept in place and masked; the checks see each row's kept vertices, and
-a reading of a curve at x lands, as np.searchsorted(side="right") - 1
-does, on the last vertex of a run, which holds the run's largest y.
-thermo_majorizes takes p and q as DiagonalStates or (..., n) arrays and
-one spectrum or one per row; a 1-D call is the stack with no leading
-axes.
+gives (m, n + 1) vertex arrays, one row per curve: its vertices, then
+copies of its last one, (1, 1).  A reading of a curve at x lands, as
+np.searchsorted(side="right") - 1 does, on the last vertex at or left
+of x.  thermo_majorizes takes p and q as DiagonalStates or (..., n)
+arrays and one spectrum or one per row; a 1-D call is the stack with no
+leading axes.
 """
 from __future__ import annotations
 
@@ -34,43 +34,42 @@ from .thermal import (DiagonalState, Spectrum, _checked_populations, _gibbs_weig
                       gibbs_state)
 
 REACH_NODE_CAP = 10**6  # most search-tree nodes eto_reach_search will visit
+CURVE_END_TOL = 1e-12  # how far a curve's last vertex may lie from 1 in x and in y
+CURVE_DROP_TOL = 1e-12  # how far y may fall from one vertex to the next
+CONCAVITY_TOL = 1e-9  # how far a slope may exceed the one before it, times max(1, |that one|)
 
 
-def _check_curve(xs: np.ndarray, ys: np.ndarray, size=None) -> None:
+def _check_curve(xs: np.ndarray, ys: np.ndarray, size: np.ndarray) -> None:
     """Raise DomainError unless the vertices (xs, ys) form a thermo curve;
     only the first segment may be vertical, and then it must rise.  An
     (m, k) stack is checked row by row, row r on its first size[r]
-    vertices (all k when size is None), and the first rule any row fails
-    is raised."""
+    vertices (any entries after them copies of the last), and the first
+    rule any row fails is raised."""
     if (xs[..., 0] != 0.0).any() or (ys[..., 0] != 0.0).any():
         raise DomainError("curve must start at (0, 0)")
     dx, dy = xs[..., 1:] - xs[..., :-1], ys[..., 1:] - ys[..., :-1]
-    if size is None:
-        last_x, last_y, seg = xs[..., -1], ys[..., -1], True
-    else:
-        rows = np.arange(len(xs))
-        last_x, last_y = xs[rows, size - 1], ys[rows, size - 1]
-        seg = np.arange(xs.shape[-1] - 1) < (size - 1)[:, None]  # a row's segments
+    last_x, last_y = xs[..., -1], ys[..., -1]
+    seg = np.arange(xs.shape[-1] - 1) < (size - 1)[:, None]  # a row's segments
     # A rising vertical first segment has slope +inf, so it keeps any
     # curve after it concave; the slopes are checked from the next one.
     vertical = np.zeros(dx.shape, dtype=bool)
     vertical[..., :1] = (dx[..., :1] == 0) & (dy[..., :1] > 0)
     rest = seg & ~vertical
-    if (rest & ~(dx > 0)).any() or (abs(last_x - 1.0) > 1e-12).any():
+    if (rest & ~(dx > 0)).any() or (abs(last_x - 1.0) > CURVE_END_TOL).any():
         raise DomainError("x must increase strictly to 1")
-    if (seg & (dy < -1e-12)).any() or (abs(last_y - 1.0) > 1e-12).any():
+    if (seg & (dy < -CURVE_DROP_TOL)).any() or (abs(last_y - 1.0) > CURVE_END_TOL).any():
         raise DomainError("y must be nondecreasing to 1")
-    # A slope may exceed the one before it by 1e-9 * max(1, |earlier|): two
-    # tied ratios of 1e20 give slopes apart by far more than 1e-9.  A rise
+    # A slope may exceed the one before it by CONCAVITY_TOL * max(1, |earlier|):
+    # two tied ratios of 1e20 give slopes apart by far more than 1e-9.  A rise
     # over a subnormal dx overflows to slope +inf.  Two such slopes in a row
-    # (inf - inf is NaN) are compared, to a relative 1e-9, over dx scaled by
-    # 2**600, which is exact.
+    # (inf - inf is NaN) are compared, to a relative CONCAVITY_TOL, over dx
+    # scaled by 2**600, which is exact.
     pair = rest[..., 1:] & rest[..., :-1]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         slopes = dy / dx
         earlier = np.abs(slopes[..., :-1])
         rise = slopes[..., 1:] - slopes[..., :-1]
-        tol = 1e-9 * np.where(earlier < np.inf, np.maximum(earlier, 1.0), 1.0)
+        tol = CONCAVITY_TOL * np.where(earlier < np.inf, np.maximum(earlier, 1.0), 1.0)
         both = np.isnan(rise) & pair
         if both.any():
             scaled = dy / np.ldexp(dx, 600)
@@ -83,11 +82,9 @@ def _curve_arrays(p: np.ndarray, gamma: np.ndarray):
     """The curves of the rows of populations p, (m, n), over Gibbs weights
     gamma, (m, n) or (1, n), checked.
 
-    Returns (xs, ys, top, keep), each (m, n + 1): every vertex, the y of
-    the last vertex of each vertex's run of equal x (the origin's run
-    included), and the mask of the vertices a curve keeps when a run of
-    equal x merges into its last vertex (the origin kept); keep is None
-    when no run has two vertices, and then top is ys.
+    Returns (xs, ys, size): xs and ys are (m, n + 1), and row r's curve is
+    its first size[r] vertices; its last vertex and every entry after it
+    are (1, 1).
     """
     m, n = p.shape
     rows = np.arange(m)[:, None]
@@ -105,25 +102,21 @@ def _curve_arrays(p: np.ndarray, gamma: np.ndarray):
     xs, ys = np.zeros((m, n + 1)), np.zeros((m, n + 1))
     np.cumsum(gamma[rows, order], axis=-1, out=xs[:, 1:])
     np.cumsum(p[rows, order], axis=-1, out=ys[:, 1:])
-    # Guard the invariants against accumulated rounding at the endpoints.  A
-    # running Gibbs sum that rounds above 1 is clamped, so the last x = 1.0
-    # never steps back; a clamped vertex merges by the equal-x rule.
+    # A running Gibbs sum that rounds above 1 is clamped, so x never steps
+    # back.  Each run of equal x merges into its last vertex (the origin
+    # kept) before the last vertex is set to (1, 1), so a sum that ends at
+    # 1 - ulp ahead of levels lighter than an ulp leaves no ulp-wide segment.
     np.minimum(xs, 1.0, out=xs)
-    xs[:, -1] = 1.0
-    ys[:, -1] = 1.0
-    merged = xs[:, 1:] == xs[:, :-1]
-    if not merged.any():
-        _check_curve(xs, ys)
-        return xs, ys, ys, None
-    keep = np.ones(xs.shape, dtype=bool)
-    keep[:, 1:-1] = ~merged[:, 1:]
-    # The checked curve of a row is its kept vertices, moved to the front.
-    front = np.argsort(~keep, axis=-1, kind="stable")
-    _check_curve(xs[rows, front], ys[rows, front], keep.sum(axis=-1))
-    last = np.ones(xs.shape, dtype=bool)
-    last[:, :-1] = ~merged
-    run_end = np.minimum.accumulate(np.where(last, np.arange(n + 1), n)[:, ::-1], axis=-1)
-    return xs, ys, ys[rows, run_end[:, ::-1]], keep
+    merged = np.zeros(xs.shape, dtype=bool)
+    merged[:, 1:-1] = xs[:, 2:] == xs[:, 1:-1]
+    xs[:, -1] = ys[:, -1] = 1.0
+    if merged.any():  # merged vertices become (1, 1), behind the kept ones
+        xs[merged] = ys[merged] = 1.0
+        front = np.argsort(merged, axis=-1, kind="stable")
+        xs, ys = xs[rows, front], ys[rows, front]
+    size = n + 1 - merged.sum(axis=-1)
+    _check_curve(xs, ys, size)
+    return xs, ys, size
 
 
 @dataclass(frozen=True)
@@ -132,7 +125,7 @@ class ThermoCurve:
 
     def __post_init__(self):
         v = np.asarray(self.vertices)
-        _check_curve(v[:, 0], v[:, 1])
+        _check_curve(v[None, :, 0], v[None, :, 1], np.array([len(v)]))
 
     @property
     def xs(self) -> np.ndarray:
@@ -146,10 +139,8 @@ def _check_dim(n: int, spec: Spectrum) -> None:
 
 def thermo_curve(p: DiagonalState, spec: Spectrum) -> ThermoCurve:
     _check_dim(p.dim, spec)
-    xs, ys, _, keep = _curve_arrays(p.populations[None], _gibbs_weights(spec.energies))
-    if keep is not None:
-        xs, ys = xs[keep], ys[keep]
-    return ThermoCurve(tuple(zip(xs.ravel().tolist(), ys.ravel().tolist())))
+    xs, ys, size = _curve_arrays(p.populations[None], _gibbs_weights(spec.energies))
+    return ThermoCurve(tuple(zip(xs[0, :size[0]].tolist(), ys[0, :size[0]].tolist())))
 
 
 def _stack(p) -> np.ndarray:
@@ -206,11 +197,10 @@ def _majorizes(p: np.ndarray, q: np.ndarray, specs: list[Spectrum], tol: float) 
     if q.shape[-1] != n or any(spec.dim != n for spec in specs):
         raise DomainError("state and spectrum dims differ")
     gamma = _gibbs_weights(np.array([spec.energies for spec in specs]))
-    xs, _, ys, _ = _curve_arrays(_checked_populations(np.concatenate((p, q))),
-                                 gamma if len(gamma) == 1 else np.concatenate((gamma, gamma)))
+    xs, ys, _ = _curve_arrays(_checked_populations(np.concatenate((p, q))),
+                              gamma if len(gamma) == 1 else np.concatenate((gamma, gamma)))
     # Each curve at the other's vertices, as np.interp reads it: the segment
-    # starts at the last vertex j at or left of x (the last of a run of
-    # equal x, which holds the run's largest y); an exact hit takes y[j],
+    # starts at the last vertex j at or left of x; an exact hit takes y[j],
     # else slope * (x - x[j]) + y[j], where x - x[j] > 0 makes no NaN.
     at = np.concatenate((xs[m:], xs[:m]))
     rows = np.arange(2 * m)[:, None]
@@ -220,7 +210,8 @@ def _majorizes(p: np.ndarray, q: np.ndarray, specs: list[Spectrum], tol: float) 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         slope = (ys[rows, j1] - y0) / (xs[rows, j1] - x0)
         value = np.where(at == x0, y0, slope * (at - x0) + y0)
-    # At its own vertices a curve reads its run tops; p >= q - tol at both.
+    # At its own origin a curve reads the top of a vertical first segment too.
+    ys[:, 0] = np.where(xs[:, 1] == 0, ys[:, 1], 0.0)
     return (value[:m] >= ys[m:] - tol).all(axis=-1) & (ys[:m] >= value[m:] - tol).all(axis=-1)
 
 

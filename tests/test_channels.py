@@ -199,6 +199,11 @@ class TestThermalize:
         tau = gibbs_state(sys).to_dense()
         assert np.allclose(out, kron(tau, np.eye(1)), atol=1e-12)
 
+    def test_state_must_have_the_joint_dim(self):
+        cat = Spectrum.from_energies([0.0, LN2])
+        with pytest.raises(ShapeError, match="state dim 4 != joint dim 6"):
+            thermalize(random_density(4, seed=4), (qutrit(), cat), which=1)
+
     @pytest.mark.parametrize("which", [2, -1, "first", "catalyst"])
     def test_which_is_zero_or_one(self, which):
         sys = qutrit()

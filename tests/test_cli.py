@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from thermoforge import (
     compile_exact,
     energy_blocks,
     random_energy_preserving_unitary,
+    run_gc_eto,
 )
 from thermoforge import cli
 from thermoforge.cli import main
@@ -515,6 +517,18 @@ class TestCurve:
         assert code == 0, err
         assert report["outputs"]["vertices"][-1] == [1.0, 1.0]
 
+    def test_last_run_merges_before_the_endpoint(self, tmp_path, capsys):
+        # exp(-40) is below an ulp of the running Gibbs sum, which ends at
+        # 1 - ulp: the last run merges into one vertex, (1, 1), and the
+        # curve is not refused as not concave.
+        spec = write_json(tmp_path / "spec.json", {"energies": [2, 0, 40, 2, 40]})
+        sf = write_json(tmp_path / "p.json", {"populations": [4 / 7, 2 / 7, 0, 1 / 7, 0]})
+        code, report, err = run_cli(capsys, ["curve", "--state", sf, "--spectrum", spec])
+        assert (code, err) == (0, "")
+        assert report["outputs"]["vertices"] == [
+            [0.0, 0.0], [0.10650697891920073, 0.5714285714285714],
+            [0.21301395783840146, 0.7142857142857142], [1.0, 1.0]]
+
     def test_zero_gibbs_weight_on_a_populated_level(self, tmp_path, capsys, recwarn):
         # exp(-800) underflows to 0, so level 1's ratio p/gamma is infinite:
         # it goes first, on a vertical segment at x = 0 above the origin.
@@ -701,6 +715,28 @@ class TestCurve:
 
 
 class TestSimulate:
+    def test_coherent_state(self, tmp_path, capsys):
+        # A dense state with coherence runs as it is, not dephased.
+        rho = np.array([[0.6, 0.2 + 0.1j], [0.2 - 0.1j, 0.4]])
+        steps = [{"kind": "givens", "indices": [[0, 0], [0, 1]],
+                  "u2": [[0, 0], [1, 0], [1, 0], [0, 0]]},
+                 {"kind": "h", "indices": [[1, 0], [1, 1]], "param": 0.3}]
+        seq = {"method": "handcrafted", "dims": [2, 2], "error_bound": 0.0, "steps": steps}
+        code, report, err = run_cli(capsys, [
+            "simulate", "--state", write_matrix(tmp_path / "rho.json", rho),
+            "--catalyst", write_json(tmp_path / "cat.json", {"energies": [0, 0]}),
+            "--gates", write_json(tmp_path / "gates.json", seq),
+            "--system", write_json(tmp_path / "sys.json", {"energies": [0, 1]})])
+        assert (code, err) == (0, "")
+        sigma, pre, _ = run_gc_eto(rho, Spectrum.from_energies([0, 0]),
+                                   GateSequence.from_json(seq), rethermalize=False,
+                                   system=Spectrum.from_energies([0, 1]))
+        pops = report["outputs"]["system_populations"]
+        assert pops == np.real(np.diag(sigma)).tolist()
+        assert np.allclose(pops, [0.6, 0.4], atol=1e-12)
+        assert report["outputs"]["pre_verdict"] == {**asdict(pre),
+                                                    "approximate": pre.approximate(1e-10)}
+
     def test_cooling_run(self, tmp_path, capsys):
         d = 2
         cat = build_cooling_catalyst(d)

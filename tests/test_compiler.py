@@ -375,6 +375,10 @@ class TestGateStep:
         with pytest.raises(DomainError, match="unknown gate kind"):
             GateStep("x", ((0, 0), (0, 1)), param=0.1)
 
+    def test_generator_step_needs_a_param(self):
+        with pytest.raises(DomainError, match="generator step needs a parameter"):
+            GateStep("h", ((0, 0), (0, 1)))
+
     def test_givens_requires_unitary_block(self):
         with pytest.raises(DomainError):
             GateStep("givens", ((0, 0), (0, 1)), u2=np.array([[1, 1], [0, 1]]))
@@ -722,6 +726,13 @@ class TestCompileBch:
         gh, gm = hm_pair(blocks)
         assert len(compile_bch(gh, gm, 0.0, 4, blocks.dims)) == 0
 
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_refuses_a_step_count_below_one(self, m):
+        blocks = one_block(2)
+        gh, gm = hm_pair(blocks)
+        with pytest.raises(DomainError, match="bch step count must be positive"):
+            compile_bch(gh, gm, 0.5, m, blocks.dims)
+
     def test_negative_time_swaps_pair(self):
         blocks = one_block(2)
         gh, gm = hm_pair(blocks)
@@ -788,6 +799,14 @@ class TestCompileNested:
         seq = compile_nested(combo, 1.0, 1, blocks.dims)
         target = expm_skew(reference_target_matrix(combo, blocks.dims))
         assert np.linalg.norm(reconstruct(seq) - target) <= 1e-12
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_refuses_a_step_count_below_one(self, m):
+        blocks = one_block(2)
+        gh, gm = hm_pair(blocks)
+        combo = GeneratorCombination(linear=((gh, 0.4),), commutators=((gh, gm, 0.2),))
+        with pytest.raises(DomainError, match="step count must be positive"):
+            compile_nested(combo, 0.5, m, blocks.dims)
 
     def test_rejects_deep_nesting(self):
         blocks = one_block(2)

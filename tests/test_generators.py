@@ -211,6 +211,20 @@ def component_sizes(supports):
     return [len(c) for c in comps]
 
 
+class TestElementaryGenerator:
+    def test_refuses_malformed_records(self):
+        with pytest.raises(DomainError, match="unknown generator kind 'x'"):
+            ElementaryGenerator("x", 0.0, (0, 0), (0, 1))
+        with pytest.raises(DomainError, match="'p' generator must have first == second"):
+            ElementaryGenerator("p", 0.0, (0, 0), (0, 1))
+        with pytest.raises(DomainError, match="kind 'h' needs two distinct joint indices"):
+            ElementaryGenerator("h", 0.0, (0, 0), (0, 0))
+
+    def test_records_need_dims(self):
+        with pytest.raises(DomainError, match="dims required"):
+            lie_closure([ElementaryGenerator("h", 0.0, (0, 0), (0, 1))])
+
+
 class TestLieClosure:
     @settings(max_examples=300, deadline=None)
     @given(gaussian_inputs())

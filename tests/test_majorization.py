@@ -32,6 +32,7 @@ from util import (
     random_resonant_spectra,
     reference_curve,
     reference_curve_values,
+    reference_hockey_majorizes,
     reference_max_ground_population,
     reference_max_ground_population_lexsort,
     reference_thermo_majorizes,
@@ -77,6 +78,10 @@ class TestCurve:
         with pytest.raises(DomainError, match="concave"):
             ThermoCurve(((0.0, 0.0), (0.5, 0.2), (1.0, 1.0)))
 
+    def test_falling_y_is_refused(self):
+        with pytest.raises(DomainError, match="y must be nondecreasing to 1"):
+            ThermoCurve(((0.0, 0.0), (0.5, 0.6), (0.8, 0.5), (1.0, 1.0)))
+
     def test_dim_mismatch(self):
         with pytest.raises(DomainError):
             thermo_curve(DiagonalState([0.5, 0.5]), qutrit())
@@ -89,6 +94,22 @@ class TestCurve:
         assert c.vertices == ((0.0, 0.0), (1.0, 1.0))
         assert thermo_majorizes(DiagonalState([1.0, 0.0]), gibbs_state(spec), spec)
         assert not thermo_majorizes(gibbs_state(spec), DiagonalState([0.0, 1.0]), spec)
+
+    def test_last_run_merges_before_the_endpoint_is_pinned(self):
+        # exp(-40) is below an ulp of the running Gibbs sum, which reaches
+        # 1 - ulp at level 1, so levels 1, 2 and 4 end on one x.  That run
+        # merges into one vertex, which only then becomes (1, 1); pinned
+        # first, it left an ulp-wide last segment, too steep to be concave.
+        spec = Spectrum.from_energies([2.0, 0.0, 40.0, 2.0, 40.0])
+        p = DiagonalState(np.array([4, 2, 0, 1, 0]) / 7)
+        assert thermo_curve(p, spec).vertices == (
+            (0.0, 0.0), (0.10650697891920073, 0.5714285714285714),
+            (0.21301395783840146, 0.7142857142857142), (1.0, 1.0))
+        assert thermo_majorizes(p, gibbs_state(spec), spec) is True
+        # exp(-50) after a sum of 1 - ulp: no (0.9999999999999999, 1.0) vertex.
+        c = thermo_curve(DiagonalState([0.0, 0.0, 1.0, 0.0]),
+                         Spectrum.from_energies([0.0, 1.0, 2.0, 50.0]))
+        assert c.vertices[-2:] == ((0.7552715289452022, 1.0), (1.0, 1.0))
 
     def test_zero_gibbs_weight_levels_go_first_or_last(self):
         # exp(-800) underflows to 0.  Holding population, the level goes
@@ -280,10 +301,12 @@ class TestMajorizes:
             assert thermo_majorizes(p, q, sys)
 
 
-# Repeated energies tie ratios; 50 gives a Gibbs weight below an ulp of the
-# running sum (a merge), 740 a subnormal one, 750 and 800 one that underflows
-# to 0 (a vertical first segment when it holds population).
-CURVE_ENERGIES = st.sampled_from([0.0, 0.0, LN2, LN2, 1.0, 2.0, 50.0, 740.0, 750.0, 800.0])
+# Repeated energies tie ratios; 40 and 50 give a Gibbs weight below an ulp of
+# the running sum (a merge, at the end of the curve too), 740 a subnormal one,
+# 750 and 800 one that underflows to 0 (a vertical first segment when it holds
+# population).
+CURVE_ENERGIES = st.sampled_from([0.0, 0.0, LN2, LN2, 1.0, 2.0, 40.0, 50.0, 740.0, 750.0,
+                                  800.0])
 
 
 def outcome(f, *args):
@@ -339,6 +362,19 @@ class TestStackedMajorizes:
             assert got.dtype == bool and got.tolist() == want
             lead = outcome(thermo_majorizes, p[None], q, specs if per_row else specs[0], tol)
             assert lead.shape == (1, m) and lead[0].tolist() == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(CURVE_ENERGIES, min_size=1, max_size=6),
+           st.lists(st.integers(0, 4), min_size=12, max_size=12),
+           st.sampled_from([1e-9, 1e-3]))
+    def test_matches_hockey_stick_oracle(self, energies, weights, tol):
+        # The oracle builds no curve.  At tol 0 the two round differently
+        # where curves touch, so there the curve reference is the judge.
+        spec = Spectrum.from_energies(energies)
+        w = np.array(weights, float).reshape(2, 6)[:, :len(energies)]
+        assume((w.sum(axis=1) > 0).all())
+        p, q = (DiagonalState(r / r.sum()) for r in w)
+        assert thermo_majorizes(p, q, spec, tol) == reference_hockey_majorizes(p, q, spec, tol)
 
     def test_vertical_first_segment_and_merge_rows(self):
         # Row 0 rises at x = 0 (weight exp(-800) underflows to 0); row 1 merges

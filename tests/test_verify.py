@@ -103,6 +103,11 @@ def test_oracle_excess_matches_per_trial_loop(seed, trials):
     assert rng.integers(1 << 62) == ref.integers(1 << 62)
 
 
+def test_unknown_suite_is_refused():
+    with pytest.raises(ValueError, match="unknown suite 'thermal'"):
+        verify.run_suites("thermal", 0, 1)
+
+
 def test_chunks_cover_the_trials():
     c = verify.TRIAL_CHUNK
     assert verify._chunks(0) == []

@@ -296,8 +296,9 @@ def _reference_check_curve(xs, ys):
 def reference_curve(p, spec):
     """The checked vertices (xs, ys) of a DiagonalState's curve, built on
     its own: ratios sorted with np.lexsort (ties at inf by p over gamma
-    scaled by 2**600, then by index), cumulative sums, and each run of
-    equal x after the origin dropped but for its last vertex."""
+    scaled by 2**600, then by index), cumulative sums, each run of equal
+    x after the origin dropped but for its last vertex, and only then the
+    last vertex set to (1, 1)."""
     if p.dim != spec.dim:
         raise DomainError(f"state dim {p.dim} != spectrum dim {spec.dim}")
     p, gamma = p.populations, gibbs_state(spec).populations
@@ -307,9 +308,9 @@ def reference_curve(p, spec):
         order = np.lexsort((np.where(inf, -(p / np.ldexp(gamma, 600)), 0.0), -ratio))
     xs = np.minimum(np.concatenate(([0.0], np.cumsum(gamma[order]))), 1.0)
     ys = np.concatenate(([0.0], np.cumsum(p[order])))
-    xs[-1] = ys[-1] = 1.0
     kept = [0] + [k for k in range(1, len(xs)) if k == len(xs) - 1 or xs[k + 1] != xs[k]]
     xs, ys = xs[kept], ys[kept]
+    xs[-1] = ys[-1] = 1.0
     _reference_check_curve(xs, ys)
     return xs, ys
 
@@ -321,6 +322,21 @@ def reference_thermo_majorizes(p, q, spec, tol=1e-9):
     xq, yq = reference_curve(q, spec)
     xs = np.union1d(xp, xq)
     return bool(np.all(np.interp(xs, xp, yp) >= np.interp(xs, xq, yq) - tol))
+
+
+def reference_hockey_majorizes(p, q, spec, tol=1e-9):
+    """Whether p thermo-majorizes q, decided without curves: sum_i
+    (p_i - t gamma_i)_+ is at least the same sum over q, less tol, at
+    every slope t = p_i / gamma_i or q_i / gamma_i, and as t -> inf, where
+    the sums run over the levels with gamma_i = 0.  gamma is scaled by
+    2**600 (and t by 2**-600), so a subnormal weight gives a finite t."""
+    gamma = np.ldexp(gibbs_state(spec).populations, 600)
+    p, q = p.populations, q.populations
+    heavy = gamma > 0
+    t = np.concatenate((p[heavy], q[heavy])) / np.concatenate((gamma[heavy], gamma[heavy]))
+    with np.errstate(over="ignore"):  # t * gamma past 1e308 clips to 0 all the same
+        hockey = [np.maximum(r - np.multiply.outer(t, gamma), 0.0).sum(axis=-1) for r in (p, q)]
+    return bool((hockey[0] >= hockey[1] - tol).all() and p[~heavy].sum() >= q[~heavy].sum() - tol)
 
 
 def _reference_instances(rng, trials):

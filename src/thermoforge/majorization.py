@@ -1,25 +1,27 @@
 """Thermomajorization oracle and TO/ETO reachability checks for
 incoherent states.
 
+thermo_majorizes decides p > q by hockey-stick sums, sum_i (p_i -
+t gamma_i)_+, compared at every kink t of either side: the Legendre form
+of the curves below, which it never builds.  It takes p and q as
+DiagonalStates or (..., n) arrays and one spectrum or one per row; a 1-D
+call is the stack with no leading axes.
+
 Curves are beta-ordered Lorenz curves: levels sorted by p_i / gamma_i
 descending (ties broken by level index), vertices at cumulative
 (Gibbs weight, population) pairs.  A Gibbs weight below an ulp of the
 running sum leaves x unchanged, so a run of vertices with equal x is
-merged into its last one, the one with the largest y; the last run
-merges before its vertex becomes (1, 1).  A Gibbs weight that underflows
-to 0 sorts its level first when it holds population and last when it
-holds none.  The first levels then rise at x = 0: that run is merged
-into one vertex (0, y) after the origin, and this first segment is the
-only vertical one a curve may have.  np.interp reads the top of it, y,
-at x = 0.
+merged into its last one, the one with the largest y; the last run, and
+any vertex within CURVE_END_TOL of x = 1, merges before the last vertex
+becomes (1, 1).  A Gibbs weight that underflows to 0 sorts its level
+first when it holds population and last when it holds none.  The first
+levels then rise at x = 0: that run is merged into one vertex (0, y)
+after the origin, and this first segment is the only vertical one a
+curve may have.
 
 Curves are built and checked as stacks: an (m, n) array of populations
 gives (m, n + 1) vertex arrays, one row per curve: its vertices, then
-copies of its last one, (1, 1).  A reading of a curve at x lands, as
-np.searchsorted(side="right") - 1 does, on the last vertex at or left
-of x.  thermo_majorizes takes p and q as DiagonalStates or (..., n)
-arrays and one spectrum or one per row; a 1-D call is the stack with no
-leading axes.
+copies of its last one, (1, 1).
 """
 from __future__ import annotations
 
@@ -37,6 +39,7 @@ REACH_NODE_CAP = 10**6  # most search-tree nodes eto_reach_search will visit
 CURVE_END_TOL = 1e-12  # how far a curve's last vertex may lie from 1 in x and in y
 CURVE_DROP_TOL = 1e-12  # how far y may fall from one vertex to the next
 CONCAVITY_TOL = 1e-9  # how far a slope may exceed the one before it, times max(1, |that one|)
+MAJORIZE_TOL = 1e-9  # how far p's hockey-stick sum may fall below q's where p > q
 
 
 def _check_curve(xs: np.ndarray, ys: np.ndarray, size: np.ndarray) -> None:
@@ -104,11 +107,13 @@ def _curve_arrays(p: np.ndarray, gamma: np.ndarray):
     np.cumsum(p[rows, order], axis=-1, out=ys[:, 1:])
     # A running Gibbs sum that rounds above 1 is clamped, so x never steps
     # back.  Each run of equal x merges into its last vertex (the origin
-    # kept) before the last vertex is set to (1, 1), so a sum that ends at
-    # 1 - ulp ahead of levels lighter than an ulp leaves no ulp-wide segment.
+    # kept), and so does every vertex within CURVE_END_TOL of x = 1, before
+    # the last vertex is set to (1, 1): a sum that ends at 1 - ulp ahead of
+    # levels lighter than an ulp leaves no ulp-wide segment, and neither
+    # does a population sum of 1 - ulp at x = 1 - ulp.
     np.minimum(xs, 1.0, out=xs)
     merged = np.zeros(xs.shape, dtype=bool)
-    merged[:, 1:-1] = xs[:, 2:] == xs[:, 1:-1]
+    merged[:, 1:-1] = (xs[:, 2:] == xs[:, 1:-1]) | (xs[:, 1:-1] >= 1.0 - CURVE_END_TOL)
     xs[:, -1] = ys[:, -1] = 1.0
     if merged.any():  # merged vertices become (1, 1), behind the kept ones
         xs[merged] = ys[merged] = 1.0
@@ -153,8 +158,36 @@ def _stack(p) -> np.ndarray:
     return p
 
 
-def thermo_majorizes(p, q, spec, tol: float = 1e-9):
-    """True iff p's curve lies above q's at every vertex of either curve.
+def _checked_rows(p: np.ndarray, q: np.ndarray, specs: list[Spectrum]):
+    """(m, n) rows p and q read by the DiagonalState rule, after the checks
+    of the 1-D call on each row: p's population rule, q's, then p's and q's
+    dims against the row's spectrum.  Raises the DomainError of the first
+    row that fails."""
+    n = p.shape[-1]
+    dims = np.array([spec.dim for spec in specs])
+    bad = np.flatnonzero((dims != n) | (dims != q.shape[-1]))
+    rows = bad[0] + 1 if len(bad) else len(p)  # the rows up to the first bad dim
+    if q.shape[-1] == n:  # p and q interleaved, row by row
+        pq = _checked_populations(np.stack((p[:rows], q[:rows]), axis=1))
+        p, q = pq[:, 0], pq[:, 1]
+    else:  # every row fails its dim check, the first one first
+        p, q = _checked_populations(p[:1]), _checked_populations(q[:1])
+    if len(bad):
+        _check_dim(n, specs[bad[0]])
+        _check_dim(q.shape[-1], specs[bad[0]])
+    return p, q
+
+
+def thermo_majorizes(p, q, spec, tol: float = MAJORIZE_TOL):
+    """True iff p thermo-majorizes q, up to tol: sum_i (p_i - t gamma_i)_+
+    >= sum_i (q_i - t gamma_i)_+ - tol at every kink t = p_i / gamma_i and
+    q_i / gamma_i of the levels with gamma_i > 0, and as t -> inf, where
+    each sum is the population of the levels with gamma_i = 0.
+
+    These hockey-stick sums are the Legendre transform of the thermo
+    curves, so tol bounds how far p's curve may lie below q's at any x.
+    gamma is scaled by 2**600 (exact), so a subnormal weight gives a
+    finite t.  No curve is built, and no curve rule is checked.
 
     p and q are DiagonalStates or (..., n) population arrays whose leading
     axes broadcast; every row is read by the DiagonalState rule.  spec is
@@ -170,60 +203,20 @@ def thermo_majorizes(p, q, spec, tol: float = 1e-9):
     specs = [spec] if isinstance(spec, Spectrum) else list(spec)
     if len(specs) not in (1, len(p)):
         raise ShapeError(f"{len(specs)} spectra for {len(p)} rows")
-    try:
-        ok = _majorizes(p, q, specs, tol)
-    except DomainError:
-        for i in range(len(p)):
-            _raise_row_fault(p[i], q[i], specs[min(i, len(specs) - 1)])
-        raise
+    p, q = _checked_rows(p, q, specs)
+    gamma = np.ldexp(_gibbs_weights(np.array([spec.energies for spec in specs])), 600)
+    # Each row's kinks t, (m, 2n).  A level with gamma_i = 0 gives t = inf,
+    # where t gamma_j is taken as inf for gamma_j > 0 and as 0 for gamma_j = 0.
+    pq, gg = np.concatenate((p, q), axis=-1), np.concatenate((gamma, gamma), axis=-1)
+    t = np.divide(pq, gg, out=np.full(pq.shape, np.inf), where=gg > 0)
+    with np.errstate(over="ignore", invalid="ignore"):  # t gamma past 1e308 clips to 0 all the same
+        tg = np.where(gamma[:, None] > 0, t[..., None] * gamma[:, None], 0.0)  # (m, 2n, n)
+    # Each sum runs over its terms in ascending order, so two states that
+    # differ by a relabelling of equal-weight levels get equal sums.
+    hockey_p, hockey_q = (np.sort(np.maximum(r[:, None] - tg, 0.0), axis=-1).sum(axis=-1)
+                          for r in (p, q))
+    ok = (hockey_p >= hockey_q - tol).all(axis=-1)
     return ok.reshape(lead) if lead else bool(ok[0])
-
-
-def _raise_row_fault(p: np.ndarray, q: np.ndarray, spec: Spectrum) -> None:
-    """Raise the DomainError of the 1-D thermo_majorizes call on one row,
-    if it fails: p and q are read, then p's dim and curve are checked
-    before q's."""
-    p, q = _checked_populations(p), _checked_populations(q)
-    for r in (p, q):
-        _check_dim(len(r), spec)
-        _curve_arrays(r[None], _gibbs_weights(spec.energies))
-
-
-def _majorizes(p: np.ndarray, q: np.ndarray, specs: list[Spectrum], tol: float) -> np.ndarray:
-    """thermo_majorizes on (m, n) rows, both curves of every row built
-    and checked as one stack; any DomainError it raises is replaced by
-    the first failing row's own."""
-    m, n = p.shape
-    if q.shape[-1] != n or any(spec.dim != n for spec in specs):
-        raise DomainError("state and spectrum dims differ")
-    gamma = _gibbs_weights(np.array([spec.energies for spec in specs]))
-    xs, ys, _ = _curve_arrays(_checked_populations(np.concatenate((p, q))),
-                              gamma if len(gamma) == 1 else np.concatenate((gamma, gamma)))
-    # Each curve at the other's vertices, as np.interp reads it: the segment
-    # starts at the last vertex j at or left of x; an exact hit takes y[j],
-    # else slope * (x - x[j]) + y[j], where x - x[j] > 0 makes no NaN.
-    at = np.concatenate((xs[m:], xs[:m]))
-    rows = np.arange(2 * m)[:, None]
-    j = _segments(xs, at)
-    j1 = np.minimum(j + 1, n)
-    x0, y0 = xs[rows, j], ys[rows, j]
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        slope = (ys[rows, j1] - y0) / (xs[rows, j1] - x0)
-        value = np.where(at == x0, y0, slope * (at - x0) + y0)
-    # At its own origin a curve reads the top of a vertical first segment too.
-    ys[:, 0] = np.where(xs[:, 1] == 0, ys[:, 1], 0.0)
-    return (value[:m] >= ys[m:] - tol).all(axis=-1) & (ys[:m] >= value[m:] - tol).all(axis=-1)
-
-
-def _segments(xp: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """np.searchsorted(xp[r], x[r], side="right") - 1 for every row r of
-    ascending (m, k) rows xp: one stable sort of each row's xp followed by
-    its x, which puts every vertex of xp at or left of an x before it."""
-    k = xp.shape[-1]
-    order = np.argsort(np.concatenate((xp, x), axis=-1), axis=-1, kind="stable")
-    out = np.empty_like(order)
-    out[np.arange(len(order))[:, None], order] = np.cumsum(order < k, axis=-1) - 1
-    return out[:, k:]
 
 
 def max_ground_population_TO(p: DiagonalState, spec_s: Spectrum, spec_c: Spectrum,

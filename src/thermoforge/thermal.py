@@ -48,6 +48,8 @@ from .linalg import as_operator, unitarity_defect
 
 ENERGY_TOL = 1e-9
 PRESERVING_TOL = 1e-9  # largest ||U†U - I||_F and cross-block |u_ij| of an energy-preserving unitary
+POPULATION_FLOOR = -1e-14  # lowest population entry read (as 0) rather than refused
+POPULATION_SUM_TOL = 1e-12  # largest distance of a population sum from 1
 
 
 def _energy_groups(energies: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -164,7 +166,8 @@ def _check_labels(g: np.ndarray, energies: np.ndarray) -> None:
 
 def _checked_populations(p: np.ndarray) -> np.ndarray:
     """Each row of a float (..., n) array as a population vector: no entry
-    below -1e-14, entries clipped at 0, a sum within 1e-12 of 1.  Raises
+    below POPULATION_FLOOR, entries clipped at 0, a sum within
+    POPULATION_SUM_TOL of 1.  Raises
     DomainError for the first row, in C order, that fails, naming its
     first failed rule."""
     # NaN propagates through min and sum and fails both tests, which are
@@ -172,11 +175,11 @@ def _checked_populations(p: np.ndarray) -> np.ndarray:
     low = p.min(axis=-1, initial=0.0)
     p = np.maximum(p, 0.0)
     total = p.sum(axis=-1)
-    ok = (low >= -1e-14) & (abs(total - 1.0) <= 1e-12)
+    ok = (low >= POPULATION_FLOOR) & (abs(total - 1.0) <= POPULATION_SUM_TOL)
     if not ok.all():
         i = np.flatnonzero(~ok)[0]
         low, total = np.ravel(low)[i], np.ravel(total)[i]
-        if not low >= -1e-14:
+        if not low >= POPULATION_FLOOR:
             raise DomainError(f"negative or NaN population {low}")
         raise DomainError(f"populations sum to {total}, not 1")
     return p

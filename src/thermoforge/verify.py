@@ -56,7 +56,7 @@ from .compiler import (EXACT_TOL, GateSequence, compile_bch, compile_exact, comp
                        reconstruct)
 from .generators import enumerate_basis, lie_closure, rank2_basis, ElementaryGenerator
 from .linalg import dagger, expm_skew, frobenius_distance, kron, partial_trace, trace_distance
-from .majorization import max_ground_population_TO, thermo_majorizes
+from .majorization import MAJORIZE_TOL, max_ground_population_TO, thermo_majorizes
 from .thermal import (
     DiagonalState,
     Spectrum,
@@ -346,7 +346,8 @@ def suite_majorization(seed: int, trials: int) -> list[CheckResult]:
             specs, ps, qs, swaps = zip(*group)
             m = len(ps)
             # the TO rows, then the beta-swap rows, in one stacked call
-            ok = thermo_majorizes(np.array(ps + ps), np.array(qs + swaps), specs + specs, tol=1e-9)
+            ok = thermo_majorizes(np.array(ps + ps), np.array(qs + swaps), specs + specs,
+                                  tol=MAJORIZE_TOL)
             violations += np.count_nonzero(~ok[:m])
             swap_violations += np.count_nonzero(~ok[m:])
     # The same values as 3 * t calls of random_populations(rng, 3).

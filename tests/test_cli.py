@@ -28,7 +28,10 @@ from thermoforge import (
 from thermoforge import cli
 from thermoforge.cli import main
 from thermoforge.cooling import SYSTEM_SPECTRUM
-from util import BLOCK_A, BLOCK_B, reference_apply_gates, sequence_to_json, to_json
+from thermoforge.majorization import MAJORIZE_TOL
+from thermoforge.thermal import POPULATION_FLOOR, POPULATION_SUM_TOL
+from util import (BLOCK_A, BLOCK_B, reference_apply_gates, reference_hockey_majorizes,
+                  sequence_to_json, to_json)
 
 LN2 = math.log(2.0)
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -509,12 +512,15 @@ class TestCurve:
     @pytest.mark.parametrize("energies,weights", [
         ([50, 0.6931471805599453, 740, 50], [4 / 15, 3 / 15, 4 / 15, 4 / 15]),  # huge tied slopes
         ([2, 2, 0, 2, 50], [2 / 7, 0, 4 / 7, 1 / 7, 0]),  # Gibbs sum rounds above 1
+        # the population sum reaches 1 - ulp at x = 1 - ulp, where the next
+        # level steps x to 1.0: that vertex merges into (1, 1)
+        ([800, 40, 40, 3, 750, 800], [0.4, 0.2, 0, 0.1, 0.3, 0]),
     ])
     def test_valid_curves_at_the_rounding_edge(self, tmp_path, capsys, energies, weights):
         spec = write_json(tmp_path / "spec.json", {"energies": energies})
         sf = write_json(tmp_path / "p.json", {"populations": weights})
         code, report, err = run_cli(capsys, ["curve", "--state", sf, "--spectrum", spec])
-        assert code == 0, err
+        assert (code, err) == (0, "")
         assert report["outputs"]["vertices"][-1] == [1.0, 1.0]
 
     def test_last_run_merges_before_the_endpoint(self, tmp_path, capsys):
@@ -542,6 +548,47 @@ class TestCurve:
         assert report["outputs"]["p_majorizes_q"] is True
         assert report["outputs"]["q_majorizes_p"] is False
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_compare_across_subnormal_gibbs_weights(self, tmp_path, capsys):
+        # exp(-730) and exp(-740) are subnormal and distinct: p's curve lies
+        # above q's, and p_majorizes_q is read from hockey-stick sums, not
+        # from a slope over a subnormal dx.
+        spec = write_json(tmp_path / "spec.json", {"energies": [40, 740, 750, 50, 10]})
+        pf = write_json(tmp_path / "p.json", {"populations": [2 / 8, 1 / 8, 3 / 8, 1 / 8, 1 / 8]})
+        qf = write_json(tmp_path / "q.json", {"populations": [1 / 11, 3 / 11, 0, 3 / 11, 4 / 11]})
+        code, report, err = run_cli(capsys, ["curve", "--state", pf, "--spectrum", spec,
+                                             "--compare", qf])
+        assert (code, err) == (0, "")
+        assert report["outputs"]["p_majorizes_q"] is True
+        assert report["outputs"]["q_majorizes_p"] is False
+
+    @pytest.mark.parametrize("populations,code", [
+        ([0.9 * POPULATION_FLOOR, 1.0], 0),
+        ([1.1 * POPULATION_FLOOR, 1.0], 3),
+        ([0.5, 0.5 + 0.9 * POPULATION_SUM_TOL], 0),
+        ([0.5, 0.5 + 1.1 * POPULATION_SUM_TOL], 3),
+        ([0.5, 0.5 - 0.9 * POPULATION_SUM_TOL], 0),
+        ([0.5, 0.5 - 1.1 * POPULATION_SUM_TOL], 3),
+    ])
+    def test_population_tolerances_at_the_boundary(self, tmp_path, capsys, populations, code):
+        spec = write_json(tmp_path / "spec.json", {"energies": [0, 1]})
+        sf = write_json(tmp_path / "p.json", {"populations": populations})
+        got, report, err = run_cli(capsys, ["curve", "--state", sf, "--spectrum", spec])
+        assert got == code, err
+
+    @pytest.mark.parametrize("excess,want", [(0.9 * MAJORIZE_TOL, True),
+                                             (1.1 * MAJORIZE_TOL, False)])
+    def test_compare_tolerance_at_the_boundary(self, tmp_path, capsys, excess, want):
+        # q exceeds the Gibbs state p by excess on level 0, so p's hockey-stick
+        # sum falls excess short of q's at t = 1.
+        spec = write_json(tmp_path / "spec.json", {"energies": [0, 0]})
+        pf = write_json(tmp_path / "p.json", {"populations": [0.5, 0.5]})
+        qf = write_json(tmp_path / "q.json", {"populations": [0.5 + excess, 0.5 - excess]})
+        code, report, err = run_cli(capsys, ["curve", "--state", pf, "--spectrum", spec,
+                                             "--compare", qf])
+        assert (code, err) == (0, "")
+        assert report["outputs"]["p_majorizes_q"] is want
+        assert report["outputs"]["q_majorizes_p"] is True
 
     @pytest.mark.parametrize("flag", ["--state", "--compare"])
     def test_nan_populations_exit_3(self, tmp_path, capsys, flag):
@@ -1093,6 +1140,10 @@ class TestMutatedInputs:
             "p": {"populations": [0.25, 0.75]},
             "rho": {"re": [[0.25, 0.0], [0.0, 0.75]], "im": [[0.0, 0.0], [0.0, 0.0]]},
             "seq": sequence_to_json(compile_exact(u, blocks)),
+            # two distinct subnormal Gibbs weights, exp(-730) and exp(-740)
+            "sub": {"energies": [40.0, 740.0, 750.0, 50.0, 10.0]},
+            "sub_p": {"populations": [2 / 8, 1 / 8, 3 / 8, 1 / 8, 1 / 8]},
+            "sub_q": {"populations": [1 / 11, 3 / 11, 0.0, 3 / 11, 4 / 11]},
         }
 
     @pytest.fixture(scope="class")
@@ -1110,6 +1161,8 @@ class TestMutatedInputs:
                             "--rethermalize", "--system", "sys"],
         "simulate_dense": ["simulate", "--state", "rho", "--catalyst", "cat", "--gates", "seq"],
         "curve": ["curve", "--state", "p", "--spectrum", "sys", "--compare", "rho"],
+        "curve_subnormal": ["curve", "--state", "sub_p", "--spectrum", "sub", "--compare",
+                            "sub_q"],
     }
 
     @pytest.mark.parametrize("command", COMMANDS)
@@ -1145,10 +1198,12 @@ class TestMutatedInputs:
         """Semantic oracles of an exit 0.  compile: the gates of --out,
         applied one by one to the identity, are within error_bound of u.
         curve: the vertices run from (0, 0) to (1, 1), x ascending, and
-        the curve is concave.  simulate: the system populations are a
-        probability vector and, given --system, every step of the gates
-        lies in one energy block of the fixture's spectra (without it no
-        step is checked, so a crossing step may pass)."""
+        the curve is concave; p_majorizes_q and q_majorizes_p are
+        reference_hockey_majorizes on the files that were run.  simulate:
+        the system populations are a probability vector and, given
+        --system, every step of the gates lies in one energy block of the
+        fixture's spectra (without it no step is checked, so a crossing
+        step may pass)."""
         command = argv[0]
         if command == "compile":
             seq = GateSequence.from_json(str(paths["out"]))
@@ -1162,6 +1217,11 @@ class TestMutatedInputs:
             assert (dx >= 0).all()
             # each slope at most the one before: dy_k / dx_k <= dy_k-1 / dx_k-1
             assert (dy[1:] * dx[:-1] <= dy[:-1] * dx[1:] + 1e-12).all()
+            named = {flag: str(paths[name]) for flag, name in zip(argv[1::2], argv[2::2])}
+            spec = Spectrum.from_json(named["--spectrum"])
+            p, q = (cli._load_state(named[flag])[1] for flag in ("--state", "--compare"))
+            assert outputs["p_majorizes_q"] is reference_hockey_majorizes(p, q, spec)
+            assert outputs["q_majorizes_p"] is reference_hockey_majorizes(q, p, spec)
         else:
             p = np.array(outputs["system_populations"])
             assert (p >= -1e-12).all() and abs(p.sum() - 1.0) <= 1e-12

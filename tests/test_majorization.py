@@ -25,17 +25,18 @@ from thermoforge import (
 from thermoforge import majorization
 from thermoforge.cooling import build_cooling_catalyst
 from thermoforge.errors import CapacityError, DomainError, ShapeError
-from thermoforge.majorization import ThermoCurve
+from thermoforge.majorization import ThermoCurve, _curve_arrays
+from thermoforge.thermal import _gibbs_weights
 
 from util import (
     random_populations,
     random_resonant_spectra,
     reference_curve,
     reference_curve_values,
+    reference_exact_hockey_margin,
     reference_hockey_majorizes,
     reference_max_ground_population,
     reference_max_ground_population_lexsort,
-    reference_thermo_majorizes,
 )
 
 LN2 = math.log(2.0)
@@ -43,6 +44,15 @@ LN2 = math.log(2.0)
 
 def qutrit():
     return Spectrum.from_energies([0.0, LN2, LN2])
+
+
+# Repeated energies tie ratios; 40 and 50 give a Gibbs weight below an ulp of
+# the running sum (a merge, at the end of the curve too), 740 a subnormal one,
+# 750 and 800 one that underflows to 0 (a vertical first segment when it holds
+# population).
+CURVE_ENERGIES = st.sampled_from([0.0, 0.0, LN2, LN2, 1.0, 2.0, 40.0, 50.0, 740.0, 750.0,
+                                  800.0])
+FUZZ_ENERGIES = [0.0, LN2, 1.0, 2.0, 3.0, 10.0, 40.0, 50.0, 740.0, 750.0, 800.0]
 
 
 class TestCurve:
@@ -111,6 +121,20 @@ class TestCurve:
                          Spectrum.from_energies([0.0, 1.0, 2.0, 50.0]))
         assert c.vertices[-2:] == ((0.7552715289452022, 1.0), (1.0, 1.0))
 
+    def test_population_sum_below_one_at_the_last_x(self):
+        # The population sum reaches 1 - ulp at x = 1 - ulp; level 2's weight
+        # exp(-37) / Z then steps x to 1.0.  The vertex at 1 - ulp lies within
+        # CURVE_END_TOL of x = 1, so it merges into (1, 1); kept, it left a
+        # last segment too steep to be concave once (1, 1) was pinned.
+        spec = Spectrum.from_energies([800.0, 40.0, 40.0, 3.0, 750.0, 800.0])
+        p = DiagonalState([0.4, 0.2, 0.0, 0.1, 0.3, 0.0])
+        v = np.asarray(thermo_curve(p, spec).vertices)
+        xs, ys = reference_curve(p, spec)
+        assert v[:, 0].tolist() == xs.tolist() and v[:, 1].tolist() == ys.tolist()
+        assert v[-1].tolist() == [1.0, 1.0] and v[-2, 0] < 1e-16
+        assert thermo_majorizes(p, gibbs_state(spec), spec) is True
+        assert thermo_majorizes(gibbs_state(spec), p, spec) is False
+
     def test_zero_gibbs_weight_levels_go_first_or_last(self):
         # exp(-800) underflows to 0.  Holding population, the level goes
         # first, on the one vertical segment, at x = 0; holding none, last.
@@ -169,7 +193,7 @@ class TestCurve:
             v = np.asarray(thermo_curve(p, spec).vertices)
             xs, ys = reference_curve(p, spec)
             assert thermo_majorizes(p, gibbs_state(spec), spec)
-            assert reference_thermo_majorizes(p, gibbs_state(spec), spec)
+            assert reference_hockey_majorizes(p, gibbs_state(spec), spec)
         assert v[:, 0].tolist() == xs.tolist() and v[:, 1].tolist() == ys.tolist()
         with pytest.raises(DomainError, match="not concave"):  # a true bend still fails
             ThermoCurve(((0.0, 0.0), (1e-21, 0.4), (2e-21, 0.4 + 0.4 * (1 + 1e-8)), (1.0, 1.0)))
@@ -186,7 +210,7 @@ class TestCurve:
         assert v[:, 0].tolist() == xs.tolist() and v[:, 1].tolist() == ys.tolist()
         assert v[-1].tolist() == [1.0, 1.0] and (np.diff(v[:, 0]) > 0).all()
         assert thermo_majorizes(p, gibbs_state(spec), spec)
-        assert reference_thermo_majorizes(p, gibbs_state(spec), spec)
+        assert reference_hockey_majorizes(p, gibbs_state(spec), spec)
 
     def test_overflowed_ratios_sort_by_their_true_order(self):
         # Levels 1 and 2 both have p / gamma = inf; level 2's true ratio is
@@ -244,12 +268,21 @@ class TestMajorizes:
         assert thermo_majorizes(p, q, spec)
         assert not thermo_majorizes(q, p, spec)
 
-    def test_mutual_dominance_for_curve_equal_states(self):
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 4), min_size=4, max_size=4))
+    def test_mutual_dominance_for_curve_equal_states(self, weights):
         spec = qutrit()
         p = DiagonalState([0.0, 0.5, 0.5])
         # swapping the two degenerate levels leaves the curve unchanged
         q = DiagonalState([0.0, 0.5, 0.5])
         assert thermo_majorizes(p, q, spec) and thermo_majorizes(q, p, spec)
+        # so does any relabelling of the levels of energy 1, even at tol 0
+        spec = Spectrum.from_energies([0.0, 1.0, 1.0, 1.0])
+        w = np.array(weights, float)
+        assume(w.sum() > 0)
+        p = DiagonalState(w / w.sum())
+        q = DiagonalState(p.populations[[0, 2, 3, 1]])
+        assert thermo_majorizes(p, q, spec, 0.0) and thermo_majorizes(q, p, spec, 0.0)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000))
@@ -285,8 +318,34 @@ class TestMajorizes:
             except DomainError as e:
                 return str(e)
 
-        got, want = outcome(thermo_majorizes), outcome(reference_thermo_majorizes)
+        got, want = outcome(thermo_majorizes), outcome(reference_hockey_majorizes)
         assert got == want and type(got) is type(want)
+
+    def test_tol_zero_is_decided_exactly_where_curves_touch(self):
+        # In exact arithmetic on these floats, p's hockey-stick sum falls
+        # 5.8e-17 below q's at t = p_1 / gamma_1: p does not majorize q at
+        # tol 0.  A curve read through np.interp said it did.
+        spec = Spectrum.from_energies([40.0, 0.0])
+        p, q = DiagonalState([1 / 3, 2 / 3]), DiagonalState([0.0, 1.0])
+        margin = reference_exact_hockey_margin(p, q, spec)
+        assert -6e-17 < margin < -5e-17
+        assert thermo_majorizes(p, q, spec, 0.0) is False
+        assert reference_hockey_majorizes(p, q, spec, 0.0) is False
+        assert thermo_majorizes(p, q, spec) is True  # within MAJORIZE_TOL
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(CURVE_ENERGIES, min_size=1, max_size=6),
+           st.lists(st.integers(0, 4), min_size=12, max_size=12))
+    def test_tol_zero_matches_exact_judge(self, energies, weights):
+        # At tol 0 the answer is the sign of the exact margin wherever that
+        # margin is farther from 0 than float rounding of the sums reaches.
+        spec = Spectrum.from_energies(energies)
+        w = np.array(weights, float).reshape(2, 6)[:, :len(energies)]
+        assume((w.sum(axis=1) > 0).all())
+        p, q = (DiagonalState(r / r.sum()) for r in w)
+        margin = reference_exact_hockey_margin(p, q, spec)
+        if abs(margin) > 1e-14:
+            assert thermo_majorizes(p, q, spec, 0.0) == (margin > 0)
 
     def test_to_output_is_majorized(self):
         rng = np.random.default_rng(5)
@@ -299,14 +358,6 @@ class TestMajorizes:
             out = apply_TO(np.diag(p.populations), chan)
             q = DiagonalState(np.real(np.diag(out)))
             assert thermo_majorizes(p, q, sys)
-
-
-# Repeated energies tie ratios; 40 and 50 give a Gibbs weight below an ulp of
-# the running sum (a merge, at the end of the curve too), 740 a subnormal one,
-# 750 and 800 one that underflows to 0 (a vertical first segment when it holds
-# population).
-CURVE_ENERGIES = st.sampled_from([0.0, 0.0, LN2, LN2, 1.0, 2.0, 40.0, 50.0, 740.0, 750.0,
-                                  800.0])
 
 
 def outcome(f, *args):
@@ -334,7 +385,7 @@ class TestStackedMajorizes:
            st.sampled_from(["ok", "extra_q_level", "unnormalized_q", "negative_p"]),
            st.sampled_from([1e-9, 0.0, 1e-3]))
     def test_rows_match_curve_reference(self, n, m, data, per_row, fault, tol):
-        # Each row of a stacked call equals reference_thermo_majorizes on that
+        # Each row of a stacked call equals reference_hockey_majorizes on that
         # row; a stack with failing rows raises the first one's error.
         specs = [Spectrum.from_energies(data.draw(st.lists(CURVE_ENERGIES, min_size=n,
                                                            max_size=n)))
@@ -352,7 +403,7 @@ class TestStackedMajorizes:
             q[bad] *= 2.0
         elif fault == "negative_p":
             p[bad, 0] = -1e-3
-        want = [outcome(lambda r=r: reference_thermo_majorizes(
+        want = [outcome(lambda r=r: reference_hockey_majorizes(
             DiagonalState(p[r]), DiagonalState(q[r]), specs[r], tol)) for r in range(m)]
         errors = [w for w in want if isinstance(w, str)]
         got = outcome(thermo_majorizes, p, q, specs if per_row else specs[0], tol)
@@ -368,13 +419,49 @@ class TestStackedMajorizes:
            st.lists(st.integers(0, 4), min_size=12, max_size=12),
            st.sampled_from([1e-9, 1e-3]))
     def test_matches_hockey_stick_oracle(self, energies, weights, tol):
-        # The oracle builds no curve.  At tol 0 the two round differently
-        # where curves touch, so there the curve reference is the judge.
         spec = Spectrum.from_energies(energies)
         w = np.array(weights, float).reshape(2, 6)[:, :len(energies)]
         assume((w.sum(axis=1) > 0).all())
         p, q = (DiagonalState(r / r.sum()) for r in w)
         assert thermo_majorizes(p, q, spec, tol) == reference_hockey_majorizes(p, q, spec, tol)
+
+    def test_subnormal_segments_compare_by_hockey_sums(self):
+        # Two distinct subnormal Gibbs weights (energies 740 and 750 over a
+        # minimum of 10): p's curve lies above q's, but its slope over the
+        # subnormal dx overflows to inf, and a reading through slopes said
+        # it did not.
+        spec = Spectrum.from_energies([40.0, 740.0, 750.0, 50.0, 10.0])
+        p = DiagonalState(np.array([2, 1, 3, 1, 1]) / 8)
+        q = DiagonalState(np.array([1, 3, 0, 3, 4]) / 11)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert thermo_majorizes(p, q, spec) is True
+            assert thermo_majorizes(q, p, spec) is False
+        assert reference_exact_hockey_margin(p, q, spec) == 0  # the curves meet at (1, 1)
+        assert reference_exact_hockey_margin(q, p, spec) < -0.37
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_fuzzed_states_are_read_and_match_the_oracle(self, seed):
+        # 20,000 state pairs of 1-7 levels, integer weights 0-4, energies from
+        # FUZZ_ENERGIES, padded to 7 levels with empty levels of weight 0
+        # (energy 1e4), which change no curve and no hockey-stick sum.  One
+        # stacked call per tol, each row checked against the oracle on the
+        # unpadded state; no curve of either state is refused.
+        rng = np.random.default_rng(seed)
+        n = rng.integers(1, 8, 20_000)
+        levels = np.arange(7) < n[:, None]
+        energies = np.where(levels, rng.choice(FUZZ_ENERGIES, (len(n), 7)), 1e4)
+        w = np.where(levels, rng.integers(0, 5, (2, len(n), 7)), 0).astype(float)
+        w[..., 0] += w.sum(axis=-1) == 0
+        p, q = w / w.sum(axis=-1, keepdims=True)
+        specs = [Spectrum.from_energies(e) for e in energies]
+        for rows in (p, q):
+            _curve_arrays(rows, _gibbs_weights(energies))
+        pairs = [(DiagonalState(a[:k]), DiagonalState(b[:k]), Spectrum.from_energies(e[:k]))
+                 for a, b, e, k in zip(p, q, energies, n.tolist())]
+        for tol in (1e-9, 1e-3):
+            got = thermo_majorizes(p, q, specs, tol).tolist()
+            assert got == [reference_hockey_majorizes(*pair, tol) for pair in pairs]
 
     def test_vertical_first_segment_and_merge_rows(self):
         # Row 0 rises at x = 0 (weight exp(-800) underflows to 0); row 1 merges
@@ -387,7 +474,7 @@ class TestStackedMajorizes:
             assert thermo_majorizes(p, q, specs).tolist() == [True, True]
             assert thermo_majorizes(q, p, specs).tolist() == [False, True]
         for r in range(2):
-            assert thermo_majorizes(q[r], p[r], specs[r]) == reference_thermo_majorizes(
+            assert thermo_majorizes(q[r], p[r], specs[r]) == reference_hockey_majorizes(
                 DiagonalState(q[r]), DiagonalState(p[r]), specs[r])
 
     def test_one_row_call_is_a_bool_and_a_one_row_stack_an_array(self):

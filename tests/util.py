@@ -7,6 +7,7 @@ reference_suite_* and reference_oracle_excess loops call each kernel
 once per trial, on 2-D matrices, one block structure or one population
 vector; verify's suites must match them."""
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -297,10 +298,10 @@ def reference_curve(p, spec):
     """The checked vertices (xs, ys) of a DiagonalState's curve, built on
     its own: ratios sorted with np.lexsort (ties at inf by p over gamma
     scaled by 2**600, then by index), cumulative sums, each run of equal
-    x after the origin dropped but for its last vertex, and only then the
-    last vertex set to (1, 1)."""
-    if p.dim != spec.dim:
-        raise DomainError(f"state dim {p.dim} != spectrum dim {spec.dim}")
+    x after the origin dropped but for its last vertex, every vertex
+    after the origin within 1e-12 of x = 1 dropped but for the last, and
+    only then the last vertex set to (1, 1)."""
+    _reference_check_dim(p, spec)
     p, gamma = p.populations, gibbs_state(spec).populations
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio = p / gamma
@@ -308,20 +309,17 @@ def reference_curve(p, spec):
         order = np.lexsort((np.where(inf, -(p / np.ldexp(gamma, 600)), 0.0), -ratio))
     xs = np.minimum(np.concatenate(([0.0], np.cumsum(gamma[order]))), 1.0)
     ys = np.concatenate(([0.0], np.cumsum(p[order])))
-    kept = [0] + [k for k in range(1, len(xs)) if k == len(xs) - 1 or xs[k + 1] != xs[k]]
-    xs, ys = xs[kept], ys[kept]
+    last = len(xs) - 1
+    kept = [0] + [k for k in range(1, last) if xs[k + 1] != xs[k] and xs[k] < 1.0 - 1e-12]
+    xs, ys = xs[kept + [last]], ys[kept + [last]]
     xs[-1] = ys[-1] = 1.0
     _reference_check_curve(xs, ys)
     return xs, ys
 
 
-def reference_thermo_majorizes(p, q, spec, tol=1e-9):
-    """Build both curves, one state at a time, and compare them with
-    np.interp at the union of their vertex x values."""
-    xp, yp = reference_curve(p, spec)
-    xq, yq = reference_curve(q, spec)
-    xs = np.union1d(xp, xq)
-    return bool(np.all(np.interp(xs, xp, yp) >= np.interp(xs, xq, yq) - tol))
+def _reference_check_dim(p, spec):
+    if p.dim != spec.dim:
+        raise DomainError(f"state dim {p.dim} != spectrum dim {spec.dim}")
 
 
 def reference_hockey_majorizes(p, q, spec, tol=1e-9):
@@ -329,14 +327,38 @@ def reference_hockey_majorizes(p, q, spec, tol=1e-9):
     (p_i - t gamma_i)_+ is at least the same sum over q, less tol, at
     every slope t = p_i / gamma_i or q_i / gamma_i, and as t -> inf, where
     the sums run over the levels with gamma_i = 0.  gamma is scaled by
-    2**600 (and t by 2**-600), so a subnormal weight gives a finite t."""
+    2**600 (and t by 2**-600), so a subnormal weight gives a finite t.
+    Each sum adds its terms in ascending order.  p's dim is checked
+    against the spectrum's, then q's."""
+    _reference_check_dim(p, spec)
+    _reference_check_dim(q, spec)
     gamma = np.ldexp(gibbs_state(spec).populations, 600)
     p, q = p.populations, q.populations
     heavy = gamma > 0
     t = np.concatenate((p[heavy], q[heavy])) / np.concatenate((gamma[heavy], gamma[heavy]))
     with np.errstate(over="ignore"):  # t * gamma past 1e308 clips to 0 all the same
-        hockey = [np.maximum(r - np.multiply.outer(t, gamma), 0.0).sum(axis=-1) for r in (p, q)]
-    return bool((hockey[0] >= hockey[1] - tol).all() and p[~heavy].sum() >= q[~heavy].sum() - tol)
+        hockey = [np.sort(np.maximum(r - np.multiply.outer(t, gamma), 0.0)).sum(axis=-1)
+                  for r in (p, q)]
+    inf = [np.sort(r[~heavy]).sum() for r in (p, q)]
+    return bool((hockey[0] >= hockey[1] - tol).all() and inf[0] >= inf[1] - tol)
+
+
+def reference_exact_hockey_margin(p, q, spec):
+    """The least of sum_i (p_i - t gamma_i)_+ - sum_i (q_i - t gamma_i)_+
+    over the t of reference_hockey_majorizes, as a fractions.Fraction:
+    exact arithmetic on the float populations and the library's float
+    Gibbs weights, so p thermo-majorizes q at tol 0 iff it is >= 0."""
+    gamma = [Fraction(g) for g in gibbs_state(spec).populations.tolist()]
+    p, q = ([Fraction(x) for x in r.populations.tolist()] for r in (p, q))
+
+    def hockey(r, t):
+        return sum(max(x - t * g, Fraction(0)) for x, g in zip(r, gamma))
+
+    kinks = [r[i] / g for r in (p, q) for i, g in enumerate(gamma) if g > 0]
+    margins = [hockey(p, t) - hockey(q, t) for t in kinks]
+    margins.append(sum(x for x, g in zip(p, gamma) if g == 0)
+                   - sum(x for x, g in zip(q, gamma) if g == 0))
+    return min(margins)
 
 
 def _reference_instances(rng, trials):
